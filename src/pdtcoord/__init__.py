@@ -65,7 +65,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .kernels import gelu, layer_norm, logistic, matmul, row_softmax, spectral_norm
+from .kernels import gelu, layer_norm, logistic, row_softmax, spectral_norm
 from .memmodel import (
     BUS_POOL,
     KIB,

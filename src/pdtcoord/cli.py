@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="decode an artifact and report the trace")
     p_replay.add_argument("--artifact", required=True)
     p_replay.add_argument("--out", default=None, help="write the full trace to this path")
-    p_replay.add_argument("--workers", type=int, default=1)
     p_replay.add_argument("--stride-b", type=int, default=32)
     p_replay.add_argument("--horizon-l", type=int, default=32)
     p_replay.add_argument("--tau", type=float, default=None)
@@ -138,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--strides", type=_int_list, default=(8, 16))
     p_sweep.add_argument("--scales", type=_float_list, default=(0.0, 0.05, 0.2))
     p_sweep.add_argument("--masked-strides", type=_int_list, default=None)
-    p_sweep.add_argument("--alpha", type=float, default=None, help="recorded in the CSV header, not interpreted")
-    p_sweep.add_argument("--beta", type=float, default=None, help="recorded in the CSV header, not interpreted")
     p_sweep.add_argument("--seed", type=int, default=None)
 
     p_bal = sub.add_parser("balance", help="replay a gradient log through the loss balancer")
@@ -184,7 +181,7 @@ def _decode_config(args: argparse.Namespace) -> DecodeConfig:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     artifact = read_artifact(args.artifact)
-    trace = run_parallel(artifact, _decode_config(args), workers=args.workers)
+    trace = run_parallel(artifact, _decode_config(args))
     if args.out:
         trace.write(args.out)
     for k, log in enumerate(trace.token_logs):
@@ -231,14 +228,12 @@ def _cmd_memcalc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_rows(rows: Sequence[object], out_path: str | None, header_comment: str | None) -> None:
+def _write_rows(rows: Sequence[object], out_path: str | None) -> None:
     if not rows:
         raise ConfigError("sweep produced no rows")
     fieldnames = [f.name for f in dataclasses.fields(rows[0])]
     fh = open(out_path, "w", newline="", encoding="utf-8") if out_path else sys.stdout
     try:
-        if header_comment:
-            fh.write(header_comment + "\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
@@ -257,10 +252,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = mask_ablation(artifact, config, args.masked_strides)
     else:
         rows = noise_stress(artifact, dataclasses.replace(config, agreement_mode="live"), args.scales)
-    comment = None
-    if args.alpha is not None or args.beta is not None:
-        comment = f"# alpha={args.alpha} beta={args.beta}"
-    _write_rows(rows, args.out, comment)
+    _write_rows(rows, args.out)
     return 0
 
 

@@ -1,10 +1,11 @@
 """Multi-stream decode controller: strides, note barriers, agreement-gated rollback.
 
 Streams consume replay-artifact frames in lockstep strides of B tokens.  Inside
-a stride each stream sees a frozen view of its siblings' notes, so the schedule
-is independent of worker count.  At the stride barrier published notes enter
-the bus, each stream's uncommitted span is committed or rolled back based on
-its minimum agreement score, and a new bus snapshot is recorded.
+a stride each stream sees a view of its siblings' notes frozen at the top of
+the stride, so the order in which streams decode cannot leak into the trace.
+At the stride barrier published notes enter the bus, each stream's
+uncommitted span is committed or rolled back based on its minimum agreement
+score, and a new bus snapshot is recorded.
 
 The full run serializes to a line-oriented trace whose SHA-256 is the
 determinism fingerprint: two runs agree iff their trace hashes agree.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -24,7 +24,7 @@ from .cadence import CadenceConfig, CadenceState, ContextSignals, next_emission
 from .errors import ConfigError
 from .kernels import logistic, row_softmax
 from .memmodel import pages_touched
-from .notebus import BusSnapshot, NotesBus, stack_sibling_rows
+from .notebus import NotesBus, stack_sibling_rows
 from .replay import ReplayArtifact
 from .rng import DOMAIN_NOISE, normal_array
 from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_controller_step
@@ -92,6 +92,9 @@ class TokenEvent:
     frame_index: int
     token_id: int
 
+    def line(self) -> str:
+        return f"TOKEN {self.round_index} {self.stream_id} {self.position} {self.frame_index} {self.token_id}"
+
 
 @dataclass(frozen=True)
 class GateEvent:
@@ -99,6 +102,9 @@ class GateEvent:
     stream_id: int
     position: int
     value: float
+
+    def line(self) -> str:
+        return f"GATE {self.round_index} {self.stream_id} {self.position} {self.value!r}"
 
 
 @dataclass(frozen=True)
@@ -108,12 +114,18 @@ class NoteEvent:
     emitted_at_token: int
     version: int
 
+    def line(self) -> str:
+        return f"NOTE {self.round_index} {self.stream_id} {self.emitted_at_token} {self.version}"
+
 
 @dataclass(frozen=True)
 class SnapshotEvent:
     round_index: int
     snapshot_version: int
     created_at_token: int
+
+    def line(self) -> str:
+        return f"SNAPSHOT {self.round_index} {self.snapshot_version} {self.created_at_token}"
 
 
 @dataclass(frozen=True)
@@ -125,28 +137,19 @@ class RollbackEvent:
     pages_dropped: int
     round_index: int = -1
 
-
-@dataclass(frozen=True)
-class StreamEnded:
-    """In-memory marker that a stream exhausted its frames; not serialized."""
-
-    round_index: int
-    stream_id: int
+    def line(self) -> str:
+        return (
+            f"ROLLBACK {self.round_index} {self.stream_id} {self.trigger_position} "
+            f"{self.rolled_back_to} {self.min_agreement!r} {self.pages_dropped}"
+        )
 
 
-TraceRecord = TokenEvent | GateEvent | NoteEvent | SnapshotEvent | RollbackEvent | StreamEnded
-
-
-@dataclass
-class _SiblingView:
-    rows: np.ndarray
-    keys: tuple[tuple[int, int], ...]
-    snapshot: BusSnapshot
+TraceRecord = TokenEvent | GateEvent | NoteEvent | SnapshotEvent | RollbackEvent
 
 
 @dataclass
 class StreamState:
-    """Mutable per-stream decode state, owned by exactly one worker."""
+    """Mutable decode state of one stream; only the decode loop mutates it."""
 
     stream_id: int
     gate_state: GateState
@@ -162,7 +165,6 @@ class StreamState:
     tokens_since_own_note: int = 0
     done: bool = False
     pending_notes: list[tuple[np.ndarray, int]] = field(default_factory=list)
-    sibling_view: _SiblingView | None = None
     known_note_keys: frozenset[tuple[int, int]] = frozenset()
     last_note_mean: np.ndarray | None = None
     last_gate_value: float | None = None
@@ -194,6 +196,7 @@ def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[S
                 stream_id=k,
                 gate_state=gs,
                 cadence_state=CadenceState(seed=seed, stream_id=k, position=0),
+                done=artifact.streams[k].length == 0,
             )
         )
     return states
@@ -204,44 +207,51 @@ def _note_entropy(probs: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _note_event(
+    state: StreamState, rows: np.ndarray, keys: tuple[tuple[int, int], ...]
+) -> tuple[bool, float | None]:
+    """Whether a stride's sibling view holds notes the stream has not seen yet.
+
+    Returns the event flag and, from the second event on, how far the mean
+    sibling row moved since the last one.  On an event the view's keys and
+    mean become the stream's record; a view that only lost notes (to a
+    rollback or to compaction) is no event and leaves the record as it is.
+    """
+    key_set = frozenset(keys)
+    if key_set <= state.known_note_keys:
+        return False, None
+    mean_now = rows.mean(axis=0)
+    note_change = None
+    if state.last_note_mean is not None:
+        note_change = float(np.linalg.norm(mean_now - state.last_note_mean))
+    state.last_note_mean = mean_now
+    state.known_note_keys = key_set
+    return True, note_change
+
+
 def step_stream(
     state: StreamState,
     artifact: ReplayArtifact,
     config: DecodeConfig,
-    round_index: int = 0,
-) -> tuple[StreamState, list[TraceRecord]]:
-    """Decode one token for one stream against its frozen sibling view.
+    round_index: int,
+    rows: np.ndarray,
+    note_event: bool,
+    note_change: float | None,
+) -> list[TraceRecord]:
+    """Decode the frame at the stream's cursor against its frozen sibling rows.
 
     Applies the adapter to the frame's hidden state, adds the gated note
     residual, maps the residual through the readout into a logit bias, and
-    takes the argmax.  Emissions are queued in pending_notes; nothing touches
-    the bus until the caller's barrier.
+    takes the argmax.  note_event and note_change feed the gate controller
+    and are set on the first token of a stride only.  Emissions are queued in
+    pending_notes; nothing touches the bus until the caller's barrier.  The
+    stream is marked done once it has consumed its last frame.
     """
     events: list[TraceRecord] = []
     frames = artifact.streams[state.stream_id]
-    if state.cursor >= frames.length:
-        if not state.done:
-            state.done = True
-            events.append(StreamEnded(round_index, state.stream_id))
-        return state, events
-
     frame = state.cursor
     h_row = frames.hidden[frame][None, :]
     h_adapted = apply_adapter(h_row, artifact.adapter)
-
-    view = state.sibling_view
-    rows = view.rows if view is not None else np.zeros((0, artifact.d_note))
-    keys = view.keys if view is not None else ()
-
-    new_keys = frozenset(keys) - state.known_note_keys
-    note_event = len(new_keys) > 0
-    note_change = None
-    if note_event:
-        mean_now = rows.mean(axis=0) if rows.shape[0] else np.zeros(artifact.d_note)
-        if state.last_note_mean is not None:
-            note_change = float(np.linalg.norm(mean_now - state.last_note_mean))
-        state.last_note_mean = mean_now
-        state.known_note_keys = frozenset(keys)
 
     if config.gate_override is not None:
         gate = float(config.gate_override)
@@ -274,6 +284,7 @@ def step_stream(
     state.frame_log.append(frame)
     state.agreement_log.append(score)
     state.cursor += 1
+    state.done = state.cursor >= frames.length
     state.tokens_since_own_note += 1
     position = state.position - 1
 
@@ -302,7 +313,7 @@ def step_stream(
             emb = emb + config.note_noise_scale * noise
         state.pending_notes.append((np.array(emb), position))
         state.tokens_since_own_note = 0
-    return state, events
+    return events
 
 
 def check_and_rollback(
@@ -381,26 +392,7 @@ class DecodeTrace:
 
     def to_lines(self) -> list[str]:
         lines = ["PDTTRACE v1", self.config_line]
-        for ev in self.events:
-            if isinstance(ev, TokenEvent):
-                lines.append(
-                    f"TOKEN {ev.round_index} {ev.stream_id} {ev.position} {ev.frame_index} {ev.token_id}"
-                )
-            elif isinstance(ev, GateEvent):
-                lines.append(f"GATE {ev.round_index} {ev.stream_id} {ev.position} {ev.value!r}")
-            elif isinstance(ev, NoteEvent):
-                lines.append(
-                    f"NOTE {ev.round_index} {ev.stream_id} {ev.emitted_at_token} {ev.version}"
-                )
-            elif isinstance(ev, RollbackEvent):
-                lines.append(
-                    f"ROLLBACK {ev.round_index} {ev.stream_id} {ev.trigger_position} "
-                    f"{ev.rolled_back_to} {ev.min_agreement!r} {ev.pages_dropped}"
-                )
-            elif isinstance(ev, SnapshotEvent):
-                lines.append(
-                    f"SNAPSHOT {ev.round_index} {ev.snapshot_version} {ev.created_at_token}"
-                )
+        lines.extend(ev.line() for ev in self.events)
         lines.extend(self.bus_lines)
         n_tokens = sum(len(t) for t in self.token_logs)
         n_rollbacks = sum(1 for e in self.events if isinstance(e, RollbackEvent))
@@ -447,54 +439,42 @@ def _config_line(artifact: ReplayArtifact, config: DecodeConfig) -> str:
     return "CONFIG " + " ".join(f"{k}={v}" for k, v in fields)
 
 
-def run_parallel(
-    artifact: ReplayArtifact, config: DecodeConfig | None = None, workers: int = 1
-) -> DecodeTrace:
+def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -> DecodeTrace:
     """Decode every stream of an artifact to completion.
 
-    The trace is a pure function of (artifact, config): worker count only
-    changes wall-clock time.  Each round decodes up to stride_b tokens per
-    stream against sibling views frozen at the last barrier, then publishes
-    queued notes, commits or rolls back each stream, and snapshots the bus.
+    The trace is a pure function of (artifact, config).  Each round decodes
+    up to stride_b tokens per stream against sibling views frozen at the
+    last barrier, then publishes queued notes, commits or rolls back each
+    stream, and snapshots the bus.  Nothing reaches the bus before the
+    barrier, so the streams decode one after another within a round.
     """
     config = config or DecodeConfig()
     if config.n_streams is not None and config.n_streams != artifact.n_streams:
         raise ConfigError(
             f"config expects {config.n_streams} streams, artifact has {artifact.n_streams}"
         )
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     bus = NotesBus(artifact.d_note, capacity=config.bus_capacity, retain_k=config.bus_retain_k)
     states = make_stream_states(artifact, config)
     events: list[TraceRecord] = []
     rollback_states: list[tuple[int, int, tuple[int, ...]]] = []
     round_index = 0
-
-    def run_stride(state: StreamState) -> list[TraceRecord]:
-        local: list[TraceRecord] = []
-        for _ in range(config.stride_b):
-            if state.done:
-                break
-            _, evs = step_stream(state, artifact, config, round_index)
-            local.extend(evs)
-        return local
+    no_rows = np.zeros((0, artifact.d_note))
 
     while not all(s.done for s in states):
         masked = round_index in config.masked_strides
         for s in states:
+            if s.done:
+                continue
             if masked:
-                s.sibling_view = _SiblingView(np.zeros((0, artifact.d_note)), (), bus.read_lagged(s.stream_id, config.read_delta))
+                rows, keys = no_rows, ()
             else:
-                snap = bus.read_lagged(s.stream_id, config.read_delta)
-                rows, keys = stack_sibling_rows(snap)
-                s.sibling_view = _SiblingView(rows, keys, snap)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_stream = list(pool.map(run_stride, states))
-        else:
-            per_stream = [run_stride(s) for s in states]
-        for evs in per_stream:
-            events.extend(evs)
+                rows, keys = stack_sibling_rows(bus.read_lagged(s.stream_id, config.read_delta))
+            note_event, note_change = _note_event(s, rows, keys)
+            for _ in range(config.stride_b):
+                events.extend(step_stream(s, artifact, config, round_index, rows, note_event, note_change))
+                note_event, note_change = False, None
+                if s.done:
+                    break
 
         published = False
         for s in states:

@@ -39,15 +39,6 @@ def as_vector(a: object, name: str = "array") -> np.ndarray:
     return v
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with explicit inner-dimension checking."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def row_softmax(m: Matrix, scale: float = 1.0) -> Matrix:
     """Row-wise softmax of scale * m, stabilized by the row maximum.
 

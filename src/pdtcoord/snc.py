@@ -217,8 +217,8 @@ class GateAction(enum.Enum):
 class GateState:
     """Mutable per-stream gate schedule state.
 
-    Owned by a single decode worker; gate_controller_step mutates it in place
-    and returns it.  tokens_since_note starts at warmup_tokens so a stream with
+    Each stream owns one; gate_controller_step mutates it in place and
+    returns it.  tokens_since_note starts at warmup_tokens so a stream with
     no note traffic runs fully annealed.
     """
 

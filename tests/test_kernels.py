@@ -10,30 +10,10 @@ from pdtcoord.kernels import (
     gelu,
     layer_norm,
     logistic,
-    matmul,
     row_softmax,
     spectral_norm,
 )
 from pdtcoord.rng import normal_matrix
-
-
-def test_matmul_matches_numpy():
-    a = normal_matrix(0, 9, 1, 4, 6)
-    b = normal_matrix(0, 9, 2, 6, 3)
-    assert np.allclose(matmul(a, b), a @ b)
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-def test_matmul_rejects_nonfinite():
-    bad = np.full((2, 2), np.nan)
-    with pytest.raises(ValueError):
-        matmul(bad, np.eye(2))
 
 
 def test_row_softmax_rows_sum_to_one():

@@ -57,6 +57,12 @@ def test_mask_ablation_covers_every_round_by_default(artifact):
     assert all(r.margin_delta == pytest.approx(r.baseline_margin - r.masked_margin) for r in rows)
 
 
+def test_mask_ablation_counts_only_rounds_that_decode(artifact):
+    # 2 streams x 32 frames at stride 8 decode in exactly 4 rounds.
+    rows = mask_ablation(artifact, CFG)
+    assert [r.masked_stride for r in rows] == [0, 1, 2, 3]
+
+
 def test_mask_ablation_respects_selection(artifact):
     rows = mask_ablation(artifact, CFG, strides=(1,))
     assert len(rows) == 1
