@@ -81,7 +81,7 @@ from .memmodel import (
     pressure_check,
     rollback_page_cost,
 )
-from .notebus import BusSnapshot, Note, NotesBus, load_bus_lines, ragged_mask, stack_sibling_rows
+from .notebus import BusSnapshot, BusView, Note, NotesBus, load_bus_lines, stack_sibling_rows
 from .replay import (
     ReplayArtifact,
     StreamFrames,

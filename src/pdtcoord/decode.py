@@ -46,7 +46,6 @@ class DecodeConfig:
     max_reconsume_attempts: int = 2
     bus_capacity: int = 2560
     bus_retain_k: int = 8
-    b_page: int | None = None
     seed: int | None = None
     note_noise_scale: float = 0.0
     masked_strides: frozenset[int] = frozenset()
@@ -76,9 +75,6 @@ class DecodeConfig:
             raise ConfigError("note_noise_scale must be non-negative")
         if self.gate_override is not None and not 0.0 <= self.gate_override <= 1.0:
             raise ConfigError("gate_override must lie in [0, 1]")
-
-    def page_size(self) -> int:
-        return self.b_page if self.b_page is not None else self.horizon_l
 
 
 # -- events -----------------------------------------------------------------
@@ -363,7 +359,7 @@ def check_and_rollback(
         state.reconsume_attempts += 1
         state.done = False
     state.rollback_count += 1
-    pages = pages_touched(target, trigger, config.page_size())
+    pages = pages_touched(target, trigger, config.horizon_l)
     return state, RollbackEvent(
         stream_id=state.stream_id,
         trigger_position=trigger,

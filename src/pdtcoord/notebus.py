@@ -3,14 +3,19 @@
 Streams publish fixed-width note embeddings; readers see their siblings'
 notes either live or through immutable lagged snapshots.  Rolled-back notes
 are tombstoned, never deleted, so a trace replays identically.  A capacity
-cap triggers mean-pool compaction of the oldest notes per stream.
+cap triggers mean-pool compaction of the oldest notes per stream.  A read
+returns a mask over one stacked table of the notes it serves, so the
+readers of one stride share a single stack.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress, groupby
+from operator import attrgetter
+from typing import Iterable
 
 import numpy as np
 
@@ -43,26 +48,37 @@ class Note:
 
 @dataclass(frozen=True)
 class BusSnapshot:
-    """Immutable view of the bus: per-stream tuples of notes, version-ordered."""
+    """Immutable record of the visible notes at one barrier, in bus order."""
 
     snapshot_version: int
     created_at_token: int
     d_note: int
-    entries: Mapping[int, tuple[Note, ...]]
+    notes: tuple[Note, ...]
+
+
+@dataclass(frozen=True)
+class BusView:
+    """A reader's sibling view: a table of stacked notes shared by every reader,
+    and a mask that keeps the rows of the other streams."""
+
+    rows: Matrix
+    keys: tuple[tuple[int, int], ...]
+    mask: np.ndarray
 
     def total_rows(self) -> int:
-        return sum(len(v) for v in self.entries.values())
+        return int(np.count_nonzero(self.mask))
 
-    def rows(self) -> Matrix:
-        """All note embeddings stacked, streams ascending then versions ascending."""
-        chunks = [n.embedding for sid in sorted(self.entries) for n in self.entries[sid]]
-        if not chunks:
-            return np.zeros((0, self.d_note))
-        return np.stack(chunks)
+
+_stream_of = attrgetter("stream_id")
 
 
 class NotesBus:
-    """Append-only store of notes with snapshots, lagged reads and compaction."""
+    """Append-only store of notes with snapshots, lagged reads and compaction.
+
+    The visible notes are one flat tuple in bus order (stream id, then
+    version), replaced whenever the visible set changes.  Snapshots keep a
+    reference to it, so recording one copies nothing.
+    """
 
     def __init__(self, d_note: int, capacity: int = 2560, retain_k: int = 8) -> None:
         if d_note <= 0:
@@ -72,12 +88,17 @@ class NotesBus:
         self.d_note = d_note
         self.capacity = capacity
         self.retain_k = retain_k
-        self._active: dict[int, list[Note]] = {}
+        self._visible: tuple[Note, ...] = ()
         self._tombstoned: list[Note] = []
         self._next_version: dict[int, int] = {}
         # The bus starts with an implicit empty snapshot so lagged reads are
         # well defined before any emission round completes.
-        self._snapshots: list[BusSnapshot] = [BusSnapshot(0, 0, d_note, {})]
+        self._snapshots: list[BusSnapshot] = [BusSnapshot(0, 0, d_note, ())]
+        # The notes last read, stacked as (notes, rows, stream ids, keys); a
+        # read of other notes replaces it.
+        self._table: tuple[tuple[Note, ...], Matrix, np.ndarray, tuple[tuple[int, int], ...]] = (
+            (), np.zeros((0, d_note)), np.zeros(0, dtype=np.int64), ()
+        )
 
     # -- publishing ---------------------------------------------------------
 
@@ -88,7 +109,9 @@ class NotesBus:
             raise ShapeError(f"note width {emb.shape[0]} != bus width {self.d_note}")
         version = self._next_version.get(stream_id, 0)
         note = Note(stream_id, version, emb, token_pos)
-        self._active.setdefault(stream_id, []).append(note)
+        # The stream's newest version goes after every note of streams <= stream_id.
+        at = bisect.bisect_right(self._visible, stream_id, key=_stream_of)
+        self._visible = self._visible[:at] + (note,) + self._visible[at:]
         self._next_version[stream_id] = version + 1
         if self.visible_rows() > self.capacity:
             self.compact()
@@ -101,40 +124,39 @@ class NotesBus:
         return note
 
     def visible_rows(self) -> int:
-        return sum(len(v) for v in self._active.values())
+        return len(self._visible)
 
     # -- snapshots and reads ------------------------------------------------
 
     def snapshot(self, created_at_token: int) -> BusSnapshot:
         """Record and return an immutable snapshot of all visible notes."""
         version = self._snapshots[-1].snapshot_version + 1
-        entries = {sid: tuple(notes) for sid, notes in sorted(self._active.items()) if notes}
-        snap = BusSnapshot(version, created_at_token, self.d_note, entries)
+        snap = BusSnapshot(version, created_at_token, self.d_note, self._visible)
         self._snapshots.append(snap)
         return snap
 
-    def read_lagged(self, reader_stream: int, delta: int = 0) -> BusSnapshot:
+    def read_lagged(self, reader_stream: int, delta: int = 0) -> BusView:
         """Sibling view for reader_stream.
 
         delta=0 is a live view of current visible notes; delta>=1 reads the
         snapshot delta emission rounds back (clamped to the initial empty
-        snapshot).  The reader's own notes are always filtered out.
+        snapshot).  The reader's own notes are always masked out.  The notes
+        read are stacked once and the table is shared by every later read of
+        the same notes, so the readers of one stride stack them once.
         """
         if delta < 0:
             raise ConfigError("delta must be non-negative")
         if delta == 0:
-            base_entries: Mapping[int, tuple[Note, ...]] = {
-                sid: tuple(notes) for sid, notes in sorted(self._active.items()) if notes
-            }
-            version = self._snapshots[-1].snapshot_version
-            created = self._snapshots[-1].created_at_token
+            base = self._visible
         else:
-            snap = self._snapshots[max(0, len(self._snapshots) - delta)]
-            base_entries = snap.entries
-            version = snap.snapshot_version
-            created = snap.created_at_token
-        entries = {sid: notes for sid, notes in base_entries.items() if sid != reader_stream}
-        return BusSnapshot(version, created, self.d_note, entries)
+            base = self._snapshots[max(0, len(self._snapshots) - delta)].notes
+        if self._table[0] is not base:
+            rows = np.stack([n.embedding for n in base]) if base else np.zeros((0, self.d_note))
+            rows.setflags(write=False)  # shared by every reader of these notes
+            stream_ids = np.array([n.stream_id for n in base], dtype=np.int64)
+            self._table = (base, rows, stream_ids, tuple((n.stream_id, n.version) for n in base))
+        _, rows, stream_ids, keys = self._table
+        return BusView(rows, keys, stream_ids != reader_stream)
 
     # -- rollback and compaction --------------------------------------------
 
@@ -144,11 +166,11 @@ class NotesBus:
         Tombstoned notes leave the visible set but are archived for dumps, so
         replay bookkeeping is preserved.  Returns the number tombstoned.
         """
-        notes = self._active.get(stream_id, [])
-        keep = [n for n in notes if n.emitted_at_token < token_pos]
-        dropped = [n for n in notes if n.emitted_at_token >= token_pos]
+        dropped = [n for n in self._visible if n.stream_id == stream_id and n.emitted_at_token >= token_pos]
         if dropped:
-            self._active[stream_id] = keep
+            self._visible = tuple(
+                n for n in self._visible if n.stream_id != stream_id or n.emitted_at_token < token_pos
+            )
             self._tombstoned.extend(dropped)
         return len(dropped)
 
@@ -163,21 +185,34 @@ class NotesBus:
         if k <= 0:
             raise ConfigError("retain_k must be positive")
         created = 0
-        for sid, notes in self._active.items():
-            if len(notes) <= k:
-                continue
-            old, recent = notes[:-k], notes[-k:]
-            pooled = np.mean(np.stack([n.embedding for n in old]), axis=0)
-            summary = Note(
-                stream_id=sid,
-                version=old[-1].version,
-                embedding=pooled,
-                emitted_at_token=old[-1].emitted_at_token,
-                schema_tag=SCHEMA_SUMMARY,
-            )
-            self._active[sid] = [summary, *recent]
-            created += 1
+        kept: list[Note] = []
+        for sid, group in groupby(self._visible, key=_stream_of):
+            notes = list(group)
+            if len(notes) > k:
+                old = notes[:-k]
+                pooled = np.mean(np.stack([n.embedding for n in old]), axis=0)
+                summary = Note(
+                    stream_id=sid,
+                    version=old[-1].version,
+                    embedding=pooled,
+                    emitted_at_token=old[-1].emitted_at_token,
+                    schema_tag=SCHEMA_SUMMARY,
+                )
+                notes = [summary, *notes[-k:]]
+                created += 1
+            kept.extend(notes)
+        if created:
+            self._visible = tuple(kept)
         return created
+
+    def _restore(self, notes: Iterable[tuple[Note, bool]]) -> None:
+        """Load (note, tombstoned) pairs from a dump into this empty bus."""
+        live = []
+        for note, tombstoned in notes:
+            (self._tombstoned if tombstoned else live).append(note)
+            nxt = self._next_version.get(note.stream_id, 0)
+            self._next_version[note.stream_id] = max(nxt, note.version + 1)
+        self._visible = tuple(sorted(live, key=attrgetter("stream_id", "version")))
 
     # -- serialization ------------------------------------------------------
 
@@ -187,8 +222,7 @@ class NotesBus:
         Tombstoned notes are included with a tombstone marker.
         """
         records: list[tuple[int, int, int, Note]] = []
-        for notes in self._active.values():
-            records.extend((n.stream_id, n.version, 0, n) for n in notes)
+        records.extend((n.stream_id, n.version, 0, n) for n in self._visible)
         records.extend((n.stream_id, n.version, 1, n) for n in self._tombstoned)
         records.sort(key=lambda r: (r[0], r[1], r[2]))
         lines = []
@@ -209,42 +243,14 @@ class NotesBus:
         return digest.hexdigest()
 
 
-def ragged_mask(snapshot: BusSnapshot, pad_to: int) -> tuple[Matrix, np.ndarray]:
-    """Pack a snapshot into a padded matrix plus validity mask.
-
-    Each stream contributes exactly pad_to rows (its notes version-ordered,
-    then zero rows); streams are laid out in ascending stream_id.  The boolean
-    mask marks real note rows.  pad_to must cover the largest per-stream count.
-    """
-    if pad_to < 0:
-        raise ConfigError("pad_to must be non-negative")
-    sids = sorted(snapshot.entries)
-    counts = {sid: len(snapshot.entries[sid]) for sid in sids}
-    if counts and max(counts.values()) > pad_to:
-        raise ShapeError(f"pad_to={pad_to} smaller than largest stream count {max(counts.values())}")
-    n_rows = len(sids) * pad_to
-    matrix = np.zeros((n_rows, snapshot.d_note if sids else 0))
-    mask = np.zeros(n_rows, dtype=bool)
-    for i, sid in enumerate(sids):
-        base = i * pad_to
-        for j, note in enumerate(snapshot.entries[sid]):
-            matrix[base + j] = note.embedding
-            mask[base + j] = True
-    return matrix, mask
-
-
-def stack_sibling_rows(snapshot: BusSnapshot) -> tuple[Matrix, tuple[tuple[int, int], ...]]:
+def stack_sibling_rows(view: BusView) -> tuple[Matrix, tuple[tuple[int, int], ...]]:
     """Dense sibling rows plus their (stream_id, version) keys, bus order."""
-    keys = tuple(
-        (sid, n.version) for sid in sorted(snapshot.entries) for n in snapshot.entries[sid]
-    )
-    return snapshot.rows(), keys
+    return view.rows[view.mask], tuple(compress(view.keys, view.mask.tolist()))
 
 
 def load_bus_lines(lines: Iterable[str], capacity: int = 2560, retain_k: int = 8) -> NotesBus:
     """Rebuild a NotesBus from dump_lines output (inverse of dump_lines)."""
-    parsed: list[tuple[int, int, int, str, bool, np.ndarray]] = []
-    d_note = None
+    notes: list[tuple[Note, bool]] = []
     for raw in lines:
         line = raw.strip()
         if not line:
@@ -252,21 +258,11 @@ def load_bus_lines(lines: Iterable[str], capacity: int = 2560, retain_k: int = 8
         parts = line.split(" ")
         if len(parts) != 7 or parts[0] != "BUSNOTE":
             raise ValueError(f"malformed bus line: {line!r}")
-        sid, version, token = int(parts[1]), int(parts[2]), int(parts[3])
-        tag, status = parts[4], parts[5]
         emb = np.array([float(x) for x in parts[6].split(",")])
-        if d_note is None:
-            d_note = emb.shape[0]
-        parsed.append((sid, version, token, tag, status == "tombstoned", emb))
-    if d_note is None:
+        note = Note(int(parts[1]), int(parts[2]), emb, int(parts[3]), parts[4])
+        notes.append((note, parts[5] == "tombstoned"))
+    if not notes:
         raise ValueError("empty bus dump")
-    bus = NotesBus(d_note, capacity=capacity, retain_k=retain_k)
-    for sid, version, token, tag, tombstoned, emb in parsed:
-        note = Note(sid, version, emb, token, tag)
-        if tombstoned:
-            bus._tombstoned.append(note)
-        else:
-            bus._active.setdefault(sid, []).append(note)
-        nxt = bus._next_version.get(sid, 0)
-        bus._next_version[sid] = max(nxt, version + 1)
+    bus = NotesBus(notes[0][0].embedding.shape[0], capacity=capacity, retain_k=retain_k)
+    bus._restore(notes)
     return bus

@@ -342,7 +342,7 @@ def read_artifact(path: str) -> ReplayArtifact:
     tau = r.f64("tau")
     lengths = [r.u32(f"length[{k}]") for k in range(n_streams)]
     for k, t in enumerate(lengths):
-        if t < 1 or t > _MAX_LEN:
+        if t > _MAX_LEN:
             raise ArtifactFormatError(f"stream {k} length {t} out of range", offset=r.off)
 
     def mat(rows: int, cols: int, what: str) -> np.ndarray:

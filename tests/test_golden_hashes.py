@@ -15,7 +15,14 @@ import pytest
 
 from pdtcoord.cadence import CadenceConfig
 from pdtcoord.decode import DecodeConfig, run_parallel
-from pdtcoord.replay import ReplayArtifact, StreamFrames, SynthSpec, synthesize_artifact
+from pdtcoord.replay import (
+    ReplayArtifact,
+    StreamFrames,
+    SynthSpec,
+    read_artifact,
+    synthesize_artifact,
+    write_artifact,
+)
 
 QUICK_START = SynthSpec(
     n_streams=3,
@@ -107,3 +114,12 @@ CASES = [
 @pytest.mark.parametrize("case_id, build, config, expected", CASES, ids=[c[0] for c in CASES])
 def test_golden_trace_hash(case_id, build, config, expected):
     assert run_parallel(build(), config).trace_hash() == expected
+
+
+def test_zero_length_stream_survives_artifact_round_trip(tmp_path):
+    path = str(tmp_path / "ragged.pdtr")
+    write_artifact(ragged(), path)
+    artifact = read_artifact(path)
+    assert artifact.lengths() == (56, 19, 0)
+    _, _, config, expected = next(c for c in CASES if c[0] == "ragged_streams")
+    assert run_parallel(artifact, config).trace_hash() == expected

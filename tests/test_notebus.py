@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdtcoord.errors import CapacityError, ConfigError, ShapeError
 from pdtcoord.notebus import (
@@ -11,7 +13,6 @@ from pdtcoord.notebus import (
     Note,
     NotesBus,
     load_bus_lines,
-    ragged_mask,
     stack_sibling_rows,
 )
 
@@ -45,8 +46,8 @@ def test_live_read_excludes_reader_and_tombstoned():
     bus = NotesBus(d_note=2)
     fill(bus, 0, 2)
     fill(bus, 1, 2, base=10)
-    view = bus.read_lagged(0, delta=0)
-    assert sorted(view.entries) == [1]
+    _, keys = stack_sibling_rows(bus.read_lagged(0, delta=0))
+    assert keys == ((1, 0), (1, 1))
     bus.tombstone_after(1, token_pos=4)
     view2 = bus.read_lagged(0, delta=0)
     assert view2.total_rows() == 1
@@ -90,37 +91,6 @@ def test_tombstone_is_token_position_threshold():
     assert bus.visible_rows() == 0
 
 
-def test_ragged_mask_layout():
-    bus = NotesBus(d_note=3)
-    fill(bus, 0, 2)
-    fill(bus, 1, 3, base=10)
-    snap = bus.snapshot(12)
-    matrix, mask = ragged_mask(snap, pad_to=3)
-    assert matrix.shape == (6, 3)
-    assert mask.sum() == 5
-    assert (~mask).sum() == 1
-    # Stream 0 occupies rows 0..2 with one pad row; stream 1 rows 3..5 full.
-    assert list(mask) == [True, True, False, True, True, True]
-    assert np.array_equal(matrix[3], np.full(3, 10.0))
-    assert np.array_equal(matrix[2], np.zeros(3))
-
-
-def test_ragged_mask_pad_too_small():
-    bus = NotesBus(d_note=2)
-    fill(bus, 0, 3)
-    snap = bus.snapshot(8)
-    with pytest.raises(ShapeError):
-        ragged_mask(snap, pad_to=2)
-
-
-def test_ragged_mask_empty_snapshot():
-    bus = NotesBus(d_note=2)
-    snap = bus.snapshot(0)
-    matrix, mask = ragged_mask(snap, pad_to=4)
-    assert matrix.shape[0] == 0
-    assert mask.shape[0] == 0
-
-
 def test_stack_sibling_rows_order():
     bus = NotesBus(d_note=2)
     bus.publish(2, np.full(2, 9.0), 0)
@@ -131,19 +101,36 @@ def test_stack_sibling_rows_order():
     assert rows[0, 0] == 1.0 and rows[2, 0] == 9.0
 
 
+def test_readers_of_one_base_share_one_stacked_table():
+    bus = NotesBus(d_note=2)
+    fill(bus, 0, 2)
+    fill(bus, 1, 3, base=10)
+    live = [bus.read_lagged(r, delta=0) for r in (0, 1, 2)]
+    assert live[0].rows is live[1].rows is live[2].rows
+    assert [v.total_rows() for v in live] == [3, 2, 5]
+    # A snapshot of an unchanged bus shares the live notes, and so the table.
+    snap = bus.snapshot(created_at_token=16)
+    assert bus.read_lagged(0, delta=1).rows is live[0].rows
+    bus.publish(2, np.zeros(2), 16)
+    assert bus.read_lagged(0, delta=0).rows is not live[0].rows
+    assert len(snap.notes) == 5
+
+
 def test_compact_mean_pools_oldest():
     bus = NotesBus(d_note=2, retain_k=2)
     fill(bus, 0, 5)  # values 0..4
     created = bus.compact()
     assert created == 1
-    view = bus.read_lagged(9, delta=0)
-    notes = view.entries[0]
+    notes = bus.snapshot(created_at_token=16).notes
     assert len(notes) == 3
     summary = notes[0]
     assert summary.schema_tag == SCHEMA_SUMMARY
     assert summary.version == 2  # newest summarized version
     assert np.allclose(summary.embedding, 1.0)  # mean of 0, 1, 2
     assert [n.version for n in notes[1:]] == [3, 4]
+    rows, keys = stack_sibling_rows(bus.read_lagged(9, delta=0))
+    assert keys == ((0, 2), (0, 3), (0, 4))
+    assert np.array_equal(rows[0], summary.embedding)
 
 
 def test_capacity_triggers_compaction_then_error():
@@ -189,3 +176,64 @@ def test_bus_config_validation():
         NotesBus(d_note=0)
     with pytest.raises(ConfigError):
         NotesBus(d_note=2, capacity=0)
+
+
+# -- property test against the canonical dump -------------------------------
+
+OPS = st.one_of(
+    st.tuples(st.just("publish"), st.integers(0, 3), st.floats(-1e3, 1e3), st.integers(0, 40)),
+    st.tuples(st.just("tombstone"), st.integers(0, 3), st.integers(0, 40)),
+    st.tuples(st.just("compact"), st.integers(1, 3)),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("reload")),
+)
+
+
+def live_notes(lines: list[str]) -> list[tuple[tuple[int, int], list[float]]]:
+    """(stream, version) key and embedding of each live note of a dump, in dump order."""
+    out = []
+    for line in lines:
+        _, sid, version, _, _, status, vals = line.split(" ")
+        if status == "live":
+            out.append(((int(sid), int(version)), [float(x) for x in vals.split(",")]))
+    return out
+
+
+def assert_views_match_dumps(bus: NotesBus, snapshot_dumps: list[list[str]]) -> None:
+    for delta in range(4):
+        lines = bus.dump_lines() if delta == 0 else snapshot_dumps[max(0, len(snapshot_dumps) - delta)]
+        notes = live_notes(lines)
+        assert [k for k, _ in notes] == sorted(k for k, _ in notes)
+        for reader in range(5):
+            rows, keys = stack_sibling_rows(bus.read_lagged(reader, delta))
+            want = [(k, emb) for k, emb in notes if k[0] != reader]
+            assert keys == tuple(k for k, _ in want)
+            assert np.array_equal(rows, np.array([emb for _, emb in want]).reshape(-1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(OPS, max_size=40), capacity=st.integers(8, 16), retain_k=st.integers(1, 3))
+def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
+    bus = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k)
+    snapshot_dumps: list[list[str]] = [[]]  # the bus starts with an empty snapshot
+    next_version = [0, 0, 0, 0]
+    for op in ops:
+        if op[0] == "publish":
+            _, sid, value, pos = op
+            note = bus.publish(sid, np.array([value, 0.5 * value + sid]), pos)
+            assert note.version == next_version[sid]
+            next_version[sid] += 1
+        elif op[0] == "tombstone":
+            bus.tombstone_after(op[1], op[2])
+        elif op[0] == "compact":
+            bus.compact(retain_k=op[1])
+        elif op[0] == "snapshot":
+            bus.snapshot(created_at_token=0)
+            snapshot_dumps.append(bus.dump_lines())
+        elif bus.dump_lines():  # reload; an empty dump gives no note width to load
+            # Snapshots are not dumped, so a reloaded bus has only the empty one.
+            clone = load_bus_lines(bus.dump_lines(), capacity=capacity, retain_k=retain_k)
+            assert clone.dump_lines() == bus.dump_lines()
+            bus, snapshot_dumps = clone, [[]]
+        assert bus.visible_rows() <= capacity
+        assert_views_match_dumps(bus, snapshot_dumps)
