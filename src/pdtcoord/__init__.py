@@ -97,7 +97,6 @@ from .rng import (
     DOMAIN_NOISE,
     DOMAIN_SYNTH,
     counter_hash,
-    normal,
     normal_array,
     normal_matrix,
     splitmix64,

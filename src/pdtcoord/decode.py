@@ -234,81 +234,91 @@ def step_stream(
     note_event: bool,
     note_change: float | None,
 ) -> list[TraceRecord]:
-    """Decode the frame at the stream's cursor against its frozen sibling rows.
+    """Decode one stride of a stream against its frozen sibling rows.
 
-    Applies the adapter to the frame's hidden state, adds the gated note
-    residual, maps the residual through the readout into a logit bias, and
-    takes the argmax.  note_event and note_change feed the gate controller
-    and are set on the first token of a stride only.  Emissions are queued in
-    pending_notes; nothing touches the bus until the caller's barrier.  The
-    stream is marked done once it has consumed its last frame.
+    Takes up to stride_b frames from the stream's cursor.  The gate schedule
+    runs first, token by token; note_event and note_change feed its first
+    step only.  Then the whole block goes through the adapter, one note
+    attention against the sibling rows, one readout into logit biases, and
+    an argmax per row.  A last per-token pass logs the tokens, emits events
+    and steps the cadence.  Emissions are queued in pending_notes; nothing
+    touches the bus until the caller's barrier.  The stream is marked done
+    once it has consumed its last frame.
     """
-    events: list[TraceRecord] = []
     frames = artifact.streams[state.stream_id]
-    frame = state.cursor
-    h_row = frames.hidden[frame][None, :]
-    h_adapted = apply_adapter(h_row, artifact.adapter)
+    first = state.cursor
+    n = min(config.stride_b, frames.length - first)
+    block = slice(first, first + n)
 
     if config.gate_override is not None:
-        gate = float(config.gate_override)
+        gates = [float(config.gate_override)] * n
     else:
         base_gate = float(logistic(artifact.snc.gamma))
-        _, gate, _ = gate_controller_step(
-            state.gate_state, base_gate, new_note_event=note_event, note_change=note_change
-        )
+        gates = []
+        for _ in range(n):
+            _, gate, _ = gate_controller_step(state.gate_state, base_gate, note_event, note_change)
+            gates.append(gate)
+            note_event, note_change = False, None
+    gate_col = np.array(gates)[:, None]
 
-    if rows.shape[0] > 0 and gate != 0.0:
-        residual = gate * attend_notes(h_adapted, rows, artifact.snc)
-        bias = (residual @ artifact.readout)[0]
-        h_out = (h_adapted + residual)[0]
+    h_adapted = apply_adapter(frames.hidden[block], artifact.adapter)
+    if rows.shape[0] > 0 and gate_col.any():
+        # A closed gate's row of the residual is 0 * finite = +-0, so it adds
+        # exactly nothing to that row's logits and hidden state.
+        residual = gate_col * attend_notes(h_adapted, rows, artifact.snc)
+        biased = frames.logits[block] + residual @ artifact.readout
+        h_out = h_adapted + residual
     else:
-        bias = np.zeros(artifact.vocab_size)
-        h_out = h_adapted[0]
-
-    biased = frames.logits[frame] + bias
-    token = int(np.argmax(biased))
+        biased = frames.logits[block]
+        h_out = h_adapted
+    tokens = biased.argmax(axis=1).tolist()
     if config.record_margins:
-        top2 = np.partition(biased, -2)[-2:]
-        state.margins.append(float(top2[1] - top2[0]))
+        top2 = np.partition(biased, -2, axis=1)[:, -2:]
+        state.margins.extend((top2[:, 1] - top2[:, 0]).tolist())
 
     if config.agreement_mode == "artifact":
-        score = float(frames.agreement[frame])
+        scores = frames.agreement[block].tolist()
     else:
-        score = agreement_score(h_out, artifact.agreement, deterministic=True)
-
-    state.token_log.append(token)
-    state.frame_log.append(frame)
-    state.agreement_log.append(score)
-    state.cursor += 1
-    state.done = state.cursor >= frames.length
-    state.tokens_since_own_note += 1
-    position = state.position - 1
-
-    events.append(TokenEvent(round_index, state.stream_id, position, frame, token))
-    if state.last_gate_value is None or gate != state.last_gate_value:
-        events.append(GateEvent(round_index, state.stream_id, position, gate))
-        state.last_gate_value = gate
-
-    signals = None
+        scores = [agreement_score(h, artifact.agreement, deterministic=True) for h in h_out]
     if config.cadence.mode == "adaptive":
-        probs = row_softmax(biased[None, :])[0]
-        signals = ContextSignals(
-            agreement=score,
-            entropy_norm=_note_entropy(probs) / math.log(artifact.vocab_size),
-            note_age=state.tokens_since_own_note,
-            gate=gate,
-        )
-    emit, state.cadence_state = next_emission(config.cadence, state.cadence_state, signals)
-    if emit and frames.note_present[frame]:
-        emb = frames.note_embeddings[frame]
-        if config.note_noise_scale > 0.0:
-            seed = config.seed if config.seed is not None else artifact.seed
-            noise = normal_array(
-                seed, DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note)
+        probs = row_softmax(biased)
+        entropy_norm = [_note_entropy(p) / math.log(artifact.vocab_size) for p in probs]
+
+    base = state.position
+    state.token_log.extend(tokens)
+    state.frame_log.extend(range(first, first + n))
+    state.agreement_log.extend(scores)
+    state.cursor += n
+    state.done = state.cursor >= frames.length
+
+    events: list[TraceRecord] = []
+    for t in range(n):
+        frame, position, gate = first + t, base + t, gates[t]
+        state.tokens_since_own_note += 1
+        events.append(TokenEvent(round_index, state.stream_id, position, frame, tokens[t]))
+        if state.last_gate_value is None or gate != state.last_gate_value:
+            events.append(GateEvent(round_index, state.stream_id, position, gate))
+            state.last_gate_value = gate
+
+        signals = None
+        if config.cadence.mode == "adaptive":
+            signals = ContextSignals(
+                agreement=scores[t],
+                entropy_norm=entropy_norm[t],
+                note_age=state.tokens_since_own_note,
+                gate=gate,
             )
-            emb = emb + config.note_noise_scale * noise
-        state.pending_notes.append((np.array(emb), position))
-        state.tokens_since_own_note = 0
+        emit, state.cadence_state = next_emission(config.cadence, state.cadence_state, signals)
+        if emit and frames.note_present[frame]:
+            emb = frames.note_embeddings[frame]
+            if config.note_noise_scale > 0.0:
+                seed = config.seed if config.seed is not None else artifact.seed
+                noise = normal_array(
+                    seed, DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note)
+                )
+                emb = emb + config.note_noise_scale * noise
+            state.pending_notes.append((np.array(emb), position))
+            state.tokens_since_own_note = 0
     return events
 
 
@@ -449,7 +459,12 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
         raise ConfigError(
             f"config expects {config.n_streams} streams, artifact has {artifact.n_streams}"
         )
-    bus = NotesBus(artifact.d_note, capacity=config.bus_capacity, retain_k=config.bus_retain_k)
+    bus = NotesBus(
+        artifact.d_note,
+        capacity=config.bus_capacity,
+        retain_k=config.bus_retain_k,
+        max_delta=config.read_delta,
+    )
     states = make_stream_states(artifact, config)
     events: list[TraceRecord] = []
     rollback_states: list[tuple[int, int, tuple[int, ...]]] = []
@@ -466,11 +481,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
             else:
                 rows, keys = stack_sibling_rows(bus.read_lagged(s.stream_id, config.read_delta))
             note_event, note_change = _note_event(s, rows, keys)
-            for _ in range(config.stride_b):
-                events.extend(step_stream(s, artifact, config, round_index, rows, note_event, note_change))
-                note_event, note_change = False, None
-                if s.done:
-                    break
+            events.extend(step_stream(s, artifact, config, round_index, rows, note_event, note_change))
 
         published = False
         for s in states:

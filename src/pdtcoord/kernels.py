@@ -43,14 +43,16 @@ def row_softmax(m: Matrix, scale: float = 1.0) -> Matrix:
     """Row-wise softmax of scale * m, stabilized by the row maximum.
 
     Rows always sum to 1; a constant row maps to the uniform distribution.
+    Works in place on one scaled copy of m, so a block costs one temporary.
     """
     m = as_matrix(m, "m")
     if m.shape[1] == 0:
         raise ShapeError("softmax over zero columns is undefined")
     z = m * float(scale)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def layer_norm(m: Matrix, eps: float = 1e-5) -> Matrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress, groupby
 from operator import attrgetter
@@ -77,23 +78,31 @@ class NotesBus:
 
     The visible notes are one flat tuple in bus order (stream id, then
     version), replaced whenever the visible set changes.  Snapshots keep a
-    reference to it, so recording one copies nothing.
+    reference to it, so recording one copies nothing.  With max_delta set,
+    the bus keeps only the newest max(1, max_delta) snapshots, the ones a
+    read of lag up to max_delta can reach; by default it keeps them all.
     """
 
-    def __init__(self, d_note: int, capacity: int = 2560, retain_k: int = 8) -> None:
+    def __init__(
+        self, d_note: int, capacity: int = 2560, retain_k: int = 8, max_delta: int | None = None
+    ) -> None:
         if d_note <= 0:
             raise ConfigError("d_note must be positive")
         if capacity <= 0 or retain_k <= 0:
             raise ConfigError("capacity and retain_k must be positive")
+        if max_delta is not None and max_delta < 0:
+            raise ConfigError("max_delta must be non-negative")
         self.d_note = d_note
         self.capacity = capacity
         self.retain_k = retain_k
+        self.max_delta = max_delta
         self._visible: tuple[Note, ...] = ()
         self._tombstoned: list[Note] = []
         self._next_version: dict[int, int] = {}
         # The bus starts with an implicit empty snapshot so lagged reads are
         # well defined before any emission round completes.
-        self._snapshots: list[BusSnapshot] = [BusSnapshot(0, 0, d_note, ())]
+        history = None if max_delta is None else max(1, max_delta)
+        self._snapshots: deque[BusSnapshot] = deque([BusSnapshot(0, 0, d_note, ())], maxlen=history)
         # The notes last read, stacked as (notes, rows, stream ids, keys); a
         # read of other notes replaces it.
         self._table: tuple[tuple[Note, ...], Matrix, np.ndarray, tuple[tuple[int, int], ...]] = (
@@ -139,13 +148,17 @@ class NotesBus:
         """Sibling view for reader_stream.
 
         delta=0 is a live view of current visible notes; delta>=1 reads the
-        snapshot delta emission rounds back (clamped to the initial empty
-        snapshot).  The reader's own notes are always masked out.  The notes
-        read are stacked once and the table is shared by every later read of
-        the same notes, so the readers of one stride stack them once.
+        snapshot delta emission rounds back (the initial empty snapshot
+        while fewer than delta have been taken); a bounded bus refuses a
+        delta above max_delta.  The reader's own notes are always masked
+        out.  The notes read are stacked once and the table is shared by
+        every later read of the same notes, so the readers of one stride
+        stack them once.
         """
         if delta < 0:
             raise ConfigError("delta must be non-negative")
+        if self.max_delta is not None and delta > self.max_delta:
+            raise ConfigError(f"delta {delta} exceeds the bus's max_delta {self.max_delta}")
         if delta == 0:
             base = self._visible
         else:
@@ -248,8 +261,18 @@ def stack_sibling_rows(view: BusView) -> tuple[Matrix, tuple[tuple[int, int], ..
     return view.rows[view.mask], tuple(compress(view.keys, view.mask.tolist()))
 
 
-def load_bus_lines(lines: Iterable[str], capacity: int = 2560, retain_k: int = 8) -> NotesBus:
-    """Rebuild a NotesBus from dump_lines output (inverse of dump_lines)."""
+def load_bus_lines(
+    lines: Iterable[str],
+    capacity: int = 2560,
+    retain_k: int = 8,
+    d_note: int | None = None,
+) -> NotesBus:
+    """Rebuild a NotesBus from dump_lines output (inverse of dump_lines).
+
+    A dump carries its note width only in its notes, so the dump of a bus
+    that never had one loads only when d_note is given.  When both are
+    known they must agree.
+    """
     notes: list[tuple[Note, bool]] = []
     for raw in lines:
         line = raw.strip()
@@ -261,8 +284,12 @@ def load_bus_lines(lines: Iterable[str], capacity: int = 2560, retain_k: int = 8
         emb = np.array([float(x) for x in parts[6].split(",")])
         note = Note(int(parts[1]), int(parts[2]), emb, int(parts[3]), parts[4])
         notes.append((note, parts[5] == "tombstoned"))
-    if not notes:
-        raise ValueError("empty bus dump")
-    bus = NotesBus(notes[0][0].embedding.shape[0], capacity=capacity, retain_k=retain_k)
+    if not notes and d_note is None:
+        raise ValueError("empty bus dump: pass d_note to load it")
+    width = notes[0][0].embedding.shape[0] if d_note is None else d_note
+    for note, _ in notes:
+        if note.embedding.shape[0] != width:
+            raise ShapeError(f"note width {note.embedding.shape[0]} != bus width {width}")
+    bus = NotesBus(width, capacity=capacity, retain_k=retain_k)
     bus._restore(notes)
     return bus

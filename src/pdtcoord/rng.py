@@ -7,8 +7,6 @@ how many other draws happened in between.  The mixer is the splitmix64 finalizer
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -44,14 +42,6 @@ def counter_hash(seed: int, *counters: int) -> int:
 def uniform(seed: int, *counters: int) -> float:
     """Uniform draw in [0, 1) keyed by (seed, counters)."""
     return (counter_hash(seed, *counters) >> 11) * 2.0**-53
-
-
-def normal(seed: int, *counters: int) -> float:
-    """Standard normal draw keyed by (seed, counters), via Box-Muller."""
-    # u1 is shifted into (0, 1] so the log is always finite.
-    u1 = ((counter_hash(seed, *counters, 0) >> 11) + 1) * 2.0**-53
-    u2 = (counter_hash(seed, *counters, 1) >> 11) * 2.0**-53
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def _splitmix64_u64(z: np.ndarray) -> np.ndarray:

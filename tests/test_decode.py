@@ -14,7 +14,9 @@ from pdtcoord.decode import (
     StreamState,
     TokenEvent,
     check_and_rollback,
+    make_stream_states,
     run_parallel,
+    step_stream,
 )
 from pdtcoord.errors import ConfigError
 from pdtcoord.replay import SynthSpec, synthesize_artifact
@@ -44,6 +46,25 @@ def test_gate_zero_reproduces_raw_argmax():
     for k, frames in enumerate(art.streams):
         expected = tuple(int(t) for t in np.argmax(frames.logits, axis=1))
         assert trace.token_logs[k] == expected
+
+
+def test_closed_gate_row_of_a_stride_adds_no_bias():
+    # With g_min=0 a note event closes the gate for the stride's first token
+    # only; that row must keep its raw logits while the others are biased.
+    art = small_artifact(divergences=())
+    cfg = DecodeConfig(stride_b=8, horizon_l=8, g_min=0.0, warmup_tokens=4, record_margins=True)
+    state = make_stream_states(art, cfg)[0]
+    rows = art.streams[1].note_embeddings[:3]
+    events = step_stream(state, art, cfg, 0, rows, True, None)
+    gates = [e.value for e in events if isinstance(e, GateEvent)]
+    assert gates[0] == 0.0 and gates[1] > 0.0
+    logits = art.streams[0].logits[:8]
+    raw = np.sort(logits, axis=1)
+    raw_margins = raw[:, -1] - raw[:, -2]
+    assert state.margins[0] == raw_margins[0]
+    assert state.token_log[0] == int(np.argmax(logits[0]))
+    assert not np.array_equal(state.margins[1:], raw_margins[1:])
+    assert state.cursor == 8 and len(state.token_log) == 8
 
 
 def test_masked_strides_equal_closed_gate():

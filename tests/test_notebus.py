@@ -211,29 +211,68 @@ def assert_views_match_dumps(bus: NotesBus, snapshot_dumps: list[list[str]]) -> 
             assert np.array_equal(rows, np.array([emb for _, emb in want]).reshape(-1, 2))
 
 
+def assert_bounded_views_match(bus: NotesBus, bounded: NotesBus, bound: int) -> None:
+    for delta in range(bound + 1):
+        for reader in range(5):
+            rows, keys = stack_sibling_rows(bus.read_lagged(reader, delta))
+            b_rows, b_keys = stack_sibling_rows(bounded.read_lagged(reader, delta))
+            assert b_keys == keys
+            assert np.array_equal(b_rows, rows)
+    with pytest.raises(ConfigError):
+        bounded.read_lagged(0, bound + 1)
+    assert len(bounded._snapshots) <= max(1, bound)
+
+
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(OPS, max_size=40), capacity=st.integers(8, 16), retain_k=st.integers(1, 3))
-def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
+@given(
+    ops=st.lists(OPS, max_size=40),
+    capacity=st.integers(8, 16),
+    retain_k=st.integers(1, 3),
+    bound=st.integers(0, 3),
+)
+def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k, bound):
     bus = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k)
+    bounded = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=bound)
     snapshot_dumps: list[list[str]] = [[]]  # the bus starts with an empty snapshot
     next_version = [0, 0, 0, 0]
     for op in ops:
         if op[0] == "publish":
             _, sid, value, pos = op
             note = bus.publish(sid, np.array([value, 0.5 * value + sid]), pos)
+            assert bounded.publish(sid, np.array([value, 0.5 * value + sid]), pos).version == note.version
             assert note.version == next_version[sid]
             next_version[sid] += 1
         elif op[0] == "tombstone":
             bus.tombstone_after(op[1], op[2])
+            bounded.tombstone_after(op[1], op[2])
         elif op[0] == "compact":
             bus.compact(retain_k=op[1])
+            bounded.compact(retain_k=op[1])
         elif op[0] == "snapshot":
-            bus.snapshot(created_at_token=0)
+            snap = bus.snapshot(created_at_token=0)
+            assert bounded.snapshot(created_at_token=0).snapshot_version == snap.snapshot_version
             snapshot_dumps.append(bus.dump_lines())
-        elif bus.dump_lines():  # reload; an empty dump gives no note width to load
+        else:
             # Snapshots are not dumped, so a reloaded bus has only the empty one.
-            clone = load_bus_lines(bus.dump_lines(), capacity=capacity, retain_k=retain_k)
-            assert clone.dump_lines() == bus.dump_lines()
+            clone = load_bus_lines(bus.dump_lines(), capacity=capacity, retain_k=retain_k, d_note=2)
+            assert clone.dump_lines() == bus.dump_lines() == bounded.dump_lines()
             bus, snapshot_dumps = clone, [[]]
+            bounded = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=bound)
+            bounded._restore(
+                [(note, False) for note in clone._visible] + [(note, True) for note in clone._tombstoned]
+            )
         assert bus.visible_rows() <= capacity
         assert_views_match_dumps(bus, snapshot_dumps)
+        assert_bounded_views_match(bus, bounded, bound)
+
+
+def test_empty_dump_loads_with_its_note_width():
+    bus = NotesBus(d_note=3)
+    assert bus.dump_lines() == []
+    clone = load_bus_lines(bus.dump_lines(), d_note=3)
+    assert clone.d_note == 3 and clone.visible_rows() == 0
+    with pytest.raises(ValueError):
+        load_bus_lines([])
+    bus.publish(0, np.zeros(3), 0)
+    with pytest.raises(ShapeError):
+        load_bus_lines(bus.dump_lines(), d_note=2)
