@@ -25,7 +25,7 @@ from .analytics import ClusterSimConfig, format_sim_transcript, simulate_cluster
 from .balancer import read_gradient_log, run_balancer
 from .cadence import CadenceConfig
 from .decode import DecodeConfig, run_parallel
-from .errors import ArtifactFormatError, CapacityError, ConfigError, PdtError, ShapeError, StateError
+from .errors import ArtifactFormatError, ConfigError, PdtError, ShapeError, StateError
 from .memmodel import KIB, MIB, MemoryConfig, kv_budget, pressure_check
 from .replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
 from .sweeps import cadence_sweep, mask_ablation, noise_stress
@@ -284,10 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
-    except PdtError as exc:
+    except (PdtError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

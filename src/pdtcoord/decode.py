@@ -34,7 +34,6 @@ from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_c
 class DecodeConfig:
     """Controller settings; every field has a replay-safe default."""
 
-    n_streams: int | None = None
     stride_b: int = 32
     horizon_l: int = 32
     tau: float | None = None
@@ -151,15 +150,12 @@ class StreamState:
     gate_state: GateState
     cadence_state: CadenceState
     token_log: list[int] = field(default_factory=list)
-    agreement_log: list[float] = field(default_factory=list)
-    frame_log: list[int] = field(default_factory=list)
+    min_uncommitted_agreement: float = math.inf
     committed_prefix: int = 0
     cursor: int = 0
-    rollback_count: int = 0
     reconsume_attempts: int = 0
     forced_commits: int = 0
     tokens_since_own_note: int = 0
-    done: bool = False
     pending_notes: list[tuple[np.ndarray, int]] = field(default_factory=list)
     known_note_keys: frozenset[tuple[int, int]] = frozenset()
     last_note_mean: np.ndarray | None = None
@@ -185,14 +181,12 @@ def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[S
             warmup_tokens=config.warmup_tokens,
             stability_threshold=config.stability_threshold,
             tau_lipschitz=config.tau_lipschitz,
-            tokens_since_note=config.warmup_tokens,
         )
         states.append(
             StreamState(
                 stream_id=k,
                 gate_state=gs,
                 cadence_state=CadenceState(seed=seed, stream_id=k, position=0),
-                done=artifact.streams[k].length == 0,
             )
         )
     return states
@@ -242,8 +236,7 @@ def step_stream(
     attention against the sibling rows, one readout into logit biases, and
     an argmax per row.  A last per-token pass logs the tokens, emits events
     and steps the cadence.  Emissions are queued in pending_notes; nothing
-    touches the bus until the caller's barrier.  The stream is marked done
-    once it has consumed its last frame.
+    touches the bus until the caller's barrier.
     """
     frames = artifact.streams[state.stream_id]
     first = state.cursor
@@ -286,10 +279,8 @@ def step_stream(
 
     base = state.position
     state.token_log.extend(tokens)
-    state.frame_log.extend(range(first, first + n))
-    state.agreement_log.extend(scores)
+    state.min_uncommitted_agreement = min(state.min_uncommitted_agreement, *scores)
     state.cursor += n
-    state.done = state.cursor >= frames.length
 
     events: list[TraceRecord] = []
     for t in range(n):
@@ -317,7 +308,7 @@ def step_stream(
                     seed, DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note)
                 )
                 emb = emb + config.note_noise_scale * noise
-            state.pending_notes.append((np.array(emb), position))
+            state.pending_notes.append((emb, position))
             state.tokens_since_own_note = 0
     return events
 
@@ -327,7 +318,7 @@ def check_and_rollback(
     artifact: ReplayArtifact,
     config: DecodeConfig,
     round_index: int = 0,
-) -> tuple[StreamState, RollbackEvent | None]:
+) -> RollbackEvent | None:
     """Commit or rewind the uncommitted span at a stride boundary.
 
     If every uncommitted agreement score clears tau the span commits.
@@ -340,11 +331,12 @@ def check_and_rollback(
     """
     span = state.position - state.committed_prefix
     if span == 0:
-        return state, None
+        return None
     if span > config.horizon_l:
         raise ConfigError(f"uncommitted span {span} exceeds commit horizon {config.horizon_l}")
     tau = _effective_tau(artifact, config)
-    min_score = min(state.agreement_log)
+    min_score = state.min_uncommitted_agreement
+    state.min_uncommitted_agreement = math.inf
     forced = (
         min_score < tau
         and config.regen_mode == "reconsume"
@@ -352,25 +344,20 @@ def check_and_rollback(
     )
     if min_score >= tau or forced:
         state.committed_prefix = state.position
-        state.agreement_log.clear()
         state.reconsume_attempts = 0
         if forced:
             state.forced_commits += 1
-        return state, None
+        return None
 
     trigger = state.position
     target = state.committed_prefix
     del state.token_log[target:]
-    del state.frame_log[target:]
-    state.agreement_log.clear()
     state.pending_notes.clear()
     if config.regen_mode == "reconsume":
         state.cursor -= span
         state.reconsume_attempts += 1
-        state.done = False
-    state.rollback_count += 1
     pages = pages_touched(target, trigger, config.horizon_l)
-    return state, RollbackEvent(
+    return RollbackEvent(
         stream_id=state.stream_id,
         trigger_position=trigger,
         rolled_back_to=target,
@@ -455,10 +442,6 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     barrier, so the streams decode one after another within a round.
     """
     config = config or DecodeConfig()
-    if config.n_streams is not None and config.n_streams != artifact.n_streams:
-        raise ConfigError(
-            f"config expects {config.n_streams} streams, artifact has {artifact.n_streams}"
-        )
     bus = NotesBus(
         artifact.d_note,
         capacity=config.bus_capacity,
@@ -470,11 +453,12 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     rollback_states: list[tuple[int, int, tuple[int, ...]]] = []
     round_index = 0
     no_rows = np.zeros((0, artifact.d_note))
+    lengths = artifact.lengths()
 
-    while not all(s.done for s in states):
+    while any(s.cursor < lengths[s.stream_id] for s in states):
         masked = round_index in config.masked_strides
         for s in states:
-            if s.done:
+            if s.cursor >= lengths[s.stream_id]:
                 continue
             if masked:
                 rows, keys = no_rows, ()
@@ -491,7 +475,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
                 published = True
             s.pending_notes.clear()
         for s in states:
-            _, rb = check_and_rollback(s, artifact, config, round_index)
+            rb = check_and_rollback(s, artifact, config, round_index)
             if rb is not None:
                 bus.tombstone_after(s.stream_id, rb.rolled_back_to)
                 events.append(rb)

@@ -53,7 +53,6 @@ class BusSnapshot:
 
     snapshot_version: int
     created_at_token: int
-    d_note: int
     notes: tuple[Note, ...]
 
 
@@ -78,19 +77,17 @@ class NotesBus:
 
     The visible notes are one flat tuple in bus order (stream id, then
     version), replaced whenever the visible set changes.  Snapshots keep a
-    reference to it, so recording one copies nothing.  With max_delta set,
-    the bus keeps only the newest max(1, max_delta) snapshots, the ones a
-    read of lag up to max_delta can reach; by default it keeps them all.
+    reference to it, so recording one copies nothing.  The bus keeps only
+    the newest max(1, max_delta) snapshots, the ones a read of lag up to
+    max_delta can reach.
     """
 
-    def __init__(
-        self, d_note: int, capacity: int = 2560, retain_k: int = 8, max_delta: int | None = None
-    ) -> None:
+    def __init__(self, d_note: int, capacity: int = 2560, retain_k: int = 8, max_delta: int = 0) -> None:
         if d_note <= 0:
             raise ConfigError("d_note must be positive")
         if capacity <= 0 or retain_k <= 0:
             raise ConfigError("capacity and retain_k must be positive")
-        if max_delta is not None and max_delta < 0:
+        if max_delta < 0:
             raise ConfigError("max_delta must be non-negative")
         self.d_note = d_note
         self.capacity = capacity
@@ -101,8 +98,7 @@ class NotesBus:
         self._next_version: dict[int, int] = {}
         # The bus starts with an implicit empty snapshot so lagged reads are
         # well defined before any emission round completes.
-        history = None if max_delta is None else max(1, max_delta)
-        self._snapshots: deque[BusSnapshot] = deque([BusSnapshot(0, 0, d_note, ())], maxlen=history)
+        self._snapshots: deque[BusSnapshot] = deque([BusSnapshot(0, 0, ())], maxlen=max(1, max_delta))
         # The notes last read, stacked as (notes, rows, stream ids, keys); a
         # read of other notes replaces it.
         self._table: tuple[tuple[Note, ...], Matrix, np.ndarray, tuple[tuple[int, int], ...]] = (
@@ -113,11 +109,10 @@ class NotesBus:
 
     def publish(self, stream_id: int, embedding: np.ndarray, token_pos: int) -> Note:
         """Append a note for stream_id; returns the stored Note with its version."""
-        emb = as_vector(embedding, "embedding")
-        if emb.shape[0] != self.d_note:
-            raise ShapeError(f"note width {emb.shape[0]} != bus width {self.d_note}")
         version = self._next_version.get(stream_id, 0)
-        note = Note(stream_id, version, emb, token_pos)
+        note = Note(stream_id, version, embedding, token_pos)
+        if note.embedding.shape[0] != self.d_note:
+            raise ShapeError(f"note width {note.embedding.shape[0]} != bus width {self.d_note}")
         # The stream's newest version goes after every note of streams <= stream_id.
         at = bisect.bisect_right(self._visible, stream_id, key=_stream_of)
         self._visible = self._visible[:at] + (note,) + self._visible[at:]
@@ -140,7 +135,7 @@ class NotesBus:
     def snapshot(self, created_at_token: int) -> BusSnapshot:
         """Record and return an immutable snapshot of all visible notes."""
         version = self._snapshots[-1].snapshot_version + 1
-        snap = BusSnapshot(version, created_at_token, self.d_note, self._visible)
+        snap = BusSnapshot(version, created_at_token, self._visible)
         self._snapshots.append(snap)
         return snap
 
@@ -149,15 +144,14 @@ class NotesBus:
 
         delta=0 is a live view of current visible notes; delta>=1 reads the
         snapshot delta emission rounds back (the initial empty snapshot
-        while fewer than delta have been taken); a bounded bus refuses a
-        delta above max_delta.  The reader's own notes are always masked
-        out.  The notes read are stacked once and the table is shared by
-        every later read of the same notes, so the readers of one stride
-        stack them once.
+        while fewer than delta have been taken); a delta above max_delta is
+        refused.  The reader's own notes are always masked out.  The notes
+        read are stacked once and the table is shared by every later read of
+        the same notes, so the readers of one stride stack them once.
         """
         if delta < 0:
             raise ConfigError("delta must be non-negative")
-        if self.max_delta is not None and delta > self.max_delta:
+        if delta > self.max_delta:
             raise ConfigError(f"delta {delta} exceeds the bus's max_delta {self.max_delta}")
         if delta == 0:
             base = self._visible
@@ -269,9 +263,10 @@ def load_bus_lines(
 ) -> NotesBus:
     """Rebuild a NotesBus from dump_lines output (inverse of dump_lines).
 
-    A dump carries its note width only in its notes, so the dump of a bus
-    that never had one loads only when d_note is given.  When both are
-    known they must agree.
+    A dump carries no snapshots, so the bus has max_delta=0.  It carries
+    its note width only in its notes, so the dump of a bus that never had
+    one loads only when d_note is given.  When both are known they must
+    agree.
     """
     notes: list[tuple[Note, bool]] = []
     for raw in lines:

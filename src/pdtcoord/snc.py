@@ -231,7 +231,7 @@ class GateState:
     flicker_window: int = 64
     backoff_scale: float = 0.9
     lipschitz_estimate: float = 0.0
-    tokens_since_note: int = 128
+    tokens_since_note: int | None = None
     gate_window: deque = field(default_factory=lambda: deque(maxlen=64))
     note_change_window: deque = field(default_factory=lambda: deque(maxlen=64))
 
@@ -242,6 +242,8 @@ class GateState:
             raise ConfigError("warmup_tokens must be positive")
         if not 0.0 < self.backoff_scale < 1.0:
             raise ConfigError("backoff_scale must lie in (0, 1)")
+        if self.tokens_since_note is None:
+            self.tokens_since_note = self.warmup_tokens
         self.gate_window = deque(self.gate_window, maxlen=self.flicker_window)
         self.note_change_window = deque(self.note_change_window, maxlen=self.flicker_window)
 

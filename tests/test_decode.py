@@ -207,12 +207,6 @@ def test_summary_counts_match_events():
     assert f"rollbacks={n_rb}" in summary
 
 
-def test_stream_count_mismatch_rejected():
-    art = small_artifact()
-    with pytest.raises(ConfigError):
-        run_parallel(art, DecodeConfig(n_streams=5, stride_b=8, horizon_l=8))
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         DecodeConfig(stride_b=16, horizon_l=8)
@@ -235,8 +229,7 @@ def test_oversized_span_rejected_at_check():
         gate_state=GateState(),
         cadence_state=CadenceState(seed=0, stream_id=0, position=0),
         token_log=[0] * 40,
-        agreement_log=[0.9] * 40,
-        frame_log=list(range(40)),
+        min_uncommitted_agreement=0.9,
     )
     with pytest.raises(ConfigError, match="span"):
         check_and_rollback(state, art, DecodeConfig(stride_b=8, horizon_l=32))

@@ -34,6 +34,11 @@ def test_publish_width_mismatch():
     bus = NotesBus(d_note=3)
     with pytest.raises(ShapeError):
         bus.publish(0, np.zeros(4), 0)
+    with pytest.raises(ShapeError):
+        bus.publish(0, np.zeros((1, 3)), 0)
+    with pytest.raises(ValueError):
+        bus.publish(0, np.array([0.0, np.nan, 0.0]), 0)
+    assert bus.publish(0, np.zeros(3), 0).version == 0
 
 
 def test_note_embedding_is_frozen():
@@ -54,7 +59,7 @@ def test_live_read_excludes_reader_and_tombstoned():
 
 
 def test_lagged_read_is_immutable_history():
-    bus = NotesBus(d_note=2)
+    bus = NotesBus(d_note=2, max_delta=2)
     fill(bus, 1, 2)
     bus.snapshot(created_at_token=8)
     fill(bus, 1, 3, base=50)
@@ -67,7 +72,7 @@ def test_lagged_read_is_immutable_history():
 
 
 def test_lagged_read_clamps_to_initial_empty():
-    bus = NotesBus(d_note=2)
+    bus = NotesBus(d_note=2, max_delta=99)
     fill(bus, 1, 3)
     assert bus.read_lagged(0, delta=99).total_rows() == 0
     with pytest.raises(ConfigError):
@@ -102,7 +107,7 @@ def test_stack_sibling_rows_order():
 
 
 def test_readers_of_one_base_share_one_stacked_table():
-    bus = NotesBus(d_note=2)
+    bus = NotesBus(d_note=2, max_delta=1)
     fill(bus, 0, 2)
     fill(bus, 1, 3, base=10)
     live = [bus.read_lagged(r, delta=0) for r in (0, 1, 2)]
@@ -231,7 +236,8 @@ def assert_bounded_views_match(bus: NotesBus, bounded: NotesBus, bound: int) -> 
     bound=st.integers(0, 3),
 )
 def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k, bound):
-    bus = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k)
+    # The reference bus keeps the 3 snapshots that the deepest lag read needs.
+    bus = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=3)
     bounded = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=bound)
     snapshot_dumps: list[list[str]] = [[]]  # the bus starts with an empty snapshot
     next_version = [0, 0, 0, 0]
@@ -256,11 +262,12 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k, bound
             # Snapshots are not dumped, so a reloaded bus has only the empty one.
             clone = load_bus_lines(bus.dump_lines(), capacity=capacity, retain_k=retain_k, d_note=2)
             assert clone.dump_lines() == bus.dump_lines() == bounded.dump_lines()
-            bus, snapshot_dumps = clone, [[]]
+            notes = [(note, False) for note in clone._visible] + [(note, True) for note in clone._tombstoned]
+            bus = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=3)
+            bus._restore(notes)
             bounded = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=bound)
-            bounded._restore(
-                [(note, False) for note in clone._visible] + [(note, True) for note in clone._tombstoned]
-            )
+            bounded._restore(notes)
+            snapshot_dumps = [[]]
         assert bus.visible_rows() <= capacity
         assert_views_match_dumps(bus, snapshot_dumps)
         assert_bounded_views_match(bus, bounded, bound)

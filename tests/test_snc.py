@@ -174,11 +174,12 @@ def test_gate_note_event_drops_to_floor():
 
 
 def test_gate_fresh_state_fully_annealed():
-    gs = GateState()
-    _, eff, _ = gate_controller_step(gs, current_gate=0.9)
-    assert eff == gs.g_max
-    _, eff_low, _ = gate_controller_step(gs, current_gate=0.01)
-    assert eff_low == gs.g_min
+    for warmup in (1, 128, 512):
+        gs = GateState(warmup_tokens=warmup)
+        _, eff, _ = gate_controller_step(gs, current_gate=0.9)
+        assert eff == gs.g_max
+        _, eff_low, _ = gate_controller_step(gs, current_gate=0.01)
+        assert eff_low == gs.g_min
 
 
 def test_gate_warmup_reaches_cap():
