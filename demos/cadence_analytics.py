@@ -9,19 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from pdtcoord import (
-    CadenceConfig,
-    CadenceState,
-    ContextSignals,
+from pdtcoord.analytics import (
+    ScaleParams,
     adaptive_stride,
     cadence_variance,
-    modulation_factor,
-    next_emission,
     operating_points,
     stale_rollback_bound,
     sync_overhead,
-    ScaleParams,
 )
+from pdtcoord.cadence import CadenceConfig, CadenceState, ContextSignals, modulation_factor, next_emission
 
 
 def emission_positions(config: CadenceConfig, tokens: int, seed: int = 1) -> list[int]:

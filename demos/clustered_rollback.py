@@ -8,7 +8,7 @@ inflates by roughly (1+rho)/(1-rho).
 
 from __future__ import annotations
 
-from pdtcoord import ClusterSimConfig, format_sim_transcript, simulate_clustered_rollback
+from pdtcoord.analytics import ClusterSimConfig, format_sim_transcript, simulate_clustered_rollback
 
 
 def main() -> None:

@@ -11,15 +11,9 @@ import math
 
 import numpy as np
 
-from pdtcoord import (
-    GateState,
-    SncParams,
-    estimate_lipschitz_layerwise,
-    gate_controller_step,
-    logistic,
-    normal_matrix,
-    snc_attend,
-)
+from pdtcoord.kernels import logistic
+from pdtcoord.rng import normal_matrix
+from pdtcoord.snc import GateState, SncParams, estimate_lipschitz_layerwise, gate_controller_step, snc_attend
 
 
 def make_params(gamma: float) -> SncParams:

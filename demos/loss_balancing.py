@@ -7,7 +7,9 @@ scheduler across its stage boundaries.
 
 from __future__ import annotations
 
-from pdtcoord import (
+import numpy as np
+
+from pdtcoord.balancer import (
     BalancerState,
     CurriculumSchedule,
     GradientLogRecord,
@@ -16,8 +18,6 @@ from pdtcoord import (
     run_balancer,
     stage_scheduler_step,
 )
-
-import numpy as np
 
 
 def main() -> None:

@@ -7,7 +7,7 @@ stride of reads, an eviction, and a rollback.
 
 from __future__ import annotations
 
-from pdtcoord import (
+from pdtcoord.memmodel import (
     BUS_POOL,
     MIB,
     MemoryConfig,

@@ -7,13 +7,9 @@ give one trace hash, since the trace is a pure function of (artifact, config).
 
 from __future__ import annotations
 
-from pdtcoord import (
-    CadenceConfig,
-    DecodeConfig,
-    SynthSpec,
-    run_parallel,
-    synthesize_artifact,
-)
+from pdtcoord.cadence import CadenceConfig
+from pdtcoord.decode import DecodeConfig, run_parallel
+from pdtcoord.replay import SynthSpec, synthesize_artifact
 
 
 def main() -> None:

@@ -352,6 +352,7 @@ def check_and_rollback(
     trigger = state.position
     target = state.committed_prefix
     del state.token_log[target:]
+    del state.margins[target:]
     state.pending_notes.clear()
     if config.regen_mode == "reconsume":
         state.cursor -= span

@@ -208,27 +208,6 @@ class PageTable:
         last = (end - 1 + self.grid_offset) // self.page_size_tokens
         return range(first, last + 1)
 
-    def page_place(self, pool: int, start_token: int, end_token: int, pinned: bool = False) -> list[tuple[int, int]]:
-        """Ensure pages covering [start_token, end_token) exist and are resident.
-
-        Returns the page keys for the range in order.  Raises CapacityError if
-        the range alone cannot fit in a bounded table.
-        """
-        if end_token <= start_token:
-            return []
-        keys = [(pool, i) for i in self._page_range(start_token, end_token)]
-        self._make_resident(keys, pinned=pinned)
-        return keys
-
-    def touch(self, keys: Iterable[tuple[int, int]]) -> None:
-        """Record a read of the given pages (they must be resident)."""
-        self.clock += 1
-        for key in keys:
-            page = self.pages.get(key)
-            if page is None or page.state != "resident":
-                raise CapacityError(f"page {key} read while not resident")
-            page.last_read = self.clock
-
     def _evictable(self, protect: set[tuple[int, int]]) -> list[tuple[tuple[int, int], Page]]:
         out = [
             (k, p)
@@ -275,15 +254,13 @@ def evict_and_prefetch(
     table: PageTable,
     stream_ranges: dict[int, tuple[int, int]],
     snapshot_ranges: Iterable[tuple[int, int]] = (),
-    pin_bus: bool = True,
 ) -> SwapReport:
     """Bring the next stride's pages plus lagged snapshot pages resident.
 
     stream_ranges maps stream id to its upcoming [start, end) token range;
     snapshot_ranges lists bus-pool token ranges backing lagged reads.  Bus
-    pages are pinned while pin_bus holds, so multi-consumer snapshot pages
-    never thrash.  Returns the combined swap report (cost = pages moved *
-    t_page).
+    pages are always pinned, so multi-consumer snapshot pages never thrash.
+    Returns the combined swap report (cost = pages moved * t_page).
     """
     demand: list[tuple[int, int]] = []
     for sid in sorted(stream_ranges):
@@ -295,7 +272,7 @@ def evict_and_prefetch(
         if end > start:
             bus_demand.extend((BUS_POOL, i) for i in table._page_range(start, end))
     report_a = table._make_resident(demand)
-    report_b = table._make_resident(bus_demand, pinned=pin_bus)
+    report_b = table._make_resident(bus_demand, pinned=True)
     return SwapReport(
         evicted=report_a.evicted + report_b.evicted,
         fetched=report_a.fetched + report_b.fetched,

@@ -11,7 +11,6 @@ readers of one stride share a single stack.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, groupby
@@ -64,9 +63,6 @@ class BusView:
     rows: Matrix
     keys: tuple[tuple[int, int], ...]
     mask: np.ndarray
-
-    def total_rows(self) -> int:
-        return int(np.count_nonzero(self.mask))
 
 
 _stream_of = attrgetter("stream_id")
@@ -240,14 +236,6 @@ class NotesBus:
                 f"{'tombstoned' if tomb else 'live'} {vals}"
             )
         return lines
-
-    def state_hash(self) -> str:
-        """SHA-256 over the canonical dump."""
-        digest = hashlib.sha256()
-        for line in self.dump_lines():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
 
 
 def stack_sibling_rows(view: BusView) -> tuple[Matrix, tuple[tuple[int, int], ...]]:

@@ -288,14 +288,15 @@ class _Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
     def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
+        return float(self.floats(1, what)[0])
 
     def floats(self, count: int, what: str) -> np.ndarray:
         start = self.off
         raw = self.take(8 * count, what)
         arr = np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ArtifactFormatError(f"non-finite value in {what}", offset=start)
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise ArtifactFormatError(f"non-finite value in {what}", offset=start + 8 * int(bad.argmax()))
         return arr
 
     def bytes_as_bool(self, count: int, what: str) -> np.ndarray:

@@ -143,7 +143,6 @@ def snc_attend(
     notes: Matrix | None,
     params: SncParams,
     gate_override: float | None = None,
-    note_mask: np.ndarray | None = None,
 ) -> Matrix:
     """Gated residual injection of sibling notes into a hidden-state block.
 
@@ -154,11 +153,6 @@ def snc_attend(
     """
     h = as_matrix(h, "h")
     notes = as_matrix(notes, "notes") if notes is not None else np.zeros((0, params.d_note))
-    if note_mask is not None:
-        mask = np.asarray(note_mask, dtype=bool)
-        if mask.shape != (notes.shape[0],):
-            raise ShapeError(f"note_mask shape {mask.shape} != ({notes.shape[0]},)")
-        notes = notes[mask]
     gate = float(gate_override) if gate_override is not None else params.gate_value()
     if gate == 0.0 or notes.shape[0] == 0:
         return h.copy()

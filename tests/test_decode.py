@@ -236,9 +236,22 @@ def test_oversized_span_rejected_at_check():
 
 
 def test_margins_recorded_when_requested():
-    art = small_artifact(divergences=())
-    trace = run_parallel(art, DecodeConfig(stride_b=8, horizon_l=8, record_margins=True))
-    assert all(len(m) == len(t) for m, t in zip(trace.margins, trace.token_logs))
-    assert all(v >= 0.0 for m in trace.margins for v in m)
+    # A rollback discards the margins of the tokens it discards.
+    art = small_artifact(divergences=((0, 5), (2, 13)))
+    for regen in ("skip_ahead", "reconsume"):
+        cfg = DecodeConfig(stride_b=8, horizon_l=8, regen_mode=regen, record_margins=True)
+        trace = run_parallel(art, cfg)
+        assert trace.rollback_events()
+        assert [len(m) for m in trace.margins] == [len(t) for t in trace.token_logs]
+        assert all(v >= 0.0 for m in trace.margins for v in m)
+    # With the gate shut, reconsume ends with frame i at position i, and its
+    # margin is the gap between the frame's two largest raw logits.
+    shut = run_parallel(art, DecodeConfig(
+        stride_b=8, horizon_l=8, regen_mode="reconsume", gate_override=0.0, record_margins=True
+    ))
+    assert shut.rollback_events()
+    for k, frames in enumerate(art.streams):
+        top2 = np.sort(frames.logits, axis=1)[:, -2:]
+        assert shut.margins[k] == tuple((top2[:, 1] - top2[:, 0]).tolist())
     bare = run_parallel(art, BASE)
     assert bare.margins == ((), (), ())

@@ -1,0 +1,53 @@
+"""The README quick start and the demos run as written, in-process."""
+
+from __future__ import annotations
+
+import importlib.util
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def quick_start_block() -> str:
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_package_root_exports_the_quick_start():
+    import pdtcoord
+
+    public = {
+        name
+        for name, value in vars(pdtcoord).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {"DecodeConfig", "SynthSpec", "run_parallel", "synthesize_artifact"}
+    assert pdtcoord.__version__
+
+
+def test_readme_quick_start_prints_what_it_says(capsys):
+    block = quick_start_block()
+    exec(compile(block, str(README), "exec"), {"__name__": "quick_start"})
+    summary, digest = capsys.readouterr().out.splitlines()
+    # The block's comment gives the start of the SUMMARY line.
+    promised = re.search(r"# (SUMMARY .*?) \.\.\.", block).group(1)
+    assert summary.startswith(promised + " ")
+    # The replay example in the README decodes the same artifact and config.
+    assert re.fullmatch(r"[0-9a-f]{16}", digest)
+    assert f"trace_hash: {digest}..." in README.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_main_runs(path, capsys):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    assert capsys.readouterr().out.strip()
+

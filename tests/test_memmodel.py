@@ -151,34 +151,27 @@ def test_pages_touched_misaligned_grid():
     assert pages_touched(32, 64, 32, grid_offset=16) == 2
 
 
-def test_page_place_and_touch():
-    table = PageTable(page_size_tokens=32)
-    keys = table.page_place(0, 0, 96)
-    assert keys == [(0, 0), (0, 1), (0, 2)]
-    assert table.resident_count() == 3
-    table.touch(keys)
-    with pytest.raises(CapacityError):
-        table.touch([(0, 9)])
-
-
 def test_least_recently_read_eviction():
     table = PageTable(page_size_tokens=32, capacity_pages=3)
-    a = table.page_place(0, 0, 32)[0]
-    b = table.page_place(0, 32, 64)[0]
-    c = table.page_place(0, 64, 96)[0]
-    table.touch([a])
-    table.page_place(0, 96, 128)
-    assert table.pages[b].state == "evicted"
-    assert table.pages[a].state == "resident"
-    assert table.pages[c].state == "resident"
+    for start in (0, 32, 64):
+        evict_and_prefetch(table, stream_ranges={0: (start, start + 32)})
+    # Reading page 0 again moves nothing but makes page 1 the oldest read.
+    again = evict_and_prefetch(table, stream_ranges={0: (0, 32)})
+    assert again.fetched == () and again.evicted == ()
+    report = evict_and_prefetch(table, stream_ranges={0: (96, 128)})
+    assert report.evicted == ((0, 1),)
+    assert report.fetched == ((0, 3),)
+    assert table.pages[(0, 0)].state == "resident"
+    assert table.pages[(0, 2)].state == "resident"
     assert table.resident_count() == 3
 
 
 def test_pinned_pages_never_evicted():
     table = PageTable(page_size_tokens=32, capacity_pages=2)
-    bus_key = table.page_place(BUS_POOL, 0, 32, pinned=True)[0]
-    table.page_place(0, 0, 32)
-    table.page_place(1, 0, 32)
+    evict_and_prefetch(table, stream_ranges={}, snapshot_ranges=[(0, 32)])
+    evict_and_prefetch(table, stream_ranges={0: (0, 32)})
+    evict_and_prefetch(table, stream_ranges={1: (0, 32)})
+    bus_key = (BUS_POOL, 0)
     assert table.pages[bus_key].state == "resident"
     assert table.pages[bus_key].pinned
     evicted = [k for k, p in table.pages.items() if p.state == "evicted"]
@@ -188,11 +181,11 @@ def test_pinned_pages_never_evicted():
 def test_capacity_exhaustion_raises():
     table = PageTable(page_size_tokens=32, capacity_pages=2)
     with pytest.raises(CapacityError):
-        table.page_place(0, 0, 96)
+        evict_and_prefetch(table, stream_ranges={0: (0, 96)})
     pinned_full = PageTable(page_size_tokens=32, capacity_pages=2)
-    pinned_full.page_place(BUS_POOL, 0, 64, pinned=True)
+    evict_and_prefetch(pinned_full, stream_ranges={}, snapshot_ranges=[(0, 64)])
     with pytest.raises(CapacityError):
-        pinned_full.page_place(0, 0, 32)
+        evict_and_prefetch(pinned_full, stream_ranges={0: (0, 32)})
 
 
 def test_evict_and_prefetch_pins_bus_and_prices_swaps():
@@ -212,7 +205,7 @@ def test_evict_and_prefetch_pins_bus_and_prices_swaps():
 
 def test_rollback_drops_only_fully_rolled_back_pages():
     table = PageTable(page_size_tokens=32)
-    table.page_place(0, 0, 64)
+    evict_and_prefetch(table, stream_ranges={0: (0, 64)})
     dropped = rollback_page_cost(table, 0, rolled_back_to=32, trigger_position=64)
     assert dropped == 1
     assert (0, 0) in table.pages
@@ -222,7 +215,7 @@ def test_rollback_drops_only_fully_rolled_back_pages():
 
 def test_rollback_boundary_page_survives_when_misaligned():
     table = PageTable(page_size_tokens=32, grid_offset=16)
-    table.page_place(0, 0, 64)
+    evict_and_prefetch(table, stream_ranges={0: (0, 64)})
     # Page [16, 48) holds committed tokens 16-31, so only [48, 80) drops.
     dropped = rollback_page_cost(table, 0, rolled_back_to=32, trigger_position=64)
     assert dropped == 1
@@ -238,6 +231,6 @@ def test_aligned_rollback_page_bound():
         bound = -(-horizon // page)
         for start in range(0, 128, horizon):
             table = PageTable(page_size_tokens=page)
-            table.page_place(0, 0, start + horizon)
+            evict_and_prefetch(table, stream_ranges={0: (0, start + horizon)})
             dropped = rollback_page_cost(table, 0, start, start + horizon)
             assert dropped <= bound

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdtcoord.errors import ArtifactFormatError, ConfigError
 from pdtcoord.replay import (
@@ -16,6 +18,8 @@ from pdtcoord.replay import (
 )
 
 SMALL = SynthSpec(n_streams=2, length=24, vocab_size=11, d=8, d_note=4, seed=13)
+# About 1 KB on disk, so a fuzzer reaches every field.
+TINY = SynthSpec(n_streams=2, length=3, vocab_size=3, d=4, d_note=2, seed=5, planted_divergences=((1, 2),))
 
 
 def test_synthesis_is_deterministic():
@@ -118,12 +122,44 @@ def test_nonfinite_payload_rejected(tmp_path):
     art = synthesize_artifact(SMALL)
     path = tmp_path / "nan.pdtr"
     write_artifact(art, str(path))
-    data = bytearray(path.read_bytes())
-    # Stamp a NaN into the last float of the file.
-    data[-8:] = np.array([np.nan]).tobytes()
-    path.write_bytes(bytes(data))
-    with pytest.raises(ArtifactFormatError, match="non-finite"):
+    clean = path.read_bytes()
+    # The last float of the file, then the five header scalars (ln_eps,
+    # gamma, b_agree, dropout_rate, tau) that follow magic, six u32 and a u64.
+    header = len(MAGIC) + 6 * 4 + 8
+    for offset in (len(clean) - 8, *range(header, header + 5 * 8, 8)):
+        for bad in (np.nan, np.inf, -np.inf):
+            data = bytearray(clean)
+            data[offset : offset + 8] = np.array([bad], dtype="<f8").tobytes()
+            path.write_bytes(bytes(data))
+            with pytest.raises(ArtifactFormatError, match="non-finite") as err:
+                read_artifact(str(path))
+            assert err.value.offset == offset
+
+
+@pytest.fixture(scope="module")
+def tiny_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.pdtr"
+    write_artifact(synthesize_artifact(TINY), str(path))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_file_reads_back_or_reports_offset(tiny_file, data):
+    # A truncation or a single flipped bit anywhere either still parses or
+    # raises ArtifactFormatError with the offset of the problem; nothing else.
+    path, clean = tiny_file
+    at = data.draw(st.integers(0, len(clean) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = clean[:at]
+    else:
+        damaged = bytearray(clean)
+        damaged[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(damaged))
+    try:
         read_artifact(str(path))
+    except ArtifactFormatError as err:
+        assert err.offset is not None and 0 <= err.offset <= len(damaged)
 
 
 def test_zero_dim_header_rejected(tmp_path):

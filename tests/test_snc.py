@@ -99,25 +99,6 @@ def test_snc_attend_gate_scales_residual():
     assert np.allclose(rg, logistic(-4.0) * (r2 / 1.0))
 
 
-def test_snc_attend_mask_matches_dense_subset():
-    p = make_snc()
-    h = normal_matrix(5, 21, 9, 3, 10)
-    notes = normal_matrix(5, 21, 10, 6, 5)
-    mask = np.array([True, False, True, True, False, True])
-    masked = snc_attend(h, notes, p, note_mask=mask)
-    dense = snc_attend(h, notes[mask], p)
-    assert np.array_equal(masked, dense)
-    all_false = snc_attend(h, notes, p, note_mask=np.zeros(6, dtype=bool))
-    assert np.array_equal(all_false, h)
-
-
-def test_snc_attend_mask_shape_error():
-    p = make_snc()
-    h = np.zeros((2, 10))
-    with pytest.raises(ShapeError):
-        snc_attend(h, np.zeros((3, 5)), p, note_mask=np.array([True, False]))
-
-
 def test_attend_notes_requires_rows():
     p = make_snc()
     with pytest.raises(ShapeError):
