@@ -157,7 +157,7 @@ class StreamState:
     forced_commits: int = 0
     tokens_since_own_note: int = 0
     pending_notes: list[tuple[np.ndarray, int]] = field(default_factory=list)
-    known_note_keys: frozenset[tuple[int, int]] = frozenset()
+    seen_versions: dict[int, int] = field(default_factory=dict)
     last_note_mean: np.ndarray | None = None
     last_gate_value: float | None = None
     margins: list[float] = field(default_factory=list)
@@ -171,8 +171,12 @@ def _effective_tau(artifact: ReplayArtifact, config: DecodeConfig) -> float:
     return config.tau if config.tau is not None else artifact.agreement.tau
 
 
+def _effective_seed(artifact: ReplayArtifact, config: DecodeConfig) -> int:
+    return config.seed if config.seed is not None else artifact.seed
+
+
 def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[StreamState]:
-    seed = config.seed if config.seed is not None else artifact.seed
+    seed = _effective_seed(artifact, config)
     states = []
     for k in range(artifact.n_streams):
         gs = GateState(
@@ -197,25 +201,29 @@ def _note_entropy(probs: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def _note_event(
-    state: StreamState, rows: np.ndarray, keys: tuple[tuple[int, int], ...]
-) -> tuple[bool, float | None]:
+def _note_event(state: StreamState, rows: np.ndarray, newest: dict[int, int]) -> tuple[bool, float | None]:
     """Whether a stride's sibling view holds notes the stream has not seen yet.
 
+    A sibling note is new when its stream's newest version in the view is
+    above the one the stream recorded at its last event.  A stream's
+    versions only grow, a tombstoned or compacted note never comes back,
+    and a compaction summary takes the version of a note that was visible,
+    so this is exactly "the view holds a note the last event's view did not".
     Returns the event flag and, from the second event on, how far the mean
-    sibling row moved since the last one.  On an event the view's keys and
-    mean become the stream's record; a view that only lost notes (to a
-    rollback or to compaction) is no event and leaves the record as it is.
+    sibling row moved since the last one.  On an event the view's newest
+    versions and mean become the stream's record; a view that only lost
+    notes (to a rollback or to compaction) is no event and leaves the
+    record as it is.
     """
-    key_set = frozenset(keys)
-    if key_set <= state.known_note_keys:
+    seen = state.seen_versions
+    if all(v <= seen.get(sid, -1) for sid, v in newest.items()):
         return False, None
     mean_now = rows.mean(axis=0)
     note_change = None
     if state.last_note_mean is not None:
         note_change = float(np.linalg.norm(mean_now - state.last_note_mean))
     state.last_note_mean = mean_now
-    state.known_note_keys = key_set
+    state.seen_versions = newest
     return True, note_change
 
 
@@ -303,9 +311,8 @@ def step_stream(
         if emit and frames.note_present[frame]:
             emb = frames.note_embeddings[frame]
             if config.note_noise_scale > 0.0:
-                seed = config.seed if config.seed is not None else artifact.seed
                 noise = normal_array(
-                    seed, DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note)
+                    _effective_seed(artifact, config), DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note)
                 )
                 emb = emb + config.note_noise_scale * noise
             state.pending_notes.append((emb, position))
@@ -415,7 +422,6 @@ class DecodeTrace:
 
 
 def _config_line(artifact: ReplayArtifact, config: DecodeConfig) -> str:
-    seed = config.seed if config.seed is not None else artifact.seed
     cad = config.cadence
     fields = [
         ("streams", artifact.n_streams),
@@ -427,7 +433,7 @@ def _config_line(artifact: ReplayArtifact, config: DecodeConfig) -> str:
         ("gate_override", "none" if config.gate_override is None else repr(config.gate_override)),
         ("agreement_mode", config.agreement_mode),
         ("regen_mode", config.regen_mode),
-        ("seed", seed),
+        ("seed", _effective_seed(artifact, config)),
         ("noise", repr(config.note_noise_scale)),
     ]
     return "CONFIG " + " ".join(f"{k}={v}" for k, v in fields)
@@ -457,15 +463,12 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     lengths = artifact.lengths()
 
     while any(s.cursor < lengths[s.stream_id] for s in states):
-        masked = round_index in config.masked_strides
+        view = None if round_index in config.masked_strides else bus.read_lagged(config.read_delta)
         for s in states:
             if s.cursor >= lengths[s.stream_id]:
                 continue
-            if masked:
-                rows, keys = no_rows, ()
-            else:
-                rows, keys = stack_sibling_rows(bus.read_lagged(s.stream_id, config.read_delta))
-            note_event, note_change = _note_event(s, rows, keys)
+            rows, newest = (no_rows, {}) if view is None else stack_sibling_rows(view, s.stream_id)
+            note_event, note_change = _note_event(s, rows, newest)
             events.extend(step_stream(s, artifact, config, round_index, rows, note_event, note_change))
 
         published = False

@@ -4,8 +4,8 @@ Streams publish fixed-width note embeddings; readers see their siblings'
 notes either live or through immutable lagged snapshots.  Rolled-back notes
 are tombstoned, never deleted, so a trace replays identically.  A capacity
 cap triggers mean-pool compaction of the oldest notes per stream.  A read
-returns a mask over one stacked table of the notes it serves, so the
-readers of one stride share a single stack.
+stacks the notes it serves once; each reader of the stride then takes its
+siblings' rows out of that one table.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterable
 
@@ -57,12 +57,12 @@ class BusSnapshot:
 
 @dataclass(frozen=True)
 class BusView:
-    """A reader's sibling view: a table of stacked notes shared by every reader,
-    and a mask that keeps the rows of the other streams."""
+    """The notes one read serves, in bus order: their stacked rows, each row's
+    stream id, and each stream's newest version among them."""
 
     rows: Matrix
-    keys: tuple[tuple[int, int], ...]
-    mask: np.ndarray
+    stream_ids: np.ndarray
+    newest: dict[int, int]
 
 
 _stream_of = attrgetter("stream_id")
@@ -95,11 +95,6 @@ class NotesBus:
         # The bus starts with an implicit empty snapshot so lagged reads are
         # well defined before any emission round completes.
         self._snapshots: deque[BusSnapshot] = deque([BusSnapshot(0, 0, ())], maxlen=max(1, max_delta))
-        # The notes last read, stacked as (notes, rows, stream ids, keys); a
-        # read of other notes replaces it.
-        self._table: tuple[tuple[Note, ...], Matrix, np.ndarray, tuple[tuple[int, int], ...]] = (
-            (), np.zeros((0, d_note)), np.zeros(0, dtype=np.int64), ()
-        )
 
     # -- publishing ---------------------------------------------------------
 
@@ -135,31 +130,26 @@ class NotesBus:
         self._snapshots.append(snap)
         return snap
 
-    def read_lagged(self, reader_stream: int, delta: int = 0) -> BusView:
-        """Sibling view for reader_stream.
+    def read_lagged(self, delta: int = 0) -> BusView:
+        """The notes a read of lag delta serves, stacked once for every reader.
 
         delta=0 is a live view of current visible notes; delta>=1 reads the
         snapshot delta emission rounds back (the initial empty snapshot
         while fewer than delta have been taken); a delta above max_delta is
-        refused.  The reader's own notes are always masked out.  The notes
-        read are stacked once and the table is shared by every later read of
-        the same notes, so the readers of one stride stack them once.
+        refused.  stack_sibling_rows takes one reader's siblings out of it.
         """
         if delta < 0:
             raise ConfigError("delta must be non-negative")
         if delta > self.max_delta:
             raise ConfigError(f"delta {delta} exceeds the bus's max_delta {self.max_delta}")
         if delta == 0:
-            base = self._visible
+            notes = self._visible
         else:
-            base = self._snapshots[max(0, len(self._snapshots) - delta)].notes
-        if self._table[0] is not base:
-            rows = np.stack([n.embedding for n in base]) if base else np.zeros((0, self.d_note))
-            rows.setflags(write=False)  # shared by every reader of these notes
-            stream_ids = np.array([n.stream_id for n in base], dtype=np.int64)
-            self._table = (base, rows, stream_ids, tuple((n.stream_id, n.version) for n in base))
-        _, rows, stream_ids, keys = self._table
-        return BusView(rows, keys, stream_ids != reader_stream)
+            notes = self._snapshots[max(0, len(self._snapshots) - delta)].notes
+        rows = np.stack([n.embedding for n in notes]) if notes else np.zeros((0, self.d_note))
+        stream_ids = np.array([n.stream_id for n in notes], dtype=np.int64)
+        # Bus order puts each stream's newest version last.
+        return BusView(rows, stream_ids, {n.stream_id: n.version for n in notes})
 
     # -- rollback and compaction --------------------------------------------
 
@@ -238,9 +228,10 @@ class NotesBus:
         return lines
 
 
-def stack_sibling_rows(view: BusView) -> tuple[Matrix, tuple[tuple[int, int], ...]]:
-    """Dense sibling rows plus their (stream_id, version) keys, bus order."""
-    return view.rows[view.mask], tuple(compress(view.keys, view.mask.tolist()))
+def stack_sibling_rows(view: BusView, reader: int) -> tuple[Matrix, dict[int, int]]:
+    """The reader's sibling rows in bus order, and each sibling's newest version."""
+    rows = view.rows[view.stream_ids != reader]
+    return rows, {sid: v for sid, v in view.newest.items() if sid != reader}
 
 
 def load_bus_lines(

@@ -281,8 +281,13 @@ class _Reader:
         self.off += n
         return out
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+    def u32(self, what: str, lo: int, hi: int) -> int:
+        """A u32 in [lo, hi]; one out of range is reported at its own offset."""
+        start = self.off
+        val = struct.unpack("<I", self.take(4, what))[0]
+        if not lo <= val <= hi:
+            raise ArtifactFormatError(f"{what}={val} out of range", offset=start)
+        return val
 
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
@@ -319,32 +324,19 @@ def read_artifact(path: str) -> ReplayArtifact:
     magic = r.take(len(MAGIC), "magic")
     if magic != MAGIC:
         raise ArtifactFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    vocab = r.u32("vocab_size")
-    n_streams = r.u32("n_streams")
-    d = r.u32("d")
-    dn = r.u32("d_note")
-    db = r.u32("d_bottleneck")
-    da = r.u32("d_attn")
-    for name, val, cap in (
-        ("vocab_size", vocab, _MAX_DIM),
-        ("n_streams", n_streams, 4096),
-        ("d", d, _MAX_DIM),
-        ("d_note", dn, _MAX_DIM),
-        ("d_bottleneck", db, _MAX_DIM),
-        ("d_attn", da, _MAX_DIM),
-    ):
-        if val < 1 or val > cap:
-            raise ArtifactFormatError(f"header field {name}={val} out of range", offset=5)
+    vocab = r.u32("header field vocab_size", 1, _MAX_DIM)
+    n_streams = r.u32("header field n_streams", 1, 4096)
+    d = r.u32("header field d", 1, _MAX_DIM)
+    dn = r.u32("header field d_note", 1, _MAX_DIM)
+    db = r.u32("header field d_bottleneck", 1, _MAX_DIM)
+    da = r.u32("header field d_attn", 1, _MAX_DIM)
     seed = r.u64("seed")
     ln_eps = r.f64("ln_eps")
     gamma = r.f64("gamma")
     b_agree = r.f64("b_agree")
     dropout_rate = r.f64("dropout_rate")
     tau = r.f64("tau")
-    lengths = [r.u32(f"length[{k}]") for k in range(n_streams)]
-    for k, t in enumerate(lengths):
-        if t > _MAX_LEN:
-            raise ArtifactFormatError(f"stream {k} length {t} out of range", offset=r.off)
+    lengths = [r.u32(f"length[{k}]", 0, _MAX_LEN) for k in range(n_streams)]
 
     def mat(rows: int, cols: int, what: str) -> np.ndarray:
         return r.floats(rows * cols, what).reshape(rows, cols)

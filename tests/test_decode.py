@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdtcoord import decode
 from pdtcoord.cadence import CadenceConfig
 from pdtcoord.decode import (
     DecodeConfig,
@@ -13,12 +18,14 @@ from pdtcoord.decode import (
     RollbackEvent,
     StreamState,
     TokenEvent,
+    _note_event,
     check_and_rollback,
     make_stream_states,
     run_parallel,
     step_stream,
 )
 from pdtcoord.errors import ConfigError
+from pdtcoord.notebus import NotesBus, stack_sibling_rows
 from pdtcoord.replay import SynthSpec, synthesize_artifact
 from pdtcoord.snc import GateState
 
@@ -255,3 +262,101 @@ def test_margins_recorded_when_requested():
         assert shut.margins[k] == tuple((top2[:, 1] - top2[:, 0]).tolist())
     bare = run_parallel(art, BASE)
     assert bare.margins == ((), (), ())
+
+
+def test_note_event_fires_only_on_unseen_sibling_versions():
+    state = make_stream_states(small_artifact(divergences=()), BASE)[0]
+    bus = NotesBus(d_note=2)
+
+    def event() -> bool:
+        fired, _ = _note_event(state, *stack_sibling_rows(bus.read_lagged(0), 0))
+        return fired
+
+    bus.publish(1, np.ones(2), 0)
+    assert event() and state.seen_versions == {1: 0}
+    assert not event()  # the same view again
+    bus.publish(1, np.full(2, 2.0), 4)
+    for i in range(3):
+        bus.publish(2, np.full(2, float(i)), 4 * i)
+    assert event() and state.seen_versions == {1: 1, 2: 2}
+    bus.tombstone_after(1, 4)
+    assert not event() and state.seen_versions == {1: 1, 2: 2}
+    # The summary of stream 2's two oldest notes carries version 1, already seen.
+    assert bus.compact(retain_k=1) == 1
+    assert not event() and state.seen_versions == {1: 1, 2: 2}
+    # Stream 1 publishes again after its tombstone, as version 2.
+    bus.publish(1, np.full(2, 3.0), 4)
+    assert event() and state.seen_versions == {1: 2, 2: 2}
+    bus.publish(0, np.full(2, 4.0), 8)  # the reader's own note
+    assert not event() and state.seen_versions == {1: 2, 2: 2}
+
+
+def test_run_parallel_reads_the_bus_once_per_unmasked_stride():
+    art = small_artifact(divergences=())
+    cfg = DecodeConfig(stride_b=8, horizon_l=8, masked_strides=frozenset({1}))
+    read_lagged = NotesBus.read_lagged
+    with mock.patch.object(NotesBus, "read_lagged", autospec=True, side_effect=read_lagged) as reads:
+        trace = run_parallel(art, cfg)
+    strides = 1 + max(e.round_index for e in trace.events if isinstance(e, TokenEvent))
+    assert strides == 3
+    assert reads.call_count == strides - len(cfg.masked_strides)
+
+
+@st.composite
+def planted_runs(draw) -> tuple[SynthSpec, DecodeConfig]:
+    n_streams = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 48))
+    spec = SynthSpec(
+        n_streams=n_streams,
+        length=length,
+        vocab_size=draw(st.integers(2, 12)),
+        d=8,
+        d_note=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**20)),
+        planted_divergences=tuple(
+            draw(
+                st.lists(
+                    st.tuples(st.integers(0, n_streams - 1), st.integers(0, length - 1)), min_size=1, max_size=4
+                )
+            )
+        ),
+    )
+    stride = draw(st.integers(1, 6))
+    config = DecodeConfig(
+        stride_b=stride,
+        horizon_l=stride * draw(st.integers(1, 2)),
+        read_delta=draw(st.integers(0, 2)),
+        cadence=CadenceConfig(interval_m=draw(st.integers(1, 4))),
+        agreement_mode=draw(st.sampled_from(["artifact", "live"])),
+        regen_mode=draw(st.sampled_from(["skip_ahead", "reconsume"])),
+        max_reconsume_attempts=draw(st.integers(1, 3)),
+    )
+    return spec, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted_runs())
+def test_commits_are_final_and_rollbacks_stay_within_the_horizon(case):
+    spec, cfg = case
+    # Each barrier's committed prefix, as check_and_rollback leaves it.
+    commits: list[tuple[int, int, tuple[int, ...]]] = []
+
+    def watched(state, artifact, config, round_index=0):
+        rollback = check_and_rollback(state, artifact, config, round_index)
+        commits.append((round_index, state.stream_id, tuple(state.token_log[: state.committed_prefix])))
+        return rollback
+
+    with mock.patch.object(decode, "check_and_rollback", watched):
+        trace = run_parallel(synthesize_artifact(spec), cfg)
+
+    for ev in trace.rollback_events():
+        assert 0 < ev.trigger_position - ev.rolled_back_to <= cfg.horizon_l
+    for sid, target, log in trace.rollback_states:
+        assert len(log) == target and trace.token_logs[sid][:target] == log
+    for sid, log in enumerate(trace.token_logs):
+        assert trace.committed[sid] <= len(log)
+    for round_index, sid, prefix in commits:
+        assert trace.token_logs[sid][: len(prefix)] == prefix
+        for ev in trace.events:
+            if isinstance(ev, (TokenEvent, RollbackEvent)) and ev.stream_id == sid and ev.round_index > round_index:
+                assert (ev.position if isinstance(ev, TokenEvent) else ev.rolled_back_to) >= len(prefix)

@@ -22,6 +22,10 @@ def fill(bus: NotesBus, stream: int, count: int, base: float = 0.0) -> None:
         bus.publish(stream, np.full(bus.d_note, base + i), token_pos=i * 4)
 
 
+def sibling_rows(bus: NotesBus, reader: int, delta: int) -> int:
+    return stack_sibling_rows(bus.read_lagged(delta), reader)[0].shape[0]
+
+
 def test_publish_assigns_per_stream_versions():
     bus = NotesBus(d_note=2)
     n0 = bus.publish(0, np.zeros(2), 0)
@@ -51,11 +55,11 @@ def test_live_read_excludes_reader_and_tombstoned():
     bus = NotesBus(d_note=2)
     fill(bus, 0, 2)
     fill(bus, 1, 2, base=10)
-    _, keys = stack_sibling_rows(bus.read_lagged(0, delta=0))
-    assert keys == ((1, 0), (1, 1))
+    _, newest = stack_sibling_rows(bus.read_lagged(delta=0), 0)
+    assert newest == {1: 1}
     bus.tombstone_after(1, token_pos=4)
-    view2 = bus.read_lagged(0, delta=0)
-    assert int(view2.mask.sum()) == 1
+    rows, newest = stack_sibling_rows(bus.read_lagged(delta=0), 0)
+    assert rows.shape[0] == 1 and newest == {1: 0}
 
 
 def test_lagged_read_is_immutable_history():
@@ -64,19 +68,19 @@ def test_lagged_read_is_immutable_history():
     bus.snapshot(created_at_token=8)
     fill(bus, 1, 3, base=50)
     # delta=1 sees only what the last recorded snapshot saw; live sees all.
-    assert int(bus.read_lagged(0, delta=1).mask.sum()) == 2
-    assert int(bus.read_lagged(0, delta=0).mask.sum()) == 5
+    assert sibling_rows(bus, 0, delta=1) == 2
+    assert sibling_rows(bus, 0, delta=0) == 5
     bus.snapshot(created_at_token=20)
-    assert int(bus.read_lagged(0, delta=1).mask.sum()) == 5
-    assert int(bus.read_lagged(0, delta=2).mask.sum()) == 2
+    assert sibling_rows(bus, 0, delta=1) == 5
+    assert sibling_rows(bus, 0, delta=2) == 2
 
 
 def test_lagged_read_clamps_to_initial_empty():
     bus = NotesBus(d_note=2, max_delta=99)
     fill(bus, 1, 3)
-    assert int(bus.read_lagged(0, delta=99).mask.sum()) == 0
+    assert sibling_rows(bus, 0, delta=99) == 0
     with pytest.raises(ConfigError):
-        bus.read_lagged(0, delta=-1)
+        bus.read_lagged(delta=-1)
 
 
 def test_snapshot_versions_increment():
@@ -101,24 +105,11 @@ def test_stack_sibling_rows_order():
     bus.publish(2, np.full(2, 9.0), 0)
     bus.publish(0, np.full(2, 1.0), 0)
     bus.publish(0, np.full(2, 2.0), 4)
-    rows, keys = stack_sibling_rows(bus.read_lagged(5, delta=0))
-    assert keys == ((0, 0), (0, 1), (2, 0))
+    view = bus.read_lagged(delta=0)
+    assert view.stream_ids.tolist() == [0, 0, 2]
+    rows, newest = stack_sibling_rows(view, 5)
+    assert newest == {0: 1, 2: 0}
     assert rows[0, 0] == 1.0 and rows[2, 0] == 9.0
-
-
-def test_readers_of_one_base_share_one_stacked_table():
-    bus = NotesBus(d_note=2, max_delta=1)
-    fill(bus, 0, 2)
-    fill(bus, 1, 3, base=10)
-    live = [bus.read_lagged(r, delta=0) for r in (0, 1, 2)]
-    assert live[0].rows is live[1].rows is live[2].rows
-    assert [int(v.mask.sum()) for v in live] == [3, 2, 5]
-    # A snapshot of an unchanged bus shares the live notes, and so the table.
-    snap = bus.snapshot(created_at_token=16)
-    assert bus.read_lagged(0, delta=1).rows is live[0].rows
-    bus.publish(2, np.zeros(2), 16)
-    assert bus.read_lagged(0, delta=0).rows is not live[0].rows
-    assert len(snap.notes) == 5
 
 
 def test_compact_mean_pools_oldest():
@@ -133,8 +124,9 @@ def test_compact_mean_pools_oldest():
     assert summary.version == 2  # newest summarized version
     assert np.allclose(summary.embedding, 1.0)  # mean of 0, 1, 2
     assert [n.version for n in notes[1:]] == [3, 4]
-    rows, keys = stack_sibling_rows(bus.read_lagged(9, delta=0))
-    assert keys == ((0, 2), (0, 3), (0, 4))
+    rows, newest = stack_sibling_rows(bus.read_lagged(delta=0), 9)
+    assert newest == {0: 4}
+    assert rows.shape[0] == 3
     assert np.array_equal(rows[0], summary.embedding)
 
 
@@ -198,22 +190,29 @@ def assert_views_match_dumps(bus: NotesBus, snapshot_dumps: list[list[str]]) -> 
         lines = bus.dump_lines() if delta == 0 else snapshot_dumps[max(0, len(snapshot_dumps) - delta)]
         notes = live_notes(lines)
         assert [k for k, _ in notes] == sorted(k for k, _ in notes)
+        view = bus.read_lagged(delta)
+        assert view.stream_ids.tolist() == [sid for (sid, _), _ in notes]
         for reader in range(5):
-            rows, keys = stack_sibling_rows(bus.read_lagged(reader, delta))
+            rows, newest = stack_sibling_rows(view, reader)
             want = [(k, emb) for k, emb in notes if k[0] != reader]
-            assert keys == tuple(k for k, _ in want)
+            # A stream's newest version is its highest live version in the dump.
+            want_newest: dict[int, int] = {}
+            for (sid, version), _ in want:
+                want_newest[sid] = max(version, want_newest.get(sid, -1))
+            assert newest == want_newest
             assert np.array_equal(rows, np.array([emb for _, emb in want]).reshape(-1, 2))
 
 
 def assert_bounded_views_match(bus: NotesBus, bounded: NotesBus, bound: int) -> None:
     for delta in range(bound + 1):
+        view, b_view = bus.read_lagged(delta), bounded.read_lagged(delta)
         for reader in range(5):
-            rows, keys = stack_sibling_rows(bus.read_lagged(reader, delta))
-            b_rows, b_keys = stack_sibling_rows(bounded.read_lagged(reader, delta))
-            assert b_keys == keys
+            rows, newest = stack_sibling_rows(view, reader)
+            b_rows, b_newest = stack_sibling_rows(b_view, reader)
+            assert b_newest == newest
             assert np.array_equal(b_rows, rows)
     with pytest.raises(ConfigError):
-        bounded.read_lagged(0, bound + 1)
+        bounded.read_lagged(bound + 1)
     assert len(bounded._snapshots) <= max(1, bound)
 
 

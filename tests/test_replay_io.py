@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pdtcoord.errors import ArtifactFormatError, ConfigError
 from pdtcoord.replay import (
+    _MAX_LEN,
     MAGIC,
     ReplayArtifact,
     SynthSpec,
@@ -163,14 +164,29 @@ def test_damaged_file_reads_back_or_reports_offset(tiny_file, data):
 
 
 def test_zero_dim_header_rejected(tmp_path):
+    # Each out-of-range field is reported at its own offset.
     art = synthesize_artifact(SMALL)
     path = tmp_path / "dim.pdtr"
     write_artifact(art, str(path))
-    data = bytearray(path.read_bytes())
-    data[5:9] = (0).to_bytes(4, "little")  # vocab_size
+    clean = path.read_bytes()
+    # Six u32 fields follow the magic.
+    names = ("vocab_size", "n_streams", "d", "d_note", "d_bottleneck", "d_attn")
+    for i, name in enumerate(names):
+        offset = len(MAGIC) + 4 * i
+        data = bytearray(clean)
+        data[offset : offset + 4] = (0).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ArtifactFormatError, match=name) as err:
+            read_artifact(str(path))
+        assert err.value.offset == offset
+    # The stream lengths follow the u64 seed and the five f64 scalars.
+    offset = len(MAGIC) + 6 * 4 + 8 + 5 * 8 + 4 * 1
+    data = bytearray(clean)
+    data[offset : offset + 4] = (_MAX_LEN + 1).to_bytes(4, "little")
     path.write_bytes(bytes(data))
-    with pytest.raises(ArtifactFormatError, match="vocab_size"):
+    with pytest.raises(ArtifactFormatError, match=r"length\[1\]") as err:
         read_artifact(str(path))
+    assert err.value.offset == offset
 
 
 def test_artifact_header_consistency_enforced():
