@@ -17,17 +17,11 @@ from pdtcoord.analytics import (
     stale_rollback_bound,
     sync_overhead,
 )
-from pdtcoord.cadence import CadenceConfig, CadenceState, ContextSignals, modulation_factor, next_emission
+from pdtcoord.cadence import CadenceConfig, ContextSignals, modulation_factor, next_emission
 
 
 def emission_positions(config: CadenceConfig, tokens: int, seed: int = 1) -> list[int]:
-    state = CadenceState(seed=seed, stream_id=0, position=0)
-    out = []
-    for _ in range(tokens):
-        emit, state = next_emission(config, state, None)
-        if emit:
-            out.append(state.position)
-    return out
+    return [p for p in range(1, tokens + 1) if next_emission(config, seed, 0, p)]
 
 def main() -> None:
     det = emission_positions(CadenceConfig(mode="deterministic", interval_m=4), 20)

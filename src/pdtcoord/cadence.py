@@ -1,9 +1,11 @@
 """Note emission cadence policies.
 
-Three modes share one stepping interface: deterministic (every M tokens),
-stochastic (Bernoulli 1/M per token, geometric inter-arrivals with mean M),
-and adaptive (the per-token probability is modulated by decode-context
-signals, bounded to [m_min, m_max] times the base rate).
+Three modes share one interface, a question about one token position:
+deterministic (every M tokens), stochastic (Bernoulli 1/M per token,
+geometric inter-arrivals with mean M), and adaptive (the per-token
+probability is modulated by decode-context signals, bounded to
+[m_min, m_max] times the base rate).  Draws are keyed by (seed, stream,
+position), so any position can be asked in any order.
 """
 
 from __future__ import annotations
@@ -31,15 +33,6 @@ class CadenceConfig:
             raise ConfigError("interval_m must be >= 1")
         if not 0.0 < self.m_min <= self.m_max:
             raise ConfigError("need 0 < m_min <= m_max")
-
-
-@dataclass(frozen=True)
-class CadenceState:
-    """Replayable cadence cursor: draws are keyed by (seed, stream, position)."""
-
-    seed: int
-    stream_id: int = 0
-    position: int = 0
 
 
 @dataclass(frozen=True)
@@ -77,21 +70,20 @@ def modulation_factor(config: CadenceConfig, signals: ContextSignals) -> float:
 
 def next_emission(
     config: CadenceConfig,
-    state: CadenceState,
+    seed: int,
+    stream_id: int,
+    position: int,
     signals: ContextSignals | None = None,
-) -> tuple[bool, CadenceState]:
-    """Consume one token position and decide whether to emit a note.
+) -> bool:
+    """Whether a stream emits a note at its 1-based token position.
 
     Deterministic mode emits exactly at positions M, 2M, 3M, ...  Stochastic
     mode emits with probability 1/M per position.  Adaptive mode scales that
     probability by modulation_factor (capped at 1).
     """
-    pos = state.position + 1
-    new_state = CadenceState(state.seed, state.stream_id, pos)
     if config.mode == "deterministic":
-        return pos % config.interval_m == 0, new_state
+        return position % config.interval_m == 0
     p = 1.0 / config.interval_m
     if config.mode == "adaptive":
         p = min(1.0, p * modulation_factor(config, signals or ContextSignals()))
-    u = uniform(state.seed, DOMAIN_CADENCE, state.stream_id, pos)
-    return u < p, new_state
+    return uniform(seed, DOMAIN_CADENCE, stream_id, position) < p

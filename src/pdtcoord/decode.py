@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
-from .cadence import CadenceConfig, CadenceState, ContextSignals, next_emission
+from .cadence import CadenceConfig, ContextSignals, next_emission
 from .errors import ConfigError
 from .kernels import logistic, row_softmax
 from .memmodel import pages_touched
@@ -144,11 +145,15 @@ TraceRecord = TokenEvent | GateEvent | NoteEvent | SnapshotEvent | RollbackEvent
 
 @dataclass
 class StreamState:
-    """Mutable decode state of one stream; only the decode loop mutates it."""
+    """Mutable decode state of one stream; only the decode loop mutates it.
+
+    tokens_decoded counts every decoded token, rolled-back ones included; it
+    numbers the positions the cadence is asked about.
+    """
 
     stream_id: int
     gate_state: GateState
-    cadence_state: CadenceState
+    tokens_decoded: int = 0
     token_log: list[int] = field(default_factory=list)
     min_uncommitted_agreement: float = math.inf
     committed_prefix: int = 0
@@ -176,7 +181,6 @@ def _effective_seed(artifact: ReplayArtifact, config: DecodeConfig) -> int:
 
 
 def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[StreamState]:
-    seed = _effective_seed(artifact, config)
     states = []
     for k in range(artifact.n_streams):
         gs = GateState(
@@ -186,13 +190,7 @@ def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[S
             stability_threshold=config.stability_threshold,
             tau_lipschitz=config.tau_lipschitz,
         )
-        states.append(
-            StreamState(
-                stream_id=k,
-                gate_state=gs,
-                cadence_state=CadenceState(seed=seed, stream_id=k, position=0),
-            )
-        )
+        states.append(StreamState(stream_id=k, gate_state=gs))
     return states
 
 
@@ -243,8 +241,8 @@ def step_stream(
     step only.  Then the whole block goes through the adapter, one note
     attention against the sibling rows, one readout into logit biases, and
     an argmax per row.  A last per-token pass logs the tokens, emits events
-    and steps the cadence.  Emissions are queued in pending_notes; nothing
-    touches the bus until the caller's barrier.
+    and asks the cadence about each position.  Emissions are queued in
+    pending_notes; nothing touches the bus until the caller's barrier.
     """
     frames = artifact.streams[state.stream_id]
     first = state.cursor
@@ -285,10 +283,12 @@ def step_stream(
         probs = row_softmax(biased)
         entropy_norm = [_note_entropy(p) / math.log(artifact.vocab_size) for p in probs]
 
-    base = state.position
+    base, decoded = state.position, state.tokens_decoded
+    seed = _effective_seed(artifact, config)
     state.token_log.extend(tokens)
     state.min_uncommitted_agreement = min(state.min_uncommitted_agreement, *scores)
     state.cursor += n
+    state.tokens_decoded += n
 
     events: list[TraceRecord] = []
     for t in range(n):
@@ -307,13 +307,11 @@ def step_stream(
                 note_age=state.tokens_since_own_note,
                 gate=gate,
             )
-        emit, state.cadence_state = next_emission(config.cadence, state.cadence_state, signals)
+        emit = next_emission(config.cadence, seed, state.stream_id, decoded + t + 1, signals)
         if emit and frames.note_present[frame]:
             emb = frames.note_embeddings[frame]
             if config.note_noise_scale > 0.0:
-                noise = normal_array(
-                    _effective_seed(artifact, config), DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note)
-                )
+                noise = normal_array(seed, DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note))
                 emb = emb + config.note_noise_scale * noise
             state.pending_notes.append((emb, position))
             state.tokens_since_own_note = 0
@@ -330,8 +328,9 @@ def check_and_rollback(
 
     If every uncommitted agreement score clears tau the span commits.
     Otherwise the stream rewinds to its committed prefix: the token log is
-    truncated, queued notes are dropped, and (in reconsume mode) the frame
-    cursor steps back so the span is decoded again.  After
+    truncated and (in reconsume mode) the frame cursor steps back so the span
+    is decoded again.  The span's notes were published at the barrier before
+    this runs; run_parallel tombstones them.  After
     max_reconsume_attempts failed retries the span force-commits so replays
     cannot live-lock; skip-ahead mode instead leaves the cursor in place and
     continues with fresh frames.
@@ -360,7 +359,6 @@ def check_and_rollback(
     target = state.committed_prefix
     del state.token_log[target:]
     del state.margins[target:]
-    state.pending_notes.clear()
     if config.regen_mode == "reconsume":
         state.cursor -= span
         state.reconsume_attempts += 1
@@ -380,7 +378,11 @@ def check_and_rollback(
 
 @dataclass
 class DecodeTrace:
-    """Complete record of a run: config echo, event log, final bus, summary."""
+    """Complete record of a run: config echo, event log, final bus, summary.
+
+    A trace is not modified after run_parallel returns, so its rendering is
+    built once and shared by trace_hash and write.
+    """
 
     config_line: str
     events: list[TraceRecord]
@@ -404,18 +406,17 @@ class DecodeTrace:
         )
         return lines
 
+    @cached_property
+    def _bytes(self) -> bytes:
+        return "".join(line + "\n" for line in self.to_lines()).encode("utf-8")
+
     def trace_hash(self) -> str:
-        digest = hashlib.sha256()
-        for line in self.to_lines():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        return hashlib.sha256(self._bytes).hexdigest()
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.to_lines():
-                fh.write(line)
-                fh.write("\n")
+        # Binary mode writes exactly the hashed bytes on every platform.
+        with open(path, "wb") as fh:
+            fh.write(self._bytes)
 
     def rollback_events(self) -> list[RollbackEvent]:
         return [e for e in self.events if isinstance(e, RollbackEvent)]

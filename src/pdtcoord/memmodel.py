@@ -145,6 +145,15 @@ def pressure_check(config: MemoryConfig, m_peak: int | None = None) -> PressureR
 BUS_POOL = -1
 
 
+def _page_range(start_token: int, end_token: int, page_size: int, grid_offset: int) -> range:
+    """Indices of the pages overlapping [start_token, end_token); empty when end <= start."""
+    if end_token <= start_token:
+        return range(0)
+    first = (start_token + grid_offset) // page_size
+    last = (end_token - 1 + grid_offset) // page_size
+    return range(first, last + 1)
+
+
 def pages_touched(start_token: int, end_token: int, page_size: int, grid_offset: int = 0) -> int:
     """Distinct pages overlapping token range [start_token, end_token).
 
@@ -153,17 +162,11 @@ def pages_touched(start_token: int, end_token: int, page_size: int, grid_offset:
     """
     if page_size < 1:
         raise ConfigError("page_size must be >= 1")
-    if end_token <= start_token:
-        return 0
-    first = (start_token + grid_offset) // page_size
-    last = (end_token - 1 + grid_offset) // page_size
-    return last - first + 1
+    return len(_page_range(start_token, end_token, page_size, grid_offset))
 
 
 @dataclass
 class Page:
-    pool: int
-    index: int
     state: Literal["resident", "evicted"] = "resident"
     pinned: bool = False
     last_read: int = 0
@@ -203,11 +206,6 @@ class PageTable:
     def resident_count(self) -> int:
         return sum(1 for p in self.pages.values() if p.state == "resident")
 
-    def _page_range(self, start: int, end: int) -> range:
-        first = (start + self.grid_offset) // self.page_size_tokens
-        last = (end - 1 + self.grid_offset) // self.page_size_tokens
-        return range(first, last + 1)
-
     def _evictable(self, protect: set[tuple[int, int]]) -> list[tuple[tuple[int, int], Page]]:
         out = [
             (k, p)
@@ -236,7 +234,7 @@ class PageTable:
         for key in keys:
             page = self.pages.get(key)
             if page is None:
-                page = Page(pool=key[0], index=key[1], pinned=pinned, last_read=self.clock)
+                page = Page(pinned=pinned, last_read=self.clock)
                 self.pages[key] = page
                 fetched.append(key)
             elif page.state != "resident":
@@ -262,15 +260,14 @@ def evict_and_prefetch(
     pages are always pinned, so multi-consumer snapshot pages never thrash.
     Returns the combined swap report (cost = pages moved * t_page).
     """
+    size, offset = table.page_size_tokens, table.grid_offset
     demand: list[tuple[int, int]] = []
     for sid in sorted(stream_ranges):
         start, end = stream_ranges[sid]
-        if end > start:
-            demand.extend((sid, i) for i in table._page_range(start, end))
+        demand.extend((sid, i) for i in _page_range(start, end, size, offset))
     bus_demand: list[tuple[int, int]] = []
     for start, end in snapshot_ranges:
-        if end > start:
-            bus_demand.extend((BUS_POOL, i) for i in table._page_range(start, end))
+        bus_demand.extend((BUS_POOL, i) for i in _page_range(start, end, size, offset))
     report_a = table._make_resident(demand)
     report_b = table._make_resident(bus_demand, pinned=True)
     return SwapReport(
@@ -288,10 +285,8 @@ def rollback_page_cost(table: PageTable, pool: int, rolled_back_to: int, trigger
     stride-aligned placement and rollback spans of at most L tokens, at most
     ceil(L / page_size) pages are dropped.
     """
-    if trigger_position <= rolled_back_to:
-        return 0
     dropped = 0
-    for idx in table._page_range(rolled_back_to, trigger_position):
+    for idx in _page_range(rolled_back_to, trigger_position, table.page_size_tokens, table.grid_offset):
         key = (pool, idx)
         page = table.pages.get(key)
         page_start = idx * table.page_size_tokens - table.grid_offset

@@ -85,8 +85,9 @@ class ReplayArtifact:
         object.__setattr__(self, "readout", as_matrix(self.readout, "readout"))
         if self.readout.shape != (self.d, self.vocab_size):
             raise ShapeError(f"readout shape {self.readout.shape} != ({self.d}, {self.vocab_size})")
-        if self.adapter.d != self.d or self.snc.d != self.d or self.snc.d_note != self.d_note:
-            raise ShapeError("parameter widths disagree with artifact header")
+        widths = (self.adapter.d, self.adapter.w_down.shape[1], self.snc.d, self.snc.d_note, self.snc.d_attn)
+        if widths != (self.d, self.d_bottleneck, self.d, self.d_note, self.d_attn):
+            raise ShapeError(f"parameter widths (d, d_bottleneck, d, d_note, d_attn) = {widths} disagree with header")
         for k, frames in enumerate(self.streams):
             if frames.logits.shape[1] != self.vocab_size:
                 raise ShapeError(f"stream {k}: logit width != vocab_size")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from pdtcoord.cadence import CadenceState, ContextSignals, next_emission
+from pdtcoord.cadence import ContextSignals, next_emission
 from pdtcoord.decode import (
     DecodeConfig,
     DecodeTrace,
@@ -92,7 +92,7 @@ class RefBus:
 class RefStream:
     sid: int
     gate: GateState
-    cadence: CadenceState
+    decoded: int
     log: list[int] = field(default_factory=list)
     frames: list[int] = field(default_factory=list)
     scores: list[float] = field(default_factory=list)
@@ -144,7 +144,7 @@ def reference_decode(
                 tau_lipschitz=config.tau_lipschitz,
                 tokens_since_note=config.warmup_tokens,
             ),
-            CadenceState(seed=seed, stream_id=k, position=0),
+            0,
         )
         for k in range(artifact.n_streams)
     ]
@@ -214,7 +214,8 @@ def reference_decode(
                         note_age=s.since_note,
                         gate=gate,
                     )
-                emit, s.cadence = next_emission(config.cadence, s.cadence, signals)
+                s.decoded += 1
+                emit = next_emission(config.cadence, seed, s.sid, s.decoded, signals)
                 if emit and frames.note_present[frame]:
                     emb = frames.note_embeddings[frame]
                     if config.note_noise_scale > 0.0:

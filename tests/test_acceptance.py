@@ -23,7 +23,7 @@ from pdtcoord.balancer import (
     health_metrics,
     set_initial_losses,
 )
-from pdtcoord.cadence import CadenceConfig, CadenceState, next_emission
+from pdtcoord.cadence import CadenceConfig, next_emission
 from pdtcoord.decode import DecodeConfig, run_parallel
 from pdtcoord.kernels import spectral_norm
 from pdtcoord.memmodel import KIB, MIB, MemoryConfig, kv_budget, pages_touched
@@ -189,12 +189,7 @@ def test_criterion_5_trace_determinism(tmp_path):
 
 def test_criterion_6_emission_cadence_moments():
     cfg = CadenceConfig(mode="stochastic", interval_m=4)
-    state = CadenceState(seed=1, stream_id=0, position=0)
-    emissions = []
-    for _ in range(100000):
-        emit, state = next_emission(cfg, state, None)
-        if emit:
-            emissions.append(state.position)
+    emissions = [p for p in range(1, 100001) if next_emission(cfg, 1, 0, p)]
     gaps = np.diff(np.array(emissions))
     mean = float(gaps.mean())
     var = float(gaps.var(ddof=1))

@@ -7,7 +7,6 @@ import pytest
 
 from pdtcoord.cadence import (
     CadenceConfig,
-    CadenceState,
     ContextSignals,
     modulation_factor,
     next_emission,
@@ -16,13 +15,7 @@ from pdtcoord.errors import ConfigError
 
 
 def collect(config: CadenceConfig, n: int, seed: int = 0, signals=None) -> list[int]:
-    state = CadenceState(seed=seed)
-    out = []
-    for _ in range(n):
-        emit, state = next_emission(config, state, signals)
-        if emit:
-            out.append(state.position)
-    return out
+    return [p for p in range(1, n + 1) if next_emission(config, seed, 0, p, signals)]
 
 
 def test_deterministic_positions():
@@ -48,18 +41,15 @@ def test_stochastic_is_replayable():
     cfg = CadenceConfig(mode="stochastic", interval_m=3)
     assert collect(cfg, 500, seed=5) == collect(cfg, 500, seed=5)
     assert collect(cfg, 500, seed=5) != collect(cfg, 500, seed=6)
+    # Draws are keyed by position, so the order of the questions cannot matter.
+    backwards = [p for p in range(500, 0, -1) if next_emission(cfg, 5, 0, p)]
+    assert backwards[::-1] == collect(cfg, 500, seed=5)
 
 
 def test_streams_draw_independently():
     cfg = CadenceConfig(mode="stochastic", interval_m=2)
-    a = CadenceState(seed=0, stream_id=0)
-    b = CadenceState(seed=0, stream_id=1)
-    seq_a, seq_b = [], []
-    for _ in range(200):
-        ea, a = next_emission(cfg, a)
-        eb, b = next_emission(cfg, b)
-        seq_a.append(ea)
-        seq_b.append(eb)
+    seq_a = [next_emission(cfg, 0, 0, p) for p in range(1, 201)]
+    seq_b = [next_emission(cfg, 0, 1, p) for p in range(1, 201)]
     assert seq_a != seq_b
 
 

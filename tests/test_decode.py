@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -201,7 +202,9 @@ def test_trace_layout_and_file_roundtrip(tmp_path):
     assert any(line.startswith("ROLLBACK ") for line in lines)
     path = tmp_path / "run.trace"
     trace.write(str(path))
-    assert path.read_text(encoding="utf-8").splitlines() == lines
+    data = path.read_bytes()
+    assert data == "".join(line + "\n" for line in lines).encode()
+    assert hashlib.sha256(data).hexdigest() == trace.trace_hash()
 
 
 def test_summary_counts_match_events():
@@ -229,12 +232,9 @@ def test_config_validation():
 
 def test_oversized_span_rejected_at_check():
     art = small_artifact(divergences=())
-    from pdtcoord.cadence import CadenceState
-
     state = StreamState(
         stream_id=0,
         gate_state=GateState(),
-        cadence_state=CadenceState(seed=0, stream_id=0, position=0),
         token_log=[0] * 40,
         min_uncommitted_agreement=0.9,
     )
@@ -343,6 +343,8 @@ def test_commits_are_final_and_rollbacks_stay_within_the_horizon(case):
 
     def watched(state, artifact, config, round_index=0):
         rollback = check_and_rollback(state, artifact, config, round_index)
+        # Every barrier commits or rolls back the whole span.
+        assert state.committed_prefix == state.position
         commits.append((round_index, state.stream_id, tuple(state.token_log[: state.committed_prefix])))
         return rollback
 
@@ -350,7 +352,7 @@ def test_commits_are_final_and_rollbacks_stay_within_the_horizon(case):
         trace = run_parallel(synthesize_artifact(spec), cfg)
 
     for ev in trace.rollback_events():
-        assert 0 < ev.trigger_position - ev.rolled_back_to <= cfg.horizon_l
+        assert 0 < ev.trigger_position - ev.rolled_back_to <= cfg.stride_b
     for sid, target, log in trace.rollback_states:
         assert len(log) == target and trace.token_logs[sid][:target] == log
     for sid, log in enumerate(trace.token_logs):

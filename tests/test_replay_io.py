@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdtcoord.errors import ArtifactFormatError, ConfigError
+from pdtcoord.errors import ArtifactFormatError, ConfigError, ShapeError
 from pdtcoord.replay import (
     _MAX_LEN,
     MAGIC,
-    ReplayArtifact,
     SynthSpec,
     read_artifact,
     synthesize_artifact,
@@ -191,17 +192,6 @@ def test_zero_dim_header_rejected(tmp_path):
 
 def test_artifact_header_consistency_enforced():
     art = synthesize_artifact(SMALL)
-    with pytest.raises(Exception):
-        ReplayArtifact(
-            vocab_size=art.vocab_size + 1,
-            d=art.d,
-            d_note=art.d_note,
-            d_bottleneck=art.d_bottleneck,
-            d_attn=art.d_attn,
-            seed=art.seed,
-            adapter=art.adapter,
-            snc=art.snc,
-            agreement=art.agreement,
-            readout=art.readout,
-            streams=art.streams,
-        )
+    for width in ("vocab_size", "d", "d_note", "d_bottleneck", "d_attn"):
+        with pytest.raises(ShapeError):
+            dataclasses.replace(art, **{width: getattr(art, width) + 1})
