@@ -47,25 +47,31 @@ def uniform(seed: int, *counters: int) -> float:
 def _splitmix64_u64(z: np.ndarray) -> np.ndarray:
     # Wraparound modulo 2**64 is the point; silence the scalar overflow warning.
     with np.errstate(over="ignore"):
-        z = (z + np.uint64(_GOLDEN)).astype(np.uint64)
-        z = ((z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)).astype(np.uint64)
-        z = ((z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)).astype(np.uint64)
-        return (z ^ (z >> np.uint64(31))).astype(np.uint64)
+        z = z + np.uint64(_GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def counter_hash_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
     """Vectorized counter_hash.
 
     Each counter may be a scalar or a broadcastable integer array; the result
-    matches counter_hash element-by-element.
+    matches counter_hash element-by-element.  Leading plain-int counters are
+    folded with counter_hash; numpy takes over at the first other counter.
     """
-    h: np.ndarray = _splitmix64_u64(np.asarray(seed & _MASK64, dtype=np.uint64))
-    for c in counters:
+    k = 0
+    while k < len(counters) and type(counters[k]) is int:
+        k += 1
+    h = np.uint64(counter_hash(seed, *counters[:k]))
+    for c in counters[k:]:
         carr = np.asarray(c)
         if carr.dtype.kind not in "iu":
             raise TypeError(f"counters must be integers, got dtype {carr.dtype}")
-        cm = _splitmix64_u64(carr.astype(np.uint64))
-        h = _splitmix64_u64(h ^ cm)
+        h = _splitmix64_u64(h ^ _splitmix64_u64(carr.astype(np.uint64)))
     return h
 
 
@@ -75,9 +81,14 @@ def uniform_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
 
 
 def normal_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
-    """Vectorized standard normals via Box-Muller; float64 output."""
-    h1 = counter_hash_array(seed, *counters, 0)
-    h2 = counter_hash_array(seed, *counters, 1)
+    """Vectorized standard normals via Box-Muller; float64 output.
+
+    The two draws are counter_hash_array(seed, *counters, 0) and (..., 1),
+    each one splitmix round past the shared prefix.
+    """
+    h = counter_hash_array(seed, *counters)
+    h1 = _splitmix64_u64(h ^ np.uint64(splitmix64(0)))
+    h2 = _splitmix64_u64(h ^ np.uint64(splitmix64(1)))
     u1 = ((h1 >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
     u2 = (h2 >> np.uint64(11)) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

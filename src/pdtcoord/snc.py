@@ -236,6 +236,10 @@ class GateState:
             raise ConfigError("warmup_tokens must be positive")
         if not 0.0 < self.backoff_scale < 1.0:
             raise ConfigError("backoff_scale must lie in (0, 1)")
+        if self.flicker_window < 1:
+            raise ConfigError("flicker_window must be positive")
+        if not self.flicker_std >= 0.0:
+            raise ConfigError("flicker_std must be non-negative")
         if self.tokens_since_note is None:
             self.tokens_since_note = self.warmup_tokens
         self.gate_window = deque(self.gate_window, maxlen=self.flicker_window)
@@ -286,13 +290,16 @@ def gate_controller_step(
     effective = min(max(float(current_gate), state.g_min), schedule)
 
     actions: list[GateAction] = []
-    state.gate_window.append(effective)
-    if len(state.gate_window) == state.gate_window.maxlen:
-        window = np.asarray(state.gate_window)
-        if float(window.std()) > state.flicker_std:
+    window = state.gate_window
+    window.append(effective)
+    # A window of one repeated value has no flicker.  numpy's std of it is not
+    # always 0.0, but it stays within about len(window) * eps for gates in
+    # [0, 1], so skipping it changes no decision for a flicker_std above that.
+    if len(window) == window.maxlen and window.count(effective) != len(window):
+        if float(np.asarray(window).std()) > state.flicker_std:
             actions.append(GateAction.REDUCE_GATE_MAX)
             state.g_max = max(state.g_min, state.g_max * state.backoff_scale)
-            state.gate_window.clear()
+            window.clear()
     if state.lipschitz_estimate > state.tau_lipschitz:
         actions.append(GateAction.APPLY_SPECTRAL_NORM)
     return state, effective, tuple(actions)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdtcoord.rng import (
     counter_hash,
@@ -85,5 +87,61 @@ def test_normal_matrix_shape_and_determinism():
 
 
 def test_counter_hash_array_rejects_float_counters():
-    with pytest.raises(TypeError):
-        counter_hash_array(0, np.array([0.5]))
+    for bad in (np.array([0.5]), 1.0, True, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            counter_hash_array(0, bad)
+        with pytest.raises(TypeError):
+            counter_hash_array(0, 3, bad, 4)
+
+
+# Every int a counter can be: plain ints are masked to 64 bits, and numpy
+# takes the same range as int64 or uint64.
+_INTS = st.integers(-(2**63), 2**64 - 1)
+
+
+@st.composite
+def counter_tuples(draw):
+    """A seed, and counters that are plain ints or equal-length int arrays at any position."""
+    n = draw(st.integers(1, 4))
+    counters = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("int", "int64", "uint64", "numpy scalar")))
+        if kind == "int":
+            counters.append(draw(_INTS))
+        elif kind == "int64":
+            counters.append(np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64))
+        elif kind == "uint64":
+            counters.append(np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n)), dtype=np.uint64))
+        else:
+            counters.append(np.int64(draw(st.integers(-(2**63), 2**63 - 1))))
+    return draw(_INTS), counters, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=counter_tuples())
+def test_array_draws_equal_their_counter_hash_formulas(case):
+    seed, counters, n = case
+    is_array = [isinstance(c, np.ndarray) for c in counters]
+    idx = range(n) if any(is_array) else [None]
+
+    def at(i):
+        return [int(c[i]) if arr else int(c) for c, arr in zip(counters, is_array)]
+
+    hashes = [counter_hash(seed, *at(i)) for i in idx]
+    h = counter_hash_array(seed, *counters)
+    assert [int(v) for v in np.ravel(h)] == hashes
+    assert [float(v) for v in np.ravel(uniform_array(seed, *counters))] == [uniform(seed, *at(i)) for i in idx]
+    u1 = np.array([((counter_hash(seed, *at(i), 0) >> 11) + 1) * 2.0**-53 for i in idx])
+    u2 = np.array([(counter_hash(seed, *at(i), 1) >> 11) * 2.0**-53 for i in idx])
+    expected = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    assert np.ravel(normal_array(seed, *counters)).tobytes() == expected.tobytes()
+
+
+def test_all_scalar_draws_are_numpy_scalars():
+    for counters in ((), (5,), (3, -1, 2**64 - 1)):
+        h = counter_hash_array(9, *counters)
+        assert type(h) is np.uint64 and h.shape == ()
+        assert int(h) == counter_hash(9, *counters)
+        for draw in (uniform_array, normal_array):
+            v = draw(9, *counters)
+            assert type(v) is np.float64 and v.shape == ()

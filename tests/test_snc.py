@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from collections import deque
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pdtcoord.snc as snc
 from pdtcoord.errors import ConfigError, ShapeError
 from pdtcoord.kernels import logistic
 from pdtcoord.rng import normal_matrix
@@ -214,3 +220,155 @@ def test_gate_state_validation():
         GateState(g_min=0.5, g_max=0.2)
     with pytest.raises(ConfigError):
         GateState(warmup_tokens=0)
+    for window in (0, -1):
+        with pytest.raises(ConfigError):
+            GateState(flicker_window=window)
+    for std in (-0.1, float("nan")):
+        with pytest.raises(ConfigError):
+            GateState(flicker_std=std)
+
+
+def test_gate_pinned_at_floor_never_flickers():
+    # Even with no flicker tolerance, a gate that never moves backs nothing off.
+    gs = GateState(flicker_std=0.0)
+    for _ in range(200):
+        _, eff, actions = gate_controller_step(gs, 0.01)
+        assert eff == gs.g_min
+        assert actions == ()
+    assert gs.g_max == 0.8
+
+
+def _oracle_gate_controller_step(
+    state: GateState,
+    current_gate: float,
+    new_note_event: bool = False,
+    note_change: float | None = None,
+) -> tuple[GateState, float, tuple[GateAction, ...]]:
+    """gate_controller_step as it was before it skipped constant windows.
+
+    Kept verbatim as the oracle: it takes the window's std on every token
+    once the window is full.
+    """
+    if new_note_event:
+        state.tokens_since_note = 0
+        if note_change is not None:
+            if note_change < 0.0:
+                raise ConfigError("note_change must be non-negative")
+            state.note_change_window.append(float(note_change))
+    else:
+        state.tokens_since_note += 1
+
+    cap = scheduled_gate_cap(state)
+    frac = min(1.0, state.tokens_since_note / state.warmup_tokens)
+    schedule = state.g_min + (cap - state.g_min) * frac
+    effective = min(max(float(current_gate), state.g_min), schedule)
+
+    actions: list[GateAction] = []
+    state.gate_window.append(effective)
+    if len(state.gate_window) == state.gate_window.maxlen:
+        window = np.asarray(state.gate_window)
+        if float(window.std()) > state.flicker_std:
+            actions.append(GateAction.REDUCE_GATE_MAX)
+            state.g_max = max(state.g_min, state.g_max * state.backoff_scale)
+            state.gate_window.clear()
+    if state.lipschitz_estimate > state.tau_lipschitz:
+        actions.append(GateAction.APPLY_SPECTRAL_NORM)
+    return state, effective, tuple(actions)
+
+
+def _gate_fields(gs: GateState) -> dict:
+    """Every field, floats by their bits and windows as lists."""
+    out = {}
+    for name, value in vars(gs).items():
+        if isinstance(value, deque):
+            out[name] = (value.maxlen, [v.hex() for v in value])
+        elif isinstance(value, float):
+            out[name] = value.hex()
+        else:
+            out[name] = value
+    return out
+
+
+def _drive_in_lockstep(kwargs: dict, steps) -> list[tuple[GateAction, ...]]:
+    ours, oracle = GateState(**kwargs), GateState(**kwargs)
+    seen = []
+    for gate, event, change in steps:
+        _, eff, actions = gate_controller_step(ours, gate, event, change)
+        _, eff_ref, actions_ref = _oracle_gate_controller_step(oracle, gate, event, change)
+        assert (eff.hex(), actions) == (eff_ref.hex(), actions_ref)
+        assert _gate_fields(ours) == _gate_fields(oracle)
+        seen.append(actions)
+    return seen
+
+
+def _count_window_stds(monkeypatch) -> list[int]:
+    """Record the length of every window gate_controller_step takes the std of."""
+    taken: list[int] = []
+
+    def asarray(window):
+        taken.append(len(window))
+        return np.asarray(window)
+
+    monkeypatch.setattr(snc, "np", SimpleNamespace(asarray=asarray))
+    return taken
+
+
+def test_gate_takes_the_flicker_std_only_over_a_varying_window(monkeypatch):
+    taken = _count_window_stds(monkeypatch)
+    kwargs = dict(flicker_window=8, warmup_tokens=1)
+    # 20 tokens at the floor fill the window with one value: no std.  A
+    # one-token spike to 0.2 makes the 8 windows that hold it vary, although
+    # the last of them starts with the spike and ends at the floor.  A step
+    # to 0.2 then makes 7 windows vary, after which the window holds 0.2
+    # alone again.  No std reaches 0.10, so nothing backs off.
+    floor, high = (0.01, False, None), (0.2, False, None)
+    steps = [floor] * 20 + [high] + [floor] * 20 + [high] * 20
+    seen = _drive_in_lockstep(kwargs, steps)
+    assert taken == [8] * 15
+    assert all(actions == () for actions in seen)
+
+
+def test_gate_backoff_matches_the_oracle(monkeypatch):
+    taken = _count_window_stds(monkeypatch)
+    kwargs = dict(flicker_window=8, warmup_tokens=1)
+    steps = [(0.05, False, None)] * 10 + [(0.05 if i % 2 else 0.75, False, None) for i in range(16)]
+    seen = _drive_in_lockstep(kwargs, steps)
+    backoffs = [i for i, actions in enumerate(seen) if GateAction.REDUCE_GATE_MAX in actions]
+    # The first 0.75, at token 10, makes the full window vary; the backoff
+    # clears it, and it is full again 8 tokens later.
+    assert backoffs == [10, 18]
+    assert taken == [8, 8]
+
+
+_GATE_LEVELS = (0.0, 0.01, 0.05, 0.3, 0.75, 0.8, 1.0)
+
+
+@st.composite
+def gate_runs(draw):
+    window = draw(st.integers(1, 64))
+    kwargs = dict(
+        flicker_std=draw(st.floats(1e-3, 0.5)),
+        flicker_window=window,
+        warmup_tokens=draw(st.integers(1, 200)),
+        lipschitz_estimate=draw(st.just(0.0) | st.floats(0.1, 100.0)),
+    )
+    gates = st.sampled_from(_GATE_LEVELS) | st.floats(0.0, 1.0)
+    changes = st.none() | st.floats(0.0, 5.0)
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            # A constant input run longer than the window, after an optional note event.
+            gate = draw(gates)
+            if draw(st.booleans()):
+                steps.append((gate, True, draw(changes)))
+            steps += [(gate, False, None)] * draw(st.integers(window + 1, window + 80))
+        else:
+            steps += draw(st.lists(st.tuples(gates, st.booleans(), changes), max_size=80))
+    return kwargs, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=gate_runs())
+def test_gate_step_matches_the_oracle(run):
+    kwargs, steps = run
+    _drive_in_lockstep(kwargs, steps)
