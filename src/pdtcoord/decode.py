@@ -71,8 +71,8 @@ class DecodeConfig:
             raise ConfigError(f"unknown agreement_mode {self.agreement_mode!r}")
         if self.max_reconsume_attempts < 1:
             raise ConfigError("max_reconsume_attempts must be >= 1")
-        if self.note_noise_scale < 0.0:
-            raise ConfigError("note_noise_scale must be non-negative")
+        if not 0.0 <= self.note_noise_scale < math.inf:
+            raise ConfigError("note_noise_scale must be finite and non-negative")
         if self.gate_override is not None and not 0.0 <= self.gate_override <= 1.0:
             raise ConfigError("gate_override must lie in [0, 1]")
 

@@ -1,20 +1,18 @@
 """Versioned cross-stream notes bus.
 
-Streams publish fixed-width note embeddings; readers see their siblings'
-notes either live or through immutable lagged snapshots.  Rolled-back notes
-are tombstoned, never deleted, so a trace replays identically.  A capacity
-cap triggers mean-pool compaction of the oldest notes per stream.  A read
-stacks the notes it serves once; each reader of the stride then takes its
+Streams publish fixed-width note embeddings into one tuple per stream;
+readers see their siblings' notes either live or through immutable lagged
+snapshots.  Rolled-back notes are tombstoned, never deleted, so a trace
+replays identically.  A capacity cap triggers mean-pool compaction of the
+oldest notes per stream.  A read stacks the notes it serves once, in
+(stream id, version) order; each reader of the stride then takes its
 siblings' rows out of that one table.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -48,11 +46,11 @@ class Note:
 
 @dataclass(frozen=True)
 class BusSnapshot:
-    """Immutable record of the visible notes at one barrier, in bus order."""
+    """Immutable record of each stream's visible notes, in version order, at one barrier."""
 
     snapshot_version: int
     created_at_token: int
-    notes: tuple[Note, ...]
+    notes: dict[int, tuple[Note, ...]]
 
 
 @dataclass(frozen=True)
@@ -65,17 +63,14 @@ class BusView:
     newest: dict[int, int]
 
 
-_stream_of = attrgetter("stream_id")
-
-
 class NotesBus:
     """Append-only store of notes with snapshots, lagged reads and compaction.
 
-    The visible notes are one flat tuple in bus order (stream id, then
-    version), replaced whenever the visible set changes.  Snapshots keep a
-    reference to it, so recording one copies nothing.  The bus keeps only
-    the newest max(1, max_delta) snapshots, the ones a read of lag up to
-    max_delta can reach.
+    The visible notes are one tuple per stream, in version order, and an
+    operation on one stream replaces only that stream's tuple.  A snapshot
+    copies the dict of tuples, not the notes.  The bus keeps only the newest
+    max(1, max_delta) snapshots, the ones a read of lag up to max_delta can
+    reach.
     """
 
     def __init__(self, d_note: int, capacity: int = 2560, retain_k: int = 8, max_delta: int = 0) -> None:
@@ -89,12 +84,12 @@ class NotesBus:
         self.capacity = capacity
         self.retain_k = retain_k
         self.max_delta = max_delta
-        self._visible: tuple[Note, ...] = ()
+        self._visible: dict[int, tuple[Note, ...]] = {}
         self._tombstoned: list[Note] = []
         self._next_version: dict[int, int] = {}
         # The bus starts with an implicit empty snapshot so lagged reads are
         # well defined before any emission round completes.
-        self._snapshots: deque[BusSnapshot] = deque([BusSnapshot(0, 0, ())], maxlen=max(1, max_delta))
+        self._snapshots: deque[BusSnapshot] = deque([BusSnapshot(0, 0, {})], maxlen=max(1, max_delta))
 
     # -- publishing ---------------------------------------------------------
 
@@ -104,9 +99,7 @@ class NotesBus:
         note = Note(stream_id, version, embedding, token_pos)
         if note.embedding.shape[0] != self.d_note:
             raise ShapeError(f"note width {note.embedding.shape[0]} != bus width {self.d_note}")
-        # The stream's newest version goes after every note of streams <= stream_id.
-        at = bisect.bisect_right(self._visible, stream_id, key=_stream_of)
-        self._visible = self._visible[:at] + (note,) + self._visible[at:]
+        self._visible[stream_id] = self._visible.get(stream_id, ()) + (note,)
         self._next_version[stream_id] = version + 1
         if self.visible_rows() > self.capacity:
             self.compact()
@@ -119,14 +112,14 @@ class NotesBus:
         return note
 
     def visible_rows(self) -> int:
-        return len(self._visible)
+        return sum(map(len, self._visible.values()))
 
     # -- snapshots and reads ------------------------------------------------
 
     def snapshot(self, created_at_token: int) -> BusSnapshot:
         """Record and return an immutable snapshot of all visible notes."""
         version = self._snapshots[-1].snapshot_version + 1
-        snap = BusSnapshot(version, created_at_token, self._visible)
+        snap = BusSnapshot(version, created_at_token, dict(self._visible))
         self._snapshots.append(snap)
         return snap
 
@@ -143,13 +136,16 @@ class NotesBus:
         if delta > self.max_delta:
             raise ConfigError(f"delta {delta} exceeds the bus's max_delta {self.max_delta}")
         if delta == 0:
-            notes = self._visible
+            by_stream = self._visible
         else:
-            notes = self._snapshots[max(0, len(self._snapshots) - delta)].notes
-        rows = np.stack([n.embedding for n in notes]) if notes else np.zeros((0, self.d_note))
+            by_stream = self._snapshots[max(0, len(self._snapshots) - delta)].notes
+        streams = [by_stream[sid] for sid in sorted(by_stream) if by_stream[sid]]
+        notes = [n for stream in streams for n in stream]
+        # One concatenate copies the rows; np.stack pays per row to add an axis.
+        rows = np.concatenate([n.embedding for n in notes]) if notes else np.zeros(0)
         stream_ids = np.array([n.stream_id for n in notes], dtype=np.int64)
-        # Bus order puts each stream's newest version last.
-        return BusView(rows, stream_ids, {n.stream_id: n.version for n in notes})
+        newest = {stream[-1].stream_id: stream[-1].version for stream in streams}
+        return BusView(rows.reshape(-1, self.d_note), stream_ids, newest)
 
     # -- rollback and compaction --------------------------------------------
 
@@ -159,11 +155,10 @@ class NotesBus:
         Tombstoned notes leave the visible set but are archived for dumps, so
         replay bookkeeping is preserved.  Returns the number tombstoned.
         """
-        dropped = [n for n in self._visible if n.stream_id == stream_id and n.emitted_at_token >= token_pos]
+        notes = self._visible.get(stream_id, ())
+        dropped = [n for n in notes if n.emitted_at_token >= token_pos]
         if dropped:
-            self._visible = tuple(
-                n for n in self._visible if n.stream_id != stream_id or n.emitted_at_token < token_pos
-            )
+            self._visible[stream_id] = tuple(n for n in notes if n.emitted_at_token < token_pos)
             self._tombstoned.extend(dropped)
         return len(dropped)
 
@@ -178,9 +173,7 @@ class NotesBus:
         if k <= 0:
             raise ConfigError("retain_k must be positive")
         created = 0
-        kept: list[Note] = []
-        for sid, group in groupby(self._visible, key=_stream_of):
-            notes = list(group)
+        for sid, notes in self._visible.items():
             if len(notes) > k:
                 old = notes[:-k]
                 pooled = np.mean(np.stack([n.embedding for n in old]), axis=0)
@@ -191,21 +184,18 @@ class NotesBus:
                     emitted_at_token=old[-1].emitted_at_token,
                     schema_tag=SCHEMA_SUMMARY,
                 )
-                notes = [summary, *notes[-k:]]
+                self._visible[sid] = (summary, *notes[-k:])
                 created += 1
-            kept.extend(notes)
-        if created:
-            self._visible = tuple(kept)
         return created
 
     def _restore(self, notes: Iterable[tuple[Note, bool]]) -> None:
         """Load (note, tombstoned) pairs from a dump into this empty bus."""
-        live = []
-        for note, tombstoned in notes:
-            (self._tombstoned if tombstoned else live).append(note)
-            nxt = self._next_version.get(note.stream_id, 0)
-            self._next_version[note.stream_id] = max(nxt, note.version + 1)
-        self._visible = tuple(sorted(live, key=attrgetter("stream_id", "version")))
+        for note, tombstoned in sorted(notes, key=lambda p: (p[0].stream_id, p[0].version)):
+            if tombstoned:
+                self._tombstoned.append(note)
+            else:
+                self._visible[note.stream_id] = self._visible.get(note.stream_id, ()) + (note,)
+            self._next_version[note.stream_id] = max(self._next_version.get(note.stream_id, 0), note.version + 1)
 
     # -- serialization ------------------------------------------------------
 
@@ -214,15 +204,14 @@ class NotesBus:
 
         Tombstoned notes are included with a tombstone marker.
         """
-        records: list[tuple[int, int, int, Note]] = []
-        records.extend((n.stream_id, n.version, 0, n) for n in self._visible)
-        records.extend((n.stream_id, n.version, 1, n) for n in self._tombstoned)
-        records.sort(key=lambda r: (r[0], r[1], r[2]))
+        records = [(n, False) for notes in self._visible.values() for n in notes]
+        records.extend((n, True) for n in self._tombstoned)
+        records.sort(key=lambda r: (r[0].stream_id, r[0].version, r[1]))
         lines = []
-        for sid, version, tomb, n in records:
+        for n, tomb in records:
             vals = ",".join(repr(float(x)) for x in n.embedding)
             lines.append(
-                f"BUSNOTE {sid} {version} {n.emitted_at_token} {n.schema_tag} "
+                f"BUSNOTE {n.stream_id} {n.version} {n.emitted_at_token} {n.schema_tag} "
                 f"{'tombstoned' if tomb else 'live'} {vals}"
             )
         return lines
@@ -245,7 +234,8 @@ def load_bus_lines(
     A dump carries no snapshots, so the bus has max_delta=0.  It carries
     its note width only in its notes, so the dump of a bus that never had
     one loads only when d_note is given.  When both are known they must
-    agree.
+    agree.  A line with an unknown status or a repeated (stream, version)
+    raises ValueError, and more live notes than capacity CapacityError.
     """
     notes: list[tuple[Note, bool]] = []
     for raw in lines:
@@ -255,6 +245,8 @@ def load_bus_lines(
         parts = line.split(" ")
         if len(parts) != 7 or parts[0] != "BUSNOTE":
             raise ValueError(f"malformed bus line: {line!r}")
+        if parts[5] not in ("live", "tombstoned"):
+            raise ValueError(f"unknown note status {parts[5]!r} in bus line: {line!r}")
         emb = np.array([float(x) for x in parts[6].split(",")])
         note = Note(int(parts[1]), int(parts[2]), emb, int(parts[3]), parts[4])
         notes.append((note, parts[5] == "tombstoned"))
@@ -264,6 +256,10 @@ def load_bus_lines(
     for note, _ in notes:
         if note.embedding.shape[0] != width:
             raise ShapeError(f"note width {note.embedding.shape[0]} != bus width {width}")
+    if len({(n.stream_id, n.version) for n, _ in notes}) < len(notes):
+        raise ValueError("repeated (stream, version) key in bus dump")
     bus = NotesBus(width, capacity=capacity, retain_k=retain_k)
     bus._restore(notes)
+    if bus.visible_rows() > capacity:
+        raise CapacityError(f"bus dump has {bus.visible_rows()} live notes > capacity {capacity}")
     return bus

@@ -43,8 +43,8 @@ class AdapterParams:
             )
         if bott >= d:
             raise ConfigError(f"bottleneck width {bott} must be smaller than stream width {d}")
-        if self.ln_eps <= 0:
-            raise ConfigError("ln_eps must be positive")
+        if not 0.0 < self.ln_eps < math.inf:
+            raise ConfigError("ln_eps must be positive and finite")
 
     @property
     def d(self) -> int:
@@ -75,6 +75,8 @@ class SncParams:
             raise ShapeError("w_k and w_v must both map d_note to the attention width")
         if self.w_o.shape != (d_attn, d):
             raise ShapeError(f"w_o shape {self.w_o.shape} must map attention width back to {d}")
+        if not math.isfinite(self.gamma):
+            raise ConfigError("gamma must be finite")
 
     @property
     def d(self) -> int:
@@ -103,6 +105,8 @@ class AgreementParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "w_agree", as_vector(self.w_agree, "w_agree"))
+        if not math.isfinite(self.b_agree):
+            raise ConfigError("b_agree must be finite")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if not 0.0 < self.tau < 1.0:

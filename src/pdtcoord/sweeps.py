@@ -136,8 +136,6 @@ def noise_stress(
         raise ConfigError("scales must be non-empty")
     rows = []
     for scale in scales:
-        if scale < 0.0:
-            raise ConfigError("noise scales must be non-negative")
         trace = run_parallel(artifact, replace(config, note_noise_scale=float(scale)))
         rows.append(
             NoiseStressRow(

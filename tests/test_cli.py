@@ -51,6 +51,20 @@ def test_synth_rejects_bad_shape(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_synth_rejects_non_finite_gamma(tmp_path, capsys, gamma):
+    path = tmp_path / "x.pdtr"
+    assert main(["synth", "--out", str(path), f"--gamma={gamma}"]) == 2
+    assert "gamma must be finite" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_replay_rejects_non_finite_noise_scale(artifact_path, capsys, scale):
+    assert main(["replay", "--artifact", str(artifact_path), "--noise-scale", scale]) == 2
+    assert "note_noise_scale" in capsys.readouterr().err
+
+
 def test_replay_round_trip(artifact_path, tmp_path, capsys):
     trace_path = tmp_path / "run.trace"
     code = main(

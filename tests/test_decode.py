@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -228,6 +229,9 @@ def test_config_validation():
         DecodeConfig(gate_override=1.5)
     with pytest.raises(ConfigError):
         DecodeConfig(tau=0.0)
+    for scale in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="note_noise_scale"):
+            DecodeConfig(note_noise_scale=scale)
 
 
 def test_oversized_span_rejected_at_check():

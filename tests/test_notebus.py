@@ -117,7 +117,7 @@ def test_compact_mean_pools_oldest():
     fill(bus, 0, 5)  # values 0..4
     created = bus.compact()
     assert created == 1
-    notes = bus.snapshot(created_at_token=16).notes
+    notes = bus.snapshot(created_at_token=16).notes[0]
     assert len(notes) == 3
     summary = notes[0]
     assert summary.schema_tag == SCHEMA_SUMMARY
@@ -175,14 +175,19 @@ OPS = st.one_of(
 )
 
 
-def live_notes(lines: list[str]) -> list[tuple[tuple[int, int], list[float]]]:
-    """(stream, version) key and embedding of each live note of a dump, in dump order."""
+def dump_notes(lines: list[str]) -> list[tuple[Note, bool]]:
+    """(note, tombstoned) for each line of a dump, in dump order."""
     out = []
     for line in lines:
-        _, sid, version, _, _, status, vals = line.split(" ")
-        if status == "live":
-            out.append(((int(sid), int(version)), [float(x) for x in vals.split(",")]))
+        _, sid, version, pos, tag, status, vals = line.split(" ")
+        emb = np.array([float(x) for x in vals.split(",")])
+        out.append((Note(int(sid), int(version), emb, int(pos), tag), status == "tombstoned"))
     return out
+
+
+def live_notes(lines: list[str]) -> list[tuple[tuple[int, int], np.ndarray]]:
+    """(stream, version) key and embedding of each live note of a dump, in dump order."""
+    return [((n.stream_id, n.version), n.embedding) for n, tombstoned in dump_notes(lines) if not tombstoned]
 
 
 def assert_views_match_dumps(bus: NotesBus, snapshot_dumps: list[list[str]]) -> None:
@@ -248,9 +253,10 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k, bound
             snapshot_dumps.append(bus.dump_lines())
         else:
             # Snapshots are not dumped, so a reloaded bus has only the empty one.
-            clone = load_bus_lines(bus.dump_lines(), capacity=capacity, retain_k=retain_k, d_note=2)
-            assert clone.dump_lines() == bus.dump_lines() == bounded.dump_lines()
-            notes = [(note, False) for note in clone._visible] + [(note, True) for note in clone._tombstoned]
+            lines = bus.dump_lines()
+            clone = load_bus_lines(lines, capacity=capacity, retain_k=retain_k, d_note=2)
+            assert clone.dump_lines() == lines == bounded.dump_lines()
+            notes = dump_notes(lines)
             bus = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=3)
             bus._restore(notes)
             bounded = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=bound)
@@ -271,3 +277,34 @@ def test_empty_dump_loads_with_its_note_width():
     bus.publish(0, np.zeros(3), 0)
     with pytest.raises(ShapeError):
         load_bus_lines(bus.dump_lines(), d_note=2)
+
+
+def test_load_refuses_unknown_status():
+    bus = NotesBus(d_note=2)
+    bus.publish(0, np.array([1.0, 2.0]), 0)
+    (line,) = bus.dump_lines()
+    with pytest.raises(ValueError, match="status"):
+        load_bus_lines([line.replace(" live ", " bogus ")])
+
+
+def test_load_refuses_repeated_key():
+    bus = NotesBus(d_note=2)
+    bus.publish(0, np.array([1.0, 2.0]), 0)
+    bus.publish(0, np.array([3.0, 4.0]), 4)
+    bus.tombstone_after(0, token_pos=4)
+    live, tombstoned = bus.dump_lines()
+    with pytest.raises(ValueError, match="repeated"):
+        load_bus_lines([live, live])
+    # A tombstoned note may not share its key with a live one either.
+    with pytest.raises(ValueError, match="repeated"):
+        load_bus_lines([live, tombstoned.replace("BUSNOTE 0 1 ", "BUSNOTE 0 0 ")])
+
+
+def test_load_refuses_more_live_notes_than_capacity():
+    bus = NotesBus(d_note=2)
+    fill(bus, 0, 4)
+    fill(bus, 1, 4)
+    lines = bus.dump_lines()
+    assert load_bus_lines(lines, capacity=8).visible_rows() == 8
+    with pytest.raises(CapacityError):
+        load_bus_lines(lines, capacity=4)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from types import SimpleNamespace
 
@@ -63,6 +64,17 @@ def test_adapter_validates_bottleneck():
         AdapterParams(w_down=np.zeros((4, 4)), w_up=np.zeros((4, 4)))
     with pytest.raises(ShapeError):
         AdapterParams(w_down=np.zeros((4, 2)), w_up=np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_refuse_non_finite_scalars(value):
+    p = make_adapter()
+    with pytest.raises(ConfigError, match="ln_eps"):
+        AdapterParams(w_down=p.w_down, w_up=p.w_up, ln_eps=value)
+    with pytest.raises(ConfigError, match="gamma"):
+        make_snc(gamma=value)
+    with pytest.raises(ConfigError, match="b_agree"):
+        AgreementParams(w_agree=np.ones(3), b_agree=value)
 
 
 def test_snc_attend_empty_notes_is_bitexact_identity():

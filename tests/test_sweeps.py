@@ -81,3 +81,5 @@ def test_noise_stress_validation(artifact):
         noise_stress(artifact, CFG, scales=())
     with pytest.raises(ConfigError):
         noise_stress(artifact, CFG, scales=(-0.1,))
+    with pytest.raises(ConfigError):
+        noise_stress(artifact, CFG, scales=(float("nan"),))
