@@ -52,8 +52,6 @@ class DecodeConfig:
     g_min: float = 0.05
     g_max: float = 0.80
     warmup_tokens: int = 128
-    stability_threshold: float = 1.0
-    tau_lipschitz: float = 40.0
     record_margins: bool = False
 
     def __post_init__(self) -> None:
@@ -65,6 +63,8 @@ class DecodeConfig:
             raise ConfigError("tau must lie in (0, 1)")
         if self.read_delta < 0:
             raise ConfigError("read_delta must be non-negative")
+        if any(s < 0 for s in self.masked_strides):
+            raise ConfigError("masked_strides must be non-negative stride indices")
         if self.regen_mode not in ("skip_ahead", "reconsume"):
             raise ConfigError(f"unknown regen_mode {self.regen_mode!r}")
         if self.agreement_mode not in ("artifact", "live"):
@@ -183,13 +183,7 @@ def _effective_seed(artifact: ReplayArtifact, config: DecodeConfig) -> int:
 def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[StreamState]:
     states = []
     for k in range(artifact.n_streams):
-        gs = GateState(
-            g_min=config.g_min,
-            g_max=config.g_max,
-            warmup_tokens=config.warmup_tokens,
-            stability_threshold=config.stability_threshold,
-            tau_lipschitz=config.tau_lipschitz,
-        )
+        gs = GateState(g_min=config.g_min, g_max=config.g_max, warmup_tokens=config.warmup_tokens)
         states.append(StreamState(stream_id=k, gate_state=gs))
     return states
 
@@ -233,6 +227,7 @@ def step_stream(
     rows: np.ndarray,
     note_event: bool,
     note_change: float | None,
+    base_gate: float,
 ) -> list[TraceRecord]:
     """Decode one stride of a stream against its frozen sibling rows.
 
@@ -240,9 +235,11 @@ def step_stream(
     runs first, token by token; note_event and note_change feed its first
     step only.  Then the whole block goes through the adapter, one note
     attention against the sibling rows, one readout into logit biases, and
-    an argmax per row.  A last per-token pass logs the tokens, emits events
-    and asks the cadence about each position.  Emissions are queued in
-    pending_notes; nothing touches the bus until the caller's barrier.
+    an argmax per row.  base_gate is the artifact's logistic(gamma), which
+    run_parallel computes once; the controller clamps it under its schedule.
+    A last per-token pass logs the tokens, emits events and asks the cadence
+    about each position.  Emissions are queued in pending_notes; nothing
+    touches the bus until the caller's barrier.
     """
     frames = artifact.streams[state.stream_id]
     first = state.cursor
@@ -252,7 +249,6 @@ def step_stream(
     if config.gate_override is not None:
         gates = [float(config.gate_override)] * n
     else:
-        base_gate = float(logistic(artifact.snc.gamma))
         gates = []
         for _ in range(n):
             _, gate, _ = gate_controller_step(state.gate_state, base_gate, note_event, note_change)
@@ -462,6 +458,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     round_index = 0
     no_rows = np.zeros((0, artifact.d_note))
     lengths = artifact.lengths()
+    base_gate = float(logistic(artifact.snc.gamma))
 
     while any(s.cursor < lengths[s.stream_id] for s in states):
         view = None if round_index in config.masked_strides else bus.read_lagged(config.read_delta)
@@ -470,7 +467,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
                 continue
             rows, newest = (no_rows, {}) if view is None else stack_sibling_rows(view, s.stream_id)
             note_event, note_change = _note_event(s, rows, newest)
-            events.extend(step_stream(s, artifact, config, round_index, rows, note_event, note_change))
+            events.extend(step_stream(s, artifact, config, round_index, rows, note_event, note_change, base_gate))
 
         published = False
         for s in states:
@@ -487,8 +484,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
                 rollback_states.append((s.stream_id, rb.rolled_back_to, tuple(s.token_log)))
         if published:
             clock = max(s.position for s in states)
-            snap = bus.snapshot(created_at_token=clock)
-            events.append(SnapshotEvent(round_index, snap.snapshot_version, snap.created_at_token))
+            events.append(SnapshotEvent(round_index, bus.snapshot(), clock))
         round_index += 1
 
     return DecodeTrace(

@@ -1,12 +1,13 @@
 """Versioned cross-stream notes bus.
 
 Streams publish fixed-width note embeddings into one tuple per stream;
-readers see their siblings' notes either live or through immutable lagged
-snapshots.  Rolled-back notes are tombstoned, never deleted, so a trace
-replays identically.  A capacity cap triggers mean-pool compaction of the
-oldest notes per stream.  A read stacks the notes it serves once, in
-(stream id, version) order; each reader of the stride then takes its
-siblings' rows out of that one table.
+readers see their siblings' notes either live or through lagged snapshots,
+each a copy of the per-stream dict of tuples.  Rolled-back notes are
+tombstoned, never deleted, so a trace replays identically.  A capacity cap
+triggers mean-pool compaction of the oldest notes per stream, and a publish
+that compaction could not fit is refused with the bus unchanged.  A read
+stacks the notes it serves once, in (stream id, version) order; each reader
+of the stride then takes its siblings' rows out of that one table.
 """
 
 from __future__ import annotations
@@ -45,15 +46,6 @@ class Note:
 
 
 @dataclass(frozen=True)
-class BusSnapshot:
-    """Immutable record of each stream's visible notes, in version order, at one barrier."""
-
-    snapshot_version: int
-    created_at_token: int
-    notes: dict[int, tuple[Note, ...]]
-
-
-@dataclass(frozen=True)
 class BusView:
     """The notes one read serves, in bus order: their stacked rows, each row's
     stream id, and each stream's newest version among them."""
@@ -68,9 +60,10 @@ class NotesBus:
 
     The visible notes are one tuple per stream, in version order, and an
     operation on one stream replaces only that stream's tuple.  A snapshot
-    copies the dict of tuples, not the notes.  The bus keeps only the newest
-    max(1, max_delta) snapshots, the ones a read of lag up to max_delta can
-    reach.
+    is a copy of that dict, which shares the tuples and copies no note.  The
+    bus keeps only the newest max(1, max_delta) snapshots, the ones a read of
+    lag up to max_delta can reach.  A publish either fits, after compaction
+    if need be, or raises CapacityError having changed nothing.
     """
 
     def __init__(self, d_note: int, capacity: int = 2560, retain_k: int = 8, max_delta: int = 0) -> None:
@@ -89,7 +82,8 @@ class NotesBus:
         self._next_version: dict[int, int] = {}
         # The bus starts with an implicit empty snapshot so lagged reads are
         # well defined before any emission round completes.
-        self._snapshots: deque[BusSnapshot] = deque([BusSnapshot(0, 0, {})], maxlen=max(1, max_delta))
+        self._snapshots: deque[dict[int, tuple[Note, ...]]] = deque([{}], maxlen=max(1, max_delta))
+        self._snapshot_version = 0
 
     # -- publishing ---------------------------------------------------------
 
@@ -99,16 +93,19 @@ class NotesBus:
         note = Note(stream_id, version, embedding, token_pos)
         if note.embedding.shape[0] != self.d_note:
             raise ShapeError(f"note width {note.embedding.shape[0]} != bus width {self.d_note}")
-        self._visible[stream_id] = self._visible.get(stream_id, ()) + (note,)
+        notes = self._visible.get(stream_id, ()) + (note,)
+        over = self.visible_rows() + 1 > self.capacity
+        if over:
+            # Compacting to 1 leaves min(n, 2) of a stream's n notes; refuse before any change if that is too many.
+            floor = sum(min(len(n), 2) for n in {**self._visible, stream_id: notes}.values())
+            if floor > self.capacity:
+                raise CapacityError(f"bus over capacity: compaction leaves {floor} rows > {self.capacity}")
+        self._visible[stream_id] = notes
         self._next_version[stream_id] = version + 1
-        if self.visible_rows() > self.capacity:
+        if over:
             self.compact()
             if self.visible_rows() > self.capacity:
                 self.compact(retain_k=1)
-            if self.visible_rows() > self.capacity:
-                raise CapacityError(
-                    f"bus over capacity ({self.visible_rows()} rows > {self.capacity}) after compaction"
-                )
         return note
 
     def visible_rows(self) -> int:
@@ -116,12 +113,11 @@ class NotesBus:
 
     # -- snapshots and reads ------------------------------------------------
 
-    def snapshot(self, created_at_token: int) -> BusSnapshot:
-        """Record and return an immutable snapshot of all visible notes."""
-        version = self._snapshots[-1].snapshot_version + 1
-        snap = BusSnapshot(version, created_at_token, dict(self._visible))
-        self._snapshots.append(snap)
-        return snap
+    def snapshot(self) -> int:
+        """Record a snapshot of all visible notes; returns its version (the first is 1)."""
+        self._snapshots.append(dict(self._visible))
+        self._snapshot_version += 1
+        return self._snapshot_version
 
     def read_lagged(self, delta: int = 0) -> BusView:
         """The notes a read of lag delta serves, stacked once for every reader.
@@ -138,7 +134,7 @@ class NotesBus:
         if delta == 0:
             by_stream = self._visible
         else:
-            by_stream = self._snapshots[max(0, len(self._snapshots) - delta)].notes
+            by_stream = self._snapshots[max(0, len(self._snapshots) - delta)]
         streams = [by_stream[sid] for sid in sorted(by_stream) if by_stream[sid]]
         notes = [n for stream in streams for n in stream]
         # One concatenate copies the rows; np.stack pays per row to add an axis.

@@ -86,12 +86,16 @@ def mask_ablation(
     The per-run statistic is the mean argmax margin of the biased logits; the
     delta against the unmasked baseline measures how much the cross-stream
     residual was sharpening (positive delta) or blurring decisions in the
-    masked stride.
+    masked stride.  A chosen stride outside the baseline's rounds would mask
+    nothing, so it raises ConfigError.
     """
     base_cfg = replace(config, record_margins=True, masked_strides=frozenset())
     baseline = run_parallel(artifact, base_cfg)
     n_rounds = max((e.round_index + 1 for e in baseline.events if isinstance(e, TokenEvent)), default=0)
     chosen = strides if strides is not None else tuple(range(n_rounds))
+    outside = [s for s in chosen if not 0 <= s < n_rounds]
+    if outside:
+        raise ConfigError(f"masked strides {outside} lie outside the baseline's rounds [0, {n_rounds})")
     base_margin = _mean_margin(baseline.margins)
     base_rollbacks = len(baseline.rollback_events())
     rows = []

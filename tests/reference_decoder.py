@@ -140,8 +140,6 @@ def reference_decode(
                 g_min=config.g_min,
                 g_max=config.g_max,
                 warmup_tokens=config.warmup_tokens,
-                stability_threshold=config.stability_threshold,
-                tau_lipschitz=config.tau_lipschitz,
                 tokens_since_note=config.warmup_tokens,
             ),
             0,

@@ -232,6 +232,15 @@ def test_sweep_mask_ablation(artifact_path, capsys):
     assert len(lines) == 3
 
 
+def test_sweep_mask_ablation_rejects_strides_outside_the_run(artifact_path, capsys):
+    code = main(
+        ["sweep", "--kind", "mask-ablation", "--artifact", str(artifact_path), "--masked-strides=-3,99,1"]
+    )
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "outside" in err
+
+
 def test_sweep_rejects_malformed_list(artifact_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--kind", "cadence", "--artifact", str(artifact_path), "--intervals", "a,b"])

@@ -64,7 +64,7 @@ def test_closed_gate_row_of_a_stride_adds_no_bias():
     cfg = DecodeConfig(stride_b=8, horizon_l=8, g_min=0.0, warmup_tokens=4, record_margins=True)
     state = make_stream_states(art, cfg)[0]
     rows = art.streams[1].note_embeddings[:3]
-    events = step_stream(state, art, cfg, 0, rows, True, None)
+    events = step_stream(state, art, cfg, 0, rows, True, None, art.snc.gate_value())
     gates = [e.value for e in events if isinstance(e, GateEvent)]
     assert gates[0] == 0.0 and gates[1] > 0.0
     logits = art.streams[0].logits[:8]
@@ -232,6 +232,15 @@ def test_config_validation():
     for scale in (-0.1, math.nan, math.inf):
         with pytest.raises(ConfigError, match="note_noise_scale"):
             DecodeConfig(note_noise_scale=scale)
+
+
+def test_masked_strides_refuse_negative_indices():
+    # No stride has a negative index, so such an entry could never mask one;
+    # an index past the end of a run is allowed, as the run length is not
+    # known until decode.
+    with pytest.raises(ConfigError, match="masked_strides"):
+        DecodeConfig(masked_strides=frozenset({1, -3}))
+    assert DecodeConfig(masked_strides=frozenset({99})).masked_strides == {99}
 
 
 def test_oversized_span_rejected_at_check():

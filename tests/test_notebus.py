@@ -65,12 +65,12 @@ def test_live_read_excludes_reader_and_tombstoned():
 def test_lagged_read_is_immutable_history():
     bus = NotesBus(d_note=2, max_delta=2)
     fill(bus, 1, 2)
-    bus.snapshot(created_at_token=8)
+    bus.snapshot()
     fill(bus, 1, 3, base=50)
     # delta=1 sees only what the last recorded snapshot saw; live sees all.
     assert sibling_rows(bus, 0, delta=1) == 2
     assert sibling_rows(bus, 0, delta=0) == 5
-    bus.snapshot(created_at_token=20)
+    bus.snapshot()
     assert sibling_rows(bus, 0, delta=1) == 5
     assert sibling_rows(bus, 0, delta=2) == 2
 
@@ -85,9 +85,7 @@ def test_lagged_read_clamps_to_initial_empty():
 
 def test_snapshot_versions_increment():
     bus = NotesBus(d_note=2)
-    s1 = bus.snapshot(0)
-    s2 = bus.snapshot(5)
-    assert (s1.snapshot_version, s2.snapshot_version) == (1, 2)
+    assert (bus.snapshot(), bus.snapshot()) == (1, 2)
 
 
 def test_tombstone_is_token_position_threshold():
@@ -117,7 +115,7 @@ def test_compact_mean_pools_oldest():
     fill(bus, 0, 5)  # values 0..4
     created = bus.compact()
     assert created == 1
-    notes = bus.snapshot(created_at_token=16).notes[0]
+    notes = [n for n, _ in dump_notes(bus.dump_lines())]
     assert len(notes) == 3
     summary = notes[0]
     assert summary.schema_tag == SCHEMA_SUMMARY
@@ -142,6 +140,18 @@ def test_capacity_triggers_compaction_then_error():
     assert tiny.visible_rows() == 2
     with pytest.raises(CapacityError):
         tiny.publish(1, np.zeros(2), 0)
+
+
+def test_refused_publish_changes_nothing():
+    bus = NotesBus(d_note=2, capacity=2, retain_k=1)
+    fill(bus, 0, 3)
+    lines = bus.dump_lines()
+    with pytest.raises(CapacityError):
+        bus.publish(1, np.ones(2), 12)
+    assert bus.dump_lines() == lines and bus.visible_rows() == 2
+    # The refused note spent no version: stream 1 still starts at 0.
+    bus.tombstone_after(0, token_pos=0)
+    assert bus.publish(1, np.ones(2), 12).version == 0
 
 
 def test_dump_ordering_and_roundtrip():
@@ -224,7 +234,7 @@ def assert_bounded_views_match(bus: NotesBus, bounded: NotesBus, bound: int) -> 
 @settings(max_examples=60, deadline=None)
 @given(
     ops=st.lists(OPS, max_size=40),
-    capacity=st.integers(8, 16),
+    capacity=st.integers(2, 16),
     retain_k=st.integers(1, 3),
     bound=st.integers(0, 3),
 )
@@ -237,10 +247,20 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k, bound
     for op in ops:
         if op[0] == "publish":
             _, sid, value, pos = op
-            note = bus.publish(sid, np.array([value, 0.5 * value + sid]), pos)
-            assert bounded.publish(sid, np.array([value, 0.5 * value + sid]), pos).version == note.version
-            assert note.version == next_version[sid]
-            next_version[sid] += 1
+            emb = np.array([value, 0.5 * value + sid])
+            before = bus.dump_lines()
+            try:
+                note = bus.publish(sid, emb, pos)
+            except CapacityError:
+                # A refused publish changes neither bus; the other refuses too.
+                assert bus.dump_lines() == before
+                with pytest.raises(CapacityError):
+                    bounded.publish(sid, emb, pos)
+                assert bounded.dump_lines() == before
+            else:
+                assert bounded.publish(sid, emb, pos).version == note.version
+                assert note.version == next_version[sid]
+                next_version[sid] += 1
         elif op[0] == "tombstone":
             bus.tombstone_after(op[1], op[2])
             bounded.tombstone_after(op[1], op[2])
@@ -248,8 +268,7 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k, bound
             bus.compact(retain_k=op[1])
             bounded.compact(retain_k=op[1])
         elif op[0] == "snapshot":
-            snap = bus.snapshot(created_at_token=0)
-            assert bounded.snapshot(created_at_token=0).snapshot_version == snap.snapshot_version
+            assert bounded.snapshot() == bus.snapshot()
             snapshot_dumps.append(bus.dump_lines())
         else:
             # Snapshots are not dumped, so a reloaded bus has only the empty one.

@@ -69,6 +69,13 @@ def test_mask_ablation_respects_selection(artifact):
     assert rows[0].masked_stride == 1
 
 
+def test_mask_ablation_refuses_strides_outside_the_baseline(artifact):
+    # The baseline decodes rounds 0-3; masking any other stride changes nothing.
+    for stride in (-3, 4, 99):
+        with pytest.raises(ConfigError, match="outside"):
+            mask_ablation(artifact, CFG, strides=(1, stride))
+
+
 def test_noise_stress_zero_scale_is_clean_trace(artifact):
     clean = run_parallel(artifact, CFG)
     rows = noise_stress(artifact, CFG, scales=(0.0, 0.5))
