@@ -21,6 +21,17 @@ import numpy as np
 from .errors import ConfigError, ShapeError, StateError
 from .kernels import as_matrix
 
+# GradNorm's exponent on the relative training rate: above 1, a lagging task is pulled back harder.
+ALPHA = 1.5
+# Central-difference step; the residual is piecewise linear, so the difference is exact off its kinks.
+FD_STEP = 1e-4
+# KL below which a student counts as ignoring the notes: half of note_usage_guard's default delta.
+TAU_USE = 0.05
+# Contradiction probability above which a pair also pays the hinge: past 0.5 the scorer favours contradiction.
+CONTRADICTION_MARGIN = 0.5
+# Steps either side of a stage boundary with auxiliary passes blocked: 1% of the default first stage.
+GUARD_WINDOW = 100
+
 
 @dataclass
 class BalancerState:
@@ -33,11 +44,9 @@ class BalancerState:
 
     lambda_ce: float = 0.5
     lambda_kl: float = 0.5
-    alpha: float = 1.5
     lr: float = 0.025
     clamp_min: float = 0.1
     clamp_max: float = 0.9
-    fd_step: float = 1e-4
     initial_loss_ce: float | None = None
     initial_loss_kl: float | None = None
     weight_history: deque = field(default_factory=lambda: deque(maxlen=64))
@@ -47,8 +56,8 @@ class BalancerState:
             raise ConfigError("need 0 < clamp_min < clamp_max < 1")
         if abs(self.lambda_ce + self.lambda_kl - 1.0) > 1e-9:
             raise ConfigError("weights must sum to 1")
-        if self.lr <= 0 or self.fd_step <= 0:
-            raise ConfigError("lr and fd_step must be positive")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
 
 
 def set_initial_losses(state: BalancerState, loss_ce: float, loss_kl: float) -> BalancerState:
@@ -73,7 +82,7 @@ def _grad_residual_loss(
     # Local model: each task's norm scales linearly with its weight.
     scaled_ce = g_ce * (lam_ce / state.lambda_ce)
     scaled_kl = g_kl * (lam_kl / state.lambda_kl)
-    return abs(scaled_ce - gbar * r_ce**state.alpha) + abs(scaled_kl - gbar * r_kl**state.alpha)
+    return abs(scaled_ce - gbar * r_ce**ALPHA) + abs(scaled_kl - gbar * r_kl**ALPHA)
 
 
 def gradnorm_update(
@@ -95,7 +104,7 @@ def gradnorm_update(
     r_ce = loss_ce / state.initial_loss_ce
     r_kl = loss_kl / state.initial_loss_kl
     gbar = 0.5 * (g_ce + g_kl)
-    h = state.fd_step
+    h = FD_STEP
 
     def loss_at(lam_ce: float, lam_kl: float) -> float:
         return _grad_residual_loss(lam_ce, lam_kl, state, g_ce, g_kl, gbar, r_ce, r_kl)
@@ -268,19 +277,17 @@ def stability_kl(
     return float(terms.sum(axis=1).mean())
 
 
-def note_usage_guard(
-    kl_with_notes: float, kl_teacher: float, tau_use: float = 0.05, delta: float = 0.1
-) -> float:
+def note_usage_guard(kl_with_notes: float, kl_teacher: float, delta: float = 0.1) -> float:
     """Penalty for ignoring informative notes.
 
     When the teacher shows the notes matter (kl_teacher > delta) but the
-    student barely moves (kl_with_notes below tau_use), return the shortfall;
+    student barely moves (kl_with_notes below TAU_USE), return the shortfall;
     otherwise 0.
     """
     if kl_with_notes < 0.0 or kl_teacher < 0.0:
         raise ConfigError("KL terms must be non-negative")
     if kl_teacher > delta:
-        return max(0.0, tau_use - kl_with_notes)
+        return max(0.0, TAU_USE - kl_with_notes)
     return 0.0
 
 
@@ -302,12 +309,9 @@ def hash_contradiction_scorer(premise: str, hypothesis: str) -> float:
 def contradiction_loss(
     pairs: Sequence[tuple[str, str]],
     scorer: ContradictionScorer = hash_contradiction_scorer,
-    margin: float = 0.5,
     margin_weight: float = 1.0,
 ) -> float:
-    """Mean contradiction probability plus a weighted hinge above margin."""
-    if not 0.0 <= margin <= 1.0:
-        raise ConfigError("margin must lie in [0, 1]")
+    """Mean contradiction probability plus a weighted hinge above CONTRADICTION_MARGIN."""
     if len(pairs) == 0:
         return 0.0
     scores = []
@@ -317,7 +321,7 @@ def contradiction_loss(
             raise ValueError(f"scorer returned {p}, expected a probability")
         scores.append(p)
     arr = np.asarray(scores)
-    return float(arr.mean() + margin_weight * np.maximum(0.0, arr - margin).mean())
+    return float(arr.mean() + margin_weight * np.maximum(0.0, arr - CONTRADICTION_MARGIN).mean())
 
 
 # -- curriculum --------------------------------------------------------------
@@ -341,24 +345,21 @@ STAGE_TRAINABLES: tuple[frozenset[str], ...] = (
 
 @dataclass(frozen=True)
 class CurriculumSchedule:
-    """Stage boundaries (steps at which the next stage begins) plus guards.
+    """Stage boundaries (steps at which the next stage begins).
 
     Stage s is active for boundaries[s-1] <= step < boundaries[s].  Within
-    guard_window steps of any boundary, auxiliary passes are blocked so the
+    GUARD_WINDOW steps of any boundary, auxiliary passes are blocked so the
     freshly unfrozen parameters see only the primary objective.
     """
 
     boundaries: tuple[int, ...] = (10000, 25000, 40000)
     stage_trainables: tuple[frozenset[str], ...] = STAGE_TRAINABLES
-    guard_window: int = 100
 
     def __post_init__(self) -> None:
         if len(self.stage_trainables) != len(self.boundaries) + 1:
             raise ConfigError("need exactly one trainable set per stage")
         if any(b <= 0 for b in self.boundaries) or list(self.boundaries) != sorted(set(self.boundaries)):
             raise ConfigError("boundaries must be positive and strictly increasing")
-        if self.guard_window < 0:
-            raise ConfigError("guard_window must be non-negative")
         for earlier, later in zip(self.stage_trainables, self.stage_trainables[1:]):
             if not earlier <= later:
                 raise ConfigError("stage trainable sets must be cumulative")
@@ -386,7 +387,7 @@ def stage_scheduler_step(
     for b in schedule.boundaries:
         if step >= b:
             stage += 1
-    guarded = any(abs(step - b) <= schedule.guard_window for b in schedule.boundaries)
+    guarded = any(abs(step - b) <= GUARD_WINDOW for b in schedule.boundaries)
     return SchedulerDecision(
         stage=stage,
         trainable=schedule.stage_trainables[stage],

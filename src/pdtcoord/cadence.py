@@ -17,6 +17,8 @@ from .errors import ConfigError
 from .rng import DOMAIN_CADENCE, uniform
 
 CadenceMode = Literal["deterministic", "stochastic", "adaptive"]
+# Note age at which staleness pressure saturates: 128 tokens, the gate's default warmup.
+NOTE_AGE_WINDOW = 128
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,14 @@ class ContextSignals:
     """Decode-context inputs to the adaptive modulation factor.
 
     Neutral defaults produce a modulation factor of exactly 1, so the adaptive
-    mode degrades gracefully to the stochastic base rate.
+    mode degrades gracefully to the stochastic base rate.  note_age pressure
+    saturates at NOTE_AGE_WINDOW tokens.
     """
 
     agreement: float = 0.5
     entropy_norm: float = 0.5
     coverage_gap: float = 0.0
     note_age: int = 0
-    note_age_window: int = 128
     gate: float = 1.0
 
 
@@ -62,7 +64,7 @@ def modulation_factor(config: CadenceConfig, signals: ContextSignals) -> float:
     m += max(0.0, 0.5 - signals.agreement)
     m += max(0.0, signals.entropy_norm - 0.5)
     m += 0.5 * max(0.0, signals.coverage_gap)
-    m += 0.5 * min(1.0, signals.note_age / max(1, signals.note_age_window))
+    m += 0.5 * min(1.0, signals.note_age / NOTE_AGE_WINDOW)
     if signals.gate < 1e-6:
         m -= 0.5
     return min(config.m_max, max(config.m_min, m))

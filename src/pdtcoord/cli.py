@@ -19,11 +19,11 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Sequence, get_args
 
 from .analytics import ClusterSimConfig, format_sim_transcript, simulate_clustered_rollback
 from .balancer import read_gradient_log, run_balancer
-from .cadence import CadenceConfig
+from .cadence import CadenceConfig, CadenceMode
 from .decode import DecodeConfig, run_parallel
 from .errors import ArtifactFormatError, ConfigError, PdtError, ShapeError, StateError
 from .memmodel import KIB, MIB, MemoryConfig, kv_budget, pressure_check
@@ -45,7 +45,7 @@ def _seed_or_none(value: int | None) -> int | None:
         raise ConfigError(f"PDT_SEED must be an integer, got {env!r}") from exc
 
 
-def _resolve_seed(value: int | None, default: int = 0) -> int:
+def _resolve_seed(value: int | None, default: int) -> int:
     resolved = _seed_or_none(value)
     return default if resolved is None else resolved
 
@@ -86,13 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a deterministic synthetic replay artifact")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--streams", type=int, default=3)
-    p_synth.add_argument("--length", type=int, default=96)
-    p_synth.add_argument("--vocab", type=int, default=32)
-    p_synth.add_argument("--d", type=int, default=16)
-    p_synth.add_argument("--d-note", type=int, default=8)
-    p_synth.add_argument("--gamma", type=float, default=-4.0)
-    p_synth.add_argument("--tau", type=float, default=0.5)
+    p_synth.add_argument("--streams", type=int, default=SynthSpec.n_streams)
+    p_synth.add_argument("--length", type=int, default=SynthSpec.length)
+    p_synth.add_argument("--vocab", type=int, default=SynthSpec.vocab_size)
+    p_synth.add_argument("--d", type=int, default=SynthSpec.d)
+    p_synth.add_argument("--d-note", type=int, default=SynthSpec.d_note)
+    p_synth.add_argument("--gamma", type=float, default=SynthSpec.gamma)
+    p_synth.add_argument("--tau", type=float, default=SynthSpec.tau)
     p_synth.add_argument("--seed", type=int, default=None)
     p_synth.add_argument(
         "--plant",
@@ -106,23 +106,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="decode an artifact and report the trace")
     p_replay.add_argument("--artifact", required=True)
     p_replay.add_argument("--out", default=None, help="write the full trace to this path")
-    p_replay.add_argument("--stride-b", type=int, default=32)
-    p_replay.add_argument("--horizon-l", type=int, default=32)
-    p_replay.add_argument("--tau", type=float, default=None)
-    p_replay.add_argument("--read-delta", type=int, default=0)
-    p_replay.add_argument("--cadence-mode", choices=["deterministic", "stochastic", "adaptive"], default="deterministic")
-    p_replay.add_argument("--interval-m", type=int, default=4)
-    p_replay.add_argument("--gate-override", type=float, default=None)
-    p_replay.add_argument("--regen-mode", choices=["skip_ahead", "reconsume"], default="skip_ahead")
-    p_replay.add_argument("--agreement-mode", choices=["artifact", "live"], default="artifact")
-    p_replay.add_argument("--noise-scale", type=float, default=0.0)
+    p_replay.add_argument("--stride-b", type=int, default=DecodeConfig.stride_b)
+    p_replay.add_argument("--horizon-l", type=int, default=DecodeConfig.horizon_l)
+    p_replay.add_argument("--tau", type=float, default=DecodeConfig.tau)
+    p_replay.add_argument("--read-delta", type=int, default=DecodeConfig.read_delta)
+    p_replay.add_argument("--cadence-mode", choices=get_args(CadenceMode), default=CadenceConfig.mode)
+    p_replay.add_argument("--interval-m", type=int, default=CadenceConfig.interval_m)
+    p_replay.add_argument("--gate-override", type=float, default=DecodeConfig.gate_override)
+    p_replay.add_argument("--regen-mode", choices=["skip_ahead", "reconsume"], default=DecodeConfig.regen_mode)
+    p_replay.add_argument("--agreement-mode", choices=["artifact", "live"], default=DecodeConfig.agreement_mode)
+    p_replay.add_argument("--noise-scale", type=float, default=DecodeConfig.note_noise_scale)
     p_replay.add_argument("--seed", type=int, default=None)
 
     p_sim = sub.add_parser("clustered-sim", help="stride failure statistics for bursty errors")
-    p_sim.add_argument("--L", "--horizon-l", dest="horizon_l", type=int, default=32)
-    p_sim.add_argument("--rho", type=float, default=0.5)
-    p_sim.add_argument("--q-token", "--q_token", dest="q_token", type=float, default=0.0033)
-    p_sim.add_argument("--trials", type=int, default=10000)
+    p_sim.add_argument("--L", "--horizon-l", dest="horizon_l", type=int, default=ClusterSimConfig.horizon_l)
+    p_sim.add_argument("--rho", type=float, default=ClusterSimConfig.rho_c)
+    p_sim.add_argument("--q-token", "--q_token", dest="q_token", type=float, default=ClusterSimConfig.q_token)
+    p_sim.add_argument("--trials", type=int, default=ClusterSimConfig.trials)
     p_sim.add_argument("--seed", type=int, default=None)
 
     p_mem = sub.add_parser("memcalc", help="exact KV budget from a JSON config")
@@ -154,7 +154,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         d_note=args.d_note,
         gamma=args.gamma,
         tau=args.tau,
-        seed=_resolve_seed(args.seed),
+        seed=_resolve_seed(args.seed, SynthSpec.seed),
         planted_divergences=tuple(args.plant),
     )
     artifact = synthesize_artifact(spec)
@@ -197,7 +197,7 @@ def _cmd_clustered_sim(args: argparse.Namespace) -> int:
         rho_c=args.rho,
         q_token=args.q_token,
         trials=args.trials,
-        seed=_resolve_seed(args.seed, default=2),
+        seed=_resolve_seed(args.seed, ClusterSimConfig.seed),
     )
     print(format_sim_transcript(simulate_clustered_rollback(config)))
     return 0
@@ -208,12 +208,13 @@ def _cmd_memcalc(args: argparse.Namespace) -> int:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("memcalc config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(MemoryConfig)}
-    unknown = set(raw) - known
+    known = dataclasses.fields(MemoryConfig)
+    unknown = set(raw) - {f.name for f in known}
     if unknown:
         raise ConfigError(f"unknown memcalc config keys: {sorted(unknown)}")
-    if "tokens_per_stream" in raw:
-        raw["tokens_per_stream"] = tuple(raw["tokens_per_stream"])
+    missing = [f.name for f in known if f.default is dataclasses.MISSING and f.name not in raw]
+    if missing:
+        raise ConfigError(f"missing memcalc config keys: {missing}")
     config = MemoryConfig(**raw)
     budget = kv_budget(config)
     print(f"per_token_per_layer:  {_bytes_human(budget.per_token_per_layer)}")

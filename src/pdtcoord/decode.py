@@ -25,7 +25,7 @@ from .cadence import CadenceConfig, ContextSignals, next_emission
 from .errors import ConfigError
 from .kernels import logistic, row_softmax
 from .memmodel import pages_touched
-from .notebus import NotesBus, stack_sibling_rows
+from .notebus import BUS_CAPACITY, BUS_RETAIN_K, NotesBus, stack_sibling_rows
 from .replay import ReplayArtifact
 from .rng import DOMAIN_NOISE, normal_array
 from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_controller_step
@@ -44,14 +44,14 @@ class DecodeConfig:
     agreement_mode: Literal["artifact", "live"] = "artifact"
     regen_mode: Literal["skip_ahead", "reconsume"] = "skip_ahead"
     max_reconsume_attempts: int = 2
-    bus_capacity: int = 2560
-    bus_retain_k: int = 8
+    bus_capacity: int = BUS_CAPACITY
+    bus_retain_k: int = BUS_RETAIN_K
     seed: int | None = None
     note_noise_scale: float = 0.0
     masked_strides: frozenset[int] = frozenset()
-    g_min: float = 0.05
-    g_max: float = 0.80
-    warmup_tokens: int = 128
+    g_min: float = GateState.g_min
+    g_max: float = GateState.g_max
+    warmup_tokens: int = GateState.warmup_tokens
     record_margins: bool = False
 
     def __post_init__(self) -> None:

@@ -7,14 +7,10 @@ the boundary so downstream modules can assume clean inputs.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 from scipy.special import erf
 
 from .errors import ShapeError
-
-logger = logging.getLogger(__name__)
 
 Matrix = np.ndarray
 
@@ -84,38 +80,13 @@ def logistic(x: float | np.ndarray) -> float | np.ndarray:
     return out
 
 
-def spectral_norm(w: Matrix, iters: int = 2000, tol: float = 1e-13) -> float:
-    """Largest singular value of w by power iteration.
+def spectral_norm(w: Matrix) -> float:
+    """Largest singular value of w, exact from numpy's SVD.
 
-    The starting vector is the normalized all-ones vector, so repeated calls
-    are deterministic.  Logs a warning if the estimate has not stabilized
-    within the iteration budget.
+    Exact, because a power iteration from a fixed start vector misses it
+    whenever that vector is orthogonal to the top right singular vector.
     """
     w = as_matrix(w, "w")
     if w.size == 0:
         raise ShapeError("spectral_norm of an empty matrix is undefined")
-    if not np.any(w):
-        return 0.0
-    n = w.shape[1]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    sigma = 0.0
-    last = None
-    for it in range(iters):
-        wv = w @ v
-        sigma = float(np.linalg.norm(wv))
-        if sigma == 0.0:
-            # v landed in the null space; restart from a basis vector.
-            v = np.zeros(n)
-            v[it % n] = 1.0
-            last = None
-            continue
-        bv = w.T @ wv
-        nbv = float(np.linalg.norm(bv))
-        if nbv == 0.0:
-            break
-        v = bv / nbv
-        if last is not None and abs(sigma - last) <= tol * max(1.0, sigma):
-            return float(np.linalg.norm(w @ v))
-        last = sigma
-    logger.warning("spectral_norm: no convergence after %d iterations (last=%g)", iters, sigma)
-    return float(np.linalg.norm(w @ v))
+    return float(np.linalg.norm(w, 2))

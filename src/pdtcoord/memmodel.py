@@ -9,8 +9,9 @@ ever touches ceil(L / B_page) pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Literal
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Literal, Sequence
 
 from .errors import CapacityError, ConfigError
 
@@ -24,7 +25,8 @@ class MemoryConfig:
 
     n_kv_self is the KV head count of self-attention (1 for MQA, groups for
     GQA); n_kv_bus is the KV head count used for cross-attention over bus
-    notes, which is laid out separately across cross_layers layers.
+    notes, which is laid out separately across cross_layers layers.  Every
+    size is an exact integer; a bool, float or string is refused.
     """
 
     d_model: int
@@ -43,6 +45,14 @@ class MemoryConfig:
     reserve_bytes: int = 0
 
     def __post_init__(self) -> None:
+        tokens = self.tokens_per_stream
+        if not isinstance(tokens, Sequence):
+            raise ConfigError(f"tokens_per_stream must be a sequence of integers, got {tokens!r}")
+        sizes = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "tokens_per_stream"]
+        for name, value in sizes + [("tokens_per_stream", t) for t in tokens]:
+            exact = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not exact and not (name == "d_head" and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
             raise ConfigError("d_model, n_heads and n_layers must be positive")
         if self.bytes_per_elem < 1:
@@ -61,7 +71,7 @@ class MemoryConfig:
             raise ConfigError("token counts must be non-negative")
         if self.cross_layers < 0:
             raise ConfigError("cross_layers must be non-negative")
-        object.__setattr__(self, "tokens_per_stream", tuple(int(t) for t in self.tokens_per_stream))
+        object.__setattr__(self, "tokens_per_stream", tuple(int(t) for t in tokens))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ from .kernels import Matrix, as_vector
 SCHEMA_NOTE = "note"
 SCHEMA_SUMMARY = "summary"
 
+# Default live-row cap and notes per stream kept verbatim by compaction.  At one note per
+# 4 tokens, 2560 rows hold 8 streams for 1280 tokens, and 8 notes are one 32-token stride.
+BUS_CAPACITY = 2560
+BUS_RETAIN_K = 8
+
 
 @dataclass(frozen=True)
 class Note:
@@ -66,7 +71,9 @@ class NotesBus:
     if need be, or raises CapacityError having changed nothing.
     """
 
-    def __init__(self, d_note: int, capacity: int = 2560, retain_k: int = 8, max_delta: int = 0) -> None:
+    def __init__(
+        self, d_note: int, capacity: int = BUS_CAPACITY, retain_k: int = BUS_RETAIN_K, max_delta: int = 0
+    ) -> None:
         if d_note <= 0:
             raise ConfigError("d_note must be positive")
         if capacity <= 0 or retain_k <= 0:
@@ -221,8 +228,8 @@ def stack_sibling_rows(view: BusView, reader: int) -> tuple[Matrix, dict[int, in
 
 def load_bus_lines(
     lines: Iterable[str],
-    capacity: int = 2560,
-    retain_k: int = 8,
+    capacity: int = BUS_CAPACITY,
+    retain_k: int = BUS_RETAIN_K,
     d_note: int | None = None,
 ) -> NotesBus:
     """Rebuild a NotesBus from dump_lines output (inverse of dump_lines).

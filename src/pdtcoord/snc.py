@@ -189,18 +189,18 @@ def agreement_score(
     return float(logistic(float(x @ params.w_agree) + params.b_agree))
 
 
-def estimate_lipschitz_layerwise(weights: Sequence[Matrix], iters: int = 2000) -> float:
+def estimate_lipschitz_layerwise(weights: Sequence[Matrix]) -> float:
     """Upper bound on the Lipschitz constant of a linear pathway.
 
-    Product of the spectral norms of the constituent weight matrices.  This is
-    an upper bound on the true constant (the norm of the product), so it is a
-    conservative input to the gate cap.
+    Product of the exact spectral norms of the constituent weight matrices.
+    By submultiplicativity it is never below the norm of their product, the
+    true constant, so it is a conservative input to the gate cap.
     """
     if len(weights) == 0:
         raise ConfigError("pathway must contain at least one weight matrix")
     out = 1.0
     for w in weights:
-        out *= spectral_norm(w, iters=iters)
+        out *= spectral_norm(w)
     return out
 
 
@@ -211,35 +211,38 @@ class GateAction(enum.Enum):
     APPLY_SPECTRAL_NORM = "apply_spectral_norm"
 
 
+# The cap keeps gate * L_u * E[delta note] at or below this: 1.0 keeps the gated note path non-expansive.
+STABILITY_THRESHOLD = 1.0
+# Flicker multiplies g_max by this: 0.9 backs off gently, so one episode does not drop the gate to g_min.
+BACKOFF_SCALE = 0.9
+
+
 @dataclass
 class GateState:
     """Mutable per-stream gate schedule state.
 
     Each stream owns one; gate_controller_step mutates it in place and
     returns it.  tokens_since_note starts at warmup_tokens so a stream with
-    no note traffic runs fully annealed.
+    no note traffic runs fully annealed.  The cap's STABILITY_THRESHOLD and
+    the flicker BACKOFF_SCALE are module constants, not per-stream fields.
     """
 
     g_min: float = 0.05
     g_max: float = 0.80
     warmup_tokens: int = 128
-    stability_threshold: float = 1.0
     tau_lipschitz: float = 40.0
     flicker_std: float = 0.10
     flicker_window: int = 64
-    backoff_scale: float = 0.9
     lipschitz_estimate: float = 0.0
     tokens_since_note: int | None = None
-    gate_window: deque = field(default_factory=lambda: deque(maxlen=64))
-    note_change_window: deque = field(default_factory=lambda: deque(maxlen=64))
+    gate_window: deque = field(default_factory=deque)
+    note_change_window: deque = field(default_factory=deque)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.g_min <= self.g_max <= 1.0:
             raise ConfigError("need 0 <= g_min <= g_max <= 1")
         if self.warmup_tokens <= 0:
             raise ConfigError("warmup_tokens must be positive")
-        if not 0.0 < self.backoff_scale < 1.0:
-            raise ConfigError("backoff_scale must lie in (0, 1)")
         if self.flicker_window < 1:
             raise ConfigError("flicker_window must be positive")
         if not self.flicker_std >= 0.0:
@@ -253,14 +256,15 @@ class GateState:
 def scheduled_gate_cap(state: GateState) -> float:
     """Stability-aware ceiling on the gate.
 
-    min(g_max, stability_threshold / (L_u * E[delta note])) when both factors
+    min(g_max, STABILITY_THRESHOLD / (L_u * E[delta note])) when both factors
     are known, floored at g_min so the schedule interval stays valid.
     """
     cap = state.g_max
     if state.lipschitz_estimate > 0.0 and len(state.note_change_window) > 0:
         expected_change = sum(state.note_change_window) / len(state.note_change_window)
-        if expected_change > 0.0:
-            cap = min(cap, state.stability_threshold / (state.lipschitz_estimate * expected_change))
+        gain = state.lipschitz_estimate * expected_change  # two tiny factors can underflow to 0
+        if gain > 0.0:
+            cap = min(cap, STABILITY_THRESHOLD / gain)
     return max(state.g_min, cap)
 
 
@@ -302,7 +306,7 @@ def gate_controller_step(
     if len(window) == window.maxlen and window.count(effective) != len(window):
         if float(np.asarray(window).std()) > state.flicker_std:
             actions.append(GateAction.REDUCE_GATE_MAX)
-            state.g_max = max(state.g_min, state.g_max * state.backoff_scale)
+            state.g_max = max(state.g_min, state.g_max * BACKOFF_SCALE)
             window.clear()
     if state.lipschitz_estimate > state.tau_lipschitz:
         actions.append(GateAction.APPLY_SPECTRAL_NORM)

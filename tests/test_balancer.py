@@ -9,6 +9,7 @@ import pytest
 from scipy.special import rel_entr
 
 from pdtcoord.balancer import (
+    ALPHA,
     BalancerState,
     CurriculumSchedule,
     GradientLogRecord,
@@ -41,7 +42,7 @@ def residual_objective(
     gbar = 0.5 * (g_ce + g_kl)
     scaled_ce = g_ce * (1.0 - lam_kl) / anchor.lambda_ce
     scaled_kl = g_kl * lam_kl / anchor.lambda_kl
-    a = anchor.alpha
+    a = ALPHA
     return abs(scaled_ce - gbar * r_ce**a) + abs(scaled_kl - gbar * r_kl**a)
 
 

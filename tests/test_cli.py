@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from pdtcoord.analytics import ClusterSimConfig, format_sim_transcript, simulate_clustered_rollback
 from pdtcoord.cli import main
+from pdtcoord.decode import DecodeConfig, run_parallel
+from pdtcoord.replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
 
 
 @pytest.fixture()
@@ -43,6 +46,14 @@ def test_synth_reports_shape(tmp_path, capsys):
     assert "streams=3" in out
     assert "seed=3" in out
     assert path.exists()
+
+
+def test_synth_defaults_are_synth_spec_defaults(tmp_path):
+    path = tmp_path / "cli.pdtr"
+    assert main(["synth", "--out", str(path), "--seed", "0"]) == 0
+    api = tmp_path / "api.pdtr"
+    write_artifact(synthesize_artifact(SynthSpec(seed=0)), api)
+    assert path.read_bytes() == api.read_bytes()
 
 
 def test_synth_rejects_bad_shape(tmp_path, capsys):
@@ -89,6 +100,13 @@ def test_replay_round_trip(artifact_path, tmp_path, capsys):
     assert lines[-1].startswith("SUMMARY ")
 
 
+def test_replay_defaults_are_decode_config_defaults(artifact_path, capsys, monkeypatch):
+    monkeypatch.delenv("PDT_SEED", raising=False)
+    assert main(["replay", "--artifact", str(artifact_path)]) == 0
+    expected = run_parallel(read_artifact(artifact_path), DecodeConfig()).trace_hash()
+    assert capsys.readouterr().out.splitlines()[-1] == f"trace_hash: {expected}"
+
+
 def test_replay_missing_artifact_is_runtime_error(tmp_path, capsys):
     code = main(["replay", "--artifact", str(tmp_path / "absent.pdtr")])
     assert code == 1
@@ -107,6 +125,13 @@ def test_clustered_sim_transcript(capsys):
     assert out.splitlines()[0] == "--- Clustered Rollback Simulation ---"
     assert "L=32, rho=0.5, q_token=0.0033" in out
     assert "(Theo: 0.1004)" in out
+
+
+def test_clustered_sim_defaults_are_cluster_sim_config_defaults(capsys, monkeypatch):
+    monkeypatch.delenv("PDT_SEED", raising=False)
+    assert main(["clustered-sim"]) == 0
+    expected = format_sim_transcript(simulate_clustered_rollback(ClusterSimConfig()))
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_clustered_sim_flag_aliases(capsys):
@@ -165,6 +190,33 @@ def test_memcalc_rejects_unknown_keys(tmp_path, capsys):
     path = write_mem_config(tmp_path, page_size=128)
     assert main(["memcalc", "--config", str(path)]) == 2
     assert "unknown memcalc config keys" in capsys.readouterr().err
+
+
+def test_memcalc_names_missing_keys(tmp_path, capsys):
+    path = tmp_path / "mem.json"
+    path.write_text(json.dumps({"d_model": 4096}), encoding="utf-8")
+    assert main(["memcalc", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "missing memcalc config keys" in err
+    assert "'n_heads'" in err and "'cross_layers'" in err
+    assert "'weights_bytes'" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tokens_per_stream", 5),
+        ("tokens_per_stream", [2048, 2048.0]),
+        ("d_model", "4096"),
+        ("d_model", 4096.0),
+        ("bytes_per_elem", True),
+        ("gpu_budget_bytes", 1.5e9),
+    ],
+)
+def test_memcalc_rejects_non_integer_sizes(tmp_path, capsys, key, value):
+    path = write_mem_config(tmp_path, **{key: value})
+    assert main(["memcalc", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_memcalc_rejects_malformed_json(tmp_path, capsys):

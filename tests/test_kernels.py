@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,10 +71,15 @@ def test_logistic_values_and_stability():
 
 def test_spectral_norm_diagonal():
     assert abs(spectral_norm(np.diag([3.0, 1.0])) - 3.0) < 1e-10
+    # Orthogonal rows make w @ w.T diagonal, so the singular values are the
+    # row norms sqrt(2) and 0.5.  The all-ones vector is orthogonal to the top
+    # right singular vector, so power iteration from it finds 0.5.
+    w = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.5]])
+    assert spectral_norm(w) == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
 
 
 def test_spectral_norm_nilpotent():
-    # Power iteration on A alone would stall; the Gram iteration must not.
+    # Every eigenvalue is 0, but the largest singular value is 2.
     w = np.array([[0.0, 2.0], [0.0, 0.0]])
     assert abs(spectral_norm(w) - 2.0) < 1e-10
 

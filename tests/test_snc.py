@@ -163,6 +163,10 @@ def test_estimate_lipschitz_upper_bounds_product_norm():
         b = normal_matrix(60 + i, 23, 2, 4, 6)
         prod_norm = float(np.linalg.svd(a @ b, compute_uv=False)[0])
         assert estimate_lipschitz_layerwise([a, b]) >= prod_norm - 1e-9
+    # Orthogonal rows of norms sqrt(2) and 0.5: the first row is the top
+    # singular direction, and the all-ones vector is orthogonal to it.
+    w = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 0.5]])
+    assert estimate_lipschitz_layerwise([w]) >= math.sqrt(2.0)
 
 
 def test_gate_note_event_drops_to_floor():
@@ -225,6 +229,10 @@ def test_gate_stability_cap():
     gs2 = GateState(lipschitz_estimate=1000.0)
     gs2.note_change_window.append(10.0)
     assert scheduled_gate_cap(gs2) == gs2.g_min
+    # L_u * E[delta note] underflows to 0 here; the cap is then g_max, not a ZeroDivisionError.
+    gs3 = GateState(lipschitz_estimate=0.5)
+    gs3.note_change_window.append(5e-324)
+    assert scheduled_gate_cap(gs3) == gs3.g_max
 
 
 def test_gate_state_validation():
@@ -281,7 +289,7 @@ def _oracle_gate_controller_step(
         window = np.asarray(state.gate_window)
         if float(window.std()) > state.flicker_std:
             actions.append(GateAction.REDUCE_GATE_MAX)
-            state.g_max = max(state.g_min, state.g_max * state.backoff_scale)
+            state.g_max = max(state.g_min, state.g_max * snc.BACKOFF_SCALE)
             state.gate_window.clear()
     if state.lipschitz_estimate > state.tau_lipschitz:
         actions.append(GateAction.APPLY_SPECTRAL_NORM)
