@@ -11,7 +11,7 @@ position), so any position can be asked in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 from .errors import ConfigError
 from .rng import DOMAIN_CADENCE, uniform
@@ -29,7 +29,7 @@ class CadenceConfig:
     m_max: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("deterministic", "stochastic", "adaptive"):
+        if self.mode not in get_args(CadenceMode):
             raise ConfigError(f"unknown cadence mode {self.mode!r}")
         if self.interval_m < 1:
             raise ConfigError("interval_m must be >= 1")

@@ -24,7 +24,7 @@ from typing import Sequence, get_args
 from .analytics import ClusterSimConfig, format_sim_transcript, simulate_clustered_rollback
 from .balancer import read_gradient_log, run_balancer
 from .cadence import CadenceConfig, CadenceMode
-from .decode import DecodeConfig, run_parallel
+from .decode import AgreementMode, DecodeConfig, RegenMode, run_parallel
 from .errors import ArtifactFormatError, ConfigError, PdtError, ShapeError, StateError
 from .memmodel import KIB, MIB, MemoryConfig, kv_budget, pressure_check
 from .replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--cadence-mode", choices=get_args(CadenceMode), default=CadenceConfig.mode)
     p_replay.add_argument("--interval-m", type=int, default=CadenceConfig.interval_m)
     p_replay.add_argument("--gate-override", type=float, default=DecodeConfig.gate_override)
-    p_replay.add_argument("--regen-mode", choices=["skip_ahead", "reconsume"], default=DecodeConfig.regen_mode)
-    p_replay.add_argument("--agreement-mode", choices=["artifact", "live"], default=DecodeConfig.agreement_mode)
+    p_replay.add_argument("--regen-mode", choices=get_args(RegenMode), default=DecodeConfig.regen_mode)
+    p_replay.add_argument("--agreement-mode", choices=get_args(AgreementMode), default=DecodeConfig.agreement_mode)
     p_replay.add_argument("--noise-scale", type=float, default=DecodeConfig.note_noise_scale)
     p_replay.add_argument("--seed", type=int, default=None)
 

@@ -17,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .replay import ReplayArtifact
 from .rng import DOMAIN_NOISE, normal_array
 from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_controller_step
 
+AgreementMode = Literal["artifact", "live"]
+RegenMode = Literal["skip_ahead", "reconsume"]
+
 
 @dataclass(frozen=True)
 class DecodeConfig:
@@ -41,8 +44,8 @@ class DecodeConfig:
     read_delta: int = 0
     cadence: CadenceConfig = field(default_factory=CadenceConfig)
     gate_override: float | None = None
-    agreement_mode: Literal["artifact", "live"] = "artifact"
-    regen_mode: Literal["skip_ahead", "reconsume"] = "skip_ahead"
+    agreement_mode: AgreementMode = "artifact"
+    regen_mode: RegenMode = "skip_ahead"
     max_reconsume_attempts: int = 2
     bus_capacity: int = BUS_CAPACITY
     bus_retain_k: int = BUS_RETAIN_K
@@ -50,7 +53,6 @@ class DecodeConfig:
     note_noise_scale: float = 0.0
     masked_strides: frozenset[int] = frozenset()
     g_min: float = GateState.g_min
-    g_max: float = GateState.g_max
     warmup_tokens: int = GateState.warmup_tokens
     record_margins: bool = False
 
@@ -65,9 +67,9 @@ class DecodeConfig:
             raise ConfigError("read_delta must be non-negative")
         if any(s < 0 for s in self.masked_strides):
             raise ConfigError("masked_strides must be non-negative stride indices")
-        if self.regen_mode not in ("skip_ahead", "reconsume"):
+        if self.regen_mode not in get_args(RegenMode):
             raise ConfigError(f"unknown regen_mode {self.regen_mode!r}")
-        if self.agreement_mode not in ("artifact", "live"):
+        if self.agreement_mode not in get_args(AgreementMode):
             raise ConfigError(f"unknown agreement_mode {self.agreement_mode!r}")
         if self.max_reconsume_attempts < 1:
             raise ConfigError("max_reconsume_attempts must be >= 1")
@@ -183,7 +185,7 @@ def _effective_seed(artifact: ReplayArtifact, config: DecodeConfig) -> int:
 def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[StreamState]:
     states = []
     for k in range(artifact.n_streams):
-        gs = GateState(g_min=config.g_min, g_max=config.g_max, warmup_tokens=config.warmup_tokens)
+        gs = GateState(g_min=config.g_min, warmup_tokens=config.warmup_tokens)
         states.append(StreamState(stream_id=k, gate_state=gs))
     return states
 

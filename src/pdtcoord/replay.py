@@ -9,6 +9,7 @@ magic bytes PDTR1.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -22,6 +23,43 @@ from .snc import AdapterParams, AgreementParams, SncParams
 MAGIC = b"PDTR1"
 _MAX_DIM = 1 << 20
 _MAX_LEN = 1 << 24
+_MAX_SEED = (1 << 64) - 1
+
+# The file layout after MAGIC, little-endian: the u32 header fields below
+# with their allowed ranges, the u64 seed, the f64 scalars below, one u32
+# length per stream in [0, _MAX_LEN], the weights below, then each stream's
+# frame arrays below.  write_artifact and read_artifact both walk these
+# lists, and the writer checks the reader's ranges before it writes.
+_HEADER = (
+    ("vocab_size", 2, _MAX_DIM),
+    ("n_streams", 1, 4096),
+    ("d", 1, _MAX_DIM),
+    ("d_note", 1, _MAX_DIM),
+    ("d_bottleneck", 1, _MAX_DIM),
+    ("d_attn", 1, _MAX_DIM),
+)
+# f64 scalars by owner, the artifact attribute that holds them, in file order.
+_SCALARS = {"adapter": ("ln_eps",), "snc": ("gamma",), "agreement": ("b_agree", "dropout_rate", "tau")}
+# (owner, name, shape as header field names); float64.  Owner None is the artifact itself.
+_WEIGHTS = (
+    ("adapter", "w_down", ("d", "d_bottleneck")),
+    ("adapter", "w_up", ("d_bottleneck", "d")),
+    ("snc", "w_q", ("d", "d_attn")),
+    ("snc", "w_k", ("d_note", "d_attn")),
+    ("snc", "w_v", ("d_note", "d_attn")),
+    ("snc", "w_o", ("d_attn", "d")),
+    ("agreement", "w_agree", ("d",)),
+    (None, "readout", ("d", "vocab_size")),
+)
+_PARAMS = {"adapter": AdapterParams, "snc": SncParams, "agreement": AgreementParams}
+# (StreamFrames field, widths after the frame axis as header field names, dtype).
+_FRAMES = (
+    ("logits", ("vocab_size",), "<f8"),
+    ("hidden", ("d",), "<f8"),
+    ("agreement", (), "<f8"),
+    ("note_present", (), "<u1"),
+    ("note_embeddings", ("d_note",), "<f8"),
+)
 
 # Array tags for deterministic synthesis; per-stream arrays add the stream id.
 _TAG_W_DOWN = 1
@@ -69,6 +107,12 @@ class StreamFrames:
 
 @dataclass(frozen=True)
 class ReplayArtifact:
+    """A frozen backbone's recorded frames plus the coordination weights.
+
+    The header widths must match the array shapes, and vocab_size must be at
+    least 2: adaptive cadence divides by log(vocab_size).
+    """
+
     vocab_size: int
     d: int
     d_note: int
@@ -82,6 +126,8 @@ class ReplayArtifact:
     streams: tuple[StreamFrames, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if self.vocab_size < 2:
+            raise ConfigError(f"vocab_size={self.vocab_size} must be >= 2")
         object.__setattr__(self, "readout", as_matrix(self.readout, "readout"))
         if self.readout.shape != (self.d, self.vocab_size):
             raise ShapeError(f"readout shape {self.readout.shape} != ({self.d}, {self.vocab_size})")
@@ -110,7 +156,9 @@ class SynthSpec:
 
     planted_divergences lists (stream_id, position) frames whose agreement
     score is forced below tau, so a decoder at default settings must roll
-    back when it commits across them.
+    back when it commits across them.  The adapter bottleneck is
+    max(2, d // 4) wide and the attention max(2, d // 2); b_agree and
+    dropout_rate take AgreementParams' defaults.
     """
 
     n_streams: int = 3
@@ -118,12 +166,9 @@ class SynthSpec:
     vocab_size: int = 32
     d: int = 16
     d_note: int = 8
-    d_bottleneck: int | None = None
-    d_attn: int | None = None
     seed: int = 0
     gamma: float = -4.0
     tau: float = 0.5
-    dropout_rate: float = 0.1
     base_agreement: float = 0.9
     divergence_agreement: float = 0.05
     logit_scale: float = 3.0
@@ -144,14 +189,6 @@ class SynthSpec:
             if not 0 <= pos < self.length:
                 raise ConfigError(f"planted divergence position {pos} out of range")
 
-    @property
-    def bottleneck(self) -> int:
-        return self.d_bottleneck if self.d_bottleneck is not None else max(2, self.d // 4)
-
-    @property
-    def attn_width(self) -> int:
-        return self.d_attn if self.d_attn is not None else max(2, self.d // 2)
-
 
 def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
     """Build a fully deterministic artifact from a SynthSpec.
@@ -160,7 +197,7 @@ def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
     same spec always yields byte-identical artifacts.
     """
     s, d, dn = spec.seed, spec.d, spec.d_note
-    db, da = spec.bottleneck, spec.attn_width
+    db, da = max(2, d // 4), max(2, d // 2)
     scale = 1.0 / np.sqrt(d)
     adapter = AdapterParams(
         w_down=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_DOWN, d, db) * scale,
@@ -175,8 +212,6 @@ def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
     )
     agreement = AgreementParams(
         w_agree=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_AGREE, 1, d)[0] * scale,
-        b_agree=0.0,
-        dropout_rate=spec.dropout_rate,
         tau=spec.tau,
     )
     readout = normal_matrix(s, DOMAIN_SYNTH, _TAG_READOUT, d, spec.vocab_size) * scale
@@ -222,50 +257,32 @@ def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
 # -- binary serialization ---------------------------------------------------
 
 
-def _pack_matrix(parts: list[bytes], m: np.ndarray) -> None:
-    parts.append(np.ascontiguousarray(m, dtype="<f8").tobytes())
-
-
 def write_artifact(artifact: ReplayArtifact, path: str) -> None:
-    """Serialize an artifact to its binary file form."""
-    parts: list[bytes] = [MAGIC]
-    parts.append(
-        struct.pack(
-            "<IIIIII",
-            artifact.vocab_size,
-            artifact.n_streams,
-            artifact.d,
-            artifact.d_note,
-            artifact.d_bottleneck,
-            artifact.d_attn,
-        )
-    )
-    parts.append(struct.pack("<Q", artifact.seed))
-    parts.append(
-        struct.pack(
-            "<ddddd",
-            artifact.adapter.ln_eps,
-            artifact.snc.gamma,
-            artifact.agreement.b_agree,
-            artifact.agreement.dropout_rate,
-            artifact.agreement.tau,
-        )
-    )
-    parts.append(struct.pack(f"<{artifact.n_streams}I", *artifact.lengths()))
-    _pack_matrix(parts, artifact.adapter.w_down)
-    _pack_matrix(parts, artifact.adapter.w_up)
-    _pack_matrix(parts, artifact.snc.w_q)
-    _pack_matrix(parts, artifact.snc.w_k)
-    _pack_matrix(parts, artifact.snc.w_v)
-    _pack_matrix(parts, artifact.snc.w_o)
-    _pack_matrix(parts, artifact.agreement.w_agree)
-    _pack_matrix(parts, artifact.readout)
-    for frames in artifact.streams:
-        _pack_matrix(parts, frames.logits)
-        _pack_matrix(parts, frames.hidden)
-        _pack_matrix(parts, frames.agreement)
-        parts.append(np.ascontiguousarray(frames.note_present, dtype="<u1").tobytes())
-        _pack_matrix(parts, frames.note_embeddings)
+    """Serialize an artifact to its binary file form.
+
+    A header field, stream length or seed outside the format's range raises
+    ConfigError before the file is opened, so nothing is written and every
+    file written here reads back.
+    """
+    header = [getattr(artifact, name) for name, _, _ in _HEADER]
+    lengths = artifact.lengths()
+    limits = [(name, val, lo, hi) for (name, lo, hi), val in zip(_HEADER, header)]
+    limits += [(f"length[{k}]", t, 0, _MAX_LEN) for k, t in enumerate(lengths)]
+    limits.append(("seed", artifact.seed, 0, _MAX_SEED))
+    for what, val, lo, hi in limits:
+        if not lo <= val <= hi:
+            raise ConfigError(f"{what}={val} outside the artifact format's range [{lo}, {hi}]")
+    scalars = [getattr(getattr(artifact, owner), name) for owner, names in _SCALARS.items() for name in names]
+    parts = [
+        MAGIC,
+        struct.pack(f"<{len(header)}I", *header),
+        struct.pack("<Q", artifact.seed),
+        struct.pack(f"<{len(scalars)}d", *scalars),
+        struct.pack(f"<{len(lengths)}I", *lengths),
+    ]
+    arrays = [(getattr(artifact if o is None else getattr(artifact, o), name), "<f8") for o, name, _ in _WEIGHTS]
+    arrays += [(getattr(frames, name), dtype) for frames in artifact.streams for name, _, dtype in _FRAMES]
+    parts += [np.ascontiguousarray(a, dtype=dtype).tobytes() for a, dtype in arrays]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -290,27 +307,19 @@ class _Reader:
             raise ArtifactFormatError(f"{what}={val} out of range", offset=start)
         return val
 
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def f64(self, what: str) -> float:
-        return float(self.floats(1, what)[0])
-
-    def floats(self, count: int, what: str) -> np.ndarray:
-        start = self.off
-        raw = self.take(8 * count, what)
-        arr = np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64)
-        bad = ~np.isfinite(arr)
+    def array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
+        """Finite float64s ("<f8") or 0/1 bytes as bools ("<u1"); a bad entry is reported at its own offset."""
+        start, count, size = self.off, math.prod(shape), np.dtype(dtype).itemsize
+        arr = np.frombuffer(self.take(size * count, what), dtype=dtype, count=count)
+        if dtype == "<u1":
+            bad = arr > 1
+            problem = f"{what} entries must be 0 or 1"
+        else:
+            bad = ~np.isfinite(arr)
+            problem = f"non-finite value in {what}"
         if bad.any():
-            raise ArtifactFormatError(f"non-finite value in {what}", offset=start + 8 * int(bad.argmax()))
-        return arr
-
-    def bytes_as_bool(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(count, what)
-        arr = np.frombuffer(raw, dtype="<u1", count=count)
-        if np.any(arr > 1):
-            raise ArtifactFormatError(f"{what} entries must be 0 or 1", offset=self.off - count)
-        return arr.astype(bool)
+            raise ArtifactFormatError(problem, offset=start + size * int(bad.argmax()))
+        return arr.astype(bool if dtype == "<u1" else np.float64).reshape(shape)
 
 
 def read_artifact(path: str) -> ReplayArtifact:
@@ -325,61 +334,26 @@ def read_artifact(path: str) -> ReplayArtifact:
     magic = r.take(len(MAGIC), "magic")
     if magic != MAGIC:
         raise ArtifactFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    vocab = r.u32("header field vocab_size", 1, _MAX_DIM)
-    n_streams = r.u32("header field n_streams", 1, 4096)
-    d = r.u32("header field d", 1, _MAX_DIM)
-    dn = r.u32("header field d_note", 1, _MAX_DIM)
-    db = r.u32("header field d_bottleneck", 1, _MAX_DIM)
-    da = r.u32("header field d_attn", 1, _MAX_DIM)
-    seed = r.u64("seed")
-    ln_eps = r.f64("ln_eps")
-    gamma = r.f64("gamma")
-    b_agree = r.f64("b_agree")
-    dropout_rate = r.f64("dropout_rate")
-    tau = r.f64("tau")
-    lengths = [r.u32(f"length[{k}]", 0, _MAX_LEN) for k in range(n_streams)]
-
-    def mat(rows: int, cols: int, what: str) -> np.ndarray:
-        return r.floats(rows * cols, what).reshape(rows, cols)
-
+    head = {name: r.u32(f"header field {name}", lo, hi) for name, lo, hi in _HEADER}
+    seed = struct.unpack("<Q", r.take(8, "seed"))[0]
+    fields: dict[str | None, dict[str, object]] = {None: {}}
+    for owner, names in _SCALARS.items():
+        fields[owner] = {name: float(r.array((), "<f8", name)) for name in names}
+    lengths = [r.u32(f"length[{k}]", 0, _MAX_LEN) for k in range(head.pop("n_streams"))]
     try:
-        adapter = AdapterParams(w_down=mat(d, db, "w_down"), w_up=mat(db, d, "w_up"), ln_eps=ln_eps)
-        snc = SncParams(
-            w_q=mat(d, da, "w_q"),
-            w_k=mat(dn, da, "w_k"),
-            w_v=mat(dn, da, "w_v"),
-            w_o=mat(da, d, "w_o"),
-            gamma=gamma,
-        )
-        agreement = AgreementParams(
-            w_agree=r.floats(d, "w_agree"),
-            b_agree=b_agree,
-            dropout_rate=dropout_rate,
-            tau=tau,
-        )
-        readout = mat(d, vocab, "readout")
+        for owner, name, dims in _WEIGHTS:
+            fields[owner][name] = r.array(tuple(head[n] for n in dims), "<f8", name)
+        for owner, params in _PARAMS.items():
+            fields[None][owner] = params(**fields[owner])
         streams = []
         for k, t in enumerate(lengths):
-            logits = mat(t, vocab, f"stream[{k}].logits")
-            hidden = mat(t, d, f"stream[{k}].hidden")
-            agree = r.floats(t, f"stream[{k}].agreement")
-            present = r.bytes_as_bool(t, f"stream[{k}].note_present")
-            notes = mat(t, dn, f"stream[{k}].note_embeddings")
-            streams.append(StreamFrames(logits, hidden, agree, present, notes))
+            frames = {
+                name: r.array((t, *(head[n] for n in dims)), dtype, f"stream[{k}].{name}")
+                for name, dims, dtype in _FRAMES
+            }
+            streams.append(StreamFrames(**frames))
     except (ConfigError, ShapeError) as exc:
         raise ArtifactFormatError(f"inconsistent artifact contents: {exc}", offset=r.off) from exc
     if r.off != len(buf):
         raise ArtifactFormatError(f"{len(buf) - r.off} trailing bytes after last array", offset=r.off)
-    return ReplayArtifact(
-        vocab_size=vocab,
-        d=d,
-        d_note=dn,
-        d_bottleneck=db,
-        d_attn=da,
-        seed=seed,
-        adapter=adapter,
-        snc=snc,
-        agreement=agreement,
-        readout=readout,
-        streams=tuple(streams),
-    )
+    return ReplayArtifact(**head, seed=seed, streams=tuple(streams), **fields[None])

@@ -138,7 +138,7 @@ def reference_decode(
             k,
             GateState(
                 g_min=config.g_min,
-                g_max=config.g_max,
+                g_max=GateState.g_max,
                 warmup_tokens=config.warmup_tokens,
                 tokens_since_note=config.warmup_tokens,
             ),

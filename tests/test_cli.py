@@ -70,6 +70,27 @@ def test_synth_rejects_non_finite_gamma(tmp_path, capsys, gamma):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    ("flags", "env_seed", "message"),
+    [
+        (["--streams", "4097", "--length", "1", "--vocab", "2", "--d", "4", "--d-note", "1"], None, "n_streams=4097"),
+        (["--seed", "-1"], None, "seed=-1"),
+        (["--seed", str(1 << 64)], None, f"seed={1 << 64}"),
+        ([], "-5", "seed=-5"),
+    ],
+)
+def test_synth_rejects_what_the_format_cannot_hold(tmp_path, capsys, monkeypatch, flags, env_seed, message):
+    # The reader would refuse these files (or they cannot be packed at all), so none is written.
+    if env_seed is None:
+        monkeypatch.delenv("PDT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PDT_SEED", env_seed)
+    path = tmp_path / "x.pdtr"
+    assert main(["synth", "--out", str(path), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf"])
 def test_replay_rejects_non_finite_noise_scale(artifact_path, capsys, scale):
     assert main(["replay", "--artifact", str(artifact_path), "--noise-scale", scale]) == 2

@@ -163,7 +163,7 @@ def test_controller_gate_values_stay_in_band():
     gates = [e for e in trace.events if isinstance(e, GateEvent)]
     assert gates
     for ev in gates:
-        assert cfg.g_min <= ev.value <= cfg.g_max
+        assert cfg.g_min <= ev.value <= GateState.g_max
 
 
 def test_deterministic_cadence_gates_note_positions():

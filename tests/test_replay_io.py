@@ -138,6 +138,23 @@ def test_nonfinite_payload_rejected(tmp_path):
             assert err.value.offset == offset
 
 
+def test_note_mask_byte_rejected_at_its_offset(tmp_path):
+    art = synthesize_artifact(SMALL)
+    path = tmp_path / "mask.pdtr"
+    write_artifact(art, str(path))
+    # SMALL: V=11, d=8, d_note=4, bottleneck 2, attention 4, two streams of 24.
+    weights = 8 * 2 + 2 * 8 + 8 * 4 + 4 * 4 + 4 * 4 + 4 * 8 + 8 + 8 * 11
+    before_mask = 24 * 11 + 24 * 8 + 24
+    offset = len(MAGIC) + 6 * 4 + 8 + 5 * 8 + 2 * 4 + 8 * (weights + before_mask) + 5
+    data = bytearray(path.read_bytes())
+    assert data[offset] == 1
+    data[offset] = 2
+    path.write_bytes(bytes(data))
+    with pytest.raises(ArtifactFormatError, match=r"stream\[0\]\.note_present") as err:
+        read_artifact(str(path))
+    assert err.value.offset == offset
+
+
 @pytest.fixture(scope="module")
 def tiny_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "tiny.pdtr"
@@ -180,6 +197,13 @@ def test_zero_dim_header_rejected(tmp_path):
         with pytest.raises(ArtifactFormatError, match=name) as err:
             read_artifact(str(path))
         assert err.value.offset == offset
+    # vocab_size=1 would make adaptive cadence divide by log(1).
+    data = bytearray(clean)
+    data[len(MAGIC) : len(MAGIC) + 4] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(ArtifactFormatError, match="vocab_size") as err:
+        read_artifact(str(path))
+    assert err.value.offset == len(MAGIC)
     # The stream lengths follow the u64 seed and the five f64 scalars.
     offset = len(MAGIC) + 6 * 4 + 8 + 5 * 8 + 4 * 1
     data = bytearray(clean)
@@ -195,3 +219,5 @@ def test_artifact_header_consistency_enforced():
     for width in ("vocab_size", "d", "d_note", "d_bottleneck", "d_attn"):
         with pytest.raises(ShapeError):
             dataclasses.replace(art, **{width: getattr(art, width) + 1})
+    with pytest.raises(ConfigError, match="vocab_size"):
+        dataclasses.replace(art, vocab_size=1)
