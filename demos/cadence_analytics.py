@@ -36,9 +36,8 @@ def main() -> None:
     neutral = ContextSignals()
     stressed = ContextSignals(agreement=0.2, entropy_norm=0.9, coverage_gap=0.6)
     confident = ContextSignals(agreement=0.95, entropy_norm=0.1, gate=0.0)
-    cfg = CadenceConfig(mode="adaptive", interval_m=4)
     for name, sig in (("neutral", neutral), ("stressed", stressed), ("confident+closed gate", confident)):
-        print(f"  {name:>22}: m_t = {modulation_factor(cfg, sig):.3f}")
+        print(f"  {name:>22}: m_t = {modulation_factor(sig):.3f}")
     print("  (m_t above 1 emits more often; the closed-gate term backs off)\n")
 
     print("--- staleness and planning formulas ---")

@@ -11,7 +11,6 @@ import numpy as np
 
 from pdtcoord.balancer import (
     BalancerState,
-    CurriculumSchedule,
     GradientLogRecord,
     coverage_loss,
     redundancy_penalty,
@@ -41,9 +40,8 @@ def main() -> None:
     print(f"  redundancy penalty on near-duplicate notes: {redundancy_penalty(notes):.4f}\n")
 
     print("--- curriculum schedule ---")
-    schedule = CurriculumSchedule()
     for step in (0, 9999, 10000, 10050, 10101, 25000, 40000):
-        d = stage_scheduler_step(schedule, step, request_aux_pass=True)
+        d = stage_scheduler_step(step, request_aux_pass=True)
         print(f"  step {step:>6}: stage {d.stage}, {len(d.trainable)} trainable groups, "
               f"aux={'yes' if d.aux_pass_allowed else 'no'}, sync={'yes' if d.sync_required else 'no'}")
 

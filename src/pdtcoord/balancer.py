@@ -25,11 +25,20 @@ from .kernels import as_matrix
 ALPHA = 1.5
 # Central-difference step; the residual is piecewise linear, so the difference is exact off its kinks.
 FD_STEP = 1e-4
-# KL below which a student counts as ignoring the notes: half of note_usage_guard's default delta.
+# Step size of the exponentiated weight update: small, so the weights drift over tens of steps instead of oscillating.
+LR = 0.025
+# Bounds on the KL weight, so neither task's weight reaches 0 and stops training it.
+CLAMP_MIN = 0.1
+CLAMP_MAX = 0.9
+# Teacher KL above which the notes count as informative to note_usage_guard.
+TEACHER_KL_DELTA = 0.1
+# KL below which a student counts as ignoring the notes: half of TEACHER_KL_DELTA.
 TAU_USE = 0.05
+# Cosine similarity above which two notes pay the redundancy hinge: 0.8 leaves related but distinct notes free.
+REDUNDANCY_THRESHOLD = 0.8
 # Contradiction probability above which a pair also pays the hinge: past 0.5 the scorer favours contradiction.
 CONTRADICTION_MARGIN = 0.5
-# Steps either side of a stage boundary with auxiliary passes blocked: 1% of the default first stage.
+# Steps either side of a stage boundary with auxiliary passes blocked: 1% of the first stage.
 GUARD_WINDOW = 100
 
 
@@ -37,27 +46,20 @@ GUARD_WINDOW = 100
 class BalancerState:
     """Mutable weight state; single-owner, updated in place.
 
-    Weights always satisfy lambda_ce + lambda_kl = 1 with both clamped into
-    [clamp_min, clamp_max].  Initial losses anchor the relative inverse
-    training rates and must be registered before the first update.
+    The state holds the KL weight, clamped into [CLAMP_MIN, CLAMP_MAX];
+    the cross-entropy weight is 1 - lambda_kl.  Initial losses anchor the
+    relative inverse training rates and must be registered before the
+    first update.
     """
 
-    lambda_ce: float = 0.5
     lambda_kl: float = 0.5
-    lr: float = 0.025
-    clamp_min: float = 0.1
-    clamp_max: float = 0.9
     initial_loss_ce: float | None = None
     initial_loss_kl: float | None = None
     weight_history: deque = field(default_factory=lambda: deque(maxlen=64))
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.clamp_min < self.clamp_max < 1.0:
-            raise ConfigError("need 0 < clamp_min < clamp_max < 1")
-        if abs(self.lambda_ce + self.lambda_kl - 1.0) > 1e-9:
-            raise ConfigError("weights must sum to 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+    @property
+    def lambda_ce(self) -> float:
+        return 1.0 - self.lambda_kl
 
 
 def set_initial_losses(state: BalancerState, loss_ce: float, loss_kl: float) -> BalancerState:
@@ -112,16 +114,13 @@ def gradnorm_update(
     d_ce = (loss_at(state.lambda_ce + h, state.lambda_kl) - loss_at(state.lambda_ce - h, state.lambda_kl)) / (2 * h)
     d_kl = (loss_at(state.lambda_ce, state.lambda_kl + h) - loss_at(state.lambda_ce, state.lambda_kl - h)) / (2 * h)
 
-    new_ce = state.lambda_ce * math.exp(-state.lr * d_ce)
-    new_kl = state.lambda_kl * math.exp(-state.lr * d_kl)
+    new_ce = state.lambda_ce * math.exp(-LR * d_ce)
+    new_kl = state.lambda_kl * math.exp(-LR * d_kl)
     total = new_ce + new_kl
     if total <= 0.0 or not math.isfinite(total):
         raise ConfigError("degenerate weight update; check gradient norm inputs")
-    new_ce, new_kl = new_ce / total, new_kl / total
-    new_kl = min(state.clamp_max, max(state.clamp_min, new_kl))
-    new_ce = 1.0 - new_kl
-    state.lambda_ce, state.lambda_kl = new_ce, new_kl
-    state.weight_history.append(new_kl)
+    state.lambda_kl = min(CLAMP_MAX, max(CLAMP_MIN, new_kl / total))
+    state.weight_history.append(state.lambda_kl)
     return state
 
 
@@ -220,17 +219,13 @@ def coverage_loss(expected: Sequence[bool], predicted: Sequence[bool]) -> float:
     return 1.0 - coverage_f1(precision, recall)
 
 
-def redundancy_penalty(
-    note_embeddings: np.ndarray, threshold: float = 0.8, margin_weight: float = 1.0
-) -> float:
-    """Mean hinge on pairwise cosine similarity above threshold.
+def redundancy_penalty(note_embeddings: np.ndarray) -> float:
+    """Mean hinge on pairwise cosine similarity above REDUNDANCY_THRESHOLD.
 
     Penalizes streams that publish near-duplicate notes.  Zero-norm rows are
     rejected since their cosine is undefined.
     """
     m = as_matrix(note_embeddings, "note_embeddings")
-    if not -1.0 <= threshold <= 1.0:
-        raise ConfigError("threshold must lie in [-1, 1]")
     if m.shape[0] < 2:
         return 0.0
     norms = np.linalg.norm(m, axis=1)
@@ -239,8 +234,7 @@ def redundancy_penalty(
     unit = m / norms[:, None]
     cos = unit @ unit.T
     iu = np.triu_indices(m.shape[0], k=1)
-    hinge = np.maximum(0.0, cos[iu] - threshold)
-    return float(margin_weight * hinge.mean())
+    return float(np.maximum(0.0, cos[iu] - REDUNDANCY_THRESHOLD).mean())
 
 
 def stability_kl(
@@ -277,16 +271,16 @@ def stability_kl(
     return float(terms.sum(axis=1).mean())
 
 
-def note_usage_guard(kl_with_notes: float, kl_teacher: float, delta: float = 0.1) -> float:
+def note_usage_guard(kl_with_notes: float, kl_teacher: float) -> float:
     """Penalty for ignoring informative notes.
 
-    When the teacher shows the notes matter (kl_teacher > delta) but the
+    When the teacher shows the notes matter (kl_teacher > TEACHER_KL_DELTA) but the
     student barely moves (kl_with_notes below TAU_USE), return the shortfall;
     otherwise 0.
     """
     if kl_with_notes < 0.0 or kl_teacher < 0.0:
         raise ConfigError("KL terms must be non-negative")
-    if kl_teacher > delta:
+    if kl_teacher > TEACHER_KL_DELTA:
         return max(0.0, TAU_USE - kl_with_notes)
     return 0.0
 
@@ -309,9 +303,8 @@ def hash_contradiction_scorer(premise: str, hypothesis: str) -> float:
 def contradiction_loss(
     pairs: Sequence[tuple[str, str]],
     scorer: ContradictionScorer = hash_contradiction_scorer,
-    margin_weight: float = 1.0,
 ) -> float:
-    """Mean contradiction probability plus a weighted hinge above CONTRADICTION_MARGIN."""
+    """Mean contradiction probability plus the mean hinge above CONTRADICTION_MARGIN."""
     if len(pairs) == 0:
         return 0.0
     scores = []
@@ -321,11 +314,13 @@ def contradiction_loss(
             raise ValueError(f"scorer returned {p}, expected a probability")
         scores.append(p)
     arr = np.asarray(scores)
-    return float(arr.mean() + margin_weight * np.maximum(0.0, arr - CONTRADICTION_MARGIN).mean())
+    return float(arr.mean() + np.maximum(0.0, arr - CONTRADICTION_MARGIN).mean())
 
 
 # -- curriculum --------------------------------------------------------------
 
+# Steps at which the next stage begins; STAGE_TRAINABLES has one cumulative set per stage.
+STAGE_BOUNDARIES = (10000, 25000, 40000)
 STAGE_TRAINABLES: tuple[frozenset[str], ...] = (
     frozenset({"planner_head", "notes_head"}),
     frozenset({"planner_head", "notes_head", "stream_adapters"}),
@@ -344,28 +339,6 @@ STAGE_TRAINABLES: tuple[frozenset[str], ...] = (
 
 
 @dataclass(frozen=True)
-class CurriculumSchedule:
-    """Stage boundaries (steps at which the next stage begins).
-
-    Stage s is active for boundaries[s-1] <= step < boundaries[s].  Within
-    GUARD_WINDOW steps of any boundary, auxiliary passes are blocked so the
-    freshly unfrozen parameters see only the primary objective.
-    """
-
-    boundaries: tuple[int, ...] = (10000, 25000, 40000)
-    stage_trainables: tuple[frozenset[str], ...] = STAGE_TRAINABLES
-
-    def __post_init__(self) -> None:
-        if len(self.stage_trainables) != len(self.boundaries) + 1:
-            raise ConfigError("need exactly one trainable set per stage")
-        if any(b <= 0 for b in self.boundaries) or list(self.boundaries) != sorted(set(self.boundaries)):
-            raise ConfigError("boundaries must be positive and strictly increasing")
-        for earlier, later in zip(self.stage_trainables, self.stage_trainables[1:]):
-            if not earlier <= later:
-                raise ConfigError("stage trainable sets must be cumulative")
-
-
-@dataclass(frozen=True)
 class SchedulerDecision:
     stage: int
     trainable: frozenset[str]
@@ -373,26 +346,27 @@ class SchedulerDecision:
     sync_required: bool
 
 
-def stage_scheduler_step(
-    schedule: CurriculumSchedule, step: int, request_aux_pass: bool = False
-) -> SchedulerDecision:
+def stage_scheduler_step(step: int, request_aux_pass: bool = False) -> SchedulerDecision:
     """Resolve the active stage, trainable set, and guard status for a step.
 
+    Stage s is active for STAGE_BOUNDARIES[s-1] <= step < STAGE_BOUNDARIES[s].
+    Within GUARD_WINDOW steps of any boundary, auxiliary passes are blocked
+    so the freshly unfrozen parameters see only the primary objective.
     sync_required is set exactly at stage boundaries, where optimizer state
     for the newly unfrozen parameters must be materialized on every worker.
     """
     if step < 0:
         raise ConfigError("step must be non-negative")
     stage = 0
-    for b in schedule.boundaries:
+    for b in STAGE_BOUNDARIES:
         if step >= b:
             stage += 1
-    guarded = any(abs(step - b) <= GUARD_WINDOW for b in schedule.boundaries)
+    guarded = any(abs(step - b) <= GUARD_WINDOW for b in STAGE_BOUNDARIES)
     return SchedulerDecision(
         stage=stage,
-        trainable=schedule.stage_trainables[stage],
+        trainable=STAGE_TRAINABLES[stage],
         aux_pass_allowed=request_aux_pass and not guarded,
-        sync_required=step in schedule.boundaries,
+        sync_required=step in STAGE_BOUNDARIES,
     )
 
 

@@ -4,7 +4,7 @@ Three modes share one interface, a question about one token position:
 deterministic (every M tokens), stochastic (Bernoulli 1/M per token,
 geometric inter-arrivals with mean M), and adaptive (the per-token
 probability is modulated by decode-context signals, bounded to
-[m_min, m_max] times the base rate).  Draws are keyed by (seed, stream,
+[M_MIN, M_MAX] times the base rate).  Draws are keyed by (seed, stream,
 position), so any position can be asked in any order.
 """
 
@@ -19,22 +19,21 @@ from .rng import DOMAIN_CADENCE, uniform
 CadenceMode = Literal["deterministic", "stochastic", "adaptive"]
 # Note age at which staleness pressure saturates: 128 tokens, the gate's default warmup.
 NOTE_AGE_WINDOW = 128
+# Bounds on the adaptive modulation factor: context can halve or double the base rate, never silence a stream.
+M_MIN = 0.5
+M_MAX = 2.0
 
 
 @dataclass(frozen=True)
 class CadenceConfig:
     mode: CadenceMode = "deterministic"
     interval_m: int = 4
-    m_min: float = 0.5
-    m_max: float = 2.0
 
     def __post_init__(self) -> None:
         if self.mode not in get_args(CadenceMode):
             raise ConfigError(f"unknown cadence mode {self.mode!r}")
         if self.interval_m < 1:
             raise ConfigError("interval_m must be >= 1")
-        if not 0.0 < self.m_min <= self.m_max:
-            raise ConfigError("need 0 < m_min <= m_max")
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,8 @@ class ContextSignals:
     gate: float = 1.0
 
 
-def modulation_factor(config: CadenceConfig, signals: ContextSignals) -> float:
-    """Bounded cadence modulation m_t in [m_min, m_max].
+def modulation_factor(signals: ContextSignals) -> float:
+    """Bounded cadence modulation m_t in [M_MIN, M_MAX].
 
     Pressure terms raise the rate: low agreement, high normalized entropy,
     uncovered constraints, and stale notes.  A closed gate halves it, since
@@ -67,7 +66,7 @@ def modulation_factor(config: CadenceConfig, signals: ContextSignals) -> float:
     m += 0.5 * min(1.0, signals.note_age / NOTE_AGE_WINDOW)
     if signals.gate < 1e-6:
         m -= 0.5
-    return min(config.m_max, max(config.m_min, m))
+    return min(M_MAX, max(M_MIN, m))
 
 
 def next_emission(
@@ -87,5 +86,5 @@ def next_emission(
         return position % config.interval_m == 0
     p = 1.0 / config.interval_m
     if config.mode == "adaptive":
-        p = min(1.0, p * modulation_factor(config, signals or ContextSignals()))
+        p = min(1.0, p * modulation_factor(signals or ContextSignals()))
     return uniform(seed, DOMAIN_CADENCE, stream_id, position) < p

@@ -32,6 +32,8 @@ from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_c
 
 AgreementMode = Literal["artifact", "live"]
 RegenMode = Literal["skip_ahead", "reconsume"]
+# Failed retries of a span before reconsume mode force-commits it: a replay whose agreement never recovers cannot live-lock.
+MAX_RECONSUME_ATTEMPTS = 2
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,11 @@ class DecodeConfig:
     gate_override: float | None = None
     agreement_mode: AgreementMode = "artifact"
     regen_mode: RegenMode = "skip_ahead"
-    max_reconsume_attempts: int = 2
     bus_capacity: int = BUS_CAPACITY
     bus_retain_k: int = BUS_RETAIN_K
     seed: int | None = None
     note_noise_scale: float = 0.0
     masked_strides: frozenset[int] = frozenset()
-    g_min: float = GateState.g_min
     warmup_tokens: int = GateState.warmup_tokens
     record_margins: bool = False
 
@@ -71,8 +71,6 @@ class DecodeConfig:
             raise ConfigError(f"unknown regen_mode {self.regen_mode!r}")
         if self.agreement_mode not in get_args(AgreementMode):
             raise ConfigError(f"unknown agreement_mode {self.agreement_mode!r}")
-        if self.max_reconsume_attempts < 1:
-            raise ConfigError("max_reconsume_attempts must be >= 1")
         if not 0.0 <= self.note_noise_scale < math.inf:
             raise ConfigError("note_noise_scale must be finite and non-negative")
         if self.gate_override is not None and not 0.0 <= self.gate_override <= 1.0:
@@ -133,7 +131,7 @@ class RollbackEvent:
     rolled_back_to: int
     min_agreement: float
     pages_dropped: int
-    round_index: int = -1
+    round_index: int
 
     def line(self) -> str:
         return (
@@ -185,7 +183,7 @@ def _effective_seed(artifact: ReplayArtifact, config: DecodeConfig) -> int:
 def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[StreamState]:
     states = []
     for k in range(artifact.n_streams):
-        gs = GateState(g_min=config.g_min, warmup_tokens=config.warmup_tokens)
+        gs = GateState(warmup_tokens=config.warmup_tokens)
         states.append(StreamState(stream_id=k, gate_state=gs))
     return states
 
@@ -320,7 +318,7 @@ def check_and_rollback(
     state: StreamState,
     artifact: ReplayArtifact,
     config: DecodeConfig,
-    round_index: int = 0,
+    round_index: int,
 ) -> RollbackEvent | None:
     """Commit or rewind the uncommitted span at a stride boundary.
 
@@ -329,7 +327,7 @@ def check_and_rollback(
     truncated and (in reconsume mode) the frame cursor steps back so the span
     is decoded again.  The span's notes were published at the barrier before
     this runs; run_parallel tombstones them.  After
-    max_reconsume_attempts failed retries the span force-commits so replays
+    MAX_RECONSUME_ATTEMPTS failed retries the span force-commits so replays
     cannot live-lock; skip-ahead mode instead leaves the cursor in place and
     continues with fresh frames.
     """
@@ -344,7 +342,7 @@ def check_and_rollback(
     forced = (
         min_score < tau
         and config.regen_mode == "reconsume"
-        and state.reconsume_attempts >= config.max_reconsume_attempts
+        and state.reconsume_attempts >= MAX_RECONSUME_ATTEMPTS
     )
     if min_score >= tau or forced:
         state.committed_prefix = state.position

@@ -76,6 +76,17 @@ _TAG_NOTES = 300
 _TAG_AGREE_JITTER = 400
 _TAG_DIVERGE_JITTER = 500
 
+# Synthesized agreement: clean frames score near 0.9, planted ones near 0.05, so any tau in between separates them.
+BASE_AGREEMENT = 0.9
+DIVERGENCE_AGREEMENT = 0.05
+
+
+def _check_ranges(limits: list[tuple[str, int, int, int]]) -> None:
+    """Raise ConfigError for the first (name, value, lo, hi) whose value is outside [lo, hi]."""
+    for what, val, lo, hi in limits:
+        if not lo <= val <= hi:
+            raise ConfigError(f"{what}={val} outside the artifact format's range [{lo}, {hi}]")
+
 
 @dataclass(frozen=True)
 class StreamFrames:
@@ -156,9 +167,13 @@ class SynthSpec:
 
     planted_divergences lists (stream_id, position) frames whose agreement
     score is forced below tau, so a decoder at default settings must roll
-    back when it commits across them.  The adapter bottleneck is
-    max(2, d // 4) wide and the attention max(2, d // 2); b_agree and
-    dropout_rate take AgreementParams' defaults.
+    back when it commits across them.  Clean frames score about
+    BASE_AGREEMENT and planted ones about DIVERGENCE_AGREEMENT, so tau must
+    lie in (DIVERGENCE_AGREEMENT, BASE_AGREEMENT].  The adapter bottleneck
+    is max(2, d // 4) wide and the attention max(2, d // 2); b_agree and
+    dropout_rate take AgreementParams' defaults.  Widths, the stream count,
+    the length and the seed must fit the artifact format, so a spec that
+    constructs can be written.
     """
 
     n_streams: int = 3
@@ -169,20 +184,18 @@ class SynthSpec:
     seed: int = 0
     gamma: float = -4.0
     tau: float = 0.5
-    base_agreement: float = 0.9
-    divergence_agreement: float = 0.05
     logit_scale: float = 3.0
     planted_divergences: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_streams < 1 or self.length < 1 or self.vocab_size < 2:
-            raise ConfigError("need n_streams >= 1, length >= 1, vocab_size >= 2")
-        if self.d < 4 or self.d_note < 1:
-            raise ConfigError("need d >= 4 and d_note >= 1")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError("tau must lie in (0, 1)")
-        if not self.divergence_agreement < self.tau <= self.base_agreement:
-            raise ConfigError("need divergence_agreement < tau <= base_agreement")
+        # The bottleneck and attention widths follow from d, so only the header fields a spec sets are checked.
+        limits = [(name, getattr(self, name), lo, hi) for name, lo, hi in _HEADER if hasattr(self, name)]
+        limits += [("length", self.length, 0, _MAX_LEN), ("seed", self.seed, 0, _MAX_SEED)]
+        _check_ranges(limits)
+        if self.d < 4 or self.length < 1:
+            raise ConfigError("need d >= 4 and length >= 1")
+        if not DIVERGENCE_AGREEMENT < self.tau <= BASE_AGREEMENT:
+            raise ConfigError(f"need {DIVERGENCE_AGREEMENT} < tau <= {BASE_AGREEMENT}, got tau={self.tau}")
         for sid, pos in self.planted_divergences:
             if not 0 <= sid < self.n_streams:
                 raise ConfigError(f"planted divergence stream {sid} out of range")
@@ -224,11 +237,11 @@ def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
         hidden = normal_matrix(s, DOMAIN_SYNTH, _TAG_HIDDEN + k, t, d)
         notes = normal_matrix(s, DOMAIN_SYNTH, _TAG_NOTES + k, t, dn)
         jitter = uniform_array(s, DOMAIN_SYNTH, _TAG_AGREE_JITTER + k, np.arange(t))
-        agree = spec.base_agreement + 0.04 * (jitter - 0.5)
+        agree = BASE_AGREEMENT + 0.04 * (jitter - 0.5)
         div_jitter = uniform_array(s, DOMAIN_SYNTH, _TAG_DIVERGE_JITTER + k, np.arange(t))
         for sid, pos in planted:
             if sid == k:
-                agree[pos] = spec.divergence_agreement + 0.02 * div_jitter[pos]
+                agree[pos] = DIVERGENCE_AGREEMENT + 0.02 * div_jitter[pos]
         np.clip(agree, 1e-6, 1.0 - 1e-6, out=agree)
         streams.append(
             StreamFrames(
@@ -269,9 +282,7 @@ def write_artifact(artifact: ReplayArtifact, path: str) -> None:
     limits = [(name, val, lo, hi) for (name, lo, hi), val in zip(_HEADER, header)]
     limits += [(f"length[{k}]", t, 0, _MAX_LEN) for k, t in enumerate(lengths)]
     limits.append(("seed", artifact.seed, 0, _MAX_SEED))
-    for what, val, lo, hi in limits:
-        if not lo <= val <= hi:
-            raise ConfigError(f"{what}={val} outside the artifact format's range [{lo}, {hi}]")
+    _check_ranges(limits)
     scalars = [getattr(getattr(artifact, owner), name) for owner, names in _SCALARS.items() for name in names]
     parts = [
         MAGIC,

@@ -20,6 +20,7 @@ from scipy.special import erf
 
 from pdtcoord.cadence import ContextSignals, next_emission
 from pdtcoord.decode import (
+    MAX_RECONSUME_ATTEMPTS,
     DecodeConfig,
     DecodeTrace,
     GateEvent,
@@ -137,7 +138,7 @@ def reference_decode(
         RefStream(
             k,
             GateState(
-                g_min=config.g_min,
+                g_min=GateState.g_min,
                 g_max=GateState.g_max,
                 warmup_tokens=config.warmup_tokens,
                 tokens_since_note=config.warmup_tokens,
@@ -235,7 +236,7 @@ def reference_decode(
             assert span <= config.horizon_l
             low = min(s.scores)
             s.scores.clear()
-            forced = low < tau and config.regen_mode == "reconsume" and s.attempts >= config.max_reconsume_attempts
+            forced = low < tau and config.regen_mode == "reconsume" and s.attempts >= MAX_RECONSUME_ATTEMPTS
             if low >= tau or forced:
                 s.committed, s.attempts = len(s.log), 0
                 s.forced += forced

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pdtcoord.cadence import (
+    M_MAX,
     CadenceConfig,
     ContextSignals,
     modulation_factor,
@@ -60,31 +61,27 @@ def test_adaptive_neutral_matches_stochastic():
 
 
 def test_modulation_neutral_is_one():
-    cfg = CadenceConfig(mode="adaptive")
-    assert modulation_factor(cfg, ContextSignals()) == 1.0
+    assert modulation_factor(ContextSignals()) == 1.0
 
 
 def test_modulation_pressure_terms_raise_rate():
-    cfg = CadenceConfig(mode="adaptive")
-    low_agree = modulation_factor(cfg, ContextSignals(agreement=0.0))
+    low_agree = modulation_factor(ContextSignals(agreement=0.0))
     assert low_agree == 1.5
-    noisy = modulation_factor(cfg, ContextSignals(entropy_norm=1.0))
+    noisy = modulation_factor(ContextSignals(entropy_norm=1.0))
     assert noisy == 1.5
-    stale = modulation_factor(cfg, ContextSignals(note_age=128))
+    stale = modulation_factor(ContextSignals(note_age=128))
     assert stale == 1.5
-    gap = modulation_factor(cfg, ContextSignals(coverage_gap=1.0))
+    gap = modulation_factor(ContextSignals(coverage_gap=1.0))
     assert gap == 1.5
 
 
 def test_modulation_closed_gate_lowers_rate():
-    cfg = CadenceConfig(mode="adaptive")
-    assert modulation_factor(cfg, ContextSignals(gate=0.0)) == 0.5
+    assert modulation_factor(ContextSignals(gate=0.0)) == 0.5
 
 
 def test_modulation_bounds():
-    cfg = CadenceConfig(mode="adaptive", m_min=0.5, m_max=2.0)
     everything = ContextSignals(agreement=0.0, entropy_norm=1.0, coverage_gap=2.0, note_age=10**6)
-    assert modulation_factor(cfg, everything) == 2.0
+    assert modulation_factor(everything) == M_MAX == 2.0
 
 
 def test_adaptive_pressure_increases_emissions():
@@ -99,7 +96,3 @@ def test_config_validation():
         CadenceConfig(mode="sometimes")
     with pytest.raises(ConfigError):
         CadenceConfig(interval_m=0)
-    with pytest.raises(ConfigError):
-        CadenceConfig(m_min=0.0)
-    with pytest.raises(ConfigError):
-        CadenceConfig(m_min=3.0, m_max=2.0)

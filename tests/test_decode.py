@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from unittest import mock
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from pdtcoord import decode
 from pdtcoord.cadence import CadenceConfig
 from pdtcoord.decode import (
+    MAX_RECONSUME_ATTEMPTS,
     DecodeConfig,
     GateEvent,
     NoteEvent,
     RollbackEvent,
     StreamState,
     TokenEvent,
+    _config_line,
     _note_event,
     check_and_rollback,
     make_stream_states,
@@ -58,11 +61,13 @@ def test_gate_zero_reproduces_raw_argmax():
 
 
 def test_closed_gate_row_of_a_stride_adds_no_bias():
-    # With g_min=0 a note event closes the gate for the stride's first token
-    # only; that row must keep its raw logits while the others are biased.
+    # With the gate's floor at 0 a note event closes the gate for the stride's
+    # first token only; that row must keep its raw logits while the others
+    # are biased.
     art = small_artifact(divergences=())
-    cfg = DecodeConfig(stride_b=8, horizon_l=8, g_min=0.0, warmup_tokens=4, record_margins=True)
+    cfg = DecodeConfig(stride_b=8, horizon_l=8, record_margins=True)
     state = make_stream_states(art, cfg)[0]
+    state.gate_state = GateState(g_min=0.0, warmup_tokens=4)
     rows = art.streams[1].note_embeddings[:3]
     events = step_stream(state, art, cfg, 0, rows, True, None, art.snc.gate_value())
     gates = [e.value for e in events if isinstance(e, GateEvent)]
@@ -110,9 +115,9 @@ def test_reconsume_force_commits_after_max_attempts():
     cfg = DecodeConfig(stride_b=8, horizon_l=8, regen_mode="reconsume")
     trace = run_parallel(art, cfg)
     # The artifact replays the same low agreement every retry, so the stride
-    # fails max_reconsume_attempts times and then commits under protest.
+    # fails MAX_RECONSUME_ATTEMPTS times and then commits under protest.
     rollbacks = [e for e in trace.rollback_events() if e.stream_id == 1]
-    assert len(rollbacks) == cfg.max_reconsume_attempts
+    assert len(rollbacks) == MAX_RECONSUME_ATTEMPTS
     assert trace.forced_commits == 1
     assert len(trace.token_logs[1]) == art.streams[1].length
     assert trace.committed[1] == art.streams[1].length
@@ -163,7 +168,7 @@ def test_controller_gate_values_stay_in_band():
     gates = [e for e in trace.events if isinstance(e, GateEvent)]
     assert gates
     for ev in gates:
-        assert cfg.g_min <= ev.value <= GateState.g_max
+        assert GateState.g_min <= ev.value <= GateState.g_max
 
 
 def test_deterministic_cadence_gates_note_positions():
@@ -218,6 +223,50 @@ def test_summary_counts_match_events():
     assert f"rollbacks={n_rb}" in summary
 
 
+# Settings that change decoding but not the CONFIG line: two runs that differ
+# only in one of them write the same trace header.  A CONFIG line that records
+# the full config empties this set.
+NOT_ON_CONFIG_LINE = {"masked_strides", "bus_capacity", "bus_retain_k", "warmup_tokens"}
+# One valid non-default value for every DecodeConfig and CadenceConfig field.
+ALTERNATIVES = {
+    "stride_b": 16,
+    "horizon_l": 64,
+    "tau": 0.3,
+    "read_delta": 1,
+    "cadence": CadenceConfig(mode="stochastic"),
+    "gate_override": 0.5,
+    "agreement_mode": "live",
+    "regen_mode": "reconsume",
+    "bus_capacity": 64,
+    "bus_retain_k": 2,
+    "seed": 99,
+    "note_noise_scale": 0.5,
+    "masked_strides": frozenset({1}),
+    "warmup_tokens": 16,
+    "mode": "adaptive",
+    "interval_m": 7,
+}
+
+
+def test_every_setting_is_on_the_config_line_or_listed():
+    art = small_artifact()
+    base = _config_line(art, DecodeConfig())
+    knobs = [(DecodeConfig, f.name) for f in dataclasses.fields(DecodeConfig)]
+    knobs += [(CadenceConfig, f.name) for f in dataclasses.fields(CadenceConfig)]
+    for owner, name in knobs:
+        if name == "record_margins":
+            continue  # it only fills DecodeTrace.margins and writes no trace line
+        assert name in ALTERNATIVES, f"{owner.__name__}.{name} needs a value in ALTERNATIVES"
+        value = ALTERNATIVES[name]
+        assert value != getattr(owner(), name), name
+        if owner is CadenceConfig:
+            config = DecodeConfig(cadence=CadenceConfig(**{name: value}))
+        else:
+            config = DecodeConfig(**{name: value})
+        recorded = _config_line(art, config) != base
+        assert recorded != (name in NOT_ON_CONFIG_LINE), name
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         DecodeConfig(stride_b=16, horizon_l=8)
@@ -252,7 +301,7 @@ def test_oversized_span_rejected_at_check():
         min_uncommitted_agreement=0.9,
     )
     with pytest.raises(ConfigError, match="span"):
-        check_and_rollback(state, art, DecodeConfig(stride_b=8, horizon_l=32))
+        check_and_rollback(state, art, DecodeConfig(stride_b=8, horizon_l=32), 0)
 
 
 def test_margins_recorded_when_requested():
@@ -342,7 +391,6 @@ def planted_runs(draw) -> tuple[SynthSpec, DecodeConfig]:
         cadence=CadenceConfig(interval_m=draw(st.integers(1, 4))),
         agreement_mode=draw(st.sampled_from(["artifact", "live"])),
         regen_mode=draw(st.sampled_from(["skip_ahead", "reconsume"])),
-        max_reconsume_attempts=draw(st.integers(1, 3)),
     )
     return spec, config
 
@@ -354,7 +402,7 @@ def test_commits_are_final_and_rollbacks_stay_within_the_horizon(case):
     # Each barrier's committed prefix, as check_and_rollback leaves it.
     commits: list[tuple[int, int, tuple[int, ...]]] = []
 
-    def watched(state, artifact, config, round_index=0):
+    def watched(state, artifact, config, round_index):
         rollback = check_and_rollback(state, artifact, config, round_index)
         # Every barrier commits or rolls back the whole span.
         assert state.committed_prefix == state.position

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import re
+import shlex
 import types
 from pathlib import Path
 
@@ -17,6 +18,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def quick_start_block() -> str:
     section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def cli_example(command: str) -> tuple[list[str], list[str]]:
+    """The arguments and printed lines of README's example for one subcommand."""
+    section = README.read_text(encoding="utf-8").split(f"### {command}\n", 1)[1]
+    lines = section.split("```\n", 1)[1].split("```", 1)[0].replace("\\\n", " ").splitlines()
+    prompt = "$ pdtcoord "
+    assert lines[0].startswith(prompt + command + " ")
+    return shlex.split(lines[0][len(prompt):]), lines[1:]
 
 
 def test_package_root_exports_the_quick_start():
@@ -51,3 +61,19 @@ def test_demo_main_runs(path, capsys):
     module.main()
     assert capsys.readouterr().out.strip()
 
+
+def test_readme_sweep_prints_what_it_says(tmp_path, monkeypatch, capsys):
+    from pdtcoord.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PDT_SEED", raising=False)
+    for command in ("synth", "sweep"):
+        argv, shown = cli_example(command)
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(shown)
+        for got, want in zip(printed, shown):
+            # The README cuts long values (trace hashes) short with "...".
+            if want.endswith("..."):
+                got = got[: len(want) - 3] + "..."
+            assert got == want

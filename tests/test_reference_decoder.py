@@ -91,13 +91,11 @@ def artifacts_and_configs(draw) -> tuple[ReplayArtifact, DecodeConfig]:
         gate_override=draw(st.sampled_from([None, None, 0.0, 0.35])),
         agreement_mode=draw(st.sampled_from(["artifact", "live"])),
         regen_mode=draw(st.sampled_from(["skip_ahead", "reconsume"])),
-        max_reconsume_attempts=draw(st.integers(1, 2)),
         bus_capacity=draw(st.integers(8, 40)),
         bus_retain_k=draw(st.integers(1, 3)),
         seed=draw(st.sampled_from([None, 7])),
         note_noise_scale=draw(st.sampled_from([0.0, 0.3])),
         masked_strides=frozenset(draw(st.lists(st.integers(0, 6), max_size=3))),
-        g_min=draw(st.sampled_from([0.0, 0.05])),
         warmup_tokens=draw(st.integers(1, 16)),
     )
     return artifact, config

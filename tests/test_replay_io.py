@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from pdtcoord.errors import ArtifactFormatError, ConfigError, ShapeError
 from pdtcoord.replay import (
     _MAX_LEN,
+    BASE_AGREEMENT,
+    DIVERGENCE_AGREEMENT,
     MAGIC,
     SynthSpec,
     read_artifact,
@@ -52,8 +54,21 @@ def test_synth_spec_validation():
         SynthSpec(planted_divergences=((9, 0),))
     with pytest.raises(ConfigError):
         SynthSpec(planted_divergences=((0, 10**6),))
-    with pytest.raises(ConfigError):
-        SynthSpec(divergence_agreement=0.9, base_agreement=0.95, tau=0.5)
+    # tau must separate the synthesized clean and planted agreement scores.
+    for tau in (DIVERGENCE_AGREEMENT, BASE_AGREEMENT + 0.01, float("nan")):
+        with pytest.raises(ConfigError, match="tau"):
+            SynthSpec(tau=tau)
+    assert SynthSpec(tau=BASE_AGREEMENT).tau == BASE_AGREEMENT
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("n_streams", 4097), ("length", _MAX_LEN + 1), ("seed", -1)],
+)
+def test_synth_spec_refuses_what_the_format_cannot_hold(field, value):
+    # Refused when the spec is built, before anything is synthesized.
+    with pytest.raises(ConfigError, match=f"{field}={value}"):
+        SynthSpec(**{field: value})
 
 
 def test_binary_roundtrip_is_exact(tmp_path):
