@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from pdtcoord.balancer import (
-    BalancerState,
     GradientLogRecord,
     coverage_loss,
     redundancy_penalty,
@@ -26,7 +25,7 @@ def main() -> None:
         for s in range(0, 200, 10)
     ]
     print("--- balancing an imbalanced gradient stream ---")
-    for report in run_balancer(records, BalancerState(), update_interval=1)[::4]:
+    for report in run_balancer(records, update_interval=1)[::4]:
         flags = ",".join(f.name for f in report.flags) or "-"
         print(f"  step {report.step:>3}: lambda_ce={report.lambda_ce:.4f} "
               f"lambda_kl={report.lambda_kl:.4f} flags={flags}")

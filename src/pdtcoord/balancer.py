@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError
 from .kernels import as_matrix
 
 # GradNorm's exponent on the relative training rate: above 1, a lagging task is pulled back harder.
@@ -44,31 +44,26 @@ GUARD_WINDOW = 100
 
 @dataclass
 class BalancerState:
-    """Mutable weight state; single-owner, updated in place.
+    """Mutable weight state, built from the first step's losses and updated in place.
 
-    The state holds the KL weight, clamped into [CLAMP_MIN, CLAMP_MAX];
-    the cross-entropy weight is 1 - lambda_kl.  Initial losses anchor the
-    relative inverse training rates and must be registered before the
-    first update.
+    The initial losses, each in (0, inf), anchor the relative inverse
+    training rates.  lambda_kl starts at 0.5 and stays clamped into
+    [CLAMP_MIN, CLAMP_MAX]; lambda_ce is 1 - lambda_kl.
     """
 
-    lambda_kl: float = 0.5
-    initial_loss_ce: float | None = None
-    initial_loss_kl: float | None = None
-    weight_history: deque = field(default_factory=lambda: deque(maxlen=64))
+    initial_loss_ce: float
+    initial_loss_kl: float
+    lambda_kl: float = field(init=False, default=0.5)
+    weight_history: deque = field(init=False, default_factory=lambda: deque(maxlen=64))
+
+    def __post_init__(self) -> None:
+        for name in ("initial_loss_ce", "initial_loss_kl"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}={getattr(self, name)} must be positive and finite")
 
     @property
     def lambda_ce(self) -> float:
         return 1.0 - self.lambda_kl
-
-
-def set_initial_losses(state: BalancerState, loss_ce: float, loss_kl: float) -> BalancerState:
-    """Anchor the training-rate ratios; both losses must be positive."""
-    if loss_ce <= 0.0 or loss_kl <= 0.0:
-        raise ConfigError("initial losses must be positive")
-    state.initial_loss_ce = float(loss_ce)
-    state.initial_loss_kl = float(loss_kl)
-    return state
 
 
 def _grad_residual_loss(
@@ -97,8 +92,6 @@ def gradnorm_update(
     each weight by central finite differences, applies multiplicative
     exponential updates, renormalizes to the simplex, and clamps.
     """
-    if state.initial_loss_ce is None or state.initial_loss_kl is None:
-        raise StateError("set_initial_losses must run before gradnorm_update")
     if g_ce < 0.0 or g_kl < 0.0:
         raise ConfigError("gradient norms must be non-negative")
     if loss_ce < 0.0 or loss_kl < 0.0:
@@ -147,8 +140,6 @@ def health_metrics(
     gap between relative training rates below 0.3, and the recent std of the
     KL weight below 0.05.
     """
-    if state.initial_loss_ce is None or state.initial_loss_kl is None:
-        raise StateError("set_initial_losses must run before health_metrics")
     if g_ce <= 0.0:
         raise ConfigError("g_ce must be positive to form the gradient ratio")
     ratio = g_kl / g_ce
@@ -386,7 +377,8 @@ def read_gradient_log(lines: Iterable[str]) -> list[GradientLogRecord]:
     """Parse a whitespace-delimited log: step g_ce g_kl loss_ce loss_kl.
 
     Blank lines and '#' comments are skipped.  Steps must be strictly
-    increasing.
+    increasing and the other fields finite and non-negative; ValueError
+    names the first line that breaks a rule.
     """
     records: list[GradientLogRecord] = []
     last_step = -1
@@ -404,6 +396,8 @@ def read_gradient_log(lines: Iterable[str]) -> list[GradientLogRecord]:
             raise ValueError(f"line {lineno}: {exc}") from exc
         if step <= last_step:
             raise ValueError(f"line {lineno}: steps must be strictly increasing")
+        if not all(0.0 <= v < math.inf for v in vals):
+            raise ValueError(f"line {lineno}: gradient norms and losses must be finite and non-negative")
         last_step = step
         records.append(GradientLogRecord(step, *vals))
     return records
@@ -419,23 +413,23 @@ class BalancerStepReport:
 
 def run_balancer(
     records: Sequence[GradientLogRecord],
-    state: BalancerState | None = None,
     update_interval: int = 1,
 ) -> list[BalancerStepReport]:
     """Feed a gradient log through the balancer, one report per record.
 
-    The first record registers the initial losses; subsequent records update
-    the weights every update_interval steps and always refresh health flags.
+    The first record's losses build the BalancerState; after it, every
+    update_interval-th record updates the weights.  Every record refreshes
+    the health flags.
     """
     if update_interval < 1:
         raise ConfigError("update_interval must be >= 1")
-    st = state if state is not None else BalancerState()
+    if not records:
+        return []
+    state = BalancerState(records[0].loss_ce, records[0].loss_kl)
     reports: list[BalancerStepReport] = []
     for i, rec in enumerate(records):
-        if st.initial_loss_ce is None:
-            set_initial_losses(st, rec.loss_ce, rec.loss_kl)
-        elif i % update_interval == 0:
-            gradnorm_update(st, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl)
-        health = health_metrics(st, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl)
-        reports.append(BalancerStepReport(rec.step, st.lambda_ce, st.lambda_kl, health.flags))
+        if i > 0 and i % update_interval == 0:
+            gradnorm_update(state, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl)
+        health = health_metrics(state, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl)
+        reports.append(BalancerStepReport(rec.step, state.lambda_ce, state.lambda_kl, health.flags))
     return reports

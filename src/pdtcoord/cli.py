@@ -25,12 +25,12 @@ from .analytics import ClusterSimConfig, format_sim_transcript, simulate_cluster
 from .balancer import read_gradient_log, run_balancer
 from .cadence import CadenceConfig, CadenceMode
 from .decode import AgreementMode, DecodeConfig, RegenMode, run_parallel
-from .errors import ArtifactFormatError, ConfigError, PdtError, ShapeError, StateError
+from .errors import ArtifactFormatError, ConfigError, PdtError, ShapeError
 from .memmodel import KIB, MIB, MemoryConfig, kv_budget, pressure_check
 from .replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
 from .sweeps import cadence_sweep, mask_ablation, noise_stress
 
-_VALIDATION_ERRORS = (ConfigError, ShapeError, ArtifactFormatError, StateError, ValueError, KeyError)
+_VALIDATION_ERRORS = (ConfigError, ShapeError, ArtifactFormatError, ValueError, KeyError)
 
 
 def _seed_or_none(value: int | None) -> int | None:

@@ -274,7 +274,7 @@ def step_stream(
     if config.agreement_mode == "artifact":
         scores = frames.agreement[block].tolist()
     else:
-        scores = [agreement_score(h, artifact.agreement, deterministic=True) for h in h_out]
+        scores = [agreement_score(h, artifact.agreement) for h in h_out]
     if config.cadence.mode == "adaptive":
         probs = row_softmax(biased)
         entropy_norm = [_note_entropy(p) / math.log(artifact.vocab_size) for p in probs]

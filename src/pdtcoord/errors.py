@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI exits 2 for ConfigError, ShapeError and ArtifactFormatError (bad
+input) and 1 for CapacityError.  No error means "used before set up": each
+constructor takes what its object needs.
+"""
 
 from __future__ import annotations
 
@@ -31,6 +36,3 @@ class ArtifactFormatError(PdtError):
 class CapacityError(PdtError):
     """A bounded resource (notes bus, page table) cannot satisfy a request."""
 
-
-class StateError(PdtError):
-    """An operation was invoked before its required initialization step."""

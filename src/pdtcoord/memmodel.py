@@ -155,24 +155,22 @@ def pressure_check(config: MemoryConfig, m_peak: int | None = None) -> PressureR
 BUS_POOL = -1
 
 
-def _page_range(start_token: int, end_token: int, page_size: int, grid_offset: int) -> range:
+def _page_range(start_token: int, end_token: int, page_size: int) -> range:
     """Indices of the pages overlapping [start_token, end_token); empty when end <= start."""
     if end_token <= start_token:
         return range(0)
-    first = (start_token + grid_offset) // page_size
-    last = (end_token - 1 + grid_offset) // page_size
-    return range(first, last + 1)
+    return range(start_token // page_size, (end_token - 1) // page_size + 1)
 
 
-def pages_touched(start_token: int, end_token: int, page_size: int, grid_offset: int = 0) -> int:
+def pages_touched(start_token: int, end_token: int, page_size: int) -> int:
     """Distinct pages overlapping token range [start_token, end_token).
 
-    The page grid anchors at -grid_offset, so aligned placement is
-    grid_offset=0 and a misaligned layout can be modelled directly.
+    Page i holds tokens [i * page_size, (i + 1) * page_size); for a grid
+    shifted o tokens earlier, count [start_token + o, end_token + o).
     """
     if page_size < 1:
         raise ConfigError("page_size must be >= 1")
-    return len(_page_range(start_token, end_token, page_size, grid_offset))
+    return len(_page_range(start_token, end_token, page_size))
 
 
 @dataclass
@@ -193,25 +191,23 @@ class SwapReport:
 class PageTable:
     """Residency tracker for per-stream KV pages and pinned bus pages.
 
-    Pages are keyed (pool, page_index) where pool is a stream id or BUS_POOL.
+    Pages are keyed (pool, page_index) where pool is a stream id or BUS_POOL;
+    page i holds tokens [i * page_size_tokens, (i + 1) * page_size_tokens).
     capacity_pages bounds simultaneously resident pages; eviction is least
-    recently read and never evicts pinned pages.
+    recently read and never evicts pinned pages.  The table starts empty.
     """
 
     page_size_tokens: int = 128
     capacity_pages: int | None = None
     t_page: float = 1.0
-    grid_offset: int = 0
-    pages: dict[tuple[int, int], Page] = field(default_factory=dict)
-    clock: int = 0
+    pages: dict[tuple[int, int], Page] = field(init=False, default_factory=dict)
+    clock: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.page_size_tokens < 1:
             raise ConfigError("page_size_tokens must be >= 1")
         if self.capacity_pages is not None and self.capacity_pages < 1:
             raise ConfigError("capacity_pages must be >= 1 when bounded")
-        if self.grid_offset < 0:
-            raise ConfigError("grid_offset must be non-negative")
 
     def resident_count(self) -> int:
         return sum(1 for p in self.pages.values() if p.state == "resident")
@@ -270,14 +266,14 @@ def evict_and_prefetch(
     pages are always pinned, so multi-consumer snapshot pages never thrash.
     Returns the combined swap report (cost = pages moved * t_page).
     """
-    size, offset = table.page_size_tokens, table.grid_offset
+    size = table.page_size_tokens
     demand: list[tuple[int, int]] = []
     for sid in sorted(stream_ranges):
         start, end = stream_ranges[sid]
-        demand.extend((sid, i) for i in _page_range(start, end, size, offset))
+        demand.extend((sid, i) for i in _page_range(start, end, size))
     bus_demand: list[tuple[int, int]] = []
     for start, end in snapshot_ranges:
-        bus_demand.extend((BUS_POOL, i) for i in _page_range(start, end, size, offset))
+        bus_demand.extend((BUS_POOL, i) for i in _page_range(start, end, size))
     report_a = table._make_resident(demand)
     report_b = table._make_resident(bus_demand, pinned=True)
     return SwapReport(
@@ -296,10 +292,10 @@ def rollback_page_cost(table: PageTable, pool: int, rolled_back_to: int, trigger
     ceil(L / page_size) pages are dropped.
     """
     dropped = 0
-    for idx in _page_range(rolled_back_to, trigger_position, table.page_size_tokens, table.grid_offset):
+    for idx in _page_range(rolled_back_to, trigger_position, table.page_size_tokens):
         key = (pool, idx)
         page = table.pages.get(key)
-        page_start = idx * table.page_size_tokens - table.grid_offset
+        page_start = idx * table.page_size_tokens
         if page is None:
             continue
         if page_start >= rolled_back_to:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class ReplayArtifact:
     snc: SncParams
     agreement: AgreementParams
     readout: Matrix
-    streams: tuple[StreamFrames, ...] = field(default_factory=tuple)
+    streams: tuple[StreamFrames, ...]
 
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
@@ -348,8 +348,12 @@ def read_artifact(path: str) -> ReplayArtifact:
     head = {name: r.u32(f"header field {name}", lo, hi) for name, lo, hi in _HEADER}
     seed = struct.unpack("<Q", r.take(8, "seed"))[0]
     fields: dict[str | None, dict[str, object]] = {None: {}}
+    scalar_offsets: dict[str, int] = {}
     for owner, names in _SCALARS.items():
-        fields[owner] = {name: float(r.array((), "<f8", name)) for name in names}
+        fields[owner] = {}
+        for name in names:
+            scalar_offsets[name] = r.off
+            fields[owner][name] = float(r.array((), "<f8", name))
     lengths = [r.u32(f"length[{k}]", 0, _MAX_LEN) for k in range(head.pop("n_streams"))]
     try:
         for owner, name, dims in _WEIGHTS:
@@ -364,7 +368,9 @@ def read_artifact(path: str) -> ReplayArtifact:
             }
             streams.append(StreamFrames(**frames))
     except (ConfigError, ShapeError) as exc:
-        raise ArtifactFormatError(f"inconsistent artifact contents: {exc}", offset=r.off) from exc
+        # A parameter class's refusal starts with the name of the field it refuses.
+        offset = scalar_offsets.get(str(exc).split(" ", 1)[0], r.off)
+        raise ArtifactFormatError(f"inconsistent artifact contents: {exc}", offset=offset) from exc
     if r.off != len(buf):
         raise ArtifactFormatError(f"{len(buf) - r.off} trailing bytes after last array", offset=r.off)
     return ReplayArtifact(**head, seed=seed, streams=tuple(streams), **fields[None])

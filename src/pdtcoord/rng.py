@@ -20,7 +20,6 @@ DOMAIN_SYNTH = 0x53594E54
 DOMAIN_CADENCE = 0x43414445
 DOMAIN_ERRSIM = 0x4552524D
 DOMAIN_NOISE = 0x4E4F4953
-DOMAIN_DROPOUT = 0x44524F50
 
 
 def splitmix64(z: int) -> int:

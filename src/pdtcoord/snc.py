@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .kernels import Matrix, as_matrix, as_vector, gelu, layer_norm, logistic, row_softmax, spectral_norm
-from .rng import DOMAIN_DROPOUT, uniform_array
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,10 @@ class SncParams:
 
 @dataclass(frozen=True)
 class AgreementParams:
-    """Linear head scoring cross-stream consistency of a hidden state."""
+    """Linear head scoring cross-stream consistency of a hidden state.
+
+    dropout_rate is carried by the PDTR1 format and not applied at replay.
+    """
 
     w_agree: np.ndarray
     b_agree: float = 0.0
@@ -163,30 +165,16 @@ def snc_attend(
     return h + gate * attend_notes(h, notes, params)
 
 
-def agreement_score(
-    h_t: np.ndarray,
-    params: AgreementParams,
-    deterministic: bool = True,
-    seed: int | None = None,
-    counters: Sequence[int] = (),
-) -> float:
+def agreement_score(h_t: np.ndarray, params: AgreementParams) -> float:
     """Probability in (0, 1) that a hidden state agrees with its siblings.
 
-    logistic(w_agree . x + b_agree), where x is h_t, optionally passed through
-    inverted dropout.  Stochastic scoring requires a seed; draws are keyed by
-    (seed, counters) so replays are exact.
+    logistic(w_agree . h_t + b_agree), scored deterministically as at
+    inference; params.dropout_rate is not applied.
     """
     h_t = as_vector(h_t, "h_t")
     if h_t.shape[0] != params.w_agree.shape[0]:
         raise ShapeError(f"hidden width {h_t.shape[0]} != head width {params.w_agree.shape[0]}")
-    x = h_t
-    if not deterministic and params.dropout_rate > 0.0:
-        if seed is None:
-            raise ConfigError("stochastic agreement scoring requires a seed")
-        u = uniform_array(seed, DOMAIN_DROPOUT, *[int(c) for c in counters], np.arange(h_t.shape[0]))
-        keep = u >= params.dropout_rate
-        x = h_t * keep / (1.0 - params.dropout_rate)
-    return float(logistic(float(x @ params.w_agree) + params.b_agree))
+    return float(logistic(float(h_t @ params.w_agree) + params.b_agree))
 
 
 def estimate_lipschitz_layerwise(weights: Sequence[Matrix]) -> float:
@@ -222,9 +210,11 @@ class GateState:
     """Mutable per-stream gate schedule state.
 
     Each stream owns one; gate_controller_step mutates it in place and
-    returns it.  tokens_since_note starts at warmup_tokens so a stream with
-    no note traffic runs fully annealed.  The cap's STABILITY_THRESHOLD and
-    the flicker BACKOFF_SCALE are module constants, not per-stream fields.
+    returns it.  The constructor takes only settings: the clock
+    tokens_since_note starts at warmup_tokens, so a stream with no note
+    traffic runs fully annealed, and both windows start empty,
+    flicker_window long.  STABILITY_THRESHOLD and BACKOFF_SCALE are module
+    constants.
     """
 
     g_min: float = 0.05
@@ -234,9 +224,9 @@ class GateState:
     flicker_std: float = 0.10
     flicker_window: int = 64
     lipschitz_estimate: float = 0.0
-    tokens_since_note: int | None = None
-    gate_window: deque = field(default_factory=deque)
-    note_change_window: deque = field(default_factory=deque)
+    tokens_since_note: int = field(init=False)
+    gate_window: deque = field(init=False)
+    note_change_window: deque = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.g_min <= self.g_max <= 1.0:
@@ -247,10 +237,9 @@ class GateState:
             raise ConfigError("flicker_window must be positive")
         if not self.flicker_std >= 0.0:
             raise ConfigError("flicker_std must be non-negative")
-        if self.tokens_since_note is None:
-            self.tokens_since_note = self.warmup_tokens
-        self.gate_window = deque(self.gate_window, maxlen=self.flicker_window)
-        self.note_change_window = deque(self.note_change_window, maxlen=self.flicker_window)
+        self.tokens_since_note = self.warmup_tokens
+        self.gate_window = deque(maxlen=self.flicker_window)
+        self.note_change_window = deque(maxlen=self.flicker_window)
 
 
 def scheduled_gate_cap(state: GateState) -> float:

@@ -141,7 +141,6 @@ def reference_decode(
                 g_min=GateState.g_min,
                 g_max=GateState.g_max,
                 warmup_tokens=config.warmup_tokens,
-                tokens_since_note=config.warmup_tokens,
             ),
             0,
         )

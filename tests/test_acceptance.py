@@ -21,7 +21,6 @@ from pdtcoord.balancer import (
     coverage_f1,
     gradnorm_update,
     health_metrics,
-    set_initial_losses,
 )
 from pdtcoord.cadence import CadenceConfig, next_emission
 from pdtcoord.decode import DecodeConfig, run_parallel
@@ -204,7 +203,7 @@ def test_criterion_6_emission_cadence_moments():
 
 
 def test_criterion_7_loss_balancer_contract():
-    state = set_initial_losses(BalancerState(), 1.0, 1.0)
+    state = BalancerState(1.0, 1.0)
     rng = random.Random(7)
     violations = 0
     for _ in range(10000):
@@ -222,12 +221,12 @@ def test_criterion_7_loss_balancer_contract():
         if off_simplex or out_of_band:
             violations += 1
 
-    fixed = set_initial_losses(BalancerState(), 1.0, 1.0)
+    fixed = BalancerState(1.0, 1.0)
     gradnorm_update(fixed, 1.0, 1.0, 1.0, 1.0)
     fixed_point = abs(fixed.lambda_kl - 0.5) < 1e-9
 
     flags = lambda rep: {f.name for f in rep.flags}
-    probe = set_initial_losses(BalancerState(), 1.0, 1.0)
+    probe = BalancerState(1.0, 1.0)
     ratio_ok = (
         "gradient_ratio" not in flags(health_metrics(probe, 1.0, 0.5, 1.0, 1.0))
         and "gradient_ratio" not in flags(health_metrics(probe, 1.0, 2.0, 1.0, 1.0))

@@ -26,15 +26,14 @@ from pdtcoord.balancer import (
     read_gradient_log,
     redundancy_penalty,
     run_balancer,
-    set_initial_losses,
     stability_kl,
     stage_scheduler_step,
 )
-from pdtcoord.errors import ConfigError, ShapeError, StateError
+from pdtcoord.errors import ConfigError, ShapeError
 
 
 def fresh_state() -> BalancerState:
-    return set_initial_losses(BalancerState(), 1.0, 1.0)
+    return BalancerState(1.0, 1.0)
 
 
 def residual_objective(
@@ -82,7 +81,7 @@ def test_update_moves_toward_grid_search_minimizer():
 def test_update_decreases_residual_objective():
     state = fresh_state()
     before = residual_objective(0.5, state, 2.0, 1.0, 1.0, 1.0)
-    anchor = BalancerState()
+    anchor = fresh_state()
     gradnorm_update(state, 2.0, 1.0, 1.0, 1.0)
     after = residual_objective(state.lambda_kl, anchor, 2.0, 1.0, 1.0, 1.0)
     assert after < before
@@ -119,12 +118,9 @@ def test_extreme_imbalance_hits_clamp():
 
 
 def test_update_requires_initial_losses():
-    state = BalancerState()
-    with pytest.raises(StateError):
-        gradnorm_update(state, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ConfigError):
-        set_initial_losses(state, 0.0, 1.0)
-    set_initial_losses(state, 1.0, 1.0)
+        BalancerState(0.0, 1.0)
+    state = BalancerState(1.0, 1.0)
     with pytest.raises(ConfigError):
         gradnorm_update(state, -1.0, 1.0, 1.0, 1.0)
 
@@ -290,6 +286,36 @@ def test_gradient_log_parsing():
         read_gradient_log(["zero 1 1 1 1"])
 
 
+def test_gradient_log_refuses_non_finite_and_negative_fields():
+    # Refused where it is read, so no inf or nan reaches the training rates or the weight update.
+    for bad in ("inf", "-inf", "nan", "-1"):
+        for column in range(1, 5):
+            parts = ["3", "1.0", "1.0", "1.0", "1.0"]
+            parts[column] = bad
+            with pytest.raises(ValueError, match="line 3: .*finite and non-negative"):
+                read_gradient_log(["# step g_ce g_kl loss_ce loss_kl", "1 1 1 1 1", " ".join(parts)])
+
+
+def test_run_balancer_builds_its_state_from_the_first_record():
+    records = [
+        GradientLogRecord(0, 1.0, 1.0, 2.0, 4.0),
+        GradientLogRecord(1, 2.0, 1.0, 1.0, 3.0),
+        GradientLogRecord(2, 1.5, 1.0, 1.0, 2.0),
+    ]
+    state = BalancerState(2.0, 4.0)
+    expected = []
+    for i, rec in enumerate(records):
+        if i > 0:
+            gradnorm_update(state, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl)
+        flags = health_metrics(state, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl).flags
+        expected.append((rec.step, state.lambda_ce, state.lambda_kl, flags))
+    got = [(r.step, r.lambda_ce, r.lambda_kl, r.flags) for r in run_balancer(records)]
+    assert got == expected
+    assert run_balancer([]) == []
+    with pytest.raises(ConfigError, match="initial_loss_ce"):
+        run_balancer([GradientLogRecord(0, 1.0, 1.0, 0.0, 1.0)])
+
+
 def test_run_balancer_over_log():
     records = [
         GradientLogRecord(0, 1.0, 1.0, 1.0, 1.0),
@@ -300,8 +326,7 @@ def test_run_balancer_over_log():
     assert len(reports) == 3
     assert reports[0].lambda_kl == 0.5
     assert reports[2].lambda_kl > 0.5
-    sparse_state = BalancerState()
-    sparse = run_balancer(records, sparse_state, update_interval=2)
+    sparse = run_balancer(records, update_interval=2)
     assert sparse[1].lambda_kl == 0.5
     assert sparse[2].lambda_kl > 0.5
     with pytest.raises(ConfigError):

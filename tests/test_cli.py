@@ -341,6 +341,22 @@ def test_balance_rejects_bad_log(tmp_path, capsys):
     assert main(["balance", "--log", str(log)]) == 2
 
 
+def test_balance_refuses_unusable_values_and_names_the_line(tmp_path, capsys):
+    # Nothing is printed, and the error names the line (or the initial loss) at fault.
+    log = tmp_path / "grad.log"
+    cases = [
+        ("0 1.0 1.0 inf 1.0\n1 1 1 1 1\n2 1 1 1 1\n", "line 1: "),
+        ("0 1 1 1 1\n1 1.0 nan 1.0 1.0\n", "line 2: "),
+        ("0 1 1 1 1\n# comment\n2 1 1 1 -0.5\n", "line 3: "),
+        ("0 1 1 0 1\n1 1 1 1 1\n", "initial_loss_ce=0.0"),
+    ]
+    for text, named in cases:
+        log.write_text(text, encoding="utf-8")
+        assert main(["balance", "--log", str(log)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and named in err
+
+
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PDT_SEED", "7")
     path = tmp_path / "env.pdtr"

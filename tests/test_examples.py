@@ -20,13 +20,27 @@ def quick_start_block() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-def cli_example(command: str) -> tuple[list[str], list[str]]:
-    """The arguments and printed lines of README's example for one subcommand."""
+def cli_example(command: str) -> tuple[dict[str, str], list[str], list[str]]:
+    """The input files, arguments and printed lines of README's example for one subcommand.
+
+    The example is a shell session: each `$ cat FILE` line is followed by the
+    file's text, and the `$ pdtcoord COMMAND` line by what the command prints.
+    """
     section = README.read_text(encoding="utf-8").split(f"### {command}\n", 1)[1]
     lines = section.split("```\n", 1)[1].split("```", 1)[0].replace("\\\n", " ").splitlines()
-    prompt = "$ pdtcoord "
-    assert lines[0].startswith(prompt + command + " ")
-    return shlex.split(lines[0][len(prompt):]), lines[1:]
+    assert lines[0].startswith("$ ")
+    files: dict[str, list[str]] = {}
+    argv: list[str] = []
+    shown: list[str] = []
+    for line in lines:
+        if line.startswith("$ cat "):
+            body = files.setdefault(line[len("$ cat "):], [])
+        elif line.startswith("$ pdtcoord "):
+            argv, body = shlex.split(line[len("$ pdtcoord "):]), shown
+        else:
+            body.append(line)
+    assert argv[0] == command
+    return {name: "\n".join(text) + "\n" for name, text in files.items()}, argv, shown
 
 
 def test_package_root_exports_the_quick_start():
@@ -62,18 +76,29 @@ def test_demo_main_runs(path, capsys):
     assert capsys.readouterr().out.strip()
 
 
-def test_readme_sweep_prints_what_it_says(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["synth", "replay", "clustered-sim", "memcalc", "sweep", "balance"])
+def test_readme_cli_example_prints_what_it_says(command, tmp_path, monkeypatch, capsys):
     from pdtcoord.cli import main
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PDT_SEED", raising=False)
-    for command in ("synth", "sweep"):
-        argv, shown = cli_example(command)
-        assert main(argv) == 0
-        printed = capsys.readouterr().out.splitlines()
-        assert len(printed) == len(shown)
-        for got, want in zip(printed, shown):
-            # The README cuts long values (trace hashes) short with "...".
-            if want.endswith("..."):
-                got = got[: len(want) - 3] + "..."
-            assert got == want
+    # replay and sweep read the artifact that the synth example writes.
+    if command in ("replay", "sweep"):
+        assert main(cli_example("synth")[1]) == 0
+        capsys.readouterr()
+    files, argv, shown = cli_example(command)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    # A last line of "..." stands for the rest of a longer output.
+    if shown[-1] == "...":
+        shown = shown[:-1]
+        assert len(printed) > len(shown)
+        printed = printed[: len(shown)]
+    assert len(printed) == len(shown)
+    for got, want in zip(printed, shown):
+        # The README cuts long values (trace hashes) short with "...".
+        if want.endswith("..."):
+            got = got[: len(want) - 3] + "..."
+        assert got == want

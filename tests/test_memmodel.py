@@ -146,9 +146,9 @@ def test_pages_touched_basic():
 
 
 def test_pages_touched_misaligned_grid():
-    # An aligned 32-token span sits on one page; shifting the grid splits it.
-    assert pages_touched(32, 64, 32, grid_offset=0) == 1
-    assert pages_touched(32, 64, 32, grid_offset=16) == 2
+    # An aligned 32-token span sits on one page; the same span 16 tokens off the grid splits.
+    assert pages_touched(32, 64, 32) == 1
+    assert pages_touched(32 + 16, 64 + 16, 32) == 2
 
 
 def test_least_recently_read_eviction():
@@ -214,10 +214,11 @@ def test_rollback_drops_only_fully_rolled_back_pages():
 
 
 def test_rollback_boundary_page_survives_when_misaligned():
-    table = PageTable(page_size_tokens=32, grid_offset=16)
-    evict_and_prefetch(table, stream_ranges={0: (0, 64)})
-    # Page [16, 48) holds committed tokens 16-31, so only [48, 80) drops.
-    dropped = rollback_page_cost(table, 0, rolled_back_to=32, trigger_position=64)
+    # The span sits 16 tokens off the page grid, so the rollback target is mid-page.
+    table = PageTable(page_size_tokens=32)
+    evict_and_prefetch(table, stream_ranges={0: (16, 80)})
+    # Page [32, 64) holds committed tokens 32-47, so only [64, 96) drops.
+    dropped = rollback_page_cost(table, 0, rolled_back_to=48, trigger_position=80)
     assert dropped == 1
     assert (0, 1) in table.pages
     assert (0, 2) not in table.pages

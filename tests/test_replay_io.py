@@ -153,6 +153,24 @@ def test_nonfinite_payload_rejected(tmp_path):
             assert err.value.offset == offset
 
 
+def test_out_of_range_scalar_reported_at_its_offset(tmp_path):
+    art = synthesize_artifact(SMALL)
+    path = tmp_path / "scalar.pdtr"
+    write_artifact(art, str(path))
+    clean = path.read_bytes()
+    # ln_eps, dropout_rate and tau are the first, fourth and fifth f64 after
+    # magic, six u32 and a u64; -1.0 is finite but outside each one's range.
+    header = len(MAGIC) + 6 * 4 + 8
+    for name, offset in (("ln_eps", header), ("dropout_rate", header + 3 * 8), ("tau", header + 4 * 8)):
+        data = bytearray(clean)
+        data[offset : offset + 8] = np.array([-1.0], dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ArtifactFormatError, match=f"inconsistent artifact contents: {name} ") as err:
+            read_artifact(str(path))
+        assert err.value.offset == offset
+    assert header == 37
+
+
 def test_note_mask_byte_rejected_at_its_offset(tmp_path):
     art = synthesize_artifact(SMALL)
     path = tmp_path / "mask.pdtr"

@@ -131,17 +131,6 @@ def test_agreement_score_deterministic():
     assert 0.0 < s < 1.0
 
 
-def test_agreement_score_stochastic_needs_seed():
-    params = AgreementParams(w_agree=np.ones(4), dropout_rate=0.5)
-    with pytest.raises(ConfigError):
-        agreement_score(np.ones(4), params, deterministic=False)
-    a = agreement_score(np.ones(4), params, deterministic=False, seed=3, counters=(1,))
-    b = agreement_score(np.ones(4), params, deterministic=False, seed=3, counters=(1,))
-    c = agreement_score(np.ones(4), params, deterministic=False, seed=3, counters=(2,))
-    assert a == b
-    assert a != c
-
-
 def test_agreement_params_validation():
     with pytest.raises(ConfigError):
         AgreementParams(w_agree=np.ones(3), dropout_rate=1.0)
