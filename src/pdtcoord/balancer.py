@@ -3,18 +3,17 @@
 The balancer keeps a cross-entropy weight and a consistency (KL) weight on a
 simplex, adapting them so both tasks train at comparable rates: each task's
 gradient norm is steered toward the mean norm scaled by its relative inverse
-training rate.  Auxiliary objectives (coverage F1, note redundancy, stability
-KL, note-usage guard, contradiction margin) are plain functions so they can be
-exercised and logged independently of any training loop.
+training rate.  The auxiliary objectives (coverage F1 and note redundancy) are
+plain functions so they can be exercised and logged independently of any
+training loop.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,14 +29,8 @@ LR = 0.025
 # Bounds on the KL weight, so neither task's weight reaches 0 and stops training it.
 CLAMP_MIN = 0.1
 CLAMP_MAX = 0.9
-# Teacher KL above which the notes count as informative to note_usage_guard.
-TEACHER_KL_DELTA = 0.1
-# KL below which a student counts as ignoring the notes: half of TEACHER_KL_DELTA.
-TAU_USE = 0.05
 # Cosine similarity above which two notes pay the redundancy hinge: 0.8 leaves related but distinct notes free.
 REDUNDANCY_THRESHOLD = 0.8
-# Contradiction probability above which a pair also pays the hinge: past 0.5 the scorer favours contradiction.
-CONTRADICTION_MARGIN = 0.5
 # Steps either side of a stage boundary with auxiliary passes blocked: 1% of the first stage.
 GUARD_WINDOW = 100
 
@@ -228,86 +221,6 @@ def redundancy_penalty(note_embeddings: np.ndarray) -> float:
     return float(np.maximum(0.0, cos[iu] - REDUNDANCY_THRESHOLD).mean())
 
 
-def stability_kl(
-    p_pre: np.ndarray,
-    p_post: np.ndarray,
-    positions: Sequence[int],
-    horizon_l: int,
-) -> float:
-    """Mean KL(p_pre || p_post) over token positions outside the commit horizon.
-
-    Both inputs are (T, V) row-stochastic matrices; rows inside the horizon
-    (position < L) are excluded because those tokens may still legitimately
-    change under rollback.  Returns 0 when no row lies outside.
-    """
-    pre = as_matrix(p_pre, "p_pre")
-    post = as_matrix(p_post, "p_post")
-    pos = np.asarray(positions, dtype=np.int64)
-    if pre.shape != post.shape or pos.shape[0] != pre.shape[0]:
-        raise ShapeError("p_pre, p_post and positions must agree in length")
-    if horizon_l < 0:
-        raise ConfigError("horizon_l must be non-negative")
-    for name, arr in (("p_pre", pre), ("p_post", post)):
-        if np.any(arr < 0.0) or np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError(f"{name} rows must be probability distributions")
-    outside = pos >= horizon_l
-    if not np.any(outside):
-        return 0.0
-    a = pre[outside]
-    b = post[outside]
-    mask = a > 0.0
-    if np.any((b <= 0.0) & mask):
-        raise ValueError("KL undefined: p_post has zero mass where p_pre does not")
-    terms = np.where(mask, a * np.log(np.where(mask, a / np.where(b > 0, b, 1.0), 1.0)), 0.0)
-    return float(terms.sum(axis=1).mean())
-
-
-def note_usage_guard(kl_with_notes: float, kl_teacher: float) -> float:
-    """Penalty for ignoring informative notes.
-
-    When the teacher shows the notes matter (kl_teacher > TEACHER_KL_DELTA) but the
-    student barely moves (kl_with_notes below TAU_USE), return the shortfall;
-    otherwise 0.
-    """
-    if kl_with_notes < 0.0 or kl_teacher < 0.0:
-        raise ConfigError("KL terms must be non-negative")
-    if kl_teacher > TEACHER_KL_DELTA:
-        return max(0.0, TAU_USE - kl_with_notes)
-    return 0.0
-
-
-# -- contradiction scoring ---------------------------------------------------
-
-ContradictionScorer = Callable[[str, str], float]
-
-
-def hash_contradiction_scorer(premise: str, hypothesis: str) -> float:
-    """Deterministic stand-in scorer mapping a text pair to [0, 1).
-
-    Not a semantic model; it exists so contradiction-loss plumbing can be
-    exercised reproducibly without an inference dependency.
-    """
-    digest = hashlib.sha256(f"{premise}\x1f{hypothesis}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") / 2.0**64
-
-
-def contradiction_loss(
-    pairs: Sequence[tuple[str, str]],
-    scorer: ContradictionScorer = hash_contradiction_scorer,
-) -> float:
-    """Mean contradiction probability plus the mean hinge above CONTRADICTION_MARGIN."""
-    if len(pairs) == 0:
-        return 0.0
-    scores = []
-    for premise, hypothesis in pairs:
-        p = float(scorer(premise, hypothesis))
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"scorer returned {p}, expected a probability")
-        scores.append(p)
-    arr = np.asarray(scores)
-    return float(arr.mean() + np.maximum(0.0, arr - CONTRADICTION_MARGIN).mean())
-
-
 # -- curriculum --------------------------------------------------------------
 
 # Steps at which the next stage begins; STAGE_TRAINABLES has one cumulative set per stage.
@@ -377,8 +290,9 @@ def read_gradient_log(lines: Iterable[str]) -> list[GradientLogRecord]:
     """Parse a whitespace-delimited log: step g_ce g_kl loss_ce loss_kl.
 
     Blank lines and '#' comments are skipped.  Steps must be strictly
-    increasing and the other fields finite and non-negative; ValueError
-    names the first line that breaks a rule.
+    increasing, the other fields finite and non-negative, and g_ce positive,
+    since every record's health check divides by it; ValueError names the
+    first line that breaks a rule.
     """
     records: list[GradientLogRecord] = []
     last_step = -1
@@ -398,6 +312,8 @@ def read_gradient_log(lines: Iterable[str]) -> list[GradientLogRecord]:
             raise ValueError(f"line {lineno}: steps must be strictly increasing")
         if not all(0.0 <= v < math.inf for v in vals):
             raise ValueError(f"line {lineno}: gradient norms and losses must be finite and non-negative")
+        if vals[0] == 0.0:
+            raise ValueError(f"line {lineno}: g_ce must be positive to form the gradient ratio")
         last_step = step
         records.append(GradientLogRecord(step, *vals))
     return records

@@ -216,6 +216,8 @@ def _cmd_memcalc(args: argparse.Namespace) -> int:
     if missing:
         raise ConfigError(f"missing memcalc config keys: {missing}")
     config = MemoryConfig(**raw)
+    if args.m_peak is not None and config.gpu_budget_bytes == 0:
+        raise ConfigError("--m-peak needs a positive gpu_budget_bytes in the config")
     budget = kv_budget(config)
     print(f"per_token_per_layer:  {_bytes_human(budget.per_token_per_layer)}")
     print(f"per_token_all_layers: {_bytes_human(budget.per_token_all_layers)}")

@@ -26,7 +26,8 @@ class MemoryConfig:
     n_kv_self is the KV head count of self-attention (1 for MQA, groups for
     GQA); n_kv_bus is the KV head count used for cross-attention over bus
     notes, which is laid out separately across cross_layers layers.  Every
-    size is an exact integer; a bool, float or string is refused.
+    size is an exact integer; a bool, float or string is refused, and so is a
+    negative byte count.
     """
 
     d_model: int
@@ -69,8 +70,9 @@ class MemoryConfig:
             raise ConfigError("n_kv_bus must be >= 1")
         if any(t < 0 for t in self.tokens_per_stream) or self.bus_tokens < 0:
             raise ConfigError("token counts must be non-negative")
-        if self.cross_layers < 0:
-            raise ConfigError("cross_layers must be non-negative")
+        for name in ("cross_layers", "weights_bytes", "workspace_bytes", "gpu_budget_bytes", "reserve_bytes"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         object.__setattr__(self, "tokens_per_stream", tuple(int(t) for t in tokens))
 
 

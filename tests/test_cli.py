@@ -232,12 +232,26 @@ def test_memcalc_names_missing_keys(tmp_path, capsys):
         ("d_model", 4096.0),
         ("bytes_per_elem", True),
         ("gpu_budget_bytes", 1.5e9),
+        # Byte counts are integers too, and none may be negative.
+        ("weights_bytes", -1000000000000),
+        ("workspace_bytes", -1),
+        ("gpu_budget_bytes", -1),
+        ("reserve_bytes", -1),
     ],
 )
 def test_memcalc_rejects_non_integer_sizes(tmp_path, capsys, key, value):
     path = write_mem_config(tmp_path, **{key: value})
     assert main(["memcalc", "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_memcalc_refuses_m_peak_without_a_budget(tmp_path, capsys):
+    # Without a budget there is no pressure check for the peak to override.
+    path = write_mem_config(tmp_path)
+    for peak in ("5", "-5"):
+        assert main(["memcalc", "--config", str(path), "--m-peak", peak]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--m-peak" in err
 
 
 def test_memcalc_rejects_malformed_json(tmp_path, capsys):
@@ -348,6 +362,7 @@ def test_balance_refuses_unusable_values_and_names_the_line(tmp_path, capsys):
         ("0 1.0 1.0 inf 1.0\n1 1 1 1 1\n2 1 1 1 1\n", "line 1: "),
         ("0 1 1 1 1\n1 1.0 nan 1.0 1.0\n", "line 2: "),
         ("0 1 1 1 1\n# comment\n2 1 1 1 -0.5\n", "line 3: "),
+        ("0 1 1 1 1\n1 0 1 1 1\n", "line 2: "),
         ("0 1 1 0 1\n1 1 1 1 1\n", "initial_loss_ce=0.0"),
     ]
     for text, named in cases:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 import shlex
@@ -53,6 +54,26 @@ def test_package_root_exports_the_quick_start():
     }
     assert public == {"DecodeConfig", "SynthSpec", "run_parallel", "synthesize_artifact"}
     assert pdtcoord.__version__
+
+
+def test_every_public_definition_has_a_caller_outside_tests():
+    package = sorted((ROOT / "src" / "pdtcoord").glob("*.py"))
+    benchmark = [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    defined = {
+        node.name
+        for path in package
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    referred = set()
+    for path in package + DEMOS + benchmark:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    # load_bus_lines reads back what NotesBus.dump_lines writes; the trace reader is to call it.
+    assert defined - referred == {"load_bus_lines"}
 
 
 def test_readme_quick_start_prints_what_it_says(capsys):

@@ -83,6 +83,8 @@ def test_memory_config_validation():
             bus_tokens=0,
             cross_layers=0,
         )
+    with pytest.raises(ConfigError, match="reserve_bytes"):
+        desk_config(8, reserve_bytes=-1)
 
 
 def test_pressure_statuses():
