@@ -2,21 +2,14 @@
 
 Shows measured inter-arrival moments against closed forms, how context
 pressure modulates the adaptive interval, and the cadence/staleness
-trade-off formulas used for capacity planning.
+trade-off formulas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pdtcoord.analytics import (
-    ScaleParams,
-    adaptive_stride,
-    cadence_variance,
-    operating_points,
-    stale_rollback_bound,
-    sync_overhead,
-)
+from pdtcoord.analytics import cadence_variance, stale_rollback_bound
 from pdtcoord.cadence import CadenceConfig, ContextSignals, modulation_factor, next_emission
 
 
@@ -43,13 +36,6 @@ def main() -> None:
     print("--- staleness and planning formulas ---")
     print(f"  rollback-probability bound at L=32, drift 0.01: {stale_rollback_bound(32, 0.01):.3f}")
     print(f"  cadence variance contribution (L=32, eps=0.01, M=4): {cadence_variance(32, 0.01, 4)}")
-    print(f"  barrier cost for 6 streams, 4-token notes: "
-          f"{sync_overhead(ScaleParams(t_base=2.0, t_comm=0.5, n_streams=6, avg_note_tokens=4.0)):.1f}")
-    for n in (3, 6, 12):
-        print(f"  adaptive stride for {n:>2} streams (base 32): {adaptive_stride(32, n)}")
-    print()
-    for point in operating_points():
-        print(f"  {point.streams:>4} streams: speedup {point.speedup}, memory {point.memory}; {point.note}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Closed-form coordination analytics and the clustered-rollback simulation.
 
-Covers the stale-note rollback bound, cadence-induced quality variance, the
-synchronization-overhead scaling model, and a two-state Markov simulation
-that quantifies how bursty token errors change stride-level rollback rates.
+Covers the stale-note rollback bound, cadence-induced quality variance, and a
+two-state Markov simulation that quantifies how bursty token errors change
+stride-level rollback rates.
 """
 
 from __future__ import annotations
@@ -41,57 +41,6 @@ def cadence_variance(horizon_l: int, epsilon: float, interval_m: int) -> float:
     if epsilon < 0.0:
         raise ConfigError("epsilon must be non-negative")
     return epsilon * ((horizon_l * (interval_m - 1)) / (8 * interval_m))
-
-
-# -- scaling model ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScaleParams:
-    """Inputs to the bus synchronization-cost model."""
-
-    t_base: float
-    t_comm: float
-    n_streams: int
-    avg_note_tokens: float
-
-    def __post_init__(self) -> None:
-        if self.n_streams < 1:
-            raise ConfigError("n_streams must be >= 1")
-        if self.t_base < 0 or self.t_comm < 0 or self.avg_note_tokens < 0:
-            raise ConfigError("costs must be non-negative")
-
-
-def sync_overhead(params: ScaleParams) -> float:
-    """Per-barrier synchronization time: t_base + t_comm * N * mean note size."""
-    return params.t_base + params.t_comm * params.n_streams * params.avg_note_tokens
-
-
-def adaptive_stride(b_base: int, n_streams: int) -> int:
-    """Stride scaled for stream count: round(B_base * sqrt(N / 3)), at least 1.
-
-    Wider decoders amortize each barrier over more tokens.
-    """
-    if b_base < 1 or n_streams < 1:
-        raise ConfigError("b_base and n_streams must be >= 1")
-    return max(1, round(b_base * math.sqrt(n_streams / 3.0)))
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    streams: str
-    speedup: str
-    memory: str
-    note: str
-
-
-def operating_points() -> tuple[OperatingPoint, ...]:
-    """Illustrative shared-bus operating regimes by stream count."""
-    return (
-        OperatingPoint("3", "near-linear", "1-1.5x sequential", "best default; minimal overhead"),
-        OperatingPoint("4-6", "moderate", "1.5-3x sequential", "acceptable when rollback rate is low"),
-        OperatingPoint("7+", "saturating", ">3x sequential", "needs hierarchical grouping and tuning"),
-    )
 
 
 # -- clustered error simulation ---------------------------------------------
@@ -183,11 +132,19 @@ def simulate_clustered_rollback(config: ClusterSimConfig) -> ClusteredSimResult:
     )
 
 
+def _direction(before: float, after: float) -> str:
+    """How a figure moves, judged on the four decimals the transcript prints."""
+    before, after = float(f"{before:.4f}"), float(f"{after:.4f}")
+    if after == before:
+        return "DOES NOT CHANGE"
+    return "INCREASES" if after > before else "DECREASES"
+
+
 def format_sim_transcript(result: ClusteredSimResult) -> str:
     """Human-readable simulation report with fixed field labels."""
     cfg = result.config
-    fail_dir = "DECREASES" if result.clustered_fail_prob < result.indep_fail_prob else "INCREASES"
-    var_dir = "INCREASES" if result.clustered_variance > result.indep_variance else "DECREASES"
+    fail_dir = _direction(result.indep_fail_prob, result.clustered_fail_prob)
+    var_dir = _direction(result.indep_variance, result.clustered_variance)
     lines = [
         "--- Clustered Rollback Simulation ---",
         "Parameters:",

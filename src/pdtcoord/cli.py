@@ -6,9 +6,8 @@ memcalc (KV budget arithmetic from a JSON config), sweep (cadence, mask
 ablation, or noise stress grids as CSV), and balance (feed a gradient log
 through the loss balancer).
 
-Seeds resolve in order: explicit --seed flag, then the PDT_SEED environment
-variable, then a per-command default.  Exit codes: 0 success, 2 invalid
-input or configuration, 1 runtime failure.
+A command without --seed uses its per-command default.  Exit codes: 0
+success, 2 invalid input or configuration, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from typing import Sequence, get_args
 
@@ -31,23 +29,6 @@ from .replay import SynthSpec, read_artifact, synthesize_artifact, write_artifac
 from .sweeps import cadence_sweep, mask_ablation, noise_stress
 
 _VALIDATION_ERRORS = (ConfigError, ShapeError, ArtifactFormatError, ValueError, KeyError)
-
-
-def _seed_or_none(value: int | None) -> int | None:
-    if value is not None:
-        return value
-    env = os.environ.get("PDT_SEED")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"PDT_SEED must be an integer, got {env!r}") from exc
-
-
-def _resolve_seed(value: int | None, default: int) -> int:
-    resolved = _seed_or_none(value)
-    return default if resolved is None else resolved
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -93,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--d-note", type=int, default=SynthSpec.d_note)
     p_synth.add_argument("--gamma", type=float, default=SynthSpec.gamma)
     p_synth.add_argument("--tau", type=float, default=SynthSpec.tau)
-    p_synth.add_argument("--seed", type=int, default=None)
+    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed)
     p_synth.add_argument(
         "--plant",
         type=_plant,
@@ -116,14 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--regen-mode", choices=get_args(RegenMode), default=DecodeConfig.regen_mode)
     p_replay.add_argument("--agreement-mode", choices=get_args(AgreementMode), default=DecodeConfig.agreement_mode)
     p_replay.add_argument("--noise-scale", type=float, default=DecodeConfig.note_noise_scale)
-    p_replay.add_argument("--seed", type=int, default=None)
+    p_replay.add_argument("--seed", type=int, default=DecodeConfig.seed)
 
     p_sim = sub.add_parser("clustered-sim", help="stride failure statistics for bursty errors")
     p_sim.add_argument("--L", "--horizon-l", dest="horizon_l", type=int, default=ClusterSimConfig.horizon_l)
     p_sim.add_argument("--rho", type=float, default=ClusterSimConfig.rho_c)
     p_sim.add_argument("--q-token", "--q_token", dest="q_token", type=float, default=ClusterSimConfig.q_token)
     p_sim.add_argument("--trials", type=int, default=ClusterSimConfig.trials)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=ClusterSimConfig.seed)
 
     p_mem = sub.add_parser("memcalc", help="exact KV budget from a JSON config")
     p_mem.add_argument("--config", required=True, help="JSON file whose keys mirror MemoryConfig fields")
@@ -137,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--strides", type=_int_list, default=(8, 16))
     p_sweep.add_argument("--scales", type=_float_list, default=(0.0, 0.05, 0.2))
     p_sweep.add_argument("--masked-strides", type=_int_list, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", type=int, default=DecodeConfig.seed)
 
     p_bal = sub.add_parser("balance", help="replay a gradient log through the loss balancer")
     p_bal.add_argument("--log", required=True, help="text log: step g_ce g_kl loss_ce loss_kl")
@@ -154,7 +135,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         d_note=args.d_note,
         gamma=args.gamma,
         tau=args.tau,
-        seed=_resolve_seed(args.seed, SynthSpec.seed),
+        seed=args.seed,
         planted_divergences=tuple(args.plant),
     )
     artifact = synthesize_artifact(spec)
@@ -175,7 +156,7 @@ def _decode_config(args: argparse.Namespace) -> DecodeConfig:
         agreement_mode=args.agreement_mode,
         regen_mode=args.regen_mode,
         note_noise_scale=args.noise_scale,
-        seed=_seed_or_none(args.seed),
+        seed=args.seed,
     )
 
 
@@ -197,7 +178,7 @@ def _cmd_clustered_sim(args: argparse.Namespace) -> int:
         rho_c=args.rho,
         q_token=args.q_token,
         trials=args.trials,
-        seed=_resolve_seed(args.seed, ClusterSimConfig.seed),
+        seed=args.seed,
     )
     print(format_sim_transcript(simulate_clustered_rollback(config)))
     return 0
@@ -218,6 +199,8 @@ def _cmd_memcalc(args: argparse.Namespace) -> int:
     config = MemoryConfig(**raw)
     if args.m_peak is not None and config.gpu_budget_bytes == 0:
         raise ConfigError("--m-peak needs a positive gpu_budget_bytes in the config")
+    if args.m_peak is not None and args.m_peak < 0:
+        raise ConfigError(f"--m-peak must be non-negative, got {args.m_peak}")
     budget = kv_budget(config)
     print(f"per_token_per_layer:  {_bytes_human(budget.per_token_per_layer)}")
     print(f"per_token_all_layers: {_bytes_human(budget.per_token_all_layers)}")
@@ -248,7 +231,7 @@ def _write_rows(rows: Sequence[object], out_path: str | None) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     artifact = read_artifact(args.artifact)
-    config = DecodeConfig(stride_b=8, horizon_l=32, seed=_seed_or_none(args.seed))
+    config = DecodeConfig(stride_b=8, horizon_l=32, seed=args.seed)
     if args.kind == "cadence":
         rows: Sequence[object] = cadence_sweep(artifact, config, args.intervals, args.strides)
     elif args.kind == "mask-ablation":

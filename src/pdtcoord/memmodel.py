@@ -25,9 +25,10 @@ class MemoryConfig:
 
     n_kv_self is the KV head count of self-attention (1 for MQA, groups for
     GQA); n_kv_bus is the KV head count used for cross-attention over bus
-    notes, which is laid out separately across cross_layers layers.  Every
-    size is an exact integer; a bool, float or string is refused, and so is a
-    negative byte count.
+    notes, which is laid out separately across cross_layers layers.  The head
+    width d_head is derived as d_model // n_heads, so n_heads must divide
+    d_model.  Every size is an exact integer; a bool, float or string is
+    refused, and so is a negative byte count.
     """
 
     d_model: int
@@ -39,11 +40,9 @@ class MemoryConfig:
     tokens_per_stream: tuple[int, ...]
     bus_tokens: int
     cross_layers: int
-    d_head: int | None = None
     weights_bytes: int = 0
     workspace_bytes: int = 0
     gpu_budget_bytes: int = 0
-    reserve_bytes: int = 0
 
     def __post_init__(self) -> None:
         tokens = self.tokens_per_stream
@@ -51,26 +50,21 @@ class MemoryConfig:
             raise ConfigError(f"tokens_per_stream must be a sequence of integers, got {tokens!r}")
         sizes = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "tokens_per_stream"]
         for name, value in sizes + [("tokens_per_stream", t) for t in tokens]:
-            exact = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not exact and not (name == "d_head" and value is None):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
             raise ConfigError("d_model, n_heads and n_layers must be positive")
         if self.bytes_per_elem < 1:
             raise ConfigError("bytes_per_elem must be positive")
-        if self.d_head is None:
-            if self.d_model % self.n_heads != 0:
-                raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-            object.__setattr__(self, "d_head", self.d_model // self.n_heads)
-        elif self.d_head * self.n_heads != self.d_model:
-            raise ConfigError("d_head * n_heads must equal d_model")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if not 1 <= self.n_kv_self <= self.n_heads:
             raise ConfigError("n_kv_self must lie in [1, n_heads]")
         if self.n_kv_bus < 1:
             raise ConfigError("n_kv_bus must be >= 1")
         if any(t < 0 for t in self.tokens_per_stream) or self.bus_tokens < 0:
             raise ConfigError("token counts must be non-negative")
-        for name in ("cross_layers", "weights_bytes", "workspace_bytes", "gpu_budget_bytes", "reserve_bytes"):
+        for name in ("cross_layers", "weights_bytes", "workspace_bytes", "gpu_budget_bytes"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         object.__setattr__(self, "tokens_per_stream", tuple(int(t) for t in tokens))
@@ -91,13 +85,15 @@ class KvBudget:
 def kv_budget(config: MemoryConfig) -> KvBudget:
     """Byte-exact KV footprint of all stream caches plus the bus pool.
 
-    per-token-per-layer = 2 (K and V) * n_kv_self * d_head * bytes_per_elem;
-    the bus pool uses its own head count across cross_layers layers.
+    per-token-per-layer = 2 (K and V) * n_kv_self * d_head * bytes_per_elem,
+    with d_head = d_model // n_heads; the bus pool uses its own head count
+    across cross_layers layers.
     """
-    c_self = 2 * config.n_kv_self * config.d_head * config.bytes_per_elem
+    d_head = config.d_model // config.n_heads
+    c_self = 2 * config.n_kv_self * d_head * config.bytes_per_elem
     per_all = c_self * config.n_layers
     surface = sum(config.tokens_per_stream) * per_all
-    c_bus = 2 * config.n_kv_bus * config.d_head * config.bytes_per_elem
+    c_bus = 2 * config.n_kv_bus * d_head * config.bytes_per_elem
     bus = config.bus_tokens * c_bus * config.cross_layers
     return KvBudget(
         per_token_per_layer=c_self,
@@ -118,7 +114,6 @@ class PressureReport:
     m_peak: int
     headroom: int
     utilization: float
-    resident_bound: int
 
 
 def pressure_check(config: MemoryConfig, m_peak: int | None = None) -> PressureReport:
@@ -135,7 +130,6 @@ def pressure_check(config: MemoryConfig, m_peak: int | None = None) -> PressureR
         raise ConfigError("m_peak must be non-negative")
     total = peak + config.weights_bytes + config.workspace_bytes
     after_weights = config.gpu_budget_bytes - config.weights_bytes
-    resident = min(peak, max(0, after_weights - config.reserve_bytes))
     utilization = total / config.gpu_budget_bytes
     if total > config.gpu_budget_bytes:
         status: PressureStatus = "oom"
@@ -148,7 +142,6 @@ def pressure_check(config: MemoryConfig, m_peak: int | None = None) -> PressureR
         m_peak=peak,
         headroom=config.gpu_budget_bytes - total,
         utilization=utilization,
-        resident_bound=resident,
     )
 
 

@@ -8,14 +8,11 @@ import pytest
 
 from pdtcoord.analytics import (
     ClusterSimConfig,
-    ScaleParams,
-    adaptive_stride,
+    ClusteredSimResult,
     cadence_variance,
     format_sim_transcript,
-    operating_points,
     simulate_clustered_rollback,
     stale_rollback_bound,
-    sync_overhead,
 )
 from pdtcoord.errors import ConfigError
 
@@ -46,31 +43,6 @@ def test_cadence_variance_closed_form():
 def test_cadence_variance_increases_with_interval():
     vals = [cadence_variance(32, 0.01, m) for m in (1, 2, 4, 8, 16)]
     assert vals == sorted(vals)
-
-
-def test_sync_overhead_linear_in_streams():
-    p3 = ScaleParams(t_base=2.0, t_comm=0.5, n_streams=3, avg_note_tokens=4.0)
-    p6 = ScaleParams(t_base=2.0, t_comm=0.5, n_streams=6, avg_note_tokens=4.0)
-    assert sync_overhead(p3) == pytest.approx(8.0)
-    assert sync_overhead(p6) - p6.t_base == pytest.approx(2 * (sync_overhead(p3) - p3.t_base))
-    with pytest.raises(ConfigError):
-        ScaleParams(t_base=-1.0, t_comm=0.5, n_streams=3, avg_note_tokens=4.0)
-
-
-def test_adaptive_stride_reference_points():
-    assert adaptive_stride(32, 3) == 32
-    assert adaptive_stride(32, 1) == 18
-    assert adaptive_stride(32, 6) == 45
-    assert adaptive_stride(32, 12) == 64
-    assert adaptive_stride(1, 1) >= 1
-    with pytest.raises(ConfigError):
-        adaptive_stride(0, 3)
-
-
-def test_operating_points_table_shape():
-    pts = operating_points()
-    assert [p.streams for p in pts] == ["3", "4-6", "7+"]
-    assert all(p.speedup and p.memory and p.note for p in pts)
 
 
 def test_entry_rate_budget_match():
@@ -139,6 +111,23 @@ def test_transcript_tracks_sample_direction():
     res = simulate_clustered_rollback(ClusterSimConfig(rho_c=0.0, seed=9))
     text = format_sim_transcript(res)
     assert ("DECREASES the stride" in text) or ("INCREASES the stride" in text)
+
+
+def test_transcript_names_no_direction_for_figures_equal_as_printed():
+    # The failure rates differ only past the four printed decimals.
+    res = ClusteredSimResult(
+        config=ClusterSimConfig(),
+        indep_fail_prob=0.10002,
+        indep_variance=0.1,
+        indep_theo_fail=0.1,
+        clustered_fail_prob=0.10004,
+        clustered_variance=0.3,
+        clustered_theo_variance=0.3,
+    )
+    text = format_sim_transcript(res)
+    assert "clustering DOES NOT CHANGE the stride" in text
+    assert "failure rate (0.1000 -> 0.1000)" in text
+    assert "variance INCREASES (0.1000 -> 0.3000)" in text
 
 
 def test_variance_inflation_scales_with_rho():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from pdtcoord.analytics import ClusterSimConfig, format_sim_transcript, simulate_clustered_rollback
 from pdtcoord.cli import main
 from pdtcoord.decode import DecodeConfig, run_parallel
+from pdtcoord.memmodel import MIB, MemoryConfig
 from pdtcoord.replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
 
 
@@ -71,20 +73,15 @@ def test_synth_rejects_non_finite_gamma(tmp_path, capsys, gamma):
 
 
 @pytest.mark.parametrize(
-    ("flags", "env_seed", "message"),
+    ("flags", "message"),
     [
-        (["--streams", "4097", "--length", "1", "--vocab", "2", "--d", "4", "--d-note", "1"], None, "n_streams=4097"),
-        (["--seed", "-1"], None, "seed=-1"),
-        (["--seed", str(1 << 64)], None, f"seed={1 << 64}"),
-        ([], "-5", "seed=-5"),
+        (["--streams", "4097", "--length", "1", "--vocab", "2", "--d", "4", "--d-note", "1"], "n_streams=4097"),
+        (["--seed", "-1"], "seed=-1"),
+        (["--seed", str(1 << 64)], f"seed={1 << 64}"),
     ],
 )
-def test_synth_rejects_what_the_format_cannot_hold(tmp_path, capsys, monkeypatch, flags, env_seed, message):
+def test_synth_rejects_what_the_format_cannot_hold(tmp_path, capsys, flags, message):
     # The reader would refuse these files (or they cannot be packed at all), so none is written.
-    if env_seed is None:
-        monkeypatch.delenv("PDT_SEED", raising=False)
-    else:
-        monkeypatch.setenv("PDT_SEED", env_seed)
     path = tmp_path / "x.pdtr"
     assert main(["synth", "--out", str(path), *flags]) == 2
     assert message in capsys.readouterr().err
@@ -121,8 +118,7 @@ def test_replay_round_trip(artifact_path, tmp_path, capsys):
     assert lines[-1].startswith("SUMMARY ")
 
 
-def test_replay_defaults_are_decode_config_defaults(artifact_path, capsys, monkeypatch):
-    monkeypatch.delenv("PDT_SEED", raising=False)
+def test_replay_defaults_are_decode_config_defaults(artifact_path, capsys):
     assert main(["replay", "--artifact", str(artifact_path)]) == 0
     expected = run_parallel(read_artifact(artifact_path), DecodeConfig()).trace_hash()
     assert capsys.readouterr().out.splitlines()[-1] == f"trace_hash: {expected}"
@@ -148,8 +144,7 @@ def test_clustered_sim_transcript(capsys):
     assert "(Theo: 0.1004)" in out
 
 
-def test_clustered_sim_defaults_are_cluster_sim_config_defaults(capsys, monkeypatch):
-    monkeypatch.delenv("PDT_SEED", raising=False)
+def test_clustered_sim_defaults_are_cluster_sim_config_defaults(capsys):
     assert main(["clustered-sim"]) == 0
     expected = format_sim_transcript(simulate_clustered_rollback(ClusterSimConfig()))
     assert capsys.readouterr().out == expected + "\n"
@@ -208,9 +203,11 @@ def test_memcalc_pressure_line(tmp_path, capsys):
 
 
 def test_memcalc_rejects_unknown_keys(tmp_path, capsys):
-    path = write_mem_config(tmp_path, page_size=128)
-    assert main(["memcalc", "--config", str(path)]) == 2
-    assert "unknown memcalc config keys" in capsys.readouterr().err
+    # d_head is d_model // n_heads, so it is not a key either.
+    for key in ("page_size", "d_head"):
+        path = write_mem_config(tmp_path, **{key: 128})
+        assert main(["memcalc", "--config", str(path)]) == 2
+        assert "unknown memcalc config keys" in capsys.readouterr().err
 
 
 def test_memcalc_names_missing_keys(tmp_path, capsys):
@@ -236,7 +233,6 @@ def test_memcalc_names_missing_keys(tmp_path, capsys):
         ("weights_bytes", -1000000000000),
         ("workspace_bytes", -1),
         ("gpu_budget_bytes", -1),
-        ("reserve_bytes", -1),
     ],
 )
 def test_memcalc_rejects_non_integer_sizes(tmp_path, capsys, key, value):
@@ -252,6 +248,43 @@ def test_memcalc_refuses_m_peak_without_a_budget(tmp_path, capsys):
         assert main(["memcalc", "--config", str(path), "--m-peak", peak]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--m-peak" in err
+
+
+def test_memcalc_refuses_a_negative_m_peak_before_any_output(tmp_path, capsys):
+    path = write_mem_config(tmp_path, gpu_budget_bytes=200 * MIB)
+    assert main(["memcalc", "--config", str(path), "--m-peak", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--m-peak" in err
+
+
+# A valid value, other than the base run's, for every MemoryConfig field.
+MEMCALC_ALTERNATIVES = {
+    "d_model": 2048,
+    "n_heads": 64,
+    "n_layers": 16,
+    "bytes_per_elem": 1,
+    "n_kv_self": 2,
+    "n_kv_bus": 2,
+    "tokens_per_stream": (1024, 2048, 2048),
+    "bus_tokens": 1280,
+    "cross_layers": 4,
+    "weights_bytes": 10 * MIB,
+    "workspace_bytes": 10 * MIB,
+    "gpu_budget_bytes": 300 * MIB,
+}
+
+
+def test_every_memory_config_field_changes_memcalc_output(tmp_path, capsys):
+    # The base run is README's memcfg.json with a budget, so the pressure line prints.
+    def memcalc(**extra):
+        path = write_mem_config(tmp_path, **{"gpu_budget_bytes": 200 * MIB, **extra})
+        assert main(["memcalc", "--config", str(path)]) == 0
+        return capsys.readouterr().out
+
+    base = memcalc()
+    for f in dataclasses.fields(MemoryConfig):
+        assert f.name in MEMCALC_ALTERNATIVES, f"MemoryConfig.{f.name} needs a value in MEMCALC_ALTERNATIVES"
+        assert memcalc(**{f.name: MEMCALC_ALTERNATIVES[f.name]}) != base, f.name
 
 
 def test_memcalc_rejects_malformed_json(tmp_path, capsys):
@@ -372,17 +405,11 @@ def test_balance_refuses_unusable_values_and_names_the_line(tmp_path, capsys):
         assert out == "" and named in err
 
 
-def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
+def test_cli_reads_no_seed_from_the_environment(artifact_path, tmp_path, capsys, monkeypatch):
+    # A trace is a function of the artifact and the flags alone.
     monkeypatch.setenv("PDT_SEED", "7")
-    path = tmp_path / "env.pdtr"
-    assert main(["synth", "--out", str(path)]) == 0
-    assert "seed=7" in capsys.readouterr().out
-    monkeypatch.setenv("PDT_SEED", "junk")
-    assert main(["synth", "--out", str(path)]) == 2
-
-
-def test_explicit_seed_beats_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PDT_SEED", "7")
-    path = tmp_path / "cli.pdtr"
-    assert main(["synth", "--out", str(path), "--seed", "11"]) == 0
-    assert "seed=11" in capsys.readouterr().out
+    assert main(["synth", "--out", str(tmp_path / "env.pdtr")]) == 0
+    assert "seed=0" in capsys.readouterr().out
+    assert main(["replay", "--artifact", str(artifact_path)]) == 0
+    expected = run_parallel(read_artifact(artifact_path), DecodeConfig()).trace_hash()
+    assert capsys.readouterr().out.splitlines()[-1] == f"trace_hash: {expected}"

@@ -102,7 +102,6 @@ def test_readme_cli_example_prints_what_it_says(command, tmp_path, monkeypatch, 
     from pdtcoord.cli import main
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PDT_SEED", raising=False)
     # replay and sweep read the artifact that the synth example writes.
     if command in ("replay", "sweep"):
         assert main(cli_example("synth")[1]) == 0
