@@ -57,6 +57,12 @@ class SncParams:
     Queries come from the stream hidden state (width d); keys and values come
     from note embeddings (width d_note); the attended value is mapped back to
     width d by w_o.  The effective gate is logistic(gamma).
+
+    The constructor also folds the key projection into the query side,
+    w_qk = w_q @ w_k.T (d x d_note), and the value projection into the output
+    side, w_vo = w_v @ w_o (d_note x d), so attention runs over raw note rows.
+    Both are read-only attributes, not fields: the PDTR1 format stores only
+    the four projections.
     """
 
     w_q: Matrix
@@ -76,6 +82,9 @@ class SncParams:
             raise ShapeError(f"w_o shape {self.w_o.shape} must map attention width back to {d}")
         if not math.isfinite(self.gamma):
             raise ConfigError("gamma must be finite")
+        for name, folded in (("w_qk", self.w_q @ self.w_k.T), ("w_vo", self.w_v @ self.w_o)):
+            folded.setflags(write=False)
+            object.__setattr__(self, name, folded)
 
     @property
     def d(self) -> int:
@@ -127,7 +136,12 @@ def apply_adapter(h: Matrix, params: AdapterParams) -> Matrix:
 def attend_notes(h: Matrix, notes: Matrix, params: SncParams) -> Matrix:
     """Raw (ungated) cross-attention readout of shape (T, d).
 
-    softmax(h w_q (notes w_k)^T / sqrt(d_attn)) (notes w_v) w_o
+    softmax(h w_q (notes w_k)^T / sqrt(d_attn)) (notes w_v) w_o, computed as
+
+        softmax((h w_qk) notes^T / sqrt(d_attn)) notes w_vo
+
+    with w_qk = w_q w_k^T and w_vo = w_v w_o folded once in SncParams, so no
+    note row is projected to K or V.  The two forms agree up to rounding.
     """
     h = as_matrix(h, "h")
     notes = as_matrix(notes, "notes")
@@ -137,11 +151,8 @@ def attend_notes(h: Matrix, notes: Matrix, params: SncParams) -> Matrix:
         raise ShapeError(f"note width {notes.shape[1]} != expected {params.d_note}")
     if notes.shape[0] == 0:
         raise ShapeError("attend_notes requires at least one note row")
-    q = h @ params.w_q
-    k = notes @ params.w_k
-    v = notes @ params.w_v
-    attn = row_softmax(q @ k.T, scale=1.0 / math.sqrt(params.d_attn))
-    return (attn @ v) @ params.w_o
+    attn = row_softmax((h @ params.w_qk) @ notes.T, scale=1.0 / math.sqrt(params.d_attn))
+    return (attn @ notes) @ params.w_vo
 
 
 def snc_attend(

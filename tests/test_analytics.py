@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import pytest
 
@@ -59,8 +60,14 @@ def test_infeasible_chain_rejected():
         ClusterSimConfig(q_token=0.9, rho_c=0.0)
     with pytest.raises(ConfigError):
         ClusterSimConfig(rho_c=1.0)
-    with pytest.raises(ConfigError):
-        ClusterSimConfig(trials=0)
+    for trials in (0, 1):
+        with pytest.raises(ConfigError, match="trials must be >= 2"):
+            ClusterSimConfig(trials=trials)
+
+
+def test_two_trials_give_a_sample_variance():
+    res = simulate_clustered_rollback(ClusterSimConfig(trials=2, q_token=0.3))
+    assert math.isfinite(res.indep_variance) and math.isfinite(res.clustered_variance)
 
 
 def test_simulation_theoretical_anchors():
@@ -106,11 +113,31 @@ def test_transcript_labels_and_dynamics():
     assert f"(Theo: {res.indep_theo_fail:.4f})" in text
 
 
-def test_transcript_tracks_sample_direction():
-    # Force the opposite conclusion wording with a degenerate chain.
+def test_transcript_names_no_direction_within_sampling_noise():
+    # rho = 0 makes both chains independent Bernoulli errors: any difference is noise.
     res = simulate_clustered_rollback(ClusterSimConfig(rho_c=0.0, seed=9))
+    assert res.clustered_fail_prob != res.indep_fail_prob
+    assert res.clustered_variance != res.indep_variance
     text = format_sim_transcript(res)
-    assert ("DECREASES the stride" in text) or ("INCREASES the stride" in text)
+    assert "clustering DOES NOT CHANGE the stride" in text
+    assert "error-count variance DOES NOT CHANGE" in text
+    assert "consistent with" not in text
+    assert "does not show the (1+rho) variance impact" in text
+
+
+def test_transcript_directions_of_the_readme_example():
+    text = format_sim_transcript(simulate_clustered_rollback(ClusterSimConfig(trials=2000)))
+    assert "clustering DECREASES the stride" in text
+    assert "error-count variance INCREASES" in text
+    assert "consistent with the (1+rho) variance impact" in text
+
+
+def test_difference_standard_errors_match_spread_across_seeds():
+    runs = [simulate_clustered_rollback(ClusterSimConfig(trials=1000, seed=s)) for s in range(100)]
+    fail_diffs = [r.clustered_fail_prob - r.indep_fail_prob for r in runs]
+    var_diffs = [r.clustered_variance - r.indep_variance for r in runs]
+    assert statistics.stdev(fail_diffs) == pytest.approx(statistics.mean(r.fail_diff_se for r in runs), rel=0.2)
+    assert statistics.stdev(var_diffs) == pytest.approx(statistics.mean(r.variance_diff_se for r in runs), rel=0.2)
 
 
 def test_transcript_names_no_direction_for_figures_equal_as_printed():
@@ -123,6 +150,8 @@ def test_transcript_names_no_direction_for_figures_equal_as_printed():
         clustered_fail_prob=0.10004,
         clustered_variance=0.3,
         clustered_theo_variance=0.3,
+        fail_diff_se=0.0,
+        variance_diff_se=0.01,
     )
     text = format_sim_transcript(res)
     assert "clustering DOES NOT CHANGE the stride" in text

@@ -161,6 +161,13 @@ def test_clustered_sim_infeasible_chain(capsys):
     assert main(["clustered-sim", "--q-token", "0.9", "--rho", "0.0"]) == 2
 
 
+def test_clustered_sim_refuses_one_trial(capsys):
+    assert main(["clustered-sim", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials must be >= 2" in captured.err
+
+
 def write_mem_config(tmp_path, **extra):
     cfg = {
         "d_model": 4096,

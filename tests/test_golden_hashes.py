@@ -10,7 +10,15 @@ earlier behaviour, not against itself.  A hash changes only with a deliberate
 behaviour or trace-format change, which then records the old and new values.
 Batching each stride moved the two live-mode full hashes: a batched matmul
 differs from a per-row one by about 1e-16, which reaches only the printed
-min_agreement digits.
+min_agreement digits.  Folding w_k into the query and w_v w_o into the output
+of note attention moved the full hash of reconsume_live_stochastic for the
+same reason: 9 ROLLBACK lines differ, each in its min_agreement digits, by at
+most 5.1e-16 relative, and every other line is unchanged.
+
+wide_bus is the one case at bus width: 8 streams of 256 frames read each
+other's notes through a 512-row bus, so each reader attends over hundreds of
+rows, and a closed gate changes 78 of the 1,984 tokens in its final logs.
+Its hashes were taken from the decoder before the fold.
 """
 
 from __future__ import annotations
@@ -51,6 +59,17 @@ WIDE = SynthSpec(
     logit_scale=1.0,
     planted_divergences=((1, 9), (3, 41), (0, 66)),
 )
+WIDE_BUS = SynthSpec(
+    n_streams=8,
+    length=256,
+    vocab_size=64,
+    d=32,
+    d_note=16,
+    seed=5,
+    gamma=1.5,
+    logit_scale=1.0,
+    planted_divergences=((1, 40), (6, 200)),
+)
 
 
 def truncated(frames: StreamFrames, n: int) -> StreamFrames:
@@ -69,6 +88,10 @@ def quick_start() -> ReplayArtifact:
 
 def wide() -> ReplayArtifact:
     return synthesize_artifact(WIDE)
+
+
+def wide_bus() -> ReplayArtifact:
+    return synthesize_artifact(WIDE_BUS)
 
 
 def ragged() -> ReplayArtifact:
@@ -96,7 +119,7 @@ CASES = [
      "6f0baed3d133eb52f3136686ace79601a0d4bdb08156176dcd6294f9c4e54970"),
     ("reconsume_live_stochastic", wide,
      replace(B8, regen_mode="reconsume", agreement_mode="live", cadence=STOCHASTIC),
-     "3171078b71e36df75c27ca3bd1ecabf52bb1654017b2d705624712e367e74973",
+     "5a4fd80220be5f2553008a9bdf717425d45b3dc1e6516d0bdee3f24cb7be999b",
      "da4b983397a3ce655830c0c05612489e185cb300aea5a7d18d92dbeec18e29c4"),
     ("adaptive_cadence", wide, replace(B8, cadence=ADAPTIVE, warmup_tokens=12),
      "fee98d3d84854f9ad615a5f6cd31ccb864660a635347c0cb8f00dffca23a9b4b",
@@ -128,6 +151,10 @@ CASES = [
      DecodeConfig(stride_b=32, horizon_l=32, seed=99, cadence=ADAPTIVE, warmup_tokens=16),
      "82b0b894830aa51d533ee34c0763009601026ecbfcf1ddeaddc3a49b64397976",
      "7e75d4295599d14bd6aa2ba4273b3230e4668c4c97d95ce1ff8aee08cb0404cb"),
+    ("wide_bus", wide_bus,
+     DecodeConfig(stride_b=32, horizon_l=32, cadence=CadenceConfig(interval_m=1), bus_capacity=512),
+     "e712a9ca8592102b9940fd4f4afbd4a62f2938543e0ff9afea18f45e6ea05ff8",
+     "9d588e6c0096cc327ec604fdf662bf5ce377eebea00b61efde85c935c28f9486"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import pdtcoord.snc as snc
 from pdtcoord.errors import ConfigError, ShapeError
 from pdtcoord.kernels import logistic
+from pdtcoord.replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
 from pdtcoord.rng import normal_matrix
 from pdtcoord.snc import (
     AdapterParams,
@@ -121,6 +123,46 @@ def test_attend_notes_requires_rows():
     p = make_snc()
     with pytest.raises(ShapeError):
         attend_notes(np.zeros((2, 10)), np.zeros((0, 5)), p)
+
+
+def unfolded_attention(h: np.ndarray, notes: np.ndarray, p: SncParams) -> np.ndarray:
+    """softmax(h w_q (notes w_k)^T / sqrt(d_attn)) (notes w_v) w_o, projecting K and V."""
+    k = notes @ p.w_k
+    v = notes @ p.w_v
+    scores = (h @ p.w_q) @ k.T / math.sqrt(p.w_q.shape[1])
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return (weights @ v) @ p.w_o
+
+
+@pytest.mark.parametrize("n_notes", [1, 2000])
+@pytest.mark.parametrize("dn, da", [(5, 9), (9, 5)])
+def test_folded_attention_matches_unfolded_formula(n_notes, dn, da):
+    p = make_snc(seed=n_notes + da, d=12, dn=dn, da=da)
+    h = normal_matrix(n_notes, 23, 1, 6, 12)
+    notes = normal_matrix(n_notes, 23, 2, n_notes, dn)
+    np.testing.assert_allclose(attend_notes(h, notes, p), unfolded_attention(h, notes, p), rtol=1e-12)
+
+
+def test_folded_weights_are_read_only():
+    p = make_snc()
+    assert p.w_qk.shape == (p.d, p.d_note) and p.w_vo.shape == (p.d_note, p.d)
+    for name in ("w_qk", "w_vo"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, name)[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, np.zeros((1, 1)))
+    assert {f.name for f in dataclasses.fields(p)} == {"w_q", "w_k", "w_v", "w_o", "gamma"}
+
+
+def test_folded_weights_survive_artifact_round_trip(tmp_path):
+    artifact = synthesize_artifact(SynthSpec(n_streams=2, length=8, seed=4))
+    path = str(tmp_path / "a.pdtr")
+    write_artifact(artifact, path)
+    before, after = vars(artifact.snc), vars(read_artifact(path).snc)
+    assert before.keys() == after.keys() >= {"w_qk", "w_vo"}
+    for name, value in before.items():
+        assert np.array_equal(value, after[name]), name
 
 
 def test_agreement_score_deterministic():
