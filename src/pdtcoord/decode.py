@@ -17,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal, get_args
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .cadence import CadenceConfig, ContextSignals, next_emission
 from .errors import ConfigError
 from .kernels import logistic, row_softmax
 from .memmodel import pages_touched
-from .notebus import BUS_CAPACITY, BUS_RETAIN_K, NotesBus, stack_sibling_rows
+from .notebus import BUS_CAPACITY, BUS_RETAIN_K, BusView, NotesBus, stack_sibling_rows
 from .replay import ReplayArtifact
 from .rng import DOMAIN_NOISE, normal_array
 from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_controller_step
@@ -78,10 +78,12 @@ class DecodeConfig:
 
 
 # -- events -----------------------------------------------------------------
+#
+# Trace records are named tuples: immutable, cheaper to build than frozen
+# dataclasses, and a decode builds one per token.
 
 
-@dataclass(frozen=True)
-class TokenEvent:
+class TokenEvent(NamedTuple):
     round_index: int
     stream_id: int
     position: int
@@ -92,8 +94,7 @@ class TokenEvent:
         return f"TOKEN {self.round_index} {self.stream_id} {self.position} {self.frame_index} {self.token_id}"
 
 
-@dataclass(frozen=True)
-class GateEvent:
+class GateEvent(NamedTuple):
     round_index: int
     stream_id: int
     position: int
@@ -103,8 +104,7 @@ class GateEvent:
         return f"GATE {self.round_index} {self.stream_id} {self.position} {self.value!r}"
 
 
-@dataclass(frozen=True)
-class NoteEvent:
+class NoteEvent(NamedTuple):
     round_index: int
     stream_id: int
     emitted_at_token: int
@@ -114,8 +114,7 @@ class NoteEvent:
         return f"NOTE {self.round_index} {self.stream_id} {self.emitted_at_token} {self.version}"
 
 
-@dataclass(frozen=True)
-class SnapshotEvent:
+class SnapshotEvent(NamedTuple):
     round_index: int
     snapshot_version: int
     created_at_token: int
@@ -124,8 +123,7 @@ class SnapshotEvent:
         return f"SNAPSHOT {self.round_index} {self.snapshot_version} {self.created_at_token}"
 
 
-@dataclass(frozen=True)
-class RollbackEvent:
+class RollbackEvent(NamedTuple):
     stream_id: int
     trigger_position: int
     rolled_back_to: int
@@ -193,24 +191,25 @@ def _note_entropy(probs: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def _note_event(state: StreamState, rows: np.ndarray, newest: dict[int, int]) -> tuple[bool, float | None]:
+def _note_event(state: StreamState, view: BusView | None, newest: dict[int, int]) -> tuple[bool, float | None]:
     """Whether a stride's sibling view holds notes the stream has not seen yet.
 
-    A sibling note is new when its stream's newest version in the view is
-    above the one the stream recorded at its last event.  A stream's
-    versions only grow, a tombstoned or compacted note never comes back,
-    and a compaction summary takes the version of a note that was visible,
-    so this is exactly "the view holds a note the last event's view did not".
-    Returns the event flag and, from the second event on, how far the mean
-    sibling row moved since the last one.  On an event the view's newest
-    versions and mean become the stream's record; a view that only lost
-    notes (to a rollback or to compaction) is no event and leaves the
-    record as it is.
+    newest maps each sibling in the view to its newest version there.  A
+    sibling note is new when that version is above the one the stream
+    recorded at its last event.  A stream's versions only grow, a tombstoned
+    or compacted note never comes back, and a compaction summary takes the
+    version of a note that was visible, so this is exactly "the view holds a
+    note the last event's view did not".  Returns the event flag and, from
+    the second event on, how far the mean sibling row (which the view takes
+    from its per-stream column sums) moved since the last one.  On an event
+    the view's newest versions and mean become the stream's record; a view
+    that only lost notes (to a rollback or to compaction) is no event and
+    leaves the record as it is.
     """
     seen = state.seen_versions
     if all(v <= seen.get(sid, -1) for sid, v in newest.items()):
         return False, None
-    mean_now = rows.mean(axis=0)
+    mean_now = view.sibling_mean(state.stream_id)
     note_change = None
     if state.last_note_mean is not None:
         note_change = float(np.linalg.norm(mean_now - state.last_note_mean))
@@ -257,15 +256,14 @@ def step_stream(
     gate_col = np.array(gates)[:, None]
 
     h_adapted = apply_adapter(frames.hidden[block], artifact.adapter)
+    residual = None
     if rows.shape[0] > 0 and gate_col.any():
         # A closed gate's row of the residual is 0 * finite = +-0, so it adds
         # exactly nothing to that row's logits and hidden state.
         residual = gate_col * attend_notes(h_adapted, rows, artifact.snc)
         biased = frames.logits[block] + residual @ artifact.readout
-        h_out = h_adapted + residual
     else:
         biased = frames.logits[block]
-        h_out = h_adapted
     tokens = biased.argmax(axis=1).tolist()
     if config.record_margins:
         top2 = np.partition(biased, -2, axis=1)[:, -2:]
@@ -274,12 +272,14 @@ def step_stream(
     if config.agreement_mode == "artifact":
         scores = frames.agreement[block].tolist()
     else:
+        h_out = h_adapted if residual is None else h_adapted + residual
         scores = [agreement_score(h, artifact.agreement) for h in h_out]
     if config.cadence.mode == "adaptive":
         probs = row_softmax(biased)
         entropy_norm = [_note_entropy(p) / math.log(artifact.vocab_size) for p in probs]
 
     base, decoded = state.position, state.tokens_decoded
+    present = frames.note_present[block].tolist()
     seed = _effective_seed(artifact, config)
     state.token_log.extend(tokens)
     state.min_uncommitted_agreement = min(state.min_uncommitted_agreement, *scores)
@@ -304,7 +304,7 @@ def step_stream(
                 gate=gate,
             )
         emit = next_emission(config.cadence, seed, state.stream_id, decoded + t + 1, signals)
-        if emit and frames.note_present[frame]:
+        if emit and present[t]:
             emb = frames.note_embeddings[frame]
             if config.note_noise_scale > 0.0:
                 noise = normal_array(seed, DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note))
@@ -466,7 +466,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
             if s.cursor >= lengths[s.stream_id]:
                 continue
             rows, newest = (no_rows, {}) if view is None else stack_sibling_rows(view, s.stream_id)
-            note_event, note_change = _note_event(s, rows, newest)
+            note_event, note_change = _note_event(s, view, newest)
             events.extend(step_stream(s, artifact, config, round_index, rows, note_event, note_change, base_gate))
 
         published = False

@@ -1,8 +1,10 @@
 """Dense float64 kernels used by the coordination layer.
 
 All public functions take and return plain numpy arrays.  Matrix means a 2-D
-float64 ndarray throughout the package; helpers here validate rank and dtype at
-the boundary so downstream modules can assume clean inputs.
+float64 ndarray throughout the package.  as_matrix and as_vector coerce and
+check rank and finiteness; each array is scanned once on its way through a
+stride: layer_norm scans the adapter's hidden block, and row_softmax scans
+the attention scores, which any non-finite hidden or note entry reaches.
 """
 
 from __future__ import annotations
@@ -52,13 +54,20 @@ def row_softmax(m: Matrix, scale: float = 1.0) -> Matrix:
 
 
 def layer_norm(m: Matrix, eps: float = 1e-5) -> Matrix:
-    """Per-row standardization: (x - mean) / sqrt(var + eps), no affine terms."""
+    """Per-row standardization: (x - mean) / sqrt(var + eps), no affine terms.
+
+    The moments come from one centred pass, summed and divided as np.mean
+    and np.var do, so the result is bit-identical to
+    (m - m.mean(1)) / sqrt(m.var(1) + eps).
+    """
     m = as_matrix(m, "m")
-    if m.shape[1] < 2:
+    n = m.shape[1]
+    if n < 2:
         raise ShapeError("layer_norm needs at least 2 columns per row")
-    mu = m.mean(axis=1, keepdims=True)
-    var = m.var(axis=1, keepdims=True)
-    return (m - mu) / np.sqrt(var + eps)
+    centred = m - np.add.reduce(m, axis=1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / n
+    centred /= np.sqrt(var + eps)
+    return centred
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

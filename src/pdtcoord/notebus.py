@@ -1,13 +1,15 @@
 """Versioned cross-stream notes bus.
 
-Streams publish fixed-width note embeddings into one tuple per stream;
+Streams publish fixed-width note embeddings into one lineage per stream;
 readers see their siblings' notes either live or through lagged snapshots,
-each a copy of the per-stream dict of tuples.  Rolled-back notes are
-tombstoned, never deleted, so a trace replays identically.  A capacity cap
-triggers mean-pool compaction of the oldest notes per stream, and a publish
-that compaction could not fit is refused with the bus unchanged.  A read
-stacks the notes it serves once, in (stream id, version) order; each reader
-of the stride then takes its siblings' rows out of that one table.
+each a copy of the per-stream dict of (lineage, count) pairs.  Rolled-back
+notes are tombstoned, never deleted, so a trace replays identically.  A
+capacity cap triggers mean-pool compaction of the oldest notes per stream,
+and a publish that compaction could not fit is refused with the bus
+unchanged.  Each lineage keeps its notes stacked as rows, and a read stacks
+only the notes published since the last one; it lays the streams' rows out
+in (stream id, version) order, and each reader of the stride takes its
+siblings' rows out of that one table.
 """
 
 from __future__ import annotations
@@ -52,20 +54,59 @@ class Note:
 
 @dataclass(frozen=True)
 class BusView:
-    """The notes one read serves, in bus order: their stacked rows, each row's
-    stream id, and each stream's newest version among them."""
+    """The notes one read serves, in bus order: their stacked rows (read-only),
+    each row's stream id, each stream's newest version among them, each
+    stream's [start, stop) span of rows, and each stream's column sums."""
 
     rows: Matrix
     stream_ids: np.ndarray
     newest: dict[int, int]
+    spans: dict[int, tuple[int, int]]
+    sums: dict[int, np.ndarray]
+
+    def sibling_mean(self, reader: int) -> np.ndarray:
+        """Mean row of every stream but reader's: (sum of all rows - reader's) / sibling count.
+
+        It equals the mean of stack_sibling_rows(self, reader)[0] up to
+        rounding; the view must hold a sibling row.
+        """
+        start, stop = self.spans.get(reader, (0, 0))
+        return (sum(self.sums.values()) - self.sums.get(reader, 0.0)) / (self.rows.shape[0] - (stop - start))
+
+
+class _Lineage:
+    """One stream's notes since its last tombstone or compaction, and their rows.
+
+    A publish appends a note; a tombstone or a compaction starts a new
+    lineage.  So the stream's visible notes, and its notes in every snapshot
+    that shares the lineage, are a prefix of `notes`: a (lineage, count)
+    pair names them.  `rows` stacks a prefix of `notes` and only grows, so a
+    read stacks each note of a lineage once and slices the rows it needs.
+    """
+
+    __slots__ = ("notes", "rows")
+
+    def __init__(self, notes: list[Note], d_note: int) -> None:
+        self.notes = notes
+        self.rows = np.zeros((0, d_note))
+
+    def stacked(self, count: int) -> Matrix:
+        """The rows of the first count notes, read-only."""
+        have = self.rows.shape[0]
+        if count > have:
+            flat = np.concatenate([self.rows.ravel(), *(n.embedding for n in self.notes[have:])])
+            self.rows = flat.reshape(-1, self.rows.shape[1])
+            self.rows.setflags(write=False)
+        return self.rows[:count]
 
 
 class NotesBus:
     """Append-only store of notes with snapshots, lagged reads and compaction.
 
-    The visible notes are one tuple per stream, in version order, and an
-    operation on one stream replaces only that stream's tuple.  A snapshot
-    is a copy of that dict, which shares the tuples and copies no note.  The
+    The visible notes are one (lineage, count) pair per stream: the first
+    count notes of the lineage, in version order.  An operation on one
+    stream replaces only that stream's pair.  A snapshot is a copy of that
+    dict, which shares the lineages and copies no note or row.  The
     bus keeps only the newest max(1, max_delta) snapshots, the ones a read of
     lag up to max_delta can reach.  A publish either fits, after compaction
     if need be, or raises CapacityError having changed nothing.
@@ -84,12 +125,12 @@ class NotesBus:
         self.capacity = capacity
         self.retain_k = retain_k
         self.max_delta = max_delta
-        self._visible: dict[int, tuple[Note, ...]] = {}
+        self._visible: dict[int, tuple[_Lineage, int]] = {}
         self._tombstoned: list[Note] = []
         self._next_version: dict[int, int] = {}
         # The bus starts with an implicit empty snapshot so lagged reads are
         # well defined before any emission round completes.
-        self._snapshots: deque[dict[int, tuple[Note, ...]]] = deque([{}], maxlen=max(1, max_delta))
+        self._snapshots: deque[dict[int, tuple[_Lineage, int]]] = deque([{}], maxlen=max(1, max_delta))
         self._snapshot_version = 0
 
     # -- publishing ---------------------------------------------------------
@@ -100,14 +141,15 @@ class NotesBus:
         note = Note(stream_id, version, embedding, token_pos)
         if note.embedding.shape[0] != self.d_note:
             raise ShapeError(f"note width {note.embedding.shape[0]} != bus width {self.d_note}")
-        notes = self._visible.get(stream_id, ()) + (note,)
         over = self.visible_rows() + 1 > self.capacity
         if over:
             # Compacting to 1 leaves min(n, 2) of a stream's n notes; refuse before any change if that is too many.
-            floor = sum(min(len(n), 2) for n in {**self._visible, stream_id: notes}.values())
+            counts = {sid: count for sid, (_, count) in self._visible.items()}
+            counts[stream_id] = counts.get(stream_id, 0) + 1
+            floor = sum(min(count, 2) for count in counts.values())
             if floor > self.capacity:
                 raise CapacityError(f"bus over capacity: compaction leaves {floor} rows > {self.capacity}")
-        self._visible[stream_id] = notes
+        self._append(note)
         self._next_version[stream_id] = version + 1
         if over:
             self.compact()
@@ -115,8 +157,18 @@ class NotesBus:
                 self.compact(retain_k=1)
         return note
 
+    def _append(self, note: Note) -> None:
+        # The visible pair always holds all of its lineage's notes.
+        lineage, count = self._visible.get(note.stream_id) or (_Lineage([], self.d_note), 0)
+        lineage.notes.append(note)
+        self._visible[note.stream_id] = (lineage, count + 1)
+
+    def _notes(self, stream_id: int) -> list[Note]:
+        lineage, count = self._visible.get(stream_id) or (None, 0)
+        return lineage.notes[:count] if count else []
+
     def visible_rows(self) -> int:
-        return sum(map(len, self._visible.values()))
+        return sum(count for _, count in self._visible.values())
 
     # -- snapshots and reads ------------------------------------------------
 
@@ -132,7 +184,9 @@ class NotesBus:
         delta=0 is a live view of current visible notes; delta>=1 reads the
         snapshot delta emission rounds back (the initial empty snapshot
         while fewer than delta have been taken); a delta above max_delta is
-        refused.  stack_sibling_rows takes one reader's siblings out of it.
+        refused.  The table concatenates one read-only block of rows per
+        stream, each stacked by its lineage.  stack_sibling_rows takes one
+        reader's siblings out of it.
         """
         if delta < 0:
             raise ConfigError("delta must be non-negative")
@@ -142,13 +196,24 @@ class NotesBus:
             by_stream = self._visible
         else:
             by_stream = self._snapshots[max(0, len(self._snapshots) - delta)]
-        streams = [by_stream[sid] for sid in sorted(by_stream) if by_stream[sid]]
-        notes = [n for stream in streams for n in stream]
-        # One concatenate copies the rows; np.stack pays per row to add an axis.
-        rows = np.concatenate([n.embedding for n in notes]) if notes else np.zeros(0)
-        stream_ids = np.array([n.stream_id for n in notes], dtype=np.int64)
-        newest = {stream[-1].stream_id: stream[-1].version for stream in streams}
-        return BusView(rows.reshape(-1, self.d_note), stream_ids, newest)
+        blocks: list[Matrix] = []
+        counts: list[int] = []
+        spans: dict[int, tuple[int, int]] = {}
+        newest: dict[int, int] = {}
+        sums: dict[int, np.ndarray] = {}
+        for sid in sorted(by_stream):
+            lineage, count = by_stream[sid]
+            if count:
+                start = sum(counts)
+                blocks.append(lineage.stacked(count))
+                counts.append(count)
+                spans[sid] = (start, start + count)
+                newest[sid] = lineage.notes[count - 1].version
+                sums[sid] = np.add.reduce(blocks[-1])
+        rows = np.concatenate(blocks) if blocks else np.zeros((0, self.d_note))
+        rows.setflags(write=False)
+        stream_ids = np.repeat(np.array(list(spans), dtype=np.int64), counts)
+        return BusView(rows, stream_ids, newest, spans, sums)
 
     # -- rollback and compaction --------------------------------------------
 
@@ -158,10 +223,11 @@ class NotesBus:
         Tombstoned notes leave the visible set but are archived for dumps, so
         replay bookkeeping is preserved.  Returns the number tombstoned.
         """
-        notes = self._visible.get(stream_id, ())
+        notes = self._notes(stream_id)
         dropped = [n for n in notes if n.emitted_at_token >= token_pos]
         if dropped:
-            self._visible[stream_id] = tuple(n for n in notes if n.emitted_at_token < token_pos)
+            kept = [n for n in notes if n.emitted_at_token < token_pos]
+            self._visible[stream_id] = (_Lineage(kept, self.d_note), len(kept))
             self._tombstoned.extend(dropped)
         return len(dropped)
 
@@ -176,7 +242,8 @@ class NotesBus:
         if k <= 0:
             raise ConfigError("retain_k must be positive")
         created = 0
-        for sid, notes in self._visible.items():
+        for sid in list(self._visible):
+            notes = self._notes(sid)
             if len(notes) > k:
                 old = notes[:-k]
                 pooled = np.mean(np.stack([n.embedding for n in old]), axis=0)
@@ -187,7 +254,7 @@ class NotesBus:
                     emitted_at_token=old[-1].emitted_at_token,
                     schema_tag=SCHEMA_SUMMARY,
                 )
-                self._visible[sid] = (summary, *notes[-k:])
+                self._visible[sid] = (_Lineage([summary, *notes[-k:]], self.d_note), k + 1)
                 created += 1
         return created
 
@@ -197,7 +264,7 @@ class NotesBus:
             if tombstoned:
                 self._tombstoned.append(note)
             else:
-                self._visible[note.stream_id] = self._visible.get(note.stream_id, ()) + (note,)
+                self._append(note)
             self._next_version[note.stream_id] = max(self._next_version.get(note.stream_id, 0), note.version + 1)
 
     # -- serialization ------------------------------------------------------
@@ -207,12 +274,12 @@ class NotesBus:
 
         Tombstoned notes are included with a tombstone marker.
         """
-        records = [(n, False) for notes in self._visible.values() for n in notes]
+        records = [(n, False) for sid in self._visible for n in self._notes(sid)]
         records.extend((n, True) for n in self._tombstoned)
         records.sort(key=lambda r: (r[0].stream_id, r[0].version, r[1]))
         lines = []
         for n, tomb in records:
-            vals = ",".join(repr(float(x)) for x in n.embedding)
+            vals = ",".join(map(repr, n.embedding.tolist()))
             lines.append(
                 f"BUSNOTE {n.stream_id} {n.version} {n.emitted_at_token} {n.schema_tag} "
                 f"{'tombstoned' if tomb else 'live'} {vals}"
@@ -221,8 +288,19 @@ class NotesBus:
 
 
 def stack_sibling_rows(view: BusView, reader: int) -> tuple[Matrix, dict[int, int]]:
-    """The reader's sibling rows in bus order, and each sibling's newest version."""
-    rows = view.rows[view.stream_ids != reader]
+    """The reader's sibling rows in bus order, and each sibling's newest version.
+
+    The reader's own rows are one span of the table, so its siblings are the
+    rows around it: a read-only slice of the table when the span is at one
+    end (or absent), else a copy of the two slices.
+    """
+    start, stop = view.spans.get(reader, (0, 0))
+    if start == 0:
+        rows = view.rows[stop:]
+    elif stop == view.rows.shape[0]:
+        rows = view.rows[:start]
+    else:
+        rows = np.concatenate((view.rows[:start], view.rows[stop:]))
     return rows, {sid: v for sid, v in view.newest.items() if sid != reader}
 
 

@@ -125,10 +125,13 @@ class AgreementParams:
 
 
 def apply_adapter(h: Matrix, params: AdapterParams) -> Matrix:
-    """Residual bottleneck transform of a (T, d) block of hidden states."""
-    h = as_matrix(h, "h")
-    if h.shape[1] != params.d:
-        raise ShapeError(f"hidden width {h.shape[1]} != adapter width {params.d}")
+    """Residual bottleneck transform of a (T, d) block of hidden states.
+
+    layer_norm's coercion is the one finiteness scan of h.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != params.d:
+        raise ShapeError(f"hidden block must be (T, {params.d}), got shape {h.shape}")
     inner = gelu(layer_norm(h, params.ln_eps) @ params.w_down)
     return h + inner @ params.w_up
 
@@ -142,16 +145,20 @@ def attend_notes(h: Matrix, notes: Matrix, params: SncParams) -> Matrix:
 
     with w_qk = w_q w_k^T and w_vo = w_v w_o folded once in SncParams, so no
     note row is projected to K or V.  The two forms agree up to rounding.
+    Neither input is scanned here: a NaN or an infinity in h or notes makes
+    a score non-finite, and row_softmax refuses those with ValueError.
     """
-    h = as_matrix(h, "h")
-    notes = as_matrix(notes, "notes")
-    if h.shape[1] != params.d:
-        raise ShapeError(f"hidden width {h.shape[1]} != attention width {params.d}")
-    if notes.shape[1] != params.d_note:
-        raise ShapeError(f"note width {notes.shape[1]} != expected {params.d_note}")
+    h = np.asarray(h, dtype=np.float64)
+    notes = np.asarray(notes, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != params.d:
+        raise ShapeError(f"hidden block must be (T, {params.d}), got shape {h.shape}")
+    if notes.ndim != 2 or notes.shape[1] != params.d_note:
+        raise ShapeError(f"notes must be (N, {params.d_note}), got shape {notes.shape}")
     if notes.shape[0] == 0:
         raise ShapeError("attend_notes requires at least one note row")
-    attn = row_softmax((h @ params.w_qk) @ notes.T, scale=1.0 / math.sqrt(params.d_attn))
+    with np.errstate(invalid="ignore", over="ignore"):  # row_softmax raises for what these would warn about
+        scores = (h @ params.w_qk) @ notes.T
+    attn = row_softmax(scores, scale=1.0 / math.sqrt(params.d_attn))
     return (attn @ notes) @ params.w_vo
 
 

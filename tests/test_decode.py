@@ -20,6 +20,7 @@ from pdtcoord.decode import (
     GateEvent,
     NoteEvent,
     RollbackEvent,
+    SnapshotEvent,
     StreamState,
     TokenEvent,
     _config_line,
@@ -331,7 +332,8 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
     bus = NotesBus(d_note=2)
 
     def event() -> bool:
-        fired, _ = _note_event(state, *stack_sibling_rows(bus.read_lagged(0), 0))
+        view = bus.read_lagged(0)
+        fired, _ = _note_event(state, view, stack_sibling_rows(view, 0)[1])
         return fired
 
     bus.publish(1, np.ones(2), 0)
@@ -351,6 +353,44 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
     assert event() and state.seen_versions == {1: 2, 2: 2}
     bus.publish(0, np.full(2, 4.0), 8)  # the reader's own note
     assert not event() and state.seen_versions == {1: 2, 2: 2}
+
+
+def test_note_change_matches_the_mean_of_the_sibling_rows(monkeypatch):
+    # _note_event takes the sibling mean from per-stream column sums; the
+    # mean of the stacked sibling rows is the reference.
+    art = synthesize_artifact(SynthSpec(n_streams=4, length=64, d=12, d_note=6, seed=2, gamma=1.5))
+    cfg = DecodeConfig(stride_b=8, horizon_l=8, cadence=CadenceConfig(interval_m=1), bus_capacity=40)
+    last_mean: dict[int, np.ndarray] = {}
+    checked = []
+
+    def checked_note_event(state, view, newest):
+        fired, change = _note_event(state, view, newest)
+        if fired:
+            mean = stack_sibling_rows(view, state.stream_id)[0].mean(axis=0)
+            if state.stream_id in last_mean:
+                want = float(np.linalg.norm(mean - last_mean[state.stream_id]))
+                assert change == pytest.approx(want, rel=1e-12, abs=0.0)
+                checked.append(change)
+            last_mean[state.stream_id] = mean
+        return fired, change
+
+    monkeypatch.setattr(decode, "_note_event", checked_note_event)
+    run_parallel(art, cfg)
+    assert len(checked) > 20 and min(checked) > 0.0
+
+
+@pytest.mark.parametrize(
+    "event",
+    [TokenEvent(0, 1, 2, 3, 4), GateEvent(0, 1, 2, 0.5), NoteEvent(0, 1, 2, 3), SnapshotEvent(0, 1, 2),
+     RollbackEvent(1, 9, 8, 0.25, 1, 0)],
+    ids=lambda e: type(e).__name__,
+)
+def test_trace_records_are_immutable(event):
+    line = event.line()
+    for name in event._fields:
+        with pytest.raises(AttributeError):
+            setattr(event, name, 7)
+    assert event.line() == line
 
 
 def test_run_parallel_reads_the_bus_once_per_unmasked_stride():

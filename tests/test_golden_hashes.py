@@ -19,6 +19,14 @@ wide_bus is the one case at bus width: 8 streams of 256 frames read each
 other's notes through a 512-row bus, so each reader attends over hundreds of
 rows, and a closed gate changes 78 of the 1,984 tokens in its final logs.
 Its hashes were taken from the decoder before the fold.
+
+narrow_notes is the one case whose note width is not half the stream width
+(d=24, d_note=4, so the attention is 12 wide): scaling the scores by
+1/sqrt(d_note) instead of 1/sqrt(d_attn) moves both of its hashes.  It reads
+its latest snapshot (read_delta=1) of a 14-row bus that compacts several
+times a barrier and tombstones the notes of three rollbacks, so it drives
+each stream's stacked rows through snapshots, compaction and tombstones.  Its
+hashes were taken from the decoder before the bus stacked rows per stream.
 """
 
 from __future__ import annotations
@@ -71,6 +79,18 @@ WIDE_BUS = SynthSpec(
     planted_divergences=((1, 40), (6, 200)),
 )
 
+NARROW_NOTES = SynthSpec(
+    n_streams=4,
+    length=72,
+    vocab_size=24,
+    d=24,
+    d_note=4,
+    seed=3,
+    gamma=1.5,
+    logit_scale=0.5,
+    planted_divergences=((0, 13), (2, 30), (3, 50)),
+)
+
 
 def truncated(frames: StreamFrames, n: int) -> StreamFrames:
     return StreamFrames(
@@ -92,6 +112,10 @@ def wide() -> ReplayArtifact:
 
 def wide_bus() -> ReplayArtifact:
     return synthesize_artifact(WIDE_BUS)
+
+
+def narrow_notes() -> ReplayArtifact:
+    return synthesize_artifact(NARROW_NOTES)
 
 
 def ragged() -> ReplayArtifact:
@@ -155,6 +179,11 @@ CASES = [
      DecodeConfig(stride_b=32, horizon_l=32, cadence=CadenceConfig(interval_m=1), bus_capacity=512),
      "e712a9ca8592102b9940fd4f4afbd4a62f2938543e0ff9afea18f45e6ea05ff8",
      "9d588e6c0096cc327ec604fdf662bf5ce377eebea00b61efde85c935c28f9486"),
+    ("narrow_notes", narrow_notes,
+     DecodeConfig(stride_b=8, horizon_l=8, read_delta=1, bus_capacity=14, bus_retain_k=2,
+                  cadence=CadenceConfig(interval_m=2), warmup_tokens=4),
+     "15a20f5df2aee4f7a73fa0d9d6eb82ede93b8e95eeecf172512d7664eb8a65f5",
+     "e64b95b5cf89d07a5e8e4dbb6eafe867cdf2eb2c16c8d31be32044a4d06ce9f7"),
 ]
 
 

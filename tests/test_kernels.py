@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdtcoord.errors import ShapeError
 from pdtcoord.kernels import (
@@ -43,6 +45,24 @@ def test_layer_norm_moments():
     out = layer_norm(m)
     assert np.allclose(out.mean(axis=1), 0.0, atol=1e-12)
     assert np.allclose(out.var(axis=1), 1.0, atol=1e-3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(2, 300),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, 7.0, -1e4]),
+    seed=st.integers(0, 2**16),
+    transposed=st.booleans(),
+)
+def test_layer_norm_is_bit_identical_to_numpy_moments(rows, cols, scale, offset, seed, transposed):
+    shape = (cols, rows) if transposed else (rows, cols)
+    m = np.random.default_rng(seed).standard_normal(shape) * scale + offset
+    if transposed:
+        m = m.T  # a non-contiguous view
+    want = (m - m.mean(axis=1, keepdims=True)) / np.sqrt(m.var(axis=1, keepdims=True) + 1e-5)
+    assert np.array_equal(layer_norm(m), want)
 
 
 def test_layer_norm_needs_two_columns():

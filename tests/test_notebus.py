@@ -154,6 +154,40 @@ def test_refused_publish_changes_nothing():
     assert bus.publish(1, np.ones(2), 12).version == 0
 
 
+def test_views_are_read_only_and_serve_the_sibling_mean():
+    bus = NotesBus(d_note=2, max_delta=1)
+    fill(bus, 0, 3)
+    fill(bus, 1, 2, base=10)
+    fill(bus, 2, 2, base=-5)
+    bus.snapshot()
+    fill(bus, 1, 1, base=20)
+    for delta in (0, 1):
+        view = bus.read_lagged(delta)
+        with pytest.raises(ValueError, match="read-only"):
+            view.rows[0, 0] = 99.0
+        for reader in range(4):
+            rows, _ = stack_sibling_rows(view, reader)
+            if reader != 1:  # the first, last and absent readers get a slice of the table
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[0, 0] = 99.0
+            np.testing.assert_allclose(view.sibling_mean(reader), rows.mean(axis=0), rtol=1e-12)
+    # Nothing a reader did reached the rows the bus keeps per stream.
+    assert bus.read_lagged(0).rows[:, 0].tolist() == [0, 1, 2, 10, 11, 20, -5, -4]
+
+
+def test_a_tombstone_or_compaction_restacks_its_stream():
+    bus = NotesBus(d_note=2)
+    for value, pos in ((1.0, 0), (2.0, 30), (3.0, 10)):
+        bus.publish(0, np.full(2, value), pos)
+    bus.publish(1, np.full(2, 9.0), 0)
+    assert bus.read_lagged(0).rows[:, 0].tolist() == [1, 2, 3, 9]
+    assert bus.tombstone_after(0, token_pos=20) == 1  # the middle note
+    bus.publish(0, np.full(2, 4.0), 12)
+    assert bus.read_lagged(0).rows[:, 0].tolist() == [1, 3, 4, 9]
+    assert bus.compact(retain_k=1) == 1
+    assert bus.read_lagged(0).rows[:, 0].tolist() == [2, 4, 9]
+
+
 def test_dump_ordering_and_roundtrip():
     bus = NotesBus(d_note=2)
     bus.publish(1, np.array([1.5, -2.25]), 4)

@@ -125,6 +125,40 @@ def test_attend_notes_requires_rows():
         attend_notes(np.zeros((2, 10)), np.zeros((0, 5)), p)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["h", "notes"])
+def test_attend_notes_refuses_non_finite_inputs(value, where):
+    # attend_notes does not scan its inputs; a bad entry reaches the scores that row_softmax scans.
+    p = make_snc()
+    inputs = {"h": normal_matrix(5, 21, 9, 3, 10), "notes": normal_matrix(5, 21, 10, 4, 5)}
+    inputs[where][1, 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        attend_notes(inputs["h"], inputs["notes"], p)
+
+
+def test_attend_notes_refuses_one_dimensional_inputs():
+    p = make_snc()
+    with pytest.raises(ShapeError):
+        attend_notes(np.zeros(10), np.zeros((2, 5)), p)
+    with pytest.raises(ShapeError):
+        attend_notes(np.zeros((2, 10)), np.zeros(5), p)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_apply_adapter_refuses_non_finite_hidden_states(value):
+    h = normal_matrix(6, 21, 11, 4, 10)
+    h[2, 7] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_adapter(h, make_adapter())
+
+
+def test_apply_adapter_refuses_one_dimensional_and_wrong_width_input():
+    with pytest.raises(ShapeError):
+        apply_adapter(np.zeros(10), make_adapter())
+    with pytest.raises(ShapeError):
+        apply_adapter(np.zeros((2, 9)), make_adapter())
+
+
 def unfolded_attention(h: np.ndarray, notes: np.ndarray, p: SncParams) -> np.ndarray:
     """softmax(h w_q (notes w_k)^T / sqrt(d_attn)) (notes w_v) w_o, projecting K and V."""
     k = notes @ p.w_k
