@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, get_args
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 from .rng import DOMAIN_CADENCE, uniform
 
 CadenceMode = Literal["deterministic", "stochastic", "adaptive"]
@@ -32,6 +32,7 @@ class CadenceConfig:
     def __post_init__(self) -> None:
         if self.mode not in get_args(CadenceMode):
             raise ConfigError(f"unknown cadence mode {self.mode!r}")
+        object.__setattr__(self, "interval_m", as_int(self.interval_m, "interval_m"))
         if self.interval_m < 1:
             raise ConfigError("interval_m must be >= 1")
 

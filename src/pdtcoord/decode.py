@@ -22,10 +22,10 @@ from typing import Literal, NamedTuple, get_args
 import numpy as np
 
 from .cadence import CadenceConfig, ContextSignals, next_emission
-from .errors import ConfigError
+from .errors import ConfigError, as_float, as_int
 from .kernels import logistic, row_softmax
 from .memmodel import pages_touched
-from .notebus import BUS_CAPACITY, BUS_RETAIN_K, BusView, NotesBus, stack_sibling_rows
+from .notebus import BUS_CAPACITY, BUS_RETAIN_K, NotesBus, stack_sibling_rows
 from .replay import ReplayArtifact
 from .rng import DOMAIN_NOISE, normal_array
 from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_controller_step
@@ -38,7 +38,10 @@ MAX_RECONSUME_ATTEMPTS = 2
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Controller settings; every field has a replay-safe default."""
+    """Controller settings; every field has a replay-safe default.
+
+    Numbers are stored as plain int or float, so equal configs write equal CONFIG lines.
+    """
 
     stride_b: int = 32
     horizon_l: int = 32
@@ -57,6 +60,14 @@ class DecodeConfig:
     record_margins: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("stride_b", "horizon_l", "read_delta", "bus_capacity", "bus_retain_k", "warmup_tokens"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "note_noise_scale", as_float(self.note_noise_scale, "note_noise_scale"))
+        for name, check in (("seed", as_int), ("tau", as_float), ("gate_override", as_float)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check(getattr(self, name), name))
+        masked = frozenset(as_int(s, "masked_strides entry") for s in self.masked_strides)
+        object.__setattr__(self, "masked_strides", masked)
         if self.stride_b < 1:
             raise ConfigError("stride_b must be >= 1")
         if self.horizon_l < self.stride_b:
@@ -161,7 +172,6 @@ class StreamState:
     tokens_since_own_note: int = 0
     pending_notes: list[tuple[np.ndarray, int]] = field(default_factory=list)
     seen_versions: dict[int, int] = field(default_factory=dict)
-    last_note_mean: np.ndarray | None = None
     last_gate_value: float | None = None
     margins: list[float] = field(default_factory=list)
 
@@ -191,7 +201,7 @@ def _note_entropy(probs: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def _note_event(state: StreamState, view: BusView | None, newest: dict[int, int]) -> tuple[bool, float | None]:
+def _note_event(state: StreamState, newest: dict[int, int]) -> bool:
     """Whether a stride's sibling view holds notes the stream has not seen yet.
 
     newest maps each sibling in the view to its newest version there.  A
@@ -199,23 +209,15 @@ def _note_event(state: StreamState, view: BusView | None, newest: dict[int, int]
     recorded at its last event.  A stream's versions only grow, a tombstoned
     or compacted note never comes back, and a compaction summary takes the
     version of a note that was visible, so this is exactly "the view holds a
-    note the last event's view did not".  Returns the event flag and, from
-    the second event on, how far the mean sibling row (which the view takes
-    from its per-stream column sums) moved since the last one.  On an event
-    the view's newest versions and mean become the stream's record; a view
-    that only lost notes (to a rollback or to compaction) is no event and
-    leaves the record as it is.
+    note the last event's view did not".  On an event the view's newest
+    versions become the stream's record; a view that only lost notes (to a
+    rollback or to compaction) is no event and leaves the record as it is.
     """
     seen = state.seen_versions
     if all(v <= seen.get(sid, -1) for sid, v in newest.items()):
-        return False, None
-    mean_now = view.sibling_mean(state.stream_id)
-    note_change = None
-    if state.last_note_mean is not None:
-        note_change = float(np.linalg.norm(mean_now - state.last_note_mean))
-    state.last_note_mean = mean_now
+        return False
     state.seen_versions = newest
-    return True, note_change
+    return True
 
 
 def step_stream(
@@ -225,20 +227,19 @@ def step_stream(
     round_index: int,
     rows: np.ndarray,
     note_event: bool,
-    note_change: float | None,
     base_gate: float,
 ) -> list[TraceRecord]:
     """Decode one stride of a stream against its frozen sibling rows.
 
     Takes up to stride_b frames from the stream's cursor.  The gate schedule
-    runs first, token by token; note_event and note_change feed its first
-    step only.  Then the whole block goes through the adapter, one note
-    attention against the sibling rows, one readout into logit biases, and
-    an argmax per row.  base_gate is the artifact's logistic(gamma), which
-    run_parallel computes once; the controller clamps it under its schedule.
-    A last per-token pass logs the tokens, emits events and asks the cadence
-    about each position.  Emissions are queued in pending_notes; nothing
-    touches the bus until the caller's barrier.
+    runs first, token by token; note_event feeds its first step only.  Then
+    the whole block goes through the adapter, one note attention against
+    the sibling rows, one readout into logit biases, and an argmax per row.
+    base_gate is the artifact's logistic(gamma), which run_parallel computes
+    once; the controller clamps it under its schedule.  A last per-token
+    pass logs the tokens, emits events and asks the cadence about each
+    position.  Emissions are queued in pending_notes; nothing touches the
+    bus until the caller's barrier.
     """
     frames = artifact.streams[state.stream_id]
     first = state.cursor
@@ -250,9 +251,9 @@ def step_stream(
     else:
         gates = []
         for _ in range(n):
-            _, gate, _ = gate_controller_step(state.gate_state, base_gate, note_event, note_change)
+            _, gate, _ = gate_controller_step(state.gate_state, base_gate, note_event)
             gates.append(gate)
-            note_event, note_change = False, None
+            note_event = False
     gate_col = np.array(gates)[:, None]
 
     h_adapted = apply_adapter(frames.hidden[block], artifact.adapter)
@@ -450,7 +451,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
         artifact.d_note,
         capacity=config.bus_capacity,
         retain_k=config.bus_retain_k,
-        max_delta=config.read_delta,
+        lag=config.read_delta,
     )
     states = make_stream_states(artifact, config)
     events: list[TraceRecord] = []
@@ -461,13 +462,12 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     base_gate = float(logistic(artifact.snc.gamma))
 
     while any(s.cursor < lengths[s.stream_id] for s in states):
-        view = None if round_index in config.masked_strides else bus.read_lagged(config.read_delta)
+        view = None if round_index in config.masked_strides else bus.read_lagged()
         for s in states:
             if s.cursor >= lengths[s.stream_id]:
                 continue
             rows, newest = (no_rows, {}) if view is None else stack_sibling_rows(view, s.stream_id)
-            note_event, note_change = _note_event(s, view, newest)
-            events.extend(step_stream(s, artifact, config, round_index, rows, note_event, note_change, base_gate))
+            events.extend(step_stream(s, artifact, config, round_index, rows, _note_event(s, newest), base_gate))
 
         published = False
         for s in states:

@@ -7,6 +7,8 @@ constructor takes what its object needs.
 
 from __future__ import annotations
 
+import numbers
+
 
 class PdtError(Exception):
     """Base class for all package-specific errors."""
@@ -36,3 +38,16 @@ class ArtifactFormatError(PdtError):
 class CapacityError(PdtError):
     """A bounded resource (notes bus, page table) cannot satisfy a request."""
 
+
+def as_int(value: object, name: str) -> int:
+    """value as an int; a bool or a non-integer raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_float(value: object, name: str) -> float:
+    """value as a float; a bool or a non-real raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -9,11 +9,10 @@ ever touches ceil(L / B_page) pages.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Literal, Sequence
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, as_int
 
 KIB = 1 << 10
 MIB = 1 << 20
@@ -50,8 +49,7 @@ class MemoryConfig:
             raise ConfigError(f"tokens_per_stream must be a sequence of integers, got {tokens!r}")
         sizes = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "tokens_per_stream"]
         for name, value in sizes + [("tokens_per_stream", t) for t in tokens]:
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            as_int(value, name)
         if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
             raise ConfigError("d_model, n_heads and n_layers must be positive")
         if self.bytes_per_elem < 1:

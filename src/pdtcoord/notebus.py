@@ -1,15 +1,15 @@
 """Versioned cross-stream notes bus.
 
 Streams publish fixed-width note embeddings into one lineage per stream;
-readers see their siblings' notes either live or through lagged snapshots,
-each a copy of the per-stream dict of (lineage, count) pairs.  Rolled-back
-notes are tombstoned, never deleted, so a trace replays identically.  A
-capacity cap triggers mean-pool compaction of the oldest notes per stream,
-and a publish that compaction could not fit is refused with the bus
-unchanged.  Each lineage keeps its notes stacked as rows, and a read stacks
-only the notes published since the last one; it lays the streams' rows out
-in (stream id, version) order, and each reader of the stride takes its
-siblings' rows out of that one table.
+readers see their siblings' notes either live or through the snapshot a
+fixed lag back, a copy of the per-stream dict of (lineage, count) pairs.
+Rolled-back notes are tombstoned, never deleted, so a trace replays
+identically.  A capacity cap triggers mean-pool compaction of the oldest
+notes per stream, and a publish that compaction could not fit is refused
+with the bus unchanged.  Each lineage keeps its notes stacked as rows, and
+a read stacks only the notes published since the last one; it lays the
+streams' rows out in (stream id, version) order, and each reader of the
+stride takes its siblings' rows out of that one table.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, ShapeError
+from .errors import CapacityError, ConfigError, ShapeError, as_int
 from .kernels import Matrix, as_vector
 
 SCHEMA_NOTE = "note"
@@ -55,23 +55,12 @@ class Note:
 @dataclass(frozen=True)
 class BusView:
     """The notes one read serves, in bus order: their stacked rows (read-only),
-    each row's stream id, each stream's newest version among them, each
-    stream's [start, stop) span of rows, and each stream's column sums."""
+    each stream's newest version among them, and each stream's [start, stop)
+    span of rows."""
 
     rows: Matrix
-    stream_ids: np.ndarray
     newest: dict[int, int]
     spans: dict[int, tuple[int, int]]
-    sums: dict[int, np.ndarray]
-
-    def sibling_mean(self, reader: int) -> np.ndarray:
-        """Mean row of every stream but reader's: (sum of all rows - reader's) / sibling count.
-
-        It equals the mean of stack_sibling_rows(self, reader)[0] up to
-        rounding; the view must hold a sibling row.
-        """
-        start, stop = self.spans.get(reader, (0, 0))
-        return (sum(self.sums.values()) - self.sums.get(reader, 0.0)) / (self.rows.shape[0] - (stop - start))
 
 
 class _Lineage:
@@ -106,31 +95,33 @@ class NotesBus:
     The visible notes are one (lineage, count) pair per stream: the first
     count notes of the lineage, in version order.  An operation on one
     stream replaces only that stream's pair.  A snapshot is a copy of that
-    dict, which shares the lineages and copies no note or row.  The
-    bus keeps only the newest max(1, max_delta) snapshots, the ones a read of
-    lag up to max_delta can reach.  A publish either fits, after compaction
-    if need be, or raises CapacityError having changed nothing.
+    dict, which shares the lineages and copies no note or row.  Every read
+    is at the bus's lag, so the bus keeps only the newest lag snapshots,
+    none at lag 0.  A publish either fits, after compaction if need be, or
+    raises CapacityError having changed nothing.
     """
 
     def __init__(
-        self, d_note: int, capacity: int = BUS_CAPACITY, retain_k: int = BUS_RETAIN_K, max_delta: int = 0
+        self, d_note: int, capacity: int = BUS_CAPACITY, retain_k: int = BUS_RETAIN_K, lag: int = 0
     ) -> None:
+        d_note, capacity = as_int(d_note, "d_note"), as_int(capacity, "capacity")
+        retain_k, lag = as_int(retain_k, "retain_k"), as_int(lag, "lag")
         if d_note <= 0:
             raise ConfigError("d_note must be positive")
         if capacity <= 0 or retain_k <= 0:
             raise ConfigError("capacity and retain_k must be positive")
-        if max_delta < 0:
-            raise ConfigError("max_delta must be non-negative")
+        if lag < 0:
+            raise ConfigError("lag must be non-negative")
         self.d_note = d_note
         self.capacity = capacity
         self.retain_k = retain_k
-        self.max_delta = max_delta
+        self.lag = lag
         self._visible: dict[int, tuple[_Lineage, int]] = {}
         self._tombstoned: list[Note] = []
         self._next_version: dict[int, int] = {}
-        # The bus starts with an implicit empty snapshot so lagged reads are
-        # well defined before any emission round completes.
-        self._snapshots: deque[dict[int, tuple[_Lineage, int]]] = deque([{}], maxlen=max(1, max_delta))
+        # The bus starts with an implicit empty snapshot, so a lagged read is
+        # well defined before lag emission rounds complete.
+        self._snapshots: deque[dict[int, tuple[_Lineage, int]]] = deque([{}], maxlen=lag)
         self._snapshot_version = 0
 
     # -- publishing ---------------------------------------------------------
@@ -178,42 +169,30 @@ class NotesBus:
         self._snapshot_version += 1
         return self._snapshot_version
 
-    def read_lagged(self, delta: int = 0) -> BusView:
-        """The notes a read of lag delta serves, stacked once for every reader.
+    def read_lagged(self) -> BusView:
+        """The notes a read at the bus's lag serves, stacked once for every reader.
 
-        delta=0 is a live view of current visible notes; delta>=1 reads the
-        snapshot delta emission rounds back (the initial empty snapshot
-        while fewer than delta have been taken); a delta above max_delta is
-        refused.  The table concatenates one read-only block of rows per
-        stream, each stacked by its lineage.  stack_sibling_rows takes one
-        reader's siblings out of it.
+        Lag 0 is a live view of the current visible notes; lag L >= 1 reads
+        the snapshot L emission rounds back (the initial empty snapshot
+        while fewer than L have been taken).  The table concatenates one
+        read-only block of rows per stream, each stacked by its lineage.
+        stack_sibling_rows takes one reader's siblings out of it.
         """
-        if delta < 0:
-            raise ConfigError("delta must be non-negative")
-        if delta > self.max_delta:
-            raise ConfigError(f"delta {delta} exceeds the bus's max_delta {self.max_delta}")
-        if delta == 0:
-            by_stream = self._visible
-        else:
-            by_stream = self._snapshots[max(0, len(self._snapshots) - delta)]
+        by_stream = self._snapshots[0] if self.lag else self._visible
         blocks: list[Matrix] = []
-        counts: list[int] = []
         spans: dict[int, tuple[int, int]] = {}
         newest: dict[int, int] = {}
-        sums: dict[int, np.ndarray] = {}
+        start = 0
         for sid in sorted(by_stream):
             lineage, count = by_stream[sid]
             if count:
-                start = sum(counts)
                 blocks.append(lineage.stacked(count))
-                counts.append(count)
                 spans[sid] = (start, start + count)
                 newest[sid] = lineage.notes[count - 1].version
-                sums[sid] = np.add.reduce(blocks[-1])
+                start += count
         rows = np.concatenate(blocks) if blocks else np.zeros((0, self.d_note))
         rows.setflags(write=False)
-        stream_ids = np.repeat(np.array(list(spans), dtype=np.int64), counts)
-        return BusView(rows, stream_ids, newest, spans, sums)
+        return BusView(rows, newest, spans)
 
     # -- rollback and compaction --------------------------------------------
 
@@ -312,7 +291,7 @@ def load_bus_lines(
 ) -> NotesBus:
     """Rebuild a NotesBus from dump_lines output (inverse of dump_lines).
 
-    A dump carries no snapshots, so the bus has max_delta=0.  It carries
+    A dump carries no snapshots, so the bus has lag 0.  It carries
     its note width only in its notes, so the dump of a bus that never had
     one loads only when d_note is given.  When both are known they must
     agree.  A line with an unknown status or a repeated (stream, version)

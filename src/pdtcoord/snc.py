@@ -288,13 +288,16 @@ def gate_controller_step(
     effective gate is current_gate clamped into [g_min, schedule].  Flicker
     (std of the recent effective-gate window above flicker_std) recommends
     REDUCE_GATE_MAX and backs g_max off multiplicatively; a Lipschitz estimate
-    above tau_lipschitz recommends APPLY_SPECTRAL_NORM.
+    above tau_lipschitz recommends APPLY_SPECTRAL_NORM.  An event's
+    note_change, how far the sibling notes moved since the last event, joins
+    the window that sets the cap; a negative or NaN one is refused before
+    the state changes.
     """
+    if note_change is not None and not note_change >= 0.0:
+        raise ConfigError(f"note_change must be non-negative, got {note_change!r}")
     if new_note_event:
         state.tokens_since_note = 0
         if note_change is not None:
-            if note_change < 0.0:
-                raise ConfigError("note_change must be non-negative")
             state.note_change_window.append(float(note_change))
     else:
         state.tokens_since_note += 1

@@ -104,7 +104,6 @@ class RefStream:
     since_note: int = 0
     pending: list[tuple[np.ndarray, int]] = field(default_factory=list)
     known: frozenset = frozenset()
-    last_mean: np.ndarray | None = None
     last_gate: float | None = None
 
 
@@ -162,12 +161,9 @@ def reference_decode(
             sibs = [] if r in config.masked_strides else [n for n in lagged if n.stream != s.sid]
             notes = np.array([n.emb for n in sibs]).reshape(len(sibs), artifact.d_note)
             keys = frozenset((n.stream, n.version) for n in sibs)
-            event, change = False, None
-            if not keys <= s.known:
-                mean = notes.mean(axis=0)
-                if s.last_mean is not None:
-                    change = float(np.linalg.norm(mean - s.last_mean))
-                event, s.known, s.last_mean = True, keys, mean
+            event = not keys <= s.known
+            if event:
+                s.known = keys
 
             for _ in range(config.stride_b):
                 if s.cursor >= frames.length:
@@ -177,8 +173,8 @@ def reference_decode(
                 if config.gate_override is not None:
                     gate = float(config.gate_override)
                 else:
-                    _, gate, _ = gate_controller_step(s.gate, base_gate, event, change)
-                event, change = False, None
+                    _, gate, _ = gate_controller_step(s.gate, base_gate, event)
+                event = False
                 logits = frames.logits[frame]
                 if len(sibs) and gate != 0.0:
                     residual = gate * _attend(h, notes, artifact)

@@ -70,7 +70,7 @@ def test_closed_gate_row_of_a_stride_adds_no_bias():
     state = make_stream_states(art, cfg)[0]
     state.gate_state = GateState(g_min=0.0, warmup_tokens=4)
     rows = art.streams[1].note_embeddings[:3]
-    events = step_stream(state, art, cfg, 0, rows, True, None, art.snc.gate_value())
+    events = step_stream(state, art, cfg, 0, rows, True, art.snc.gate_value())
     gates = [e.value for e in events if isinstance(e, GateEvent)]
     assert gates[0] == 0.0 and gates[1] > 0.0
     logits = art.streams[0].logits[:8]
@@ -293,6 +293,46 @@ def test_masked_strides_refuse_negative_indices():
     assert DecodeConfig(masked_strides=frozenset({99})).masked_strides == {99}
 
 
+def test_settings_refuse_bools_and_non_integers():
+    ints = ("stride_b", "horizon_l", "read_delta", "bus_capacity", "bus_retain_k", "warmup_tokens", "seed")
+    for name in ints:
+        for bad in (True, 8.0, 1.5, "8"):
+            with pytest.raises(ConfigError, match=name):
+                DecodeConfig(**{name: bad})
+    for name in ("tau", "gate_override", "note_noise_scale"):
+        for bad in (True, False, "0.5"):
+            with pytest.raises(ConfigError, match=name):
+                DecodeConfig(**{name: bad})
+    for bad in (1.5, True, 2.0):
+        with pytest.raises(ConfigError, match="masked_strides"):
+            DecodeConfig(masked_strides=frozenset({bad}))
+    for bad in (True, 4.0):
+        with pytest.raises(ConfigError, match="interval_m"):
+            CadenceConfig(interval_m=bad)
+
+
+def test_equal_configs_write_equal_traces():
+    # numpy scalars and ints for floats compare equal to the plain values;
+    # the stored setting must print alike too, or the hashes part.
+    art = small_artifact()
+    pairs = [
+        (dict(tau=np.float64(0.3)), dict(tau=0.3)),
+        (dict(gate_override=1), dict(gate_override=1.0)),
+        (dict(note_noise_scale=np.float64(0.25)), dict(note_noise_scale=0.25)),
+        (dict(note_noise_scale=1), dict(note_noise_scale=1.0)),
+        (dict(stride_b=np.int64(8), horizon_l=np.int64(8)), dict(stride_b=8, horizon_l=8)),
+        (dict(seed=np.int64(3), read_delta=np.int64(1)), dict(seed=3, read_delta=1)),
+        (dict(cadence=CadenceConfig(interval_m=np.int64(2))), dict(cadence=CadenceConfig(interval_m=2))),
+        (dict(masked_strides=frozenset({np.int64(1)})), dict(masked_strides=frozenset({1}))),
+    ]
+    for left, right in pairs:
+        a = DecodeConfig(**{"stride_b": 8, "horizon_l": 8, **left})
+        b = DecodeConfig(**{"stride_b": 8, "horizon_l": 8, **right})
+        assert a == b
+        assert _config_line(art, a) == _config_line(art, b)
+        assert run_parallel(art, a).trace_hash() == run_parallel(art, b).trace_hash(), left
+
+
 def test_oversized_span_rejected_at_check():
     art = small_artifact(divergences=())
     state = StreamState(
@@ -332,9 +372,7 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
     bus = NotesBus(d_note=2)
 
     def event() -> bool:
-        view = bus.read_lagged(0)
-        fired, _ = _note_event(state, view, stack_sibling_rows(view, 0)[1])
-        return fired
+        return _note_event(state, stack_sibling_rows(bus.read_lagged(), 0)[1])
 
     bus.publish(1, np.ones(2), 0)
     assert event() and state.seen_versions == {1: 0}
@@ -353,30 +391,6 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
     assert event() and state.seen_versions == {1: 2, 2: 2}
     bus.publish(0, np.full(2, 4.0), 8)  # the reader's own note
     assert not event() and state.seen_versions == {1: 2, 2: 2}
-
-
-def test_note_change_matches_the_mean_of_the_sibling_rows(monkeypatch):
-    # _note_event takes the sibling mean from per-stream column sums; the
-    # mean of the stacked sibling rows is the reference.
-    art = synthesize_artifact(SynthSpec(n_streams=4, length=64, d=12, d_note=6, seed=2, gamma=1.5))
-    cfg = DecodeConfig(stride_b=8, horizon_l=8, cadence=CadenceConfig(interval_m=1), bus_capacity=40)
-    last_mean: dict[int, np.ndarray] = {}
-    checked = []
-
-    def checked_note_event(state, view, newest):
-        fired, change = _note_event(state, view, newest)
-        if fired:
-            mean = stack_sibling_rows(view, state.stream_id)[0].mean(axis=0)
-            if state.stream_id in last_mean:
-                want = float(np.linalg.norm(mean - last_mean[state.stream_id]))
-                assert change == pytest.approx(want, rel=1e-12, abs=0.0)
-                checked.append(change)
-            last_mean[state.stream_id] = mean
-        return fired, change
-
-    monkeypatch.setattr(decode, "_note_event", checked_note_event)
-    run_parallel(art, cfg)
-    assert len(checked) > 20 and min(checked) > 0.0
 
 
 @pytest.mark.parametrize(

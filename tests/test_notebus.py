@@ -22,8 +22,8 @@ def fill(bus: NotesBus, stream: int, count: int, base: float = 0.0) -> None:
         bus.publish(stream, np.full(bus.d_note, base + i), token_pos=i * 4)
 
 
-def sibling_rows(bus: NotesBus, reader: int, delta: int) -> int:
-    return stack_sibling_rows(bus.read_lagged(delta), reader)[0].shape[0]
+def sibling_rows(bus: NotesBus, reader: int) -> int:
+    return stack_sibling_rows(bus.read_lagged(), reader)[0].shape[0]
 
 
 def test_publish_assigns_per_stream_versions():
@@ -55,32 +55,31 @@ def test_live_read_excludes_reader_and_tombstoned():
     bus = NotesBus(d_note=2)
     fill(bus, 0, 2)
     fill(bus, 1, 2, base=10)
-    _, newest = stack_sibling_rows(bus.read_lagged(delta=0), 0)
+    _, newest = stack_sibling_rows(bus.read_lagged(), 0)
     assert newest == {1: 1}
     bus.tombstone_after(1, token_pos=4)
-    rows, newest = stack_sibling_rows(bus.read_lagged(delta=0), 0)
+    rows, newest = stack_sibling_rows(bus.read_lagged(), 0)
     assert rows.shape[0] == 1 and newest == {1: 0}
 
 
 def test_lagged_read_is_immutable_history():
-    bus = NotesBus(d_note=2, max_delta=2)
-    fill(bus, 1, 2)
-    bus.snapshot()
-    fill(bus, 1, 3, base=50)
-    # delta=1 sees only what the last recorded snapshot saw; live sees all.
-    assert sibling_rows(bus, 0, delta=1) == 2
-    assert sibling_rows(bus, 0, delta=0) == 5
-    bus.snapshot()
-    assert sibling_rows(bus, 0, delta=1) == 5
-    assert sibling_rows(bus, 0, delta=2) == 2
+    buses = [NotesBus(d_note=2, lag=lag) for lag in range(3)]
+    for bus in buses:
+        fill(bus, 1, 2)
+        bus.snapshot()
+        fill(bus, 1, 3, base=50)
+    # Lag 1 sees what the last snapshot saw, lag 2 the initial empty one; live sees all.
+    assert [sibling_rows(bus, 0) for bus in buses] == [5, 2, 0]
+    for bus in buses:
+        bus.snapshot()
+    assert [sibling_rows(bus, 0) for bus in buses] == [5, 5, 2]
 
 
 def test_lagged_read_clamps_to_initial_empty():
-    bus = NotesBus(d_note=2, max_delta=99)
+    bus = NotesBus(d_note=2, lag=99)
     fill(bus, 1, 3)
-    assert sibling_rows(bus, 0, delta=99) == 0
-    with pytest.raises(ConfigError):
-        bus.read_lagged(delta=-1)
+    bus.snapshot()
+    assert sibling_rows(bus, 0) == 0
 
 
 def test_snapshot_versions_increment():
@@ -103,8 +102,8 @@ def test_stack_sibling_rows_order():
     bus.publish(2, np.full(2, 9.0), 0)
     bus.publish(0, np.full(2, 1.0), 0)
     bus.publish(0, np.full(2, 2.0), 4)
-    view = bus.read_lagged(delta=0)
-    assert view.stream_ids.tolist() == [0, 0, 2]
+    view = bus.read_lagged()
+    assert view.spans == {0: (0, 2), 2: (2, 3)}
     rows, newest = stack_sibling_rows(view, 5)
     assert newest == {0: 1, 2: 0}
     assert rows[0, 0] == 1.0 and rows[2, 0] == 9.0
@@ -122,7 +121,7 @@ def test_compact_mean_pools_oldest():
     assert summary.version == 2  # newest summarized version
     assert np.allclose(summary.embedding, 1.0)  # mean of 0, 1, 2
     assert [n.version for n in notes[1:]] == [3, 4]
-    rows, newest = stack_sibling_rows(bus.read_lagged(delta=0), 9)
+    rows, newest = stack_sibling_rows(bus.read_lagged(), 9)
     assert newest == {0: 4}
     assert rows.shape[0] == 3
     assert np.array_equal(rows[0], summary.embedding)
@@ -154,15 +153,15 @@ def test_refused_publish_changes_nothing():
     assert bus.publish(1, np.ones(2), 12).version == 0
 
 
-def test_views_are_read_only_and_serve_the_sibling_mean():
-    bus = NotesBus(d_note=2, max_delta=1)
-    fill(bus, 0, 3)
-    fill(bus, 1, 2, base=10)
-    fill(bus, 2, 2, base=-5)
-    bus.snapshot()
-    fill(bus, 1, 1, base=20)
-    for delta in (0, 1):
-        view = bus.read_lagged(delta)
+def test_views_are_read_only():
+    for lag, want in ((0, [0, 1, 2, 10, 11, 20, -5, -4]), (1, [0, 1, 2, 10, 11, -5, -4])):
+        bus = NotesBus(d_note=2, lag=lag)
+        fill(bus, 0, 3)
+        fill(bus, 1, 2, base=10)
+        fill(bus, 2, 2, base=-5)
+        bus.snapshot()
+        fill(bus, 1, 1, base=20)
+        view = bus.read_lagged()
         with pytest.raises(ValueError, match="read-only"):
             view.rows[0, 0] = 99.0
         for reader in range(4):
@@ -170,9 +169,8 @@ def test_views_are_read_only_and_serve_the_sibling_mean():
             if reader != 1:  # the first, last and absent readers get a slice of the table
                 with pytest.raises(ValueError, match="read-only"):
                     rows[0, 0] = 99.0
-            np.testing.assert_allclose(view.sibling_mean(reader), rows.mean(axis=0), rtol=1e-12)
-    # Nothing a reader did reached the rows the bus keeps per stream.
-    assert bus.read_lagged(0).rows[:, 0].tolist() == [0, 1, 2, 10, 11, 20, -5, -4]
+        # Nothing a reader did reached the rows the bus keeps per stream.
+        assert bus.read_lagged().rows[:, 0].tolist() == want
 
 
 def test_a_tombstone_or_compaction_restacks_its_stream():
@@ -180,12 +178,12 @@ def test_a_tombstone_or_compaction_restacks_its_stream():
     for value, pos in ((1.0, 0), (2.0, 30), (3.0, 10)):
         bus.publish(0, np.full(2, value), pos)
     bus.publish(1, np.full(2, 9.0), 0)
-    assert bus.read_lagged(0).rows[:, 0].tolist() == [1, 2, 3, 9]
+    assert bus.read_lagged().rows[:, 0].tolist() == [1, 2, 3, 9]
     assert bus.tombstone_after(0, token_pos=20) == 1  # the middle note
     bus.publish(0, np.full(2, 4.0), 12)
-    assert bus.read_lagged(0).rows[:, 0].tolist() == [1, 3, 4, 9]
+    assert bus.read_lagged().rows[:, 0].tolist() == [1, 3, 4, 9]
     assert bus.compact(retain_k=1) == 1
-    assert bus.read_lagged(0).rows[:, 0].tolist() == [2, 4, 9]
+    assert bus.read_lagged().rows[:, 0].tolist() == [2, 4, 9]
 
 
 def test_dump_ordering_and_roundtrip():
@@ -206,6 +204,14 @@ def test_bus_config_validation():
         NotesBus(d_note=0)
     with pytest.raises(ConfigError):
         NotesBus(d_note=2, capacity=0)
+    with pytest.raises(ConfigError):
+        NotesBus(d_note=2, lag=-1)
+    for name in ("d_note", "capacity", "retain_k", "lag"):
+        for bad in (True, 1.5, 2.0, "2", None):
+            with pytest.raises(ConfigError, match=name):
+                NotesBus(**{"d_note": 2, name: bad})
+    bus = NotesBus(d_note=np.int64(2), lag=np.int64(1))
+    assert (type(bus.d_note), type(bus.lag)) == (int, int)
 
 
 # -- property test against the canonical dump -------------------------------
@@ -234,90 +240,71 @@ def live_notes(lines: list[str]) -> list[tuple[tuple[int, int], np.ndarray]]:
     return [((n.stream_id, n.version), n.embedding) for n, tombstoned in dump_notes(lines) if not tombstoned]
 
 
-def assert_views_match_dumps(bus: NotesBus, snapshot_dumps: list[list[str]]) -> None:
-    for delta in range(4):
-        lines = bus.dump_lines() if delta == 0 else snapshot_dumps[max(0, len(snapshot_dumps) - delta)]
-        notes = live_notes(lines)
-        assert [k for k, _ in notes] == sorted(k for k, _ in notes)
-        view = bus.read_lagged(delta)
-        assert view.stream_ids.tolist() == [sid for (sid, _), _ in notes]
-        for reader in range(5):
-            rows, newest = stack_sibling_rows(view, reader)
-            want = [(k, emb) for k, emb in notes if k[0] != reader]
-            # A stream's newest version is its highest live version in the dump.
-            want_newest: dict[int, int] = {}
-            for (sid, version), _ in want:
-                want_newest[sid] = max(version, want_newest.get(sid, -1))
-            assert newest == want_newest
-            assert np.array_equal(rows, np.array([emb for _, emb in want]).reshape(-1, 2))
-
-
-def assert_bounded_views_match(bus: NotesBus, bounded: NotesBus, bound: int) -> None:
-    for delta in range(bound + 1):
-        view, b_view = bus.read_lagged(delta), bounded.read_lagged(delta)
-        for reader in range(5):
-            rows, newest = stack_sibling_rows(view, reader)
-            b_rows, b_newest = stack_sibling_rows(b_view, reader)
-            assert b_newest == newest
-            assert np.array_equal(b_rows, rows)
-    with pytest.raises(ConfigError):
-        bounded.read_lagged(bound + 1)
-    assert len(bounded._snapshots) <= max(1, bound)
+def assert_view_matches_dumps(bus: NotesBus, snapshot_dumps: list[list[str]]) -> None:
+    lag = bus.lag
+    lines = bus.dump_lines() if lag == 0 else snapshot_dumps[max(0, len(snapshot_dumps) - lag)]
+    notes = live_notes(lines)
+    assert [k for k, _ in notes] == sorted(k for k, _ in notes)
+    view = bus.read_lagged()
+    for reader in range(5):
+        rows, newest = stack_sibling_rows(view, reader)
+        want = [(k, emb) for k, emb in notes if k[0] != reader]
+        # A stream's newest version is its highest live version in the dump.
+        want_newest: dict[int, int] = {}
+        for (sid, version), _ in want:
+            want_newest[sid] = max(version, want_newest.get(sid, -1))
+        assert newest == want_newest
+        assert np.array_equal(rows, np.array([emb for _, emb in want]).reshape(-1, 2))
+    # A bus keeps only the snapshots its one lag reaches: none at lag 0.
+    assert len(bus._snapshots) <= lag
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    ops=st.lists(OPS, max_size=40),
-    capacity=st.integers(2, 16),
-    retain_k=st.integers(1, 3),
-    bound=st.integers(0, 3),
-)
-def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k, bound):
-    # The reference bus keeps the 3 snapshots that the deepest lag read needs.
-    bus = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=3)
-    bounded = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=bound)
+@given(ops=st.lists(OPS, max_size=40), capacity=st.integers(2, 16), retain_k=st.integers(1, 3))
+def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
+    # One bus per lag; every op goes to all four, which must agree on every outcome.
+    buses = [NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, lag=lag) for lag in range(4)]
     snapshot_dumps: list[list[str]] = [[]]  # the bus starts with an empty snapshot
     next_version = [0, 0, 0, 0]
     for op in ops:
         if op[0] == "publish":
             _, sid, value, pos = op
             emb = np.array([value, 0.5 * value + sid])
-            before = bus.dump_lines()
+            before = buses[0].dump_lines()
             try:
-                note = bus.publish(sid, emb, pos)
+                versions = {bus.publish(sid, emb, pos).version for bus in buses}
             except CapacityError:
-                # A refused publish changes neither bus; the other refuses too.
-                assert bus.dump_lines() == before
-                with pytest.raises(CapacityError):
-                    bounded.publish(sid, emb, pos)
-                assert bounded.dump_lines() == before
+                # A refused publish changes no bus; the others refuse too.
+                for bus in buses:
+                    with pytest.raises(CapacityError):
+                        bus.publish(sid, emb, pos)
+                    assert bus.dump_lines() == before
             else:
-                assert bounded.publish(sid, emb, pos).version == note.version
-                assert note.version == next_version[sid]
+                assert versions == {next_version[sid]}
                 next_version[sid] += 1
         elif op[0] == "tombstone":
-            bus.tombstone_after(op[1], op[2])
-            bounded.tombstone_after(op[1], op[2])
+            for bus in buses:
+                bus.tombstone_after(op[1], op[2])
         elif op[0] == "compact":
-            bus.compact(retain_k=op[1])
-            bounded.compact(retain_k=op[1])
+            for bus in buses:
+                bus.compact(retain_k=op[1])
         elif op[0] == "snapshot":
-            assert bounded.snapshot() == bus.snapshot()
-            snapshot_dumps.append(bus.dump_lines())
+            assert len({bus.snapshot() for bus in buses}) == 1
+            snapshot_dumps.append(buses[0].dump_lines())
         else:
             # Snapshots are not dumped, so a reloaded bus has only the empty one.
-            lines = bus.dump_lines()
+            lines = buses[0].dump_lines()
             clone = load_bus_lines(lines, capacity=capacity, retain_k=retain_k, d_note=2)
-            assert clone.dump_lines() == lines == bounded.dump_lines()
+            assert clone.dump_lines() == lines
             notes = dump_notes(lines)
-            bus = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=3)
-            bus._restore(notes)
-            bounded = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, max_delta=bound)
-            bounded._restore(notes)
+            buses = [NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, lag=lag) for lag in range(4)]
+            for bus in buses:
+                bus._restore(notes)
             snapshot_dumps = [[]]
-        assert bus.visible_rows() <= capacity
-        assert_views_match_dumps(bus, snapshot_dumps)
-        assert_bounded_views_match(bus, bounded, bound)
+        for bus in buses:
+            assert bus.visible_rows() <= capacity
+            assert bus.dump_lines() == buses[0].dump_lines()
+            assert_view_matches_dumps(bus, snapshot_dumps)
 
 
 def test_empty_dump_loads_with_its_note_width():

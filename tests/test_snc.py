@@ -300,6 +300,23 @@ def test_gate_stability_cap():
     assert scheduled_gate_cap(gs3) == gs3.g_max
 
 
+def test_gate_refuses_a_bad_note_change_before_changing_state():
+    for bad in (-0.1, float("nan")):
+        gs = GateState(lipschitz_estimate=10.0)
+        gate_controller_step(gs, 0.9, new_note_event=True)
+        for _ in range(19):
+            gate_controller_step(gs, 0.9)
+        window = list(gs.gate_window)
+        with pytest.raises(ConfigError, match="note_change"):
+            gate_controller_step(gs, 0.9, new_note_event=True, note_change=bad)
+        assert gs.tokens_since_note == 19
+        assert list(gs.gate_window) == window and len(gs.note_change_window) == 0
+        # A NaN in the window would switch the cap off; 0.5 caps it at 1 / (10 * 0.5).
+        assert scheduled_gate_cap(gs) == gs.g_max
+        gate_controller_step(gs, 0.9, new_note_event=True, note_change=0.5)
+        assert abs(scheduled_gate_cap(gs) - 0.2) < 1e-12
+
+
 def test_gate_state_validation():
     with pytest.raises(ConfigError):
         GateState(g_min=0.5, g_max=0.2)
