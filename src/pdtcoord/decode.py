@@ -472,8 +472,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
         published = False
         for s in states:
             for emb, pos in s.pending_notes:
-                note = bus.publish(s.stream_id, emb, pos)
-                events.append(NoteEvent(round_index, s.stream_id, pos, note.version))
+                events.append(NoteEvent(round_index, s.stream_id, pos, bus.publish(s.stream_id, emb, pos)))
                 published = True
             s.pending_notes.clear()
         for s in states:

@@ -22,7 +22,7 @@ def as_matrix(a: object, name: str = "array") -> Matrix:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -32,7 +32,7 @@ def as_vector(a: object, name: str = "array") -> np.ndarray:
     v = np.asarray(a, dtype=np.float64)
     if v.ndim != 1:
         raise ShapeError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 

@@ -3,13 +3,16 @@
 Streams publish fixed-width note embeddings into one lineage per stream;
 readers see their siblings' notes either live or through the snapshot a
 fixed lag back, a copy of the per-stream dict of (lineage, count) pairs.
+A lineage keeps its notes' embeddings as the rows of one growing array,
+with parallel lists of version, emission position and schema tag, so a
+publish copies one row and appends three values, and builds no Note.
 Rolled-back notes are tombstoned, never deleted, so a trace replays
 identically.  A capacity cap triggers mean-pool compaction of the oldest
 notes per stream, and a publish that compaction could not fit is refused
-with the bus unchanged.  Each lineage keeps its notes stacked as rows, and
-a read stacks only the notes published since the last one; it lays the
-streams' rows out in (stream id, version) order, and each reader of the
-stride takes its siblings' rows out of that one table.
+with the bus unchanged.  A read lays each stream's prefix of rows out in
+(stream id, version) order, and each reader of the stride takes its
+siblings' rows out of that one table.  Note is the record that
+load_bus_lines parses a dump line into.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ SCHEMA_SUMMARY = "summary"
 # 4 tokens, 2560 rows hold 8 streams for 1280 tokens, and 8 notes are one 32-token stride.
 BUS_CAPACITY = 2560
 BUS_RETAIN_K = 8
+# Rows a lineage's array starts with once it holds a note; it doubles when full.
+_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -64,29 +69,52 @@ class BusView:
 
 
 class _Lineage:
-    """One stream's notes since its last tombstone or compaction, and their rows.
+    """One stream's notes since its last tombstone or compaction, as rows plus lists.
 
-    A publish appends a note; a tombstone or a compaction starts a new
-    lineage.  So the stream's visible notes, and its notes in every snapshot
-    that shares the lineage, are a prefix of `notes`: a (lineage, count)
-    pair names them.  `rows` stacks a prefix of `notes` and only grows, so a
-    read stacks each note of a lineage once and slices the rows it needs.
+    Note i has embedding rows[i], version versions[i], emission token
+    positions[i] and schema tag tags[i].  A publish appends a note; a
+    tombstone or a compaction starts a new lineage.  So the stream's visible
+    notes, and its notes in every snapshot that shares the lineage, are a
+    prefix: a (lineage, count) pair names them.  `rows` keeps spare room
+    past the last note, and a full array is replaced by a copy twice its
+    size.  A written row never changes, so every prefix stays valid.
     """
 
-    __slots__ = ("notes", "rows")
+    __slots__ = ("rows", "versions", "positions", "tags")
 
-    def __init__(self, notes: list[Note], d_note: int) -> None:
-        self.notes = notes
-        self.rows = np.zeros((0, d_note))
+    def __init__(self, rows: Matrix, versions: list[int], positions: list[int], tags: list[str]) -> None:
+        self.rows = rows
+        self.versions = versions
+        self.positions = positions
+        self.tags = tags
 
-    def stacked(self, count: int) -> Matrix:
-        """The rows of the first count notes, read-only."""
-        have = self.rows.shape[0]
-        if count > have:
-            flat = np.concatenate([self.rows.ravel(), *(n.embedding for n in self.notes[have:])])
-            self.rows = flat.reshape(-1, self.rows.shape[1])
-            self.rows.setflags(write=False)
-        return self.rows[:count]
+    @classmethod
+    def empty(cls, d_note: int) -> _Lineage:
+        return cls(np.empty((0, d_note)), [], [], [])
+
+    def append(self, row: np.ndarray, version: int, position: int, tag: str) -> None:
+        n = len(self.versions)
+        if n == self.rows.shape[0]:
+            grown = np.empty((max(2 * n, _MIN_ROWS), self.rows.shape[1]))
+            grown[:n] = self.rows
+            self.rows = grown
+        self.rows[n] = row
+        self.versions.append(version)
+        self.positions.append(position)
+        self.tags.append(tag)
+
+    def take(self, index: list[int]) -> _Lineage:
+        """A new lineage of copies of the notes at index, which increases."""
+        if index and index[-1] - index[0] == len(index) - 1:
+            # A run of notes (what decode's tombstones and compactions take) copies as slices.
+            at = slice(index[0], index[-1] + 1)
+            return _Lineage(self.rows[at].copy(), self.versions[at], self.positions[at], self.tags[at])
+        return _Lineage(
+            self.rows[index],
+            [self.versions[i] for i in index],
+            [self.positions[i] for i in index],
+            [self.tags[i] for i in index],
+        )
 
 
 class NotesBus:
@@ -97,8 +125,9 @@ class NotesBus:
     stream replaces only that stream's pair.  A snapshot is a copy of that
     dict, which shares the lineages and copies no note or row.  Every read
     is at the bus's lag, so the bus keeps only the newest lag snapshots,
-    none at lag 0.  A publish either fits, after compaction if need be, or
-    raises CapacityError having changed nothing.
+    none at lag 0.  Each tombstone archives the notes it drops as a lineage.
+    A publish either fits, after compaction if need be, or raises
+    CapacityError having changed nothing.
     """
 
     def __init__(
@@ -117,7 +146,8 @@ class NotesBus:
         self.retain_k = retain_k
         self.lag = lag
         self._visible: dict[int, tuple[_Lineage, int]] = {}
-        self._tombstoned: list[Note] = []
+        self._count = 0  # visible rows, the sum of the visible counts
+        self._tombstoned: dict[int, list[_Lineage]] = {}
         self._next_version: dict[int, int] = {}
         # The bus starts with an implicit empty snapshot, so a lagged read is
         # well defined before lag emission rounds complete.
@@ -126,13 +156,19 @@ class NotesBus:
 
     # -- publishing ---------------------------------------------------------
 
-    def publish(self, stream_id: int, embedding: np.ndarray, token_pos: int) -> Note:
-        """Append a note for stream_id; returns the stored Note with its version."""
-        version = self._next_version.get(stream_id, 0)
-        note = Note(stream_id, version, embedding, token_pos)
-        if note.embedding.shape[0] != self.d_note:
-            raise ShapeError(f"note width {note.embedding.shape[0]} != bus width {self.d_note}")
-        over = self.visible_rows() + 1 > self.capacity
+    def publish(self, stream_id: int, embedding: np.ndarray, token_pos: int) -> int:
+        """Append a copy of embedding as stream_id's next note; returns its version.
+
+        The embedding must be 1-D, finite and d_note wide.  A refused
+        publish changes nothing, and a later write to the caller's array
+        reaches nothing the bus serves or dumps.
+        """
+        row = as_vector(embedding, "embedding")
+        if stream_id < 0 or token_pos < 0:
+            raise ConfigError("stream_id and token_pos must be non-negative")
+        if row.shape[0] != self.d_note:
+            raise ShapeError(f"note width {row.shape[0]} != bus width {self.d_note}")
+        over = self._count >= self.capacity
         if over:
             # Compacting to 1 leaves min(n, 2) of a stream's n notes; refuse before any change if that is too many.
             counts = {sid: count for sid, (_, count) in self._visible.items()}
@@ -140,26 +176,25 @@ class NotesBus:
             floor = sum(min(count, 2) for count in counts.values())
             if floor > self.capacity:
                 raise CapacityError(f"bus over capacity: compaction leaves {floor} rows > {self.capacity}")
-        self._append(note)
+        version = self._next_version.get(stream_id, 0)
+        self._append(stream_id, row, version, token_pos, SCHEMA_NOTE)
         self._next_version[stream_id] = version + 1
         if over:
             self.compact()
-            if self.visible_rows() > self.capacity:
+            if self._count > self.capacity:
                 self.compact(retain_k=1)
-        return note
+        return version
 
-    def _append(self, note: Note) -> None:
+    def _append(self, stream_id: int, row: np.ndarray, version: int, position: int, tag: str) -> None:
         # The visible pair always holds all of its lineage's notes.
-        lineage, count = self._visible.get(note.stream_id) or (_Lineage([], self.d_note), 0)
-        lineage.notes.append(note)
-        self._visible[note.stream_id] = (lineage, count + 1)
-
-    def _notes(self, stream_id: int) -> list[Note]:
-        lineage, count = self._visible.get(stream_id) or (None, 0)
-        return lineage.notes[:count] if count else []
+        pair = self._visible.get(stream_id)
+        lineage = pair[0] if pair else _Lineage.empty(self.d_note)
+        lineage.append(row, version, position, tag)
+        self._visible[stream_id] = (lineage, len(lineage.versions))
+        self._count += 1
 
     def visible_rows(self) -> int:
-        return sum(count for _, count in self._visible.values())
+        return self._count
 
     # -- snapshots and reads ------------------------------------------------
 
@@ -174,8 +209,8 @@ class NotesBus:
 
         Lag 0 is a live view of the current visible notes; lag L >= 1 reads
         the snapshot L emission rounds back (the initial empty snapshot
-        while fewer than L have been taken).  The table concatenates one
-        read-only block of rows per stream, each stacked by its lineage.
+        while fewer than L have been taken).  The table concatenates each
+        stream's prefix of its lineage's rows, restacking no note.
         stack_sibling_rows takes one reader's siblings out of it.
         """
         by_stream = self._snapshots[0] if self.lag else self._visible
@@ -186,9 +221,9 @@ class NotesBus:
         for sid in sorted(by_stream):
             lineage, count = by_stream[sid]
             if count:
-                blocks.append(lineage.stacked(count))
+                blocks.append(lineage.rows[:count])
                 spans[sid] = (start, start + count)
-                newest[sid] = lineage.notes[count - 1].version
+                newest[sid] = lineage.versions[count - 1]
                 start += count
         rows = np.concatenate(blocks) if blocks else np.zeros((0, self.d_note))
         rows.setflags(write=False)
@@ -202,12 +237,16 @@ class NotesBus:
         Tombstoned notes leave the visible set but are archived for dumps, so
         replay bookkeeping is preserved.  Returns the number tombstoned.
         """
-        notes = self._notes(stream_id)
-        dropped = [n for n in notes if n.emitted_at_token >= token_pos]
+        pair = self._visible.get(stream_id)
+        if pair is None:
+            return 0
+        lineage = pair[0]
+        dropped = [i for i, pos in enumerate(lineage.positions) if pos >= token_pos]
         if dropped:
-            kept = [n for n in notes if n.emitted_at_token < token_pos]
-            self._visible[stream_id] = (_Lineage(kept, self.d_note), len(kept))
-            self._tombstoned.extend(dropped)
+            self._tombstoned.setdefault(stream_id, []).append(lineage.take(dropped))
+            kept = [i for i, pos in enumerate(lineage.positions) if pos < token_pos]
+            self._visible[stream_id] = (lineage.take(kept), len(kept))
+            self._count -= len(dropped)
         return len(dropped)
 
     def compact(self, retain_k: int | None = None) -> int:
@@ -215,55 +254,63 @@ class NotesBus:
 
         Keeps the newest retain_k notes per stream verbatim; anything older is
         replaced by a single summary row carrying the newest summarized
-        version.  Returns the number of summary notes created.
+        version and emission position.  Returns the number of summary notes
+        created.
         """
-        k = self.retain_k if retain_k is None else retain_k
+        k = self.retain_k if retain_k is None else as_int(retain_k, "retain_k")
         if k <= 0:
             raise ConfigError("retain_k must be positive")
         created = 0
         for sid in list(self._visible):
-            notes = self._notes(sid)
-            if len(notes) > k:
-                old = notes[:-k]
-                pooled = np.mean(np.stack([n.embedding for n in old]), axis=0)
-                summary = Note(
-                    stream_id=sid,
-                    version=old[-1].version,
-                    embedding=pooled,
-                    emitted_at_token=old[-1].emitted_at_token,
-                    schema_tag=SCHEMA_SUMMARY,
-                )
-                self._visible[sid] = (_Lineage([summary, *notes[-k:]], self.d_note), k + 1)
+            lineage, count = self._visible[sid]
+            if count > k:
+                cut = count - k
+                pooled = as_vector(np.mean(lineage.rows[:cut], axis=0), "summary embedding")
+                # The newest summarized note carries the summary's version and position.
+                compacted = lineage.take(list(range(cut - 1, count)))
+                compacted.rows[0] = pooled
+                compacted.tags[0] = SCHEMA_SUMMARY
+                self._visible[sid] = (compacted, k + 1)
+                self._count -= cut - 1
                 created += 1
         return created
 
     def _restore(self, notes: Iterable[tuple[Note, bool]]) -> None:
         """Load (note, tombstoned) pairs from a dump into this empty bus."""
         for note, tombstoned in sorted(notes, key=lambda p: (p[0].stream_id, p[0].version)):
+            sid, fields = note.stream_id, (note.embedding, note.version, note.emitted_at_token, note.schema_tag)
             if tombstoned:
-                self._tombstoned.append(note)
+                archived = _Lineage.empty(self.d_note)
+                archived.append(*fields)
+                self._tombstoned.setdefault(sid, []).append(archived)
             else:
-                self._append(note)
-            self._next_version[note.stream_id] = max(self._next_version.get(note.stream_id, 0), note.version + 1)
+                self._append(sid, *fields)
+            self._next_version[sid] = max(self._next_version.get(sid, 0), note.version + 1)
 
     # -- serialization ------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
         """Canonical text dump: one line per note, ordered (stream_id, version).
 
-        Tombstoned notes are included with a tombstone marker.
+        Tombstoned notes are included with a tombstone marker.  The notes
+        are rendered one lineage at a time, so only one lineage's floats
+        are Python objects at once.
         """
-        records = [(n, False) for sid in self._visible for n in self._notes(sid)]
-        records.extend((n, True) for n in self._tombstoned)
-        records.sort(key=lambda r: (r[0].stream_id, r[0].version, r[1]))
-        lines = []
-        for n, tomb in records:
-            vals = ",".join(map(repr, n.embedding.tolist()))
-            lines.append(
-                f"BUSNOTE {n.stream_id} {n.version} {n.emitted_at_token} {n.schema_tag} "
-                f"{'tombstoned' if tomb else 'live'} {vals}"
-            )
-        return lines
+        blocks = [(sid, lineage, count, False) for sid, (lineage, count) in self._visible.items()]
+        blocks.extend(
+            (sid, archived, len(archived.versions), True)
+            for sid, archive in self._tombstoned.items()
+            for archived in archive
+        )
+        records: list[tuple[int, int, bool, str]] = []
+        for sid, lineage, count, tomb in blocks:
+            status = "tombstoned" if tomb else "live"
+            for row, version, pos, tag in zip(lineage.rows[:count].tolist(), lineage.versions, lineage.positions, lineage.tags):
+                vals = ",".join(map(repr, row))
+                records.append((sid, version, tomb, f"BUSNOTE {sid} {version} {pos} {tag} {status} {vals}"))
+        # (stream, version, tombstoned) keys are unique, so the lines never decide the order.
+        records.sort()
+        return [record[3] for record in records]
 
 
 def stack_sibling_rows(view: BusView, reader: int) -> tuple[Matrix, dict[int, int]]:

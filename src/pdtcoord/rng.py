@@ -7,6 +7,8 @@ how many other draws happened in between.  The mixer is the splitmix64 finalizer
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -38,9 +40,22 @@ def counter_hash(seed: int, *counters: int) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=256)
+def _prefix_hash(seed: int, *counters: int) -> int:
+    return counter_hash(seed, *counters)
+
+
 def uniform(seed: int, *counters: int) -> float:
-    """Uniform draw in [0, 1) keyed by (seed, counters)."""
-    return (counter_hash(seed, *counters) >> 11) * 2.0**-53
+    """Uniform draw in [0, 1) keyed by (seed, counters).
+
+    The hash of seed and all counters but the last is remembered, so a walk
+    along the last counter (cadence draws one per token position) costs two
+    splitmix64 rounds a draw.
+    """
+    h = _prefix_hash(seed, *counters[:-1])
+    if counters:
+        h = splitmix64(h ^ splitmix64(counters[-1] & _MASK64))
+    return (h >> 11) * 2.0**-53
 
 
 def _splitmix64_u64(z: np.ndarray) -> np.ndarray:

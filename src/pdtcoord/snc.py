@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, as_int
 from .kernels import Matrix, as_matrix, as_vector, gelu, layer_norm, logistic, row_softmax, spectral_norm
 
 
@@ -249,6 +249,8 @@ class GateState:
     def __post_init__(self) -> None:
         if not 0.0 <= self.g_min <= self.g_max <= 1.0:
             raise ConfigError("need 0 <= g_min <= g_max <= 1")
+        self.warmup_tokens = as_int(self.warmup_tokens, "warmup_tokens")
+        self.flicker_window = as_int(self.flicker_window, "flicker_window")
         if self.warmup_tokens <= 0:
             raise ConfigError("warmup_tokens must be positive")
         if self.flicker_window < 1:

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtcoord import notebus
+from pdtcoord.cadence import CadenceConfig
+from pdtcoord.decode import DecodeConfig, run_parallel
 from pdtcoord.errors import CapacityError, ConfigError, ShapeError
 from pdtcoord.notebus import (
     SCHEMA_SUMMARY,
@@ -15,6 +18,7 @@ from pdtcoord.notebus import (
     load_bus_lines,
     stack_sibling_rows,
 )
+from pdtcoord.replay import SynthSpec, synthesize_artifact
 
 
 def fill(bus: NotesBus, stream: int, count: int, base: float = 0.0) -> None:
@@ -28,10 +32,8 @@ def sibling_rows(bus: NotesBus, reader: int) -> int:
 
 def test_publish_assigns_per_stream_versions():
     bus = NotesBus(d_note=2)
-    n0 = bus.publish(0, np.zeros(2), 0)
-    n1 = bus.publish(0, np.ones(2), 4)
-    n2 = bus.publish(1, np.ones(2), 4)
-    assert (n0.version, n1.version, n2.version) == (0, 1, 0)
+    versions = [bus.publish(0, np.zeros(2), 0), bus.publish(0, np.ones(2), 4), bus.publish(1, np.ones(2), 4)]
+    assert versions == [0, 1, 0]
 
 
 def test_publish_width_mismatch():
@@ -42,7 +44,7 @@ def test_publish_width_mismatch():
         bus.publish(0, np.zeros((1, 3)), 0)
     with pytest.raises(ValueError):
         bus.publish(0, np.array([0.0, np.nan, 0.0]), 0)
-    assert bus.publish(0, np.zeros(3), 0).version == 0
+    assert bus.publish(0, np.zeros(3), 0) == 0
 
 
 def test_note_embedding_is_frozen():
@@ -127,6 +129,17 @@ def test_compact_mean_pools_oldest():
     assert np.array_equal(rows[0], summary.embedding)
 
 
+def test_compact_refuses_a_non_integer_retain_k():
+    bus = NotesBus(d_note=2)
+    fill(bus, 0, 3)
+    lines = bus.dump_lines()
+    for bad in (1.5, True, 2.0, "1"):
+        with pytest.raises(ConfigError, match="retain_k"):
+            bus.compact(retain_k=bad)
+    assert bus.dump_lines() == lines
+    assert bus.compact(retain_k=np.int64(1)) == 1 and bus.visible_rows() == 2
+
+
 def test_capacity_triggers_compaction_then_error():
     bus = NotesBus(d_note=2, capacity=4, retain_k=2)
     fill(bus, 0, 5)
@@ -150,7 +163,7 @@ def test_refused_publish_changes_nothing():
     assert bus.dump_lines() == lines and bus.visible_rows() == 2
     # The refused note spent no version: stream 1 still starts at 0.
     bus.tombstone_after(0, token_pos=0)
-    assert bus.publish(1, np.ones(2), 12).version == 0
+    assert bus.publish(1, np.ones(2), 12) == 0
 
 
 def test_views_are_read_only():
@@ -184,6 +197,73 @@ def test_a_tombstone_or_compaction_restacks_its_stream():
     assert bus.read_lagged().rows[:, 0].tolist() == [1, 3, 4, 9]
     assert bus.compact(retain_k=1) == 1
     assert bus.read_lagged().rows[:, 0].tolist() == [2, 4, 9]
+
+
+def test_lagged_reads_outlive_a_reallocation_of_the_live_rows():
+    # Every snapshot names a prefix of the one lineage that the publishes grow;
+    # each time its array fills, a bigger copy replaces it.
+    for lag in (1, 2):
+        bus = NotesBus(d_note=2, lag=lag)
+        arrays: list[np.ndarray] = []
+        for j in range(100):
+            bus.publish(1, np.array([j, -j]), 4 * j)
+            live_rows = bus._visible[1][0].rows
+            if not arrays or live_rows is not arrays[-1]:
+                arrays.append(live_rows)
+            bus.snapshot()
+            # The snapshot lag - 1 rounds back holds notes 0 .. j + 1 - lag.
+            rows, newest = stack_sibling_rows(bus.read_lagged(), 0)
+            assert rows[:, 0].tolist() == list(range(j + 2 - lag))
+            assert newest == ({1: j + 1 - lag} if j + 2 > lag else {})
+        assert len(arrays) >= 4  # 16, 32, 64 and 128 rows
+
+
+def test_a_compaction_leaves_the_rows_an_older_snapshot_serves():
+    bus = NotesBus(d_note=2, lag=1)
+    fill(bus, 1, 4)  # values 0..3 at tokens 0, 4, 8, 12
+    bus.snapshot()
+    assert bus.compact(retain_k=1) == 1
+    assert bus.tombstone_after(1, token_pos=0) == 2  # the summary and the newest note
+    assert bus.read_lagged().rows[:, 0].tolist() == [0, 1, 2, 3]
+    bus.snapshot()
+    assert bus.read_lagged().rows.shape[0] == 0
+
+
+def test_publish_copies_the_callers_array():
+    live, lagged = NotesBus(d_note=2), NotesBus(d_note=2, lag=1)
+    emb = np.array([1.0, 2.0])
+    for bus in (live, lagged):
+        bus.publish(0, emb, 0)
+        bus.snapshot()
+    first = live.dump_lines()
+    emb[:] = 9.0
+    for bus in (live, lagged):
+        bus.publish(0, emb, 4)
+    emb[:] = -7.0
+    assert live.read_lagged().rows.tolist() == [[1.0, 2.0], [9.0, 9.0]]
+    assert lagged.read_lagged().rows.tolist() == [[1.0, 2.0]]
+    assert live.dump_lines()[0] == first[0] and live.dump_lines()[1].endswith(" live 9.0,9.0")
+    assert lagged.dump_lines() == live.dump_lines()
+
+
+def test_no_decode_path_builds_a_note(monkeypatch):
+    spec = SynthSpec(
+        n_streams=3, length=48, vocab_size=13, d=8, d_note=4, seed=5, planted_divergences=((1, 5), (2, 30))
+    )
+    art = synthesize_artifact(spec)
+    config = DecodeConfig(
+        stride_b=8, horizon_l=8, read_delta=1, bus_capacity=12, bus_retain_k=2, cadence=CadenceConfig(interval_m=1)
+    )
+    want = run_parallel(art, config)
+
+    def no_note(*args, **kwargs):
+        raise AssertionError("decode built a Note")
+
+    monkeypatch.setattr(notebus, "Note", no_note)
+    trace = run_parallel(art, config)
+    assert trace.trace_hash() == want.trace_hash()
+    # The decode compacted the bus and tombstoned notes.
+    assert {tuple(line.split()[4:6]) for line in trace.bus_lines} >= {("summary", "live"), ("note", "tombstoned")}
 
 
 def test_dump_ordering_and_roundtrip():
@@ -272,7 +352,7 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
             emb = np.array([value, 0.5 * value + sid])
             before = buses[0].dump_lines()
             try:
-                versions = {bus.publish(sid, emb, pos).version for bus in buses}
+                versions = {bus.publish(sid, emb, pos) for bus in buses}
             except CapacityError:
                 # A refused publish changes no bus; the others refuse too.
                 for bus in buses:

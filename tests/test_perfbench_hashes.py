@@ -3,10 +3,11 @@ that moves a perfbench trace fails here, not only in a benchmark run.
 
 perfbench/workloads.py builds its artifacts from a seed with numpy and the
 public constructors.  This test imports it read-only and decodes seed 1's
-first four tiny_batch jobs and the 18 sweep_grid points, in the order that
-perfbench's cadence_sweep reference decodes them.  The hashes were taken
-from the decoder before the bus stacked rows per stream; they are the ones
-the BENCH_*.json runs of seed 1 record.
+first four tiny_batch jobs, the 18 sweep_grid points, in the order that
+perfbench's cadence_sweep reference decodes them, and the long_bus run, the
+one workload that fills its 2,560-row bus and compacts.  The hashes were
+taken from the decoder before the bus stacked rows per stream; they are the
+ones the BENCH_*.json runs of seed 1 record.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ SWEEP_GRID_SEED_1 = [
     "6baf0af32db2d4d63da5789fa02b3bd77e1bf613ebb991a36e2eca92603defa1",
 ]
 
+LONG_BUS_SEED_1 = "3c5011e50271be81bbb6e8ecb54a944f0a73310ed82c0573abe39fc91b2e01f9"
+
 
 @pytest.mark.parametrize("job", range(len(TINY_BATCH_SEED_1)))
 def test_tiny_batch_trace_hashes(job):
@@ -75,3 +78,10 @@ def test_sweep_grid_trace_hashes():
         for b in workloads.SWEEP_GRID["strides"]
     ]
     assert [run_parallel(job.artifact, config).trace_hash() for config in grid] == SWEEP_GRID_SEED_1
+
+
+def test_long_bus_trace_hash():
+    (job,) = workloads.WORKLOADS["long_bus"].build(1)
+    trace = run_parallel(job.artifact, job.config)
+    assert sum(line.split()[4] == "summary" for line in trace.bus_lines) > 0
+    assert trace.trace_hash() == LONG_BUS_SEED_1

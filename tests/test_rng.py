@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdtcoord.rng import (
+    DOMAIN_CADENCE,
     counter_hash,
     counter_hash_array,
     normal_array,
@@ -56,6 +57,20 @@ def test_normal_scalar_vector_agree():
         u1 = ((counter_hash(7, 4, i, 0) >> 11) + 1) * 2.0**-53
         u2 = (counter_hash(7, 4, i, 1) >> 11) * 2.0**-53
         assert vec[i] == math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def test_uniform_equals_its_counter_hash_formula_in_any_call_order():
+    # uniform remembers the hash of the seed and all counters but the last;
+    # every draw must still be the hash of all of them, whatever came before.
+    keys = [
+        (seed, *prefix, last)
+        for seed in (0, 7, 2**64 + 3, -1)
+        for prefix in ((), (5,), (DOMAIN_CADENCE, 2), (1, 2, 3))
+        for last in (0, 1, 2**40, -3)
+    ]
+    keys += [(11,), (-2,)]
+    for key in keys + keys[::-1]:
+        assert uniform(*key) == (counter_hash(*key) >> 11) * 2.0**-53
 
 
 def test_counters_change_output():

@@ -330,6 +330,16 @@ def test_gate_state_validation():
             GateState(flicker_std=std)
 
 
+def test_gate_state_integer_settings_are_ints():
+    for name in ("warmup_tokens", "flicker_window"):
+        for bad in (True, 2.5, 4.0, "4"):
+            with pytest.raises(ConfigError, match=name):
+                GateState(**{name: bad})
+    gs = GateState(warmup_tokens=np.int64(16), flicker_window=np.int64(4))
+    assert (type(gs.warmup_tokens), type(gs.tokens_since_note), type(gs.flicker_window)) == (int, int, int)
+    assert gs.tokens_since_note == 16 and gs.gate_window.maxlen == 4
+
+
 def test_gate_pinned_at_floor_never_flickers():
     # Even with no flicker tolerance, a gate that never moves backs nothing off.
     gs = GateState(flicker_std=0.0)
