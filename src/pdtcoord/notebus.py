@@ -105,10 +105,6 @@ class _Lineage:
 
     def take(self, index: list[int]) -> _Lineage:
         """A new lineage of copies of the notes at index, which increases."""
-        if index and index[-1] - index[0] == len(index) - 1:
-            # A run of notes (what decode's tombstones and compactions take) copies as slices.
-            at = slice(index[0], index[-1] + 1)
-            return _Lineage(self.rows[at].copy(), self.versions[at], self.positions[at], self.tags[at])
         return _Lineage(
             self.rows[index],
             [self.versions[i] for i in index],
@@ -278,13 +274,13 @@ class NotesBus:
     def _restore(self, notes: Iterable[tuple[Note, bool]]) -> None:
         """Load (note, tombstoned) pairs from a dump into this empty bus."""
         for note, tombstoned in sorted(notes, key=lambda p: (p[0].stream_id, p[0].version)):
-            sid, fields = note.stream_id, (note.embedding, note.version, note.emitted_at_token, note.schema_tag)
+            sid = note.stream_id
             if tombstoned:
-                archived = _Lineage.empty(self.d_note)
-                archived.append(*fields)
+                # An archived lineage never grows, so it is kept at its exact size.
+                archived = _Lineage(note.embedding[None, :].copy(), [note.version], [note.emitted_at_token], [note.schema_tag])
                 self._tombstoned.setdefault(sid, []).append(archived)
             else:
-                self._append(sid, *fields)
+                self._append(sid, note.embedding, note.version, note.emitted_at_token, note.schema_tag)
             self._next_version[sid] = max(self._next_version.get(sid, 0), note.version + 1)
 
     # -- serialization ------------------------------------------------------

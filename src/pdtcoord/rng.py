@@ -40,7 +40,7 @@ def counter_hash(seed: int, *counters: int) -> int:
     return h
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _prefix_hash(seed: int, *counters: int) -> int:
     return counter_hash(seed, *counters)
 

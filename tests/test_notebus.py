@@ -279,6 +279,17 @@ def test_dump_ordering_and_roundtrip():
     assert clone.dump_lines() == lines
 
 
+def test_a_loaded_tombstoned_note_keeps_only_its_own_row():
+    bus = NotesBus(d_note=2)
+    for pos in range(3):
+        bus.publish(0, np.array([pos, -pos], dtype=float), pos)
+    bus.tombstone_after(0, token_pos=1)
+    lines = bus.dump_lines()
+    clone = load_bus_lines(lines)
+    assert [archived.rows.shape for archived in clone._tombstoned[0]] == [(1, 2), (1, 2)]
+    assert clone.dump_lines() == lines
+
+
 def test_bus_config_validation():
     with pytest.raises(ConfigError):
         NotesBus(d_note=0)

@@ -71,6 +71,12 @@ def test_uniform_equals_its_counter_hash_formula_in_any_call_order():
     keys += [(11,), (-2,)]
     for key in keys + keys[::-1]:
         assert uniform(*key) == (counter_hash(*key) >> 11) * 2.0**-53
+    # A float seed is refused as counter_hash refuses it, even once an equal int prefix is remembered.
+    uniform(1, 2, 5)
+    with pytest.raises(TypeError):
+        counter_hash(1.0, 2, 3)
+    with pytest.raises(TypeError):
+        uniform(1.0, 2, 3)
 
 
 def test_counters_change_output():
