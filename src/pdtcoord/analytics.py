@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_float, as_int
 from .rng import DOMAIN_ERRSIM, uniform_array
 
 
@@ -66,6 +66,10 @@ class ClusterSimConfig:
     seed: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("horizon_l", "trials", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name in ("rho_c", "q_token"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.horizon_l < 1:
             raise ConfigError("horizon_l must be >= 1")
         if not 0.0 <= self.rho_c < 1.0:

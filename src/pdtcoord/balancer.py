@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, as_int
 from .kernels import as_matrix
 
 # GradNorm's exponent on the relative training rate: above 1, a lagging task is pulled back harder.
@@ -337,6 +337,7 @@ def run_balancer(
     update_interval-th record updates the weights.  Every record refreshes
     the health flags.
     """
+    update_interval = as_int(update_interval, "update_interval")
     if update_interval < 1:
         raise ConfigError("update_interval must be >= 1")
     if not records:

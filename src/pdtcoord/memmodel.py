@@ -9,10 +9,11 @@ ever touches ceil(L / B_page) pages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Literal, Sequence
 
-from .errors import CapacityError, ConfigError, as_int
+from .errors import CapacityError, ConfigError, as_float, as_int
 
 KIB = 1 << 10
 MIB = 1 << 20
@@ -197,10 +198,16 @@ class PageTable:
     clock: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
+        self.page_size_tokens = as_int(self.page_size_tokens, "page_size_tokens")
+        if self.capacity_pages is not None:
+            self.capacity_pages = as_int(self.capacity_pages, "capacity_pages")
+        self.t_page = as_float(self.t_page, "t_page")
         if self.page_size_tokens < 1:
             raise ConfigError("page_size_tokens must be >= 1")
         if self.capacity_pages is not None and self.capacity_pages < 1:
             raise ConfigError("capacity_pages must be >= 1 when bounded")
+        if not 0.0 <= self.t_page < math.inf:
+            raise ConfigError("t_page must be finite and non-negative")
 
     def resident_count(self) -> int:
         return sum(1 for p in self.pages.values() if p.state == "resident")

@@ -5,18 +5,21 @@ readers see their siblings' notes either live or through the snapshot a
 fixed lag back, a copy of the per-stream dict of (lineage, count) pairs.
 A lineage keeps its notes' embeddings as the rows of one growing array,
 with parallel lists of version, emission position and schema tag, so a
-publish copies one row and appends three values, and builds no Note.
-Rolled-back notes are tombstoned, never deleted, so a trace replays
-identically.  A capacity cap triggers mean-pool compaction of the oldest
-notes per stream, and a publish that compaction could not fit is refused
-with the bus unchanged.  A read lays each stream's prefix of rows out in
+publish copies one row and appends three values.  A stream's visible
+notes are an ordered log: their emission positions never descend, and a
+publish before the stream's newest visible note is refused.  So a
+rollback's tombstone cuts a suffix, found by bisection, and both it and a
+capacity-driven mean-pool compaction of the oldest notes are slices.
+Rolled-back notes are archived, never deleted, so a trace replays
+identically.  A publish that compaction could not fit is refused with the
+bus unchanged.  A read lays each stream's prefix of rows out in
 (stream id, version) order, and each reader of the stride takes its
-siblings' rows out of that one table.  Note is the record that
-load_bus_lines parses a dump line into.
+siblings' rows out of that one table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -36,25 +39,8 @@ BUS_RETAIN_K = 8
 # Rows a lineage's array starts with once it holds a note; it doubles when full.
 _MIN_ROWS = 16
 
-
-@dataclass(frozen=True)
-class Note:
-    """One published note: stream of origin, per-stream version, embedding."""
-
-    stream_id: int
-    version: int
-    embedding: np.ndarray
-    emitted_at_token: int
-    schema_tag: str = SCHEMA_NOTE
-
-    def __post_init__(self) -> None:
-        emb = as_vector(self.embedding, "embedding").copy()
-        emb.setflags(write=False)
-        object.__setattr__(self, "embedding", emb)
-        if self.stream_id < 0 or self.version < 0 or self.emitted_at_token < 0:
-            raise ConfigError("stream_id, version and emitted_at_token must be non-negative")
-        if self.schema_tag not in (SCHEMA_NOTE, SCHEMA_SUMMARY):
-            raise ConfigError(f"unknown schema_tag {self.schema_tag!r}")
+# A dump line's (stream id, version, emission position, schema tag, tombstoned, embedding).
+BusRecord = tuple[int, int, int, str, bool, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -72,12 +58,12 @@ class _Lineage:
     """One stream's notes since its last tombstone or compaction, as rows plus lists.
 
     Note i has embedding rows[i], version versions[i], emission token
-    positions[i] and schema tag tags[i].  A publish appends a note; a
-    tombstone or a compaction starts a new lineage.  So the stream's visible
-    notes, and its notes in every snapshot that shares the lineage, are a
-    prefix: a (lineage, count) pair names them.  `rows` keeps spare room
-    past the last note, and a full array is replaced by a copy twice its
-    size.  A written row never changes, so every prefix stays valid.
+    positions[i] (which never descend) and schema tag tags[i].  A publish
+    appends a note; a tombstone or a compaction starts a new lineage.  So the
+    stream's visible notes, and its notes in every snapshot that shares the
+    lineage, are a prefix: a (lineage, count) pair names them.  `rows` keeps
+    spare room past the last note, and a full array is replaced by a copy
+    twice its size.  A written row never changes, so every prefix stays valid.
     """
 
     __slots__ = ("rows", "versions", "positions", "tags")
@@ -103,27 +89,28 @@ class _Lineage:
         self.positions.append(position)
         self.tags.append(tag)
 
-    def take(self, index: list[int]) -> _Lineage:
-        """A new lineage of copies of the notes at index, which increases."""
-        return _Lineage(
-            self.rows[index],
-            [self.versions[i] for i in index],
-            [self.positions[i] for i in index],
-            [self.tags[i] for i in index],
-        )
+    def prefix(self, stop: int) -> _Lineage:
+        """The notes before stop over a view of their rows; the view is full, so its first append reallocates."""
+        return _Lineage(self.rows[:stop], self.versions[:stop], self.positions[:stop], self.tags[:stop])
+
+    def suffix(self, start: int) -> _Lineage:
+        """A copy of the notes from start on, at its exact size."""
+        stop = len(self.versions)
+        return _Lineage(self.rows[start:stop].copy(), self.versions[start:], self.positions[start:], self.tags[start:])
 
 
 class NotesBus:
     """Append-only store of notes with snapshots, lagged reads and compaction.
 
     The visible notes are one (lineage, count) pair per stream: the first
-    count notes of the lineage, in version order.  An operation on one
-    stream replaces only that stream's pair.  A snapshot is a copy of that
-    dict, which shares the lineages and copies no note or row.  Every read
-    is at the bus's lag, so the bus keeps only the newest lag snapshots,
-    none at lag 0.  Each tombstone archives the notes it drops as a lineage.
-    A publish either fits, after compaction if need be, or raises
-    CapacityError having changed nothing.
+    count notes of the lineage, in version order and in emission order.  An
+    operation on one stream replaces only that stream's pair.  A snapshot is
+    a copy of that dict, which shares the lineages and copies no note or row.
+    Every read is at the bus's lag, so the bus keeps only the newest lag
+    snapshots, none at lag 0.  Each tombstone archives the suffix it drops
+    as a lineage.  A publish either fits, after compaction if need be, or
+    raises CapacityError having changed nothing; one before its stream's
+    newest visible note raises ConfigError having changed nothing.
     """
 
     def __init__(
@@ -155,9 +142,10 @@ class NotesBus:
     def publish(self, stream_id: int, embedding: np.ndarray, token_pos: int) -> int:
         """Append a copy of embedding as stream_id's next note; returns its version.
 
-        The embedding must be 1-D, finite and d_note wide.  A refused
-        publish changes nothing, and a later write to the caller's array
-        reaches nothing the bus serves or dumps.
+        The embedding must be 1-D, finite and d_note wide, and token_pos no
+        earlier than the stream's newest visible note.  A refused publish
+        changes nothing, and a later write to the caller's array reaches
+        nothing the bus serves or dumps.
         """
         row = as_vector(embedding, "embedding")
         if stream_id < 0 or token_pos < 0:
@@ -185,6 +173,8 @@ class NotesBus:
         # The visible pair always holds all of its lineage's notes.
         pair = self._visible.get(stream_id)
         lineage = pair[0] if pair else _Lineage.empty(self.d_note)
+        if lineage.positions and position < lineage.positions[-1]:
+            raise ConfigError(f"stream {stream_id} note at {position} precedes its newest at {lineage.positions[-1]}")
         lineage.append(row, version, position, tag)
         self._visible[stream_id] = (lineage, len(lineage.versions))
         self._count += 1
@@ -228,22 +218,22 @@ class NotesBus:
     # -- rollback and compaction --------------------------------------------
 
     def tombstone_after(self, stream_id: int, token_pos: int) -> int:
-        """Tombstone stream_id's notes with emitted_at_token >= token_pos.
+        """Tombstone stream_id's notes emitted at token_pos or later.
 
-        Tombstoned notes leave the visible set but are archived for dumps, so
-        replay bookkeeping is preserved.  Returns the number tombstoned.
+        Positions ascend, so they are a suffix.  Tombstoned notes leave the
+        visible set but are archived for dumps, so replay bookkeeping is
+        preserved.  Returns the number tombstoned.
         """
         pair = self._visible.get(stream_id)
         if pair is None:
             return 0
-        lineage = pair[0]
-        dropped = [i for i, pos in enumerate(lineage.positions) if pos >= token_pos]
-        if dropped:
-            self._tombstoned.setdefault(stream_id, []).append(lineage.take(dropped))
-            kept = [i for i, pos in enumerate(lineage.positions) if pos < token_pos]
-            self._visible[stream_id] = (lineage.take(kept), len(kept))
-            self._count -= len(dropped)
-        return len(dropped)
+        lineage, count = pair
+        cut = bisect_left(lineage.positions, token_pos)
+        if cut < count:
+            self._tombstoned.setdefault(stream_id, []).append(lineage.suffix(cut))
+            self._visible[stream_id] = (lineage.prefix(cut), cut)
+            self._count -= count - cut
+        return count - cut
 
     def compact(self, retain_k: int | None = None) -> int:
         """Mean-pool each stream's oldest notes into one summary note.
@@ -262,8 +252,9 @@ class NotesBus:
             if count > k:
                 cut = count - k
                 pooled = as_vector(np.mean(lineage.rows[:cut], axis=0), "summary embedding")
-                # The newest summarized note carries the summary's version and position.
-                compacted = lineage.take(list(range(cut - 1, count)))
+                # The newest summarized note carries the summary's version and position.  The
+                # suffix is a copy, since an older snapshot may serve the row the summary replaces.
+                compacted = lineage.suffix(cut - 1)
                 compacted.rows[0] = pooled
                 compacted.tags[0] = SCHEMA_SUMMARY
                 self._visible[sid] = (compacted, k + 1)
@@ -271,17 +262,15 @@ class NotesBus:
                 created += 1
         return created
 
-    def _restore(self, notes: Iterable[tuple[Note, bool]]) -> None:
-        """Load (note, tombstoned) pairs from a dump into this empty bus."""
-        for note, tombstoned in sorted(notes, key=lambda p: (p[0].stream_id, p[0].version)):
-            sid = note.stream_id
+    def _restore(self, records: Iterable[BusRecord]) -> None:
+        """Load checked dump records into this empty bus."""
+        for sid, version, pos, tag, tombstoned, emb in sorted(records, key=lambda r: r[:2]):
             if tombstoned:
                 # An archived lineage never grows, so it is kept at its exact size.
-                archived = _Lineage(note.embedding[None, :].copy(), [note.version], [note.emitted_at_token], [note.schema_tag])
-                self._tombstoned.setdefault(sid, []).append(archived)
+                self._tombstoned.setdefault(sid, []).append(_Lineage(emb[None, :].copy(), [version], [pos], [tag]))
             else:
-                self._append(sid, note.embedding, note.version, note.emitted_at_token, note.schema_tag)
-            self._next_version[sid] = max(self._next_version.get(sid, 0), note.version + 1)
+                self._append(sid, emb, version, pos, tag)
+            self._next_version[sid] = max(self._next_version.get(sid, 0), version + 1)
 
     # -- serialization ------------------------------------------------------
 
@@ -292,19 +281,16 @@ class NotesBus:
         are rendered one lineage at a time, so only one lineage's floats
         are Python objects at once.
         """
-        blocks = [(sid, lineage, count, False) for sid, (lineage, count) in self._visible.items()]
-        blocks.extend(
-            (sid, archived, len(archived.versions), True)
-            for sid, archive in self._tombstoned.items()
-            for archived in archive
-        )
-        records: list[tuple[int, int, bool, str]] = []
-        for sid, lineage, count, tomb in blocks:
-            status = "tombstoned" if tomb else "live"
-            for row, version, pos, tag in zip(lineage.rows[:count].tolist(), lineage.versions, lineage.positions, lineage.tags):
+        # A visible pair and an archive each hold all of their lineage's notes.
+        blocks = [(sid, lineage, "live") for sid, (lineage, _) in self._visible.items()]
+        blocks += [(sid, archived, "tombstoned") for sid, archive in self._tombstoned.items() for archived in archive]
+        records: list[tuple[int, int, str, str]] = []
+        for sid, lineage, status in blocks:
+            rows = lineage.rows[: len(lineage.versions)]
+            for row, version, pos, tag in zip(rows.tolist(), lineage.versions, lineage.positions, lineage.tags):
                 vals = ",".join(map(repr, row))
-                records.append((sid, version, tomb, f"BUSNOTE {sid} {version} {pos} {tag} {status} {vals}"))
-        # (stream, version, tombstoned) keys are unique, so the lines never decide the order.
+                records.append((sid, version, status, f"BUSNOTE {sid} {version} {pos} {tag} {status} {vals}"))
+        # (stream, version, status) keys are unique and "live" sorts first, so the lines never decide the order.
         records.sort()
         return [record[3] for record in records]
 
@@ -326,6 +312,22 @@ def stack_sibling_rows(view: BusView, reader: int) -> tuple[Matrix, dict[int, in
     return rows, {sid: v for sid, v in view.newest.items() if sid != reader}
 
 
+def _parse_bus_line(line: str) -> BusRecord:
+    """The record of one dump line, its ids, tag and embedding checked."""
+    parts = line.split(" ")
+    if len(parts) != 7 or parts[0] != "BUSNOTE":
+        raise ValueError(f"malformed bus line: {line!r}")
+    if parts[5] not in ("live", "tombstoned"):
+        raise ValueError(f"unknown note status {parts[5]!r} in bus line: {line!r}")
+    emb = as_vector([float(x) for x in parts[6].split(",")], "embedding")
+    sid, version, pos = int(parts[1]), int(parts[2]), int(parts[3])
+    if sid < 0 or version < 0 or pos < 0:
+        raise ConfigError("stream_id, version and emitted_at_token must be non-negative")
+    if parts[4] not in (SCHEMA_NOTE, SCHEMA_SUMMARY):
+        raise ConfigError(f"unknown schema_tag {parts[4]!r}")
+    return sid, version, pos, parts[4], parts[5] == "tombstoned", emb
+
+
 def load_bus_lines(
     lines: Iterable[str],
     capacity: int = BUS_CAPACITY,
@@ -338,31 +340,21 @@ def load_bus_lines(
     its note width only in its notes, so the dump of a bus that never had
     one loads only when d_note is given.  When both are known they must
     agree.  A line with an unknown status or a repeated (stream, version)
-    raises ValueError, and more live notes than capacity CapacityError.
+    raises ValueError, a negative id or an unknown schema tag ConfigError,
+    live notes of one stream whose positions descend ConfigError, and more
+    live notes than capacity CapacityError.
     """
-    notes: list[tuple[Note, bool]] = []
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(" ")
-        if len(parts) != 7 or parts[0] != "BUSNOTE":
-            raise ValueError(f"malformed bus line: {line!r}")
-        if parts[5] not in ("live", "tombstoned"):
-            raise ValueError(f"unknown note status {parts[5]!r} in bus line: {line!r}")
-        emb = np.array([float(x) for x in parts[6].split(",")])
-        note = Note(int(parts[1]), int(parts[2]), emb, int(parts[3]), parts[4])
-        notes.append((note, parts[5] == "tombstoned"))
-    if not notes and d_note is None:
+    records = [_parse_bus_line(line) for line in map(str.strip, lines) if line]
+    if not records and d_note is None:
         raise ValueError("empty bus dump: pass d_note to load it")
-    width = notes[0][0].embedding.shape[0] if d_note is None else d_note
-    for note, _ in notes:
-        if note.embedding.shape[0] != width:
-            raise ShapeError(f"note width {note.embedding.shape[0]} != bus width {width}")
-    if len({(n.stream_id, n.version) for n, _ in notes}) < len(notes):
+    width = records[0][-1].shape[0] if d_note is None else d_note
+    for record in records:
+        if record[-1].shape[0] != width:
+            raise ShapeError(f"note width {record[-1].shape[0]} != bus width {width}")
+    if len({record[:2] for record in records}) < len(records):
         raise ValueError("repeated (stream, version) key in bus dump")
     bus = NotesBus(width, capacity=capacity, retain_k=retain_k)
-    bus._restore(notes)
+    bus._restore(records)
     if bus.visible_rows() > capacity:
         raise CapacityError(f"bus dump has {bus.visible_rows()} live notes > capacity {capacity}")
     return bus

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArtifactFormatError, ConfigError, ShapeError
+from .errors import ArtifactFormatError, ConfigError, ShapeError, as_float, as_int
 from .kernels import Matrix, as_matrix, as_vector
 from .rng import DOMAIN_SYNTH, normal_matrix, uniform_array
 from .snc import AdapterParams, AgreementParams, SncParams
@@ -120,8 +120,9 @@ class StreamFrames:
 class ReplayArtifact:
     """A frozen backbone's recorded frames plus the coordination weights.
 
-    The header widths must match the array shapes, and vocab_size must be at
-    least 2: adaptive cadence divides by log(vocab_size).
+    The header widths and the seed are stored as int.  They must match the
+    array shapes, and vocab_size must be at least 2: adaptive cadence
+    divides by log(vocab_size).
     """
 
     vocab_size: int
@@ -137,6 +138,8 @@ class ReplayArtifact:
     streams: tuple[StreamFrames, ...]
 
     def __post_init__(self) -> None:
+        for name in ("vocab_size", "d", "d_note", "d_bottleneck", "d_attn", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size={self.vocab_size} must be >= 2")
         object.__setattr__(self, "readout", as_matrix(self.readout, "readout"))
@@ -171,9 +174,11 @@ class SynthSpec:
     BASE_AGREEMENT and planted ones about DIVERGENCE_AGREEMENT, so tau must
     lie in (DIVERGENCE_AGREEMENT, BASE_AGREEMENT].  The adapter bottleneck
     is max(2, d // 4) wide and the attention max(2, d // 2); b_agree and
-    dropout_rate take AgreementParams' defaults.  Widths, the stream count,
-    the length and the seed must fit the artifact format, so a spec that
-    constructs can be written.
+    dropout_rate take AgreementParams' defaults.  Counts and the seed are
+    stored as int and the rest as float, so equal specs write equal
+    artifacts and traces.  Widths, the stream count, the length and the seed
+    must fit the artifact format, and gamma and logit_scale be finite, so a
+    spec that constructs can be written.
     """
 
     n_streams: int = 3
@@ -188,12 +193,21 @@ class SynthSpec:
     planted_divergences: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("n_streams", "length", "vocab_size", "d", "d_note", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name in ("gamma", "tau", "logit_scale"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
+        planted = [(as_int(sid, "planted stream"), as_int(pos, "planted position")) for sid, pos in self.planted_divergences]
+        object.__setattr__(self, "planted_divergences", tuple(planted))
         # The bottleneck and attention widths follow from d, so only the header fields a spec sets are checked.
         limits = [(name, getattr(self, name), lo, hi) for name, lo, hi in _HEADER if hasattr(self, name)]
         limits += [("length", self.length, 0, _MAX_LEN), ("seed", self.seed, 0, _MAX_SEED)]
         _check_ranges(limits)
         if self.d < 4 or self.length < 1:
             raise ConfigError("need d >= 4 and length >= 1")
+        for name in ("gamma", "logit_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not DIVERGENCE_AGREEMENT < self.tau <= BASE_AGREEMENT:
             raise ConfigError(f"need {DIVERGENCE_AGREEMENT} < tau <= {BASE_AGREEMENT}, got tau={self.tau}")
         for sid, pos in self.planted_divergences:

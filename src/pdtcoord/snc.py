@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, as_int
+from .errors import ConfigError, ShapeError, as_float, as_int
 from .kernels import Matrix, as_matrix, as_vector, gelu, layer_norm, logistic, row_softmax, spectral_norm
 
 
@@ -247,8 +247,14 @@ class GateState:
     note_change_window: deque = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("g_min", "g_max", "tau_lipschitz", "flicker_std", "lipschitz_estimate"):
+            setattr(self, name, as_float(getattr(self, name), name))
         if not 0.0 <= self.g_min <= self.g_max <= 1.0:
             raise ConfigError("need 0 <= g_min <= g_max <= 1")
+        if not 0.0 < self.tau_lipschitz < math.inf:
+            raise ConfigError("tau_lipschitz must be finite and positive")
+        if not 0.0 <= self.lipschitz_estimate < math.inf:
+            raise ConfigError("lipschitz_estimate must be finite and non-negative")
         self.warmup_tokens = as_int(self.warmup_tokens, "warmup_tokens")
         self.flicker_window = as_int(self.flicker_window, "flicker_window")
         if self.warmup_tokens <= 0:

@@ -6,9 +6,11 @@ import dataclasses
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 
-from pdtcoord.balancer import BalancerState
+from pdtcoord.analytics import ClusterSimConfig
+from pdtcoord.balancer import BalancerState, run_balancer
 from pdtcoord.errors import ConfigError
 from pdtcoord.memmodel import PageTable
 from pdtcoord.snc import GateState
@@ -53,3 +55,46 @@ def test_constructors_take_only_settings():
             BalancerState(bad, 1.0)
         with pytest.raises(ConfigError):
             BalancerState(1.0, bad)
+
+
+def _run_balancer(**kwargs):
+    return run_balancer([], **kwargs)
+
+
+# (constructor, one bad setting): each is refused with ConfigError naming the setting.
+REFUSALS = [
+    (ClusterSimConfig, {"trials": 2.5}),
+    (ClusterSimConfig, {"horizon_l": True}),
+    (ClusterSimConfig, {"seed": 2.0}),
+    (ClusterSimConfig, {"rho_c": "0.5"}),
+    (ClusterSimConfig, {"q_token": None}),
+    (PageTable, {"page_size_tokens": 2.5}),
+    (PageTable, {"capacity_pages": 4.0}),
+    (PageTable, {"t_page": True}),
+    (PageTable, {"t_page": math.nan}),
+    (GateState, {"g_min": True, "g_max": True}),
+    (GateState, {"flicker_std": "x"}),
+    (GateState, {"tau_lipschitz": math.nan}),
+    (GateState, {"tau_lipschitz": 0.0}),
+    (GateState, {"lipschitz_estimate": math.inf}),
+    (GateState, {"warmup_tokens": 1.5}),
+    (_run_balancer, {"update_interval": 1.5}),
+    (_run_balancer, {"update_interval": True}),
+]
+
+
+@pytest.mark.parametrize(
+    ("build", "kwargs"), REFUSALS, ids=[f"{build.__name__}-{'-'.join(kw)}-{list(kw.values())[-1]!r}" for build, kw in REFUSALS]
+)
+def test_a_setting_of_the_wrong_type_or_range_is_refused(build, kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        build(**kwargs)
+
+
+def test_numpy_settings_are_stored_as_python_numbers():
+    sim = ClusterSimConfig(horizon_l=np.int64(8), trials=np.int32(20), seed=np.uint8(3), rho_c=np.float32(0.5))
+    table = PageTable(page_size_tokens=np.int64(16), capacity_pages=np.int16(4), t_page=np.float32(2.0))
+    gate = GateState(g_min=np.float64(0.1), g_max=1, tau_lipschitz=np.int64(40))
+    values = [sim.horizon_l, sim.trials, sim.seed, sim.rho_c, table.page_size_tokens, table.capacity_pages, table.t_page]
+    values += [gate.g_min, gate.g_max, gate.tau_lipschitz]
+    assert [type(v) for v in values] == [int, int, int, float, int, int, float, float, float, float]

@@ -7,23 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdtcoord import notebus
-from pdtcoord.cadence import CadenceConfig
-from pdtcoord.decode import DecodeConfig, run_parallel
 from pdtcoord.errors import CapacityError, ConfigError, ShapeError
-from pdtcoord.notebus import (
-    SCHEMA_SUMMARY,
-    Note,
-    NotesBus,
-    load_bus_lines,
-    stack_sibling_rows,
-)
-from pdtcoord.replay import SynthSpec, synthesize_artifact
+from pdtcoord.notebus import SCHEMA_SUMMARY, BusRecord, NotesBus, load_bus_lines, stack_sibling_rows
+from reference_decoder import RefBus, RefNote
 
 
-def fill(bus: NotesBus, stream: int, count: int, base: float = 0.0) -> None:
+def fill(bus: NotesBus, stream: int, count: int, base: float = 0.0, start: int = 0) -> None:
+    """Publish count notes of values base, base + 1, ... at tokens start, start + 4, ..."""
     for i in range(count):
-        bus.publish(stream, np.full(bus.d_note, base + i), token_pos=i * 4)
+        bus.publish(stream, np.full(bus.d_note, base + i), token_pos=start + i * 4)
 
 
 def sibling_rows(bus: NotesBus, reader: int) -> int:
@@ -47,12 +39,6 @@ def test_publish_width_mismatch():
     assert bus.publish(0, np.zeros(3), 0) == 0
 
 
-def test_note_embedding_is_frozen():
-    note = Note(0, 0, np.array([1.0, 2.0]), 0)
-    with pytest.raises(ValueError):
-        note.embedding[0] = 9.0
-
-
 def test_live_read_excludes_reader_and_tombstoned():
     bus = NotesBus(d_note=2)
     fill(bus, 0, 2)
@@ -69,7 +55,7 @@ def test_lagged_read_is_immutable_history():
     for bus in buses:
         fill(bus, 1, 2)
         bus.snapshot()
-        fill(bus, 1, 3, base=50)
+        fill(bus, 1, 3, base=50, start=8)
     # Lag 1 sees what the last snapshot saw, lag 2 the initial empty one; live sees all.
     assert [sibling_rows(bus, 0) for bus in buses] == [5, 2, 0]
     for bus in buses:
@@ -116,17 +102,17 @@ def test_compact_mean_pools_oldest():
     fill(bus, 0, 5)  # values 0..4
     created = bus.compact()
     assert created == 1
-    notes = [n for n, _ in dump_notes(bus.dump_lines())]
+    notes = dump_records(bus.dump_lines())
     assert len(notes) == 3
-    summary = notes[0]
-    assert summary.schema_tag == SCHEMA_SUMMARY
-    assert summary.version == 2  # newest summarized version
-    assert np.allclose(summary.embedding, 1.0)  # mean of 0, 1, 2
-    assert [n.version for n in notes[1:]] == [3, 4]
+    _, version, pos, tag, _, summary = notes[0]
+    assert tag == SCHEMA_SUMMARY
+    assert (version, pos) == (2, 8)  # the newest summarized note's
+    assert np.allclose(summary, 1.0)  # mean of 0, 1, 2
+    assert [n[1] for n in notes[1:]] == [3, 4]
     rows, newest = stack_sibling_rows(bus.read_lagged(), 9)
     assert newest == {0: 4}
     assert rows.shape[0] == 3
-    assert np.array_equal(rows[0], summary.embedding)
+    assert np.array_equal(rows[0], summary)
 
 
 def test_compact_refuses_a_non_integer_retain_k():
@@ -173,7 +159,7 @@ def test_views_are_read_only():
         fill(bus, 1, 2, base=10)
         fill(bus, 2, 2, base=-5)
         bus.snapshot()
-        fill(bus, 1, 1, base=20)
+        fill(bus, 1, 1, base=20, start=8)
         view = bus.read_lagged()
         with pytest.raises(ValueError, match="read-only"):
             view.rows[0, 0] = 99.0
@@ -188,15 +174,71 @@ def test_views_are_read_only():
 
 def test_a_tombstone_or_compaction_restacks_its_stream():
     bus = NotesBus(d_note=2)
-    for value, pos in ((1.0, 0), (2.0, 30), (3.0, 10)):
+    for value, pos in ((1.0, 0), (2.0, 10), (3.0, 30)):
         bus.publish(0, np.full(2, value), pos)
     bus.publish(1, np.full(2, 9.0), 0)
     assert bus.read_lagged().rows[:, 0].tolist() == [1, 2, 3, 9]
-    assert bus.tombstone_after(0, token_pos=20) == 1  # the middle note
+    assert bus.tombstone_after(0, token_pos=20) == 1  # the newest note
+    with pytest.raises(ConfigError, match="precedes"):
+        bus.publish(0, np.full(2, 5.0), 5)  # before the newest visible note, at 10
     bus.publish(0, np.full(2, 4.0), 12)
-    assert bus.read_lagged().rows[:, 0].tolist() == [1, 3, 4, 9]
+    assert bus.read_lagged().rows[:, 0].tolist() == [1, 2, 4, 9]
     assert bus.compact(retain_k=1) == 1
-    assert bus.read_lagged().rows[:, 0].tolist() == [2, 4, 9]
+    assert bus.read_lagged().rows[:, 0].tolist() == [1.5, 4, 9]
+
+
+def test_a_descending_publish_is_refused_and_changes_nothing():
+    for lag in (0, 1):
+        bus = NotesBus(d_note=2, lag=lag)
+        fill(bus, 0, 3)  # tokens 0, 4, 8
+        bus.publish(1, np.ones(2), 20)
+        bus.snapshot()
+        lines, rows = bus.dump_lines(), bus.read_lagged().rows.tolist()
+        for sid, pos in ((0, 7), (0, 0), (1, 19)):
+            with pytest.raises(ConfigError, match="precedes"):
+                bus.publish(sid, np.full(2, -1.0), pos)
+        assert bus.dump_lines() == lines and bus.visible_rows() == 4
+        assert bus.read_lagged().rows.tolist() == rows
+        # The refused notes spent no version, and an equal position is accepted.
+        assert (bus.publish(0, np.full(2, 3.0), 8), bus.publish(1, np.ones(2), 20)) == (3, 1)
+        # A tombstone moves the newest visible note back, and with it the bound.
+        assert bus.tombstone_after(0, token_pos=4) == 3
+        assert bus.publish(0, np.full(2, 4.0), 5) == 4
+
+
+def test_a_refused_descending_publish_over_capacity_changes_nothing():
+    bus = NotesBus(d_note=2, capacity=3, retain_k=1)
+    fill(bus, 0, 3)  # tokens 0, 4, 8: the next publish compacts
+    lines = bus.dump_lines()
+    with pytest.raises(ConfigError, match="precedes"):
+        bus.publish(0, np.ones(2), 6)
+    assert bus.dump_lines() == lines and bus.visible_rows() == 3
+    assert bus.publish(0, np.ones(2), 12) == 3 and bus.visible_rows() == 2
+
+
+def test_a_tombstone_archives_exactly_the_dropped_rows():
+    bus = NotesBus(d_note=2)
+    fill(bus, 0, 5)  # values 0..4 at tokens 0, 4, 8, 12, 16
+    assert bus.tombstone_after(0, token_pos=9) == 2
+    (archived,) = bus._tombstoned[0]
+    assert archived.rows.tolist() == [[3.0, 3.0], [4.0, 4.0]]
+    assert (archived.versions, archived.positions) == ([3, 4], [12, 16])
+    assert bus.tombstone_after(0, token_pos=99) == 0 and len(bus._tombstoned[0]) == 1
+    assert bus.tombstone_after(0, token_pos=4) == 2
+    assert [a.rows[:, 0].tolist() for a in bus._tombstoned[0]] == [[3, 4], [1, 2]]
+    assert bus.read_lagged().rows.tolist() == [[0.0, 0.0]]
+
+
+def test_a_lagged_view_outlives_a_tombstone_and_a_publish_into_the_shared_prefix():
+    bus = NotesBus(d_note=2, lag=1)
+    fill(bus, 1, 4)  # values 0..3 at tokens 0, 4, 8, 12
+    bus.snapshot()
+    # The kept prefix shares the rows the snapshot serves; a publish must not write them.
+    assert bus.tombstone_after(1, token_pos=8) == 2
+    fill(bus, 1, 3, base=-10, start=8)
+    assert bus.read_lagged().rows[:, 0].tolist() == [0, 1, 2, 3]
+    bus.snapshot()
+    assert bus.read_lagged().rows[:, 0].tolist() == [0, 1, -10, -9, -8]
 
 
 def test_lagged_reads_outlive_a_reallocation_of_the_live_rows():
@@ -246,26 +288,6 @@ def test_publish_copies_the_callers_array():
     assert lagged.dump_lines() == live.dump_lines()
 
 
-def test_no_decode_path_builds_a_note(monkeypatch):
-    spec = SynthSpec(
-        n_streams=3, length=48, vocab_size=13, d=8, d_note=4, seed=5, planted_divergences=((1, 5), (2, 30))
-    )
-    art = synthesize_artifact(spec)
-    config = DecodeConfig(
-        stride_b=8, horizon_l=8, read_delta=1, bus_capacity=12, bus_retain_k=2, cadence=CadenceConfig(interval_m=1)
-    )
-    want = run_parallel(art, config)
-
-    def no_note(*args, **kwargs):
-        raise AssertionError("decode built a Note")
-
-    monkeypatch.setattr(notebus, "Note", no_note)
-    trace = run_parallel(art, config)
-    assert trace.trace_hash() == want.trace_hash()
-    # The decode compacted the bus and tombstoned notes.
-    assert {tuple(line.split()[4:6]) for line in trace.bus_lines} >= {("summary", "live"), ("note", "tombstoned")}
-
-
 def test_dump_ordering_and_roundtrip():
     bus = NotesBus(d_note=2)
     bus.publish(1, np.array([1.5, -2.25]), 4)
@@ -290,6 +312,40 @@ def test_a_loaded_tombstoned_note_keeps_only_its_own_row():
     assert clone.dump_lines() == lines
 
 
+def test_load_refuses_live_notes_of_a_stream_that_descend():
+    bus = NotesBus(d_note=2)
+    fill(bus, 0, 3)  # tokens 0, 4, 8
+    fill(bus, 1, 2, start=6)  # tokens 6, 10
+    assert bus.tombstone_after(1, token_pos=10) == 1
+    bus.publish(1, np.ones(2), 7)  # below the tombstoned note at 10, which is allowed
+    lines = bus.dump_lines()
+    assert load_bus_lines(lines).dump_lines() == lines
+    swapped = [line.replace("BUSNOTE 0 1 4 ", "BUSNOTE 0 1 9 ") for line in lines]
+    with pytest.raises(ConfigError, match="precedes"):
+        load_bus_lines(swapped)
+
+
+def test_load_checks_each_lines_fields():
+    bus = NotesBus(d_note=2)
+    bus.publish(3, np.array([1.0, 2.0]), 5)
+    (line,) = bus.dump_lines()
+    assert line == "BUSNOTE 3 0 5 note live 1.0,2.0"
+    # Each bad line follows the good one, which sets the bus's width.
+    for bad, error in (
+        ("BUSNOTE -3 1 5 note live 1.0,2.0", ConfigError),
+        ("BUSNOTE 3 -1 5 note live 1.0,2.0", ConfigError),
+        ("BUSNOTE 3 1 -5 note live 1.0,2.0", ConfigError),
+        ("BUSNOTE 3 1 5 draft live 1.0,2.0", ConfigError),
+        ("BUSNOTE 3 1 5 note live 1.0,nan", ValueError),
+        ("BUSNOTE 3 1 5 note live 1.0,inf", ValueError),
+        ("BUSNOTE 3 1 5 note live 1.0,2.0,3.0", ShapeError),
+        ("BUSNOTE 3 1 5 note live", ValueError),
+    ):
+        with pytest.raises(error):
+            load_bus_lines([line, bad])
+    assert load_bus_lines([line, "BUSNOTE 3 1 5 summary tombstoned 1.0,2.0"]).visible_rows() == 1
+
+
 def test_bus_config_validation():
     with pytest.raises(ConfigError):
         NotesBus(d_note=0)
@@ -305,7 +361,7 @@ def test_bus_config_validation():
     assert (type(bus.d_note), type(bus.lag)) == (int, int)
 
 
-# -- property test against the canonical dump -------------------------------
+# -- property test against the reference decoder's bus ---------------------
 
 OPS = st.one_of(
     st.tuples(st.just("publish"), st.integers(0, 3), st.floats(-1e3, 1e3), st.integers(0, 40)),
@@ -316,86 +372,83 @@ OPS = st.one_of(
 )
 
 
-def dump_notes(lines: list[str]) -> list[tuple[Note, bool]]:
-    """(note, tombstoned) for each line of a dump, in dump order."""
+def dump_records(lines: list[str]) -> list[BusRecord]:
+    """The record of each line of a dump, in dump order."""
     out = []
     for line in lines:
         _, sid, version, pos, tag, status, vals = line.split(" ")
         emb = np.array([float(x) for x in vals.split(",")])
-        out.append((Note(int(sid), int(version), emb, int(pos), tag), status == "tombstoned"))
+        out.append((int(sid), int(version), int(pos), tag, status == "tombstoned", emb))
     return out
 
 
-def live_notes(lines: list[str]) -> list[tuple[tuple[int, int], np.ndarray]]:
-    """(stream, version) key and embedding of each live note of a dump, in dump order."""
-    return [((n.stream_id, n.version), n.embedding) for n, tombstoned in dump_notes(lines) if not tombstoned]
-
-
-def assert_view_matches_dumps(bus: NotesBus, snapshot_dumps: list[list[str]]) -> None:
-    lag = bus.lag
-    lines = bus.dump_lines() if lag == 0 else snapshot_dumps[max(0, len(snapshot_dumps) - lag)]
-    notes = live_notes(lines)
-    assert [k for k, _ in notes] == sorted(k for k, _ in notes)
+def assert_view_matches(bus: NotesBus, notes: list[RefNote]) -> None:
+    """Every reader's view of bus serves the siblings among notes, in bus order."""
     view = bus.read_lagged()
     for reader in range(5):
         rows, newest = stack_sibling_rows(view, reader)
-        want = [(k, emb) for k, emb in notes if k[0] != reader]
-        # A stream's newest version is its highest live version in the dump.
-        want_newest: dict[int, int] = {}
-        for (sid, version), _ in want:
-            want_newest[sid] = max(version, want_newest.get(sid, -1))
-        assert newest == want_newest
-        assert np.array_equal(rows, np.array([emb for _, emb in want]).reshape(-1, 2))
+        want = [n for n in notes if n.stream != reader]
+        # Versions ascend within a stream, so its last note holds its newest one.
+        assert newest == {n.stream: n.version for n in want}
+        assert np.array_equal(rows, np.array([n.emb for n in want]).reshape(-1, 2))
     # A bus keeps only the snapshots its one lag reaches: none at lag 0.
-    assert len(bus._snapshots) <= lag
+    assert len(bus._snapshots) <= bus.lag
 
 
+# Unbounded below, a drawn list averages about five ops, too few to snapshot a
+# stream and then compact it; at 30 to 60 ops most examples do.
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(OPS, max_size=40), capacity=st.integers(2, 16), retain_k=st.integers(1, 3))
+@given(ops=st.lists(OPS, min_size=30, max_size=60), capacity=st.integers(2, 16), retain_k=st.integers(1, 3))
 def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
-    # One bus per lag; every op goes to all four, which must agree on every outcome.
+    # Every op goes to one bus per lag and to the reference bus, whose tombstone
+    # filters by position: the buses must agree with it on every outcome, dump and view.
     buses = [NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, lag=lag) for lag in range(4)]
-    snapshot_dumps: list[list[str]] = [[]]  # the bus starts with an empty snapshot
-    next_version = [0, 0, 0, 0]
-    for op in ops:
+    ref = RefBus(capacity, retain_k)
+    ref_snapshots: list[list[RefNote]] = [[]]  # the bus starts with an empty snapshot
+    for index, op in enumerate(ops):
         if op[0] == "publish":
             _, sid, value, pos = op
-            emb = np.array([value, 0.5 * value + sid])
-            before = buses[0].dump_lines()
+            # The op index makes every embedding distinct, so a summary differs from the row it replaces.
+            emb = np.array([value, index + 0.25 * sid])
+            live = ref.live.get(sid)
+            descending = bool(live) and pos < live[-1].pos
             try:
                 versions = {bus.publish(sid, emb, pos) for bus in buses}
-            except CapacityError:
-                # A refused publish changes no bus; the others refuse too.
+            except (CapacityError, ConfigError) as refused:
+                # A refused publish changes no bus (the dumps below match the
+                # untouched reference); the others refuse it alike.
+                assert descending or isinstance(refused, CapacityError)
                 for bus in buses:
-                    with pytest.raises(CapacityError):
+                    with pytest.raises(type(refused)):
                         bus.publish(sid, emb, pos)
-                    assert bus.dump_lines() == before
             else:
-                assert versions == {next_version[sid]}
-                next_version[sid] += 1
+                assert not descending
+                assert versions == {ref.publish(sid, emb, pos)}
         elif op[0] == "tombstone":
-            for bus in buses:
-                bus.tombstone_after(op[1], op[2])
+            before = len(ref.live.get(op[1], []))
+            ref.tombstone(op[1], op[2])
+            assert {bus.tombstone_after(op[1], op[2]) for bus in buses} == {before - len(ref.live[op[1]])}
         elif op[0] == "compact":
+            ref.compact(op[1])
             for bus in buses:
                 bus.compact(retain_k=op[1])
         elif op[0] == "snapshot":
             assert len({bus.snapshot() for bus in buses}) == 1
-            snapshot_dumps.append(buses[0].dump_lines())
+            ref_snapshots.append(list(ref.visible()))
         else:
             # Snapshots are not dumped, so a reloaded bus has only the empty one.
-            lines = buses[0].dump_lines()
+            lines = ref.dump()
             clone = load_bus_lines(lines, capacity=capacity, retain_k=retain_k, d_note=2)
             assert clone.dump_lines() == lines
-            notes = dump_notes(lines)
             buses = [NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, lag=lag) for lag in range(4)]
             for bus in buses:
-                bus._restore(notes)
-            snapshot_dumps = [[]]
+                bus._restore(dump_records(lines))
+            ref_snapshots = [[]]
         for bus in buses:
-            assert bus.visible_rows() <= capacity
-            assert bus.dump_lines() == buses[0].dump_lines()
-            assert_view_matches_dumps(bus, snapshot_dumps)
+            assert bus.visible_rows() == len(ref.visible()) <= capacity
+            assert bus.dump_lines() == ref.dump()
+            lagged = ref.visible() if bus.lag == 0 else ref_snapshots[max(0, len(ref_snapshots) - bus.lag)]
+            assert_view_matches(bus, lagged)
 
 
 def test_empty_dump_loads_with_its_note_width():

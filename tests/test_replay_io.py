@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdtcoord.decode import run_parallel
 from pdtcoord.errors import ArtifactFormatError, ConfigError, ShapeError
 from pdtcoord.replay import (
     _MAX_LEN,
@@ -59,6 +61,53 @@ def test_synth_spec_validation():
         with pytest.raises(ConfigError, match="tau"):
             SynthSpec(tau=tau)
     assert SynthSpec(tau=BASE_AGREEMENT).tau == BASE_AGREEMENT
+
+
+def test_equal_specs_write_equal_artifacts_and_traces(tmp_path):
+    numpy_typed = SynthSpec(
+        n_streams=np.int64(2), length=np.uint16(24), vocab_size=11, d=np.int32(8), d_note=4,
+        seed=np.uint64(13), tau=np.float32(0.5), planted_divergences=((np.int64(1), np.int8(5)),),
+    )
+    plain = dataclasses.replace(SMALL, planted_divergences=((1, 5),))
+    assert numpy_typed == plain
+    assert {type(getattr(numpy_typed, f.name)) for f in dataclasses.fields(SynthSpec)} == {int, float, tuple}
+    files = []
+    for k, spec in enumerate((plain, numpy_typed)):
+        art = synthesize_artifact(spec)
+        assert type(art.seed) is int
+        write_artifact(art, str(tmp_path / f"{k}.pdtr"))
+        files.append((tmp_path / f"{k}.pdtr").read_bytes())
+        files.append(run_parallel(art).trace_hash())
+    assert files[0] == files[2] and files[1] == files[3]
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("seed", True, "seed must be an integer"),
+        ("d", 8.0, "d must be an integer"),
+        ("n_streams", 2.0, "n_streams must be an integer"),
+        ("length", "24", "length must be an integer"),
+        ("d_note", None, "d_note must be an integer"),
+        ("tau", "0.5", "tau must be a real number"),
+        ("gamma", True, "gamma must be a real number"),
+        ("gamma", math.nan, "must be finite"),
+        ("logit_scale", math.inf, "must be finite"),
+        ("planted_divergences", ((1, 5.0),), "planted position must be an integer"),
+    ],
+)
+def test_synth_spec_refuses_what_it_could_not_write(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        SynthSpec(**{field: value})
+
+
+def test_artifact_header_ints_are_ints():
+    art = synthesize_artifact(SMALL)
+    numpy_typed = dataclasses.replace(art, seed=np.uint64(13), d=np.int64(8), vocab_size=np.int16(11))
+    assert [type(getattr(numpy_typed, name)) for name in ("seed", "d", "vocab_size")] == [int, int, int]
+    for field, value in (("seed", True), ("d", 8.0), ("vocab_size", "11"), ("d_attn", 4.5)):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            dataclasses.replace(art, **{field: value})
 
 
 @pytest.mark.parametrize(
