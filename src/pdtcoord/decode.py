@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal, NamedTuple, get_args
@@ -60,6 +61,10 @@ class DecodeConfig:
     record_margins: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cadence, CadenceConfig):
+            raise ConfigError(f"cadence must be a CadenceConfig, got {self.cadence!r}")
+        if not isinstance(self.masked_strides, Iterable):
+            raise ConfigError(f"masked_strides must be a collection of stride indices, got {self.masked_strides!r}")
         for name in ("stride_b", "horizon_l", "read_delta", "bus_capacity", "bus_retain_k", "warmup_tokens"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         object.__setattr__(self, "note_noise_scale", as_float(self.note_noise_scale, "note_noise_scale"))
@@ -459,7 +464,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     round_index = 0
     no_rows = np.zeros((0, artifact.d_note))
     lengths = artifact.lengths()
-    base_gate = float(logistic(artifact.snc.gamma))
+    base_gate = logistic(artifact.snc.gamma)
 
     while any(s.cursor < lengths[s.stream_id] for s in states):
         view = None if round_index in config.masked_strides else bus.read_lagged()

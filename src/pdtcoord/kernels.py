@@ -76,17 +76,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def logistic(x: float | np.ndarray) -> float | np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def logistic(x: float) -> float:
+    """Numerically stable logistic sigmoid of a scalar."""
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    ex = np.exp(x)
+    return float(ex / (1.0 + ex))
 
 
 def spectral_norm(w: Matrix) -> float:

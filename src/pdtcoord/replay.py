@@ -4,14 +4,20 @@ An artifact stands in for a live model during decoding.  It carries the
 projection weights for note attention, the agreement head, a readout matrix
 for mapping note residuals into logit space, and per-stream frame arrays.
 The binary format is little-endian with float64 payloads and begins with the
-magic bytes PDTR1.
+magic bytes PDTR1.  The _HEADER, _WEIGHTS and _FRAMES tables are the one
+statement of its layout and shapes: the writer, the reader, the synthesizer
+and ReplayArtifact's shape check all walk them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
+from typing import BinaryIO
 
 import numpy as np
 
@@ -30,6 +36,7 @@ _MAX_SEED = (1 << 64) - 1
 # length per stream in [0, _MAX_LEN], the weights below, then each stream's
 # frame arrays below.  write_artifact and read_artifact both walk these
 # lists, and the writer checks the reader's ranges before it writes.
+# synthesize_artifact draws weight i of _WEIGHTS (1-based) under tag i.
 _HEADER = (
     ("vocab_size", 2, _MAX_DIM),
     ("n_streams", 1, 4096),
@@ -60,19 +67,28 @@ _FRAMES = (
     ("note_present", (), "<u1"),
     ("note_embeddings", ("d_note",), "<f8"),
 )
+# The header widths that a ReplayArtifact stores (n_streams is its stream count), and getters for its arrays.
+_WIDTHS = tuple(name for name, _, _ in _HEADER if name != "n_streams")
+_HEADER_WIDTHS = attrgetter(*_WIDTHS)
+_WEIGHT_ARRAYS = attrgetter(*(name if owner is None else f"{owner}.{name}" for owner, name, _ in _WEIGHTS))
+_FRAME_ARRAYS = attrgetter(*(name for name, _, _ in _FRAMES))
 
-# Array tags for deterministic synthesis; per-stream arrays add the stream id.
-_TAG_W_DOWN = 1
-_TAG_W_UP = 2
-_TAG_W_Q = 3
-_TAG_W_K = 4
-_TAG_W_V = 5
-_TAG_W_O = 6
-_TAG_W_AGREE = 7
-_TAG_READOUT = 8
-_TAG_LOGITS = 100
-_TAG_HIDDEN = 200
-_TAG_NOTES = 300
+
+@lru_cache(maxsize=64)
+def _shapes(widths: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(Each weight's shape, each frame array's widths after the frame axis) for header widths in _WIDTHS order.
+
+    Cached: every ReplayArtifact checks its arrays against it.
+    """
+    width = dict(zip(_WIDTHS, widths))
+    return (
+        tuple(tuple(width[n] for n in dims) for _, _, dims in _WEIGHTS),
+        tuple(tuple(width[n] for n in dims) for _, dims, _ in _FRAMES),
+    )
+
+
+# Synthesis tags of the drawn frame arrays and the two agreement jitters; each adds the stream id.
+_FRAME_TAGS = {"logits": 100, "hidden": 200, "note_embeddings": 300}
 _TAG_AGREE_JITTER = 400
 _TAG_DIVERGE_JITTER = 500
 
@@ -99,16 +115,15 @@ class StreamFrames:
     note_embeddings: Matrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "logits", as_matrix(self.logits, "logits"))
-        object.__setattr__(self, "hidden", as_matrix(self.hidden, "hidden"))
-        object.__setattr__(self, "agreement", as_vector(self.agreement, "agreement"))
-        object.__setattr__(self, "note_embeddings", as_matrix(self.note_embeddings, "note_embeddings"))
-        present = np.asarray(self.note_present, dtype=bool)
-        if present.ndim != 1:
-            raise ShapeError("note_present must be 1-D")
-        object.__setattr__(self, "note_present", present)
-        t = self.logits.shape[0]
-        if not (self.hidden.shape[0] == self.agreement.shape[0] == present.shape[0] == self.note_embeddings.shape[0] == t):
+        for name, dims, dtype in _FRAMES:
+            if dtype == "<u1":
+                arr = np.asarray(getattr(self, name), dtype=bool)
+                if arr.ndim != 1:
+                    raise ShapeError(f"{name} must be 1-D")
+            else:
+                arr = (as_matrix if dims else as_vector)(getattr(self, name), name)
+            object.__setattr__(self, name, arr)
+        if len({getattr(self, name).shape[0] for name, _, _ in _FRAMES}) != 1:
             raise ShapeError("all frame arrays must share the same length")
 
     @property
@@ -120,9 +135,11 @@ class StreamFrames:
 class ReplayArtifact:
     """A frozen backbone's recorded frames plus the coordination weights.
 
-    The header widths and the seed are stored as int.  They must match the
-    array shapes, and vocab_size must be at least 2: adaptive cadence
-    divides by log(vocab_size).
+    The header widths and the seed are stored as int.  Every weight and
+    every frame array must have the shape that _WEIGHTS and _FRAMES give in
+    header widths, so every artifact that constructs can be written and
+    read back.  vocab_size must be at least 2: adaptive cadence divides by
+    log(vocab_size).
     """
 
     vocab_size: int
@@ -138,23 +155,19 @@ class ReplayArtifact:
     streams: tuple[StreamFrames, ...]
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "d", "d_note", "d_bottleneck", "d_attn", "seed"):
+        for name in (*_WIDTHS, "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size={self.vocab_size} must be >= 2")
         object.__setattr__(self, "readout", as_matrix(self.readout, "readout"))
-        if self.readout.shape != (self.d, self.vocab_size):
-            raise ShapeError(f"readout shape {self.readout.shape} != ({self.d}, {self.vocab_size})")
-        widths = (self.adapter.d, self.adapter.w_down.shape[1], self.snc.d, self.snc.d_note, self.snc.d_attn)
-        if widths != (self.d, self.d_bottleneck, self.d, self.d_note, self.d_attn):
-            raise ShapeError(f"parameter widths (d, d_bottleneck, d, d_note, d_attn) = {widths} disagree with header")
+        weight_shapes, frame_widths = _shapes(_HEADER_WIDTHS(self))
+        for (_, name, dims), arr, want in zip(_WEIGHTS, _WEIGHT_ARRAYS(self), weight_shapes):
+            if arr.shape != want:
+                raise ShapeError(f"{name} shape {arr.shape} != {dims} = {want}")
         for k, frames in enumerate(self.streams):
-            if frames.logits.shape[1] != self.vocab_size:
-                raise ShapeError(f"stream {k}: logit width != vocab_size")
-            if frames.hidden.shape[1] != self.d:
-                raise ShapeError(f"stream {k}: hidden width != d")
-            if frames.note_embeddings.shape[1] != self.d_note:
-                raise ShapeError(f"stream {k}: note width != d_note")
+            for (name, dims, _), arr, want in zip(_FRAMES, _FRAME_ARRAYS(frames), frame_widths):
+                if arr.shape[1:] != want:
+                    raise ShapeError(f"stream {k}: {name} widths {arr.shape[1:]} != {dims} = {want}")
 
     @property
     def n_streams(self) -> int:
@@ -223,33 +236,29 @@ def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
     Every array is a pure function of (spec.seed, array tag, indices), so the
     same spec always yields byte-identical artifacts.
     """
-    s, d, dn = spec.seed, spec.d, spec.d_note
-    db, da = max(2, d // 4), max(2, d // 2)
-    scale = 1.0 / np.sqrt(d)
-    adapter = AdapterParams(
-        w_down=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_DOWN, d, db) * scale,
-        w_up=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_UP, db, d) * (1.0 / np.sqrt(db)),
-    )
-    snc = SncParams(
-        w_q=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_Q, d, da) * scale,
-        w_k=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_K, dn, da) * (1.0 / np.sqrt(dn)),
-        w_v=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_V, dn, da) * (1.0 / np.sqrt(dn)),
-        w_o=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_O, da, d) * (1.0 / np.sqrt(da)),
-        gamma=spec.gamma,
-    )
-    agreement = AgreementParams(
-        w_agree=normal_matrix(s, DOMAIN_SYNTH, _TAG_W_AGREE, 1, d)[0] * scale,
-        tau=spec.tau,
-    )
-    readout = normal_matrix(s, DOMAIN_SYNTH, _TAG_READOUT, d, spec.vocab_size) * scale
+    s, d = spec.seed, spec.d
+    header = (spec.vocab_size, d, spec.d_note, max(2, d // 4), max(2, d // 2))  # the widths in _WIDTHS order
+    weight_shapes, frame_widths = _shapes(header)
+    # The spec sets gamma and tau; the other scalars take their parameter class's defaults.
+    fields: dict[str | None, dict[str, object]] = {owner: {} for owner in (None, *_PARAMS)}
+    fields["snc"]["gamma"], fields["agreement"]["tau"] = spec.gamma, spec.tau
+    for tag, ((owner, name, _), shape) in enumerate(zip(_WEIGHTS, weight_shapes), 1):
+        # A 1-D weight is drawn as one row; each is scaled by 1/sqrt(its first width).
+        w = normal_matrix(s, DOMAIN_SYNTH, tag, *(1, *shape)[-2:]) * (1.0 / np.sqrt(shape[0]))
+        fields[owner][name] = w.reshape(shape)
+    for owner, params in _PARAMS.items():
+        fields[None][owner] = params(**fields[owner])
 
     planted = set(spec.planted_divergences)
+    t = spec.length
     streams = []
     for k in range(spec.n_streams):
-        t = spec.length
-        logits = normal_matrix(s, DOMAIN_SYNTH, _TAG_LOGITS + k, t, spec.vocab_size) * spec.logit_scale
-        hidden = normal_matrix(s, DOMAIN_SYNTH, _TAG_HIDDEN + k, t, d)
-        notes = normal_matrix(s, DOMAIN_SYNTH, _TAG_NOTES + k, t, dn)
+        frames = {
+            name: normal_matrix(s, DOMAIN_SYNTH, _FRAME_TAGS[name] + k, t, *widths)
+            for (name, _, _), widths in zip(_FRAMES, frame_widths)
+            if name in _FRAME_TAGS
+        }
+        frames["logits"] *= spec.logit_scale
         jitter = uniform_array(s, DOMAIN_SYNTH, _TAG_AGREE_JITTER + k, np.arange(t))
         agree = BASE_AGREEMENT + 0.04 * (jitter - 0.5)
         div_jitter = uniform_array(s, DOMAIN_SYNTH, _TAG_DIVERGE_JITTER + k, np.arange(t))
@@ -257,28 +266,8 @@ def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
             if sid == k:
                 agree[pos] = DIVERGENCE_AGREEMENT + 0.02 * div_jitter[pos]
         np.clip(agree, 1e-6, 1.0 - 1e-6, out=agree)
-        streams.append(
-            StreamFrames(
-                logits=logits,
-                hidden=hidden,
-                agreement=agree,
-                note_present=np.ones(t, dtype=bool),
-                note_embeddings=notes,
-            )
-        )
-    return ReplayArtifact(
-        vocab_size=spec.vocab_size,
-        d=d,
-        d_note=dn,
-        d_bottleneck=db,
-        d_attn=da,
-        seed=s,
-        adapter=adapter,
-        snc=snc,
-        agreement=agreement,
-        readout=readout,
-        streams=tuple(streams),
-    )
+        streams.append(StreamFrames(**frames, agreement=agree, note_present=np.ones(t, dtype=bool)))
+    return ReplayArtifact(**dict(zip(_WIDTHS, header)), seed=s, streams=tuple(streams), **fields[None])
 
 
 # -- binary serialization ---------------------------------------------------
@@ -305,7 +294,7 @@ def write_artifact(artifact: ReplayArtifact, path: str) -> None:
         struct.pack(f"<{len(scalars)}d", *scalars),
         struct.pack(f"<{len(lengths)}I", *lengths),
     ]
-    arrays = [(getattr(artifact if o is None else getattr(artifact, o), name), "<f8") for o, name, _ in _WEIGHTS]
+    arrays = [(a, "<f8") for a in _WEIGHT_ARRAYS(artifact)]
     arrays += [(getattr(frames, name), dtype) for frames in artifact.streams for name, _, dtype in _FRAMES]
     parts += [np.ascontiguousarray(a, dtype=dtype).tobytes() for a, dtype in arrays]
     with open(path, "wb") as fh:
@@ -313,16 +302,24 @@ def write_artifact(artifact: ReplayArtifact, path: str) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
+    """Reads an artifact file in order, each array straight into its own aligned, read-only array.
+
+    Not views of one buffer: numpy rounds a matmul of an unaligned view differently.
+    """
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.buf):
+    def advance(self, n: int, what: str) -> None:
+        if self.off + n > self.size:
             raise ArtifactFormatError(f"truncated while reading {what}", offset=self.off)
-        out = self.buf[self.off : self.off + n]
         self.off += n
-        return out
+
+    def take(self, n: int, what: str) -> bytes:
+        self.advance(n, what)
+        return self.fh.read(n)
 
     def u32(self, what: str, lo: int, hi: int) -> int:
         """A u32 in [lo, hi]; one out of range is reported at its own offset."""
@@ -334,8 +331,10 @@ class _Reader:
 
     def array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
         """Finite float64s ("<f8") or 0/1 bytes as bools ("<u1"); a bad entry is reported at its own offset."""
-        start, count, size = self.off, math.prod(shape), np.dtype(dtype).itemsize
-        arr = np.frombuffer(self.take(size * count, what), dtype=dtype, count=count)
+        start, size = self.off, np.dtype(dtype).itemsize
+        self.advance(size * math.prod(shape), what)  # before the array is allocated
+        arr = np.empty(shape, dtype)
+        self.fh.readinto(arr)
         if dtype == "<u1":
             bad = arr > 1
             problem = f"{what} entries must be 0 or 1"
@@ -344,7 +343,8 @@ class _Reader:
             problem = f"non-finite value in {what}"
         if bad.any():
             raise ArtifactFormatError(problem, offset=start + size * int(bad.argmax()))
-        return arr.astype(bool if dtype == "<u1" else np.float64).reshape(shape)
+        arr.flags.writeable = False
+        return arr.view(bool) if dtype == "<u1" else arr
 
 
 def read_artifact(path: str) -> ReplayArtifact:
@@ -354,37 +354,36 @@ def read_artifact(path: str) -> ReplayArtifact:
     the failure; trailing bytes after the last array are also an error.
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
-    magic = r.take(len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise ArtifactFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    head = {name: r.u32(f"header field {name}", lo, hi) for name, lo, hi in _HEADER}
-    seed = struct.unpack("<Q", r.take(8, "seed"))[0]
-    fields: dict[str | None, dict[str, object]] = {None: {}}
-    scalar_offsets: dict[str, int] = {}
-    for owner, names in _SCALARS.items():
-        fields[owner] = {}
-        for name in names:
-            scalar_offsets[name] = r.off
-            fields[owner][name] = float(r.array((), "<f8", name))
-    lengths = [r.u32(f"length[{k}]", 0, _MAX_LEN) for k in range(head.pop("n_streams"))]
-    try:
-        for owner, name, dims in _WEIGHTS:
-            fields[owner][name] = r.array(tuple(head[n] for n in dims), "<f8", name)
-        for owner, params in _PARAMS.items():
-            fields[None][owner] = params(**fields[owner])
-        streams = []
-        for k, t in enumerate(lengths):
-            frames = {
-                name: r.array((t, *(head[n] for n in dims)), dtype, f"stream[{k}].{name}")
-                for name, dims, dtype in _FRAMES
-            }
-            streams.append(StreamFrames(**frames))
-    except (ConfigError, ShapeError) as exc:
-        # A parameter class's refusal starts with the name of the field it refuses.
-        offset = scalar_offsets.get(str(exc).split(" ", 1)[0], r.off)
-        raise ArtifactFormatError(f"inconsistent artifact contents: {exc}", offset=offset) from exc
-    if r.off != len(buf):
-        raise ArtifactFormatError(f"{len(buf) - r.off} trailing bytes after last array", offset=r.off)
+        r = _Reader(fh)
+        magic = r.take(len(MAGIC), "magic")
+        if magic != MAGIC:
+            raise ArtifactFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        head = {name: r.u32(f"header field {name}", lo, hi) for name, lo, hi in _HEADER}
+        seed = struct.unpack("<Q", r.take(8, "seed"))[0]
+        fields: dict[str | None, dict[str, object]] = {owner: {} for owner in (None, *_PARAMS)}
+        scalar_offsets: dict[str, int] = {}
+        for owner, names in _SCALARS.items():
+            for name in names:
+                scalar_offsets[name] = r.off
+                fields[owner][name] = float(r.array((), "<f8", name))
+        lengths = [r.u32(f"length[{k}]", 0, _MAX_LEN) for k in range(head.pop("n_streams"))]
+        weight_shapes, frame_widths = _shapes(tuple(head.values()))
+        try:
+            for (owner, name, _), shape in zip(_WEIGHTS, weight_shapes):
+                fields[owner][name] = r.array(shape, "<f8", name)
+            for owner, params in _PARAMS.items():
+                fields[None][owner] = params(**fields[owner])
+            streams = []
+            for k, t in enumerate(lengths):
+                frames = {
+                    name: r.array((t, *widths), dtype, f"stream[{k}].{name}")
+                    for (name, _, dtype), widths in zip(_FRAMES, frame_widths)
+                }
+                streams.append(StreamFrames(**frames))
+        except (ConfigError, ShapeError) as exc:
+            # A parameter class's refusal starts with the name of the field it refuses.
+            offset = scalar_offsets.get(str(exc).split(" ", 1)[0], r.off)
+            raise ArtifactFormatError(f"inconsistent artifact contents: {exc}", offset=offset) from exc
+    if r.off != r.size:
+        raise ArtifactFormatError(f"{r.size - r.off} trailing bytes after last array", offset=r.off)
     return ReplayArtifact(**head, seed=seed, streams=tuple(streams), **fields[None])

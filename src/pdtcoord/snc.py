@@ -99,7 +99,7 @@ class SncParams:
         return self.w_q.shape[1]
 
     def gate_value(self) -> float:
-        return float(logistic(self.gamma))
+        return logistic(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def agreement_score(h_t: np.ndarray, params: AgreementParams) -> float:
     h_t = as_vector(h_t, "h_t")
     if h_t.shape[0] != params.w_agree.shape[0]:
         raise ShapeError(f"hidden width {h_t.shape[0]} != head width {params.w_agree.shape[0]}")
-    return float(logistic(float(h_t @ params.w_agree) + params.b_agree))
+    return logistic(float(h_t @ params.w_agree) + params.b_agree)
 
 
 def estimate_lipschitz_layerwise(weights: Sequence[Matrix]) -> float:

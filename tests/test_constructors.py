@@ -11,6 +11,7 @@ import pytest
 
 from pdtcoord.analytics import ClusterSimConfig
 from pdtcoord.balancer import BalancerState, run_balancer
+from pdtcoord.decode import DecodeConfig
 from pdtcoord.errors import ConfigError
 from pdtcoord.memmodel import PageTable
 from pdtcoord.snc import GateState
@@ -80,6 +81,8 @@ REFUSALS = [
     (GateState, {"warmup_tokens": 1.5}),
     (_run_balancer, {"update_interval": 1.5}),
     (_run_balancer, {"update_interval": True}),
+    (DecodeConfig, {"cadence": "deterministic"}),
+    (DecodeConfig, {"masked_strides": 3}),
 ]
 
 

@@ -85,8 +85,6 @@ def test_logistic_values_and_stability():
     assert abs(logistic(-4.0) - 0.01798620996209156) < 1e-17
     assert logistic(1000.0) == 1.0
     assert logistic(-1000.0) == 0.0
-    arr = logistic(np.array([-2.0, 0.0, 2.0]))
-    assert np.all(np.diff(arr) > 0)
 
 
 def test_spectral_norm_diagonal():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from pdtcoord.decode import run_parallel
 from pdtcoord.errors import ArtifactFormatError, ConfigError, ShapeError
 from pdtcoord.replay import (
+    _FRAMES,
     _MAX_LEN,
+    _WEIGHTS,
     BASE_AGREEMENT,
     DIVERGENCE_AGREEMENT,
     MAGIC,
@@ -22,6 +25,7 @@ from pdtcoord.replay import (
     synthesize_artifact,
     write_artifact,
 )
+from test_golden_hashes import CASES
 
 SMALL = SynthSpec(n_streams=2, length=24, vocab_size=11, d=8, d_note=4, seed=13)
 # About 1 KB on disk, so a fuzzer reaches every field.
@@ -303,3 +307,63 @@ def test_artifact_header_consistency_enforced():
             dataclasses.replace(art, **{width: getattr(art, width) + 1})
     with pytest.raises(ConfigError, match="vocab_size"):
         dataclasses.replace(art, vocab_size=1)
+
+
+def _wider(a):
+    """a with its first column repeated at the end of its last axis."""
+    return np.concatenate([a, a[..., :1]], axis=-1)
+
+
+@pytest.mark.parametrize(("owner", "name"), [row[:2] for row in _WEIGHTS], ids=[row[1] for row in _WEIGHTS])
+def test_a_weight_wider_than_the_header_is_refused(owner, name):
+    # An AgreementParams of any width constructs, so for w_agree only the
+    # artifact's own check stops an artifact that writes but cannot be read.
+    art = synthesize_artifact(SMALL)
+    with pytest.raises(ShapeError):
+        if owner is None:
+            dataclasses.replace(art, **{name: _wider(getattr(art, name))})
+        else:
+            params = getattr(art, owner)
+            dataclasses.replace(art, **{owner: dataclasses.replace(params, **{name: _wider(getattr(params, name))})})
+
+
+@pytest.mark.parametrize("name", [row[0] for row in _FRAMES])
+def test_a_frame_array_wider_than_the_header_is_refused(name):
+    # A 1-D frame array's last axis is the frame axis, so it is one frame too long.
+    art = synthesize_artifact(SMALL)
+    with pytest.raises(ShapeError):
+        frames = dataclasses.replace(art.streams[1], **{name: _wider(getattr(art.streams[1], name))})
+        dataclasses.replace(art, streams=(art.streams[0], frames))
+
+
+@pytest.mark.parametrize("build", sorted({case[1] for case in CASES}, key=lambda b: b.__name__), ids=lambda b: b.__name__)
+def test_every_artifact_that_constructs_reads_back_byte_for_byte(tmp_path, build):
+    # The golden artifacts, ragged's streams of 56, 19 and 0 frames among them.
+    art = build()
+    first, second = tmp_path / "a.pdtr", tmp_path / "b.pdtr"
+    write_artifact(art, str(first))
+    back = read_artifact(str(first))
+    write_artifact(back, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert back.lengths() == art.lengths()
+    # The folded attention weights are computed again from the read arrays, to the bit.
+    for name in ("w_qk", "w_vo"):
+        assert getattr(back.snc, name).tobytes() == getattr(art.snc, name).tobytes()
+
+
+def test_a_read_holds_the_file_once_in_aligned_read_only_arrays(tmp_path):
+    path = tmp_path / "read.pdtr"
+    write_artifact(synthesize_artifact(SynthSpec(n_streams=4, length=512, vocab_size=128, d=32)), str(path))
+    size = path.stat().st_size
+    assert size > 2 << 20
+    tracemalloc.start()
+    try:
+        art = read_artifact(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * size, f"read peak {peak} bytes for a {size}-byte file"
+    arrays = [getattr(art if owner is None else getattr(art, owner), name) for owner, name, _ in _WEIGHTS]
+    arrays += [getattr(frames, name) for frames in art.streams for name, _, _ in _FRAMES]
+    assert not any(a.flags.writeable for a in arrays)
+    assert all(a.flags.aligned for a in arrays)
