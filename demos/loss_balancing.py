@@ -26,7 +26,7 @@ def main() -> None:
     ]
     print("--- balancing an imbalanced gradient stream ---")
     for report in run_balancer(records, update_interval=1)[::4]:
-        flags = ",".join(f.name for f in report.flags) or "-"
+        flags = ",".join(report.flags) or "-"
         print(f"  step {report.step:>3}: lambda_ce={report.lambda_ce:.4f} "
               f"lambda_kl={report.lambda_kl:.4f} flags={flags}")
     print("  weight moves toward the task with the weaker gradient norm.\n")

@@ -22,8 +22,6 @@ from .kernels import as_matrix
 
 # GradNorm's exponent on the relative training rate: above 1, a lagging task is pulled back harder.
 ALPHA = 1.5
-# Central-difference step; the residual is piecewise linear, so the difference is exact off its kinks.
-FD_STEP = 1e-4
 # Step size of the exponentiated weight update: small, so the weights drift over tens of steps instead of oscillating.
 LR = 0.025
 # Bounds on the KL weight, so neither task's weight reaches 0 and stops training it.
@@ -59,114 +57,64 @@ class BalancerState:
         return 1.0 - self.lambda_kl
 
 
-def _grad_residual_loss(
-    lam_ce: float,
-    lam_kl: float,
-    state: BalancerState,
-    g_ce: float,
-    g_kl: float,
-    gbar: float,
-    r_ce: float,
-    r_kl: float,
-) -> float:
-    # Local model: each task's norm scales linearly with its weight.
-    scaled_ce = g_ce * (lam_ce / state.lambda_ce)
-    scaled_kl = g_kl * (lam_kl / state.lambda_kl)
-    return abs(scaled_ce - gbar * r_ce**ALPHA) + abs(scaled_kl - gbar * r_kl**ALPHA)
-
-
 def gradnorm_update(
     state: BalancerState, g_ce: float, g_kl: float, loss_ce: float, loss_kl: float
 ) -> BalancerState:
     """One balancing step from measured gradient norms and current losses.
 
-    Builds the residual objective |G_i - gbar * r_i^alpha| with gbar the mean
-    of the supplied norms and r_i = L_i / L_i(0), estimates its derivative in
-    each weight by central finite differences, applies multiplicative
-    exponential updates, renormalizes to the simplex, and clamps.
+    The residual is sum_i |G_i - gbar * r_i^alpha|, with gbar the mean of the
+    supplied norms, r_i = L_i / L_i(0), and each norm G_i = g_i * lambda'_i /
+    lambda_i linear in its weight, so its slope in lambda_i is exactly
+    sign(g_i - gbar * r_i^alpha) * g_i / lambda_i, taken as 0 at the kink.
+    Each weight moves by exp(-LR * slope); the pair is renormalized to the
+    simplex and lambda_kl clamped.
     """
     if g_ce < 0.0 or g_kl < 0.0:
         raise ConfigError("gradient norms must be non-negative")
     if loss_ce < 0.0 or loss_kl < 0.0:
         raise ConfigError("losses must be non-negative")
-    r_ce = loss_ce / state.initial_loss_ce
-    r_kl = loss_kl / state.initial_loss_kl
     gbar = 0.5 * (g_ce + g_kl)
-    h = FD_STEP
-
-    def loss_at(lam_ce: float, lam_kl: float) -> float:
-        return _grad_residual_loss(lam_ce, lam_kl, state, g_ce, g_kl, gbar, r_ce, r_kl)
-
-    d_ce = (loss_at(state.lambda_ce + h, state.lambda_kl) - loss_at(state.lambda_ce - h, state.lambda_kl)) / (2 * h)
-    d_kl = (loss_at(state.lambda_ce, state.lambda_kl + h) - loss_at(state.lambda_ce, state.lambda_kl - h)) / (2 * h)
-
-    new_ce = state.lambda_ce * math.exp(-LR * d_ce)
-    new_kl = state.lambda_kl * math.exp(-LR * d_kl)
-    total = new_ce + new_kl
+    new = []
+    for g, lam, loss, initial in (
+        (g_ce, state.lambda_ce, loss_ce, state.initial_loss_ce),
+        (g_kl, state.lambda_kl, loss_kl, state.initial_loss_kl),
+    ):
+        gap = g - gbar * (loss / initial) ** ALPHA
+        slope = ((gap > 0.0) - (gap < 0.0)) * g / lam
+        new.append(lam * math.exp(-LR * slope))
+    total = new[0] + new[1]
     if total <= 0.0 or not math.isfinite(total):
         raise ConfigError("degenerate weight update; check gradient norm inputs")
-    state.lambda_kl = min(CLAMP_MAX, max(CLAMP_MIN, new_kl / total))
+    state.lambda_kl = min(CLAMP_MAX, max(CLAMP_MIN, new[1] / total))
     state.weight_history.append(state.lambda_kl)
     return state
 
 
-@dataclass(frozen=True)
-class HealthFlag:
-    name: str
-    message: str
-
-
-@dataclass(frozen=True)
-class HealthReport:
-    grad_ratio: float
-    rate_gap: float
-    weight_std: float
-    flags: tuple[HealthFlag, ...]
-
-
 def health_metrics(
     state: BalancerState, g_ce: float, g_kl: float, loss_ce: float, loss_kl: float
-) -> HealthReport:
-    """Diagnose balance health; each threshold breach raises one flag.
+) -> tuple[str, ...]:
+    """The names of the health flags that fire, in this order:
 
-    Healthy training keeps the KL/CE gradient-norm ratio within [0.5, 2], the
-    gap between relative training rates below 0.3, and the recent std of the
-    KL weight below 0.05.
+    - gradient_ratio: the KL/CE gradient-norm ratio is outside [0.5, 2], so
+      one task dominates the shared parameters;
+    - rate_divergence: the gap between the relative training rates
+      L_i / L_i(0) is 0.3 or more, so the tasks converge at incompatible
+      speeds;
+    - weight_oscillation: the population std of the recent KL weights is
+      0.05 or more, so the balancing learning rate is too high.
     """
     if g_ce <= 0.0:
         raise ConfigError("g_ce must be positive to form the gradient ratio")
     ratio = g_kl / g_ce
-    r_ce = loss_ce / state.initial_loss_ce
-    r_kl = loss_kl / state.initial_loss_kl
-    rate_gap = abs(r_ce - r_kl)
+    rate_gap = abs(loss_ce / state.initial_loss_ce - loss_kl / state.initial_loss_kl)
     history = np.asarray(state.weight_history, dtype=np.float64)
     weight_std = float(history.std()) if history.size >= 2 else 0.0
-    flags: list[HealthFlag] = []
-    if not 0.5 <= ratio <= 2.0:
-        flags.append(
-            HealthFlag(
-                "gradient_ratio",
-                f"KL/CE gradient-norm ratio {ratio:.3f} outside [0.5, 2]; "
-                "one task is dominating the shared parameters",
-            )
-        )
-    if rate_gap >= 0.3:
-        flags.append(
-            HealthFlag(
-                "rate_divergence",
-                f"relative training-rate gap {rate_gap:.3f} >= 0.3; "
-                "tasks are converging at incompatible speeds",
-            )
-        )
-    if weight_std >= 0.05:
-        flags.append(
-            HealthFlag(
-                "weight_oscillation",
-                f"recent KL-weight std {weight_std:.3f} >= 0.05; "
-                "reduce the balancing learning rate",
-            )
-        )
-    return HealthReport(ratio, rate_gap, weight_std, tuple(flags))
+    fired = (
+        ("gradient_ratio", not 0.5 <= ratio <= 2.0),
+        ("rate_divergence", rate_gap >= 0.3),
+        ("weight_oscillation", weight_std >= 0.05),
+    )
+    return tuple(name for name, hit in fired if hit)
 
 
 # -- auxiliary objectives ----------------------------------------------------
@@ -324,7 +272,7 @@ class BalancerStepReport:
     step: int
     lambda_ce: float
     lambda_kl: float
-    flags: tuple[HealthFlag, ...]
+    flags: tuple[str, ...]
 
 
 def run_balancer(
@@ -347,6 +295,6 @@ def run_balancer(
     for i, rec in enumerate(records):
         if i > 0 and i % update_interval == 0:
             gradnorm_update(state, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl)
-        health = health_metrics(state, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl)
-        reports.append(BalancerStepReport(rec.step, state.lambda_ce, state.lambda_kl, health.flags))
+        flags = health_metrics(state, rec.g_ce, rec.g_kl, rec.loss_ce, rec.loss_kl)
+        reports.append(BalancerStepReport(rec.step, state.lambda_ce, state.lambda_kl, flags))
     return reports

@@ -246,7 +246,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     with open(args.log, "r", encoding="utf-8") as fh:
         records = read_gradient_log(fh)
     for report in run_balancer(records, update_interval=args.update_interval):
-        flags = ",".join(f.name for f in report.flags) or "-"
+        flags = ",".join(report.flags) or "-"
         print(f"step {report.step}: lambda_ce={report.lambda_ce:.4f} "
               f"lambda_kl={report.lambda_kl:.4f} flags={flags}")
     return 0

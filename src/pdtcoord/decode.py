@@ -91,6 +91,8 @@ class DecodeConfig:
             raise ConfigError("note_noise_scale must be finite and non-negative")
         if self.gate_override is not None and not 0.0 <= self.gate_override <= 1.0:
             raise ConfigError("gate_override must lie in [0, 1]")
+        if self.gate_override == 0.0:  # -0.0 is the same closed gate, and the pinned schedule computes +0.0
+            object.__setattr__(self, "gate_override", 0.0)
 
 
 # -- events -----------------------------------------------------------------
@@ -194,11 +196,11 @@ def _effective_seed(artifact: ReplayArtifact, config: DecodeConfig) -> int:
 
 
 def make_stream_states(artifact: ReplayArtifact, config: DecodeConfig) -> list[StreamState]:
-    states = []
-    for k in range(artifact.n_streams):
-        gs = GateState(warmup_tokens=config.warmup_tokens)
-        states.append(StreamState(stream_id=k, gate_state=gs))
-    return states
+    # An override o pins the gate: with g_min = g_max = o the schedule is o + 0.0 * frac, so the
+    # controller returns exactly o at every token, and a constant window never flickers.
+    o = config.gate_override
+    pinned = {} if o is None else {"g_min": o, "g_max": o}
+    return [StreamState(k, GateState(warmup_tokens=config.warmup_tokens, **pinned)) for k in range(artifact.n_streams)]
 
 
 def _note_entropy(probs: np.ndarray) -> float:
@@ -251,14 +253,11 @@ def step_stream(
     n = min(config.stride_b, frames.length - first)
     block = slice(first, first + n)
 
-    if config.gate_override is not None:
-        gates = [float(config.gate_override)] * n
-    else:
-        gates = []
-        for _ in range(n):
-            _, gate, _ = gate_controller_step(state.gate_state, base_gate, note_event)
-            gates.append(gate)
-            note_event = False
+    gates = []
+    for _ in range(n):
+        _, gate, _ = gate_controller_step(state.gate_state, base_gate, note_event)
+        gates.append(gate)
+        note_event = False
     gate_col = np.array(gates)[:, None]
 
     h_adapted = apply_adapter(frames.hidden[block], artifact.adapter)
@@ -391,7 +390,6 @@ class DecodeTrace:
     bus_lines: list[str]
     token_logs: tuple[tuple[int, ...], ...]
     committed: tuple[int, ...]
-    rollback_states: tuple[tuple[int, int, tuple[int, ...]], ...]
     forced_commits: int
     margins: tuple[tuple[float, ...], ...] = ()
 
@@ -422,6 +420,22 @@ class DecodeTrace:
 
     def rollback_events(self) -> list[RollbackEvent]:
         return [e for e in self.events if isinstance(e, RollbackEvent)]
+
+    @cached_property
+    def rollback_states(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(stream, target, token log just after the cut) per rollback, replayed from the records.
+
+        A TOKEN appends to its stream's log and a ROLLBACK cuts it to its target.
+        """
+        logs: list[list[int]] = [[] for _ in self.token_logs]
+        states = []
+        for e in self.events:
+            if isinstance(e, TokenEvent):
+                logs[e.stream_id].append(e.token_id)
+            elif isinstance(e, RollbackEvent):
+                del logs[e.stream_id][e.rolled_back_to:]
+                states.append((e.stream_id, e.rolled_back_to, tuple(logs[e.stream_id])))
+        return tuple(states)
 
 
 def _config_line(artifact: ReplayArtifact, config: DecodeConfig) -> str:
@@ -460,7 +474,6 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     )
     states = make_stream_states(artifact, config)
     events: list[TraceRecord] = []
-    rollback_states: list[tuple[int, int, tuple[int, ...]]] = []
     round_index = 0
     no_rows = np.zeros((0, artifact.d_note))
     lengths = artifact.lengths()
@@ -485,7 +498,6 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
             if rb is not None:
                 bus.tombstone_after(s.stream_id, rb.rolled_back_to)
                 events.append(rb)
-                rollback_states.append((s.stream_id, rb.rolled_back_to, tuple(s.token_log)))
         if published:
             clock = max(s.position for s in states)
             events.append(SnapshotEvent(round_index, bus.snapshot(), clock))
@@ -497,7 +509,6 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
         bus_lines=bus.dump_lines(),
         token_logs=tuple(tuple(s.token_log) for s in states),
         committed=tuple(s.committed_prefix for s in states),
-        rollback_states=tuple(rollback_states),
         forced_commits=sum(s.forced_commits for s in states),
         margins=tuple(tuple(s.margins) for s in states),
     )

@@ -296,9 +296,10 @@ def write_artifact(artifact: ReplayArtifact, path: str) -> None:
     ]
     arrays = [(a, "<f8") for a in _WEIGHT_ARRAYS(artifact)]
     arrays += [(getattr(frames, name), dtype) for frames in artifact.streams for name, _, dtype in _FRAMES]
-    parts += [np.ascontiguousarray(a, dtype=dtype).tobytes() for a, dtype in arrays]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
+        for a, dtype in arrays:  # each array's own buffer, so a write copies no array
+            fh.write(np.ascontiguousarray(a, dtype=dtype).data)
 
 
 class _Reader:

@@ -128,8 +128,12 @@ def _attend(h: np.ndarray, notes: np.ndarray, artifact: ReplayArtifact) -> np.nd
 
 def reference_decode(
     artifact: ReplayArtifact, config: DecodeConfig
-) -> tuple[DecodeTrace, tuple[tuple[int, ...], ...]]:
-    """Decode token by token; returns the trace and each stream's final frame log."""
+) -> tuple[DecodeTrace, tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple[int, ...]], ...]]:
+    """Decode token by token.
+
+    Returns the trace, each stream's final frame log, and a copy of the
+    rolled-back stream's log at every rollback: (stream, target, log).
+    """
     seed = config.seed if config.seed is not None else artifact.seed
     tau = config.tau if config.tau is not None else artifact.agreement.tau
     base_gate = artifact.snc.gate_value()
@@ -257,7 +261,6 @@ def reference_decode(
         bus_lines=bus.dump(),
         token_logs=tuple(tuple(s.log) for s in streams),
         committed=tuple(s.committed for s in streams),
-        rollback_states=tuple(rollback_states),
         forced_commits=sum(s.forced for s in streams),
     )
-    return trace, tuple(tuple(s.frames) for s in streams)
+    return trace, tuple(tuple(s.frames) for s in streams), tuple(rollback_states)

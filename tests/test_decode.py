@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,38 @@ def test_rollback_state_matches_replay_prefix():
     for sid, target, log in trace.rollback_states:
         assert len(log) == target
         assert trace.token_logs[sid][: len(log)] == log
+
+
+def test_rollback_states_are_replayed_from_the_written_records(tmp_path):
+    # 4 streams x 2,048 frames with a divergence every 100 frames: 80 rollbacks.
+    def decode_traced(divergences):
+        spec = SynthSpec(n_streams=4, length=2048, vocab_size=64, d=16, d_note=8, seed=1, planted_divergences=divergences)
+        art = synthesize_artifact(spec)
+        tracemalloc.start()
+        try:
+            trace = run_parallel(art, BASE)
+            return trace, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    trace, peak = decode_traced(tuple((k, p) for k in range(4) for p in range(50, 2048, 100)))
+    _, calm_peak = decode_traced(())
+    path = tmp_path / "run.trace"
+    trace.write(str(path))
+    logs: list[list[int]] = [[] for _ in range(4)]
+    replayed = []
+    for line in path.read_text().splitlines():
+        kind, *fields = line.split(" ")
+        if kind == "TOKEN":
+            logs[int(fields[1])].append(int(fields[4]))
+        elif kind == "ROLLBACK":
+            sid, target = int(fields[1]), int(fields[3])
+            del logs[sid][target:]
+            replayed.append((sid, target, tuple(logs[sid])))
+    assert len(replayed) == 80
+    assert trace.rollback_states == tuple(replayed)
+    # No copy of a token log per rollback: the peak stays near a run without rollbacks.
+    assert peak <= 1.1 * calm_peak, (peak, calm_peak)
 
 
 def test_rollback_tombstones_span_notes():
@@ -318,6 +351,7 @@ def test_equal_configs_write_equal_traces():
     pairs = [
         (dict(tau=np.float64(0.3)), dict(tau=0.3)),
         (dict(gate_override=1), dict(gate_override=1.0)),
+        (dict(gate_override=-0.0), dict(gate_override=0.0)),
         (dict(note_noise_scale=np.float64(0.25)), dict(note_noise_scale=0.25)),
         (dict(note_noise_scale=1), dict(note_noise_scale=1.0)),
         (dict(stride_b=np.int64(8), horizon_l=np.int64(8)), dict(stride_b=8, horizon_l=8)),

@@ -32,11 +32,11 @@ def frame_logs(trace: DecodeTrace) -> tuple[tuple[int, ...], ...]:
 
 def assert_same_run(artifact: ReplayArtifact, config: DecodeConfig) -> None:
     trace = run_parallel(artifact, config)
-    ref, ref_frames = reference_decode(artifact, config)
+    ref, ref_frames, ref_rollback_states = reference_decode(artifact, config)
     assert trace.token_logs == ref.token_logs
     assert frame_logs(trace) == ref_frames
     assert trace.committed == ref.committed
-    assert trace.rollback_states == ref.rollback_states
+    assert trace.rollback_states == ref_rollback_states
     lines, ref_lines = trace.to_lines(), ref.to_lines()
     assert len(lines) == len(ref_lines)
     for line, ref_line in zip(lines, ref_lines):

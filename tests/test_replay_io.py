@@ -367,3 +367,17 @@ def test_a_read_holds_the_file_once_in_aligned_read_only_arrays(tmp_path):
     arrays += [getattr(frames, name) for frames in art.streams for name, _, _ in _FRAMES]
     assert not any(a.flags.writeable for a in arrays)
     assert all(a.flags.aligned for a in arrays)
+
+
+def test_a_write_copies_no_array(tmp_path):
+    art = synthesize_artifact(SynthSpec(n_streams=4, length=512, vocab_size=128, d=32))
+    path = tmp_path / "write.pdtr"
+    tracemalloc.start()
+    try:
+        write_artifact(art, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2 << 20
+    assert peak < 0.25 * size, f"write peak {peak} bytes for a {size}-byte file"
