@@ -68,7 +68,8 @@ def main() -> None:
     print(f"  warm-up fetch: {len(first.fetched)} pages, cost {first.swap_cost}")
     second = evict_and_prefetch(table, stream_ranges={0: (256, 512)})
     print(f"  next stride for stream 0: fetched {second.fetched}, evicted {second.evicted}")
-    print(f"  bus page stays pinned: {table.pages[(BUS_POOL, 0)].state}")
+    bus_state = "resident" if (BUS_POOL, 0) in table.resident else "evicted"
+    print(f"  bus page stays pinned: {bus_state}")
 
     dropped = rollback_page_cost(table, pool=0, rolled_back_to=256, trigger_position=512)
     print(f"  rollback of stream 0 tokens [256, 512): dropped {dropped} pages")

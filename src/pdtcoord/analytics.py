@@ -25,8 +25,8 @@ def stale_rollback_bound(horizon_l: int, epsilon: float) -> float:
     """
     if horizon_l < 1:
         raise ConfigError("horizon_l must be >= 1")
-    if epsilon < 0.0:
-        raise ConfigError("epsilon must be non-negative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and non-negative, got {epsilon!r}")
     return min(1.0, math.sqrt(horizon_l * epsilon / 2.0))
 
 
@@ -38,8 +38,8 @@ def cadence_variance(horizon_l: int, epsilon: float, interval_m: int) -> float:
     """
     if horizon_l < 1 or interval_m < 1:
         raise ConfigError("horizon_l and interval_m must be >= 1")
-    if epsilon < 0.0:
-        raise ConfigError("epsilon must be non-negative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and non-negative, got {epsilon!r}")
     return epsilon * ((horizon_l * (interval_m - 1)) / (8 * interval_m))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import Iterable, Literal, Sequence
 
 from .errors import CapacityError, ConfigError, as_float, as_int
@@ -167,13 +168,6 @@ def pages_touched(start_token: int, end_token: int, page_size: int) -> int:
     return len(_page_range(start_token, end_token, page_size))
 
 
-@dataclass
-class Page:
-    state: Literal["resident", "evicted"] = "resident"
-    pinned: bool = False
-    last_read: int = 0
-
-
 @dataclass(frozen=True)
 class SwapReport:
     evicted: tuple[tuple[int, int], ...]
@@ -183,19 +177,21 @@ class SwapReport:
 
 @dataclass
 class PageTable:
-    """Residency tracker for per-stream KV pages and pinned bus pages.
+    """Residency map for per-stream KV pages and pinned bus pages.
 
     Pages are keyed (pool, page_index) where pool is a stream id or BUS_POOL;
     page i holds tokens [i * page_size_tokens, (i + 1) * page_size_tokens).
-    capacity_pages bounds simultaneously resident pages; eviction is least
-    recently read and never evicts pinned pages.  The table starts empty.
+    resident holds the resident pages least recently read first, and evicted
+    the pages swapped out and not read since.  capacity_pages bounds
+    len(resident); eviction takes the least recently read page and never a
+    bus page, which its pool pins.  The table starts empty.
     """
 
     page_size_tokens: int = 128
     capacity_pages: int | None = None
     t_page: float = 1.0
-    pages: dict[tuple[int, int], Page] = field(init=False, default_factory=dict)
-    clock: int = field(init=False, default=0)
+    resident: dict[tuple[int, int], None] = field(init=False, default_factory=dict)
+    evicted: set[tuple[int, int]] = field(init=False, default_factory=set)
 
     def __post_init__(self) -> None:
         self.page_size_tokens = as_int(self.page_size_tokens, "page_size_tokens")
@@ -209,50 +205,6 @@ class PageTable:
         if not 0.0 <= self.t_page < math.inf:
             raise ConfigError("t_page must be finite and non-negative")
 
-    def resident_count(self) -> int:
-        return sum(1 for p in self.pages.values() if p.state == "resident")
-
-    def _evictable(self, protect: set[tuple[int, int]]) -> list[tuple[tuple[int, int], Page]]:
-        out = [
-            (k, p)
-            for k, p in self.pages.items()
-            if p.state == "resident" and not p.pinned and k not in protect
-        ]
-        out.sort(key=lambda kp: (kp[1].last_read, kp[0]))
-        return out
-
-    def _make_resident(self, keys: list[tuple[int, int]], pinned: bool = False) -> SwapReport:
-        need = [k for k in keys if k not in self.pages or self.pages[k].state != "resident"]
-        evicted: list[tuple[int, int]] = []
-        if self.capacity_pages is not None:
-            over = self.resident_count() + len(need) - self.capacity_pages
-            if over > 0:
-                candidates = self._evictable(protect=set(keys))
-                if len(candidates) < over:
-                    raise CapacityError(
-                        f"cannot make {len(keys)} pages resident within capacity {self.capacity_pages}"
-                    )
-                for key, page in candidates[:over]:
-                    page.state = "evicted"
-                    evicted.append(key)
-        self.clock += 1
-        fetched: list[tuple[int, int]] = []
-        for key in keys:
-            page = self.pages.get(key)
-            if page is None:
-                page = Page(pinned=pinned, last_read=self.clock)
-                self.pages[key] = page
-                fetched.append(key)
-            elif page.state != "resident":
-                page.state = "resident"
-                page.last_read = self.clock
-                fetched.append(key)
-            else:
-                page.last_read = self.clock
-            if pinned:
-                page.pinned = True
-        return SwapReport(tuple(evicted), tuple(fetched), self.t_page * (len(evicted) + len(fetched)))
-
 
 def evict_and_prefetch(
     table: PageTable,
@@ -262,43 +214,48 @@ def evict_and_prefetch(
     """Bring the next stride's pages plus lagged snapshot pages resident.
 
     stream_ranges maps stream id to its upcoming [start, end) token range;
-    snapshot_ranges lists bus-pool token ranges backing lagged reads.  Bus
-    pages are always pinned, so multi-consumer snapshot pages never thrash.
-    Returns the combined swap report (cost = pages moved * t_page).
+    snapshot_ranges lists bus-pool token ranges backing lagged reads.  The
+    stride's demand is one set of pages, made resident in one pass or, when
+    capacity cannot hold it, refused with CapacityError and the table
+    unchanged.  Bus pages are pinned, so multi-consumer snapshot pages never
+    thrash.  Returns the swap report (cost = pages moved * t_page).
     """
-    size = table.page_size_tokens
-    demand: list[tuple[int, int]] = []
-    for sid in sorted(stream_ranges):
-        start, end = stream_ranges[sid]
-        demand.extend((sid, i) for i in _page_range(start, end, size))
-    bus_demand: list[tuple[int, int]] = []
-    for start, end in snapshot_ranges:
-        bus_demand.extend((BUS_POOL, i) for i in _page_range(start, end, size))
-    report_a = table._make_resident(demand)
-    report_b = table._make_resident(bus_demand, pinned=True)
-    return SwapReport(
-        evicted=report_a.evicted + report_b.evicted,
-        fetched=report_a.fetched + report_b.fetched,
-        swap_cost=report_a.swap_cost + report_b.swap_cost,
+    if any(sid < 0 for sid in stream_ranges):
+        raise ConfigError(f"stream ids must be non-negative; {BUS_POOL} is the bus pool")
+    size, resident = table.page_size_tokens, table.resident
+    demand = dict.fromkeys(
+        [(sid, i) for sid in sorted(stream_ranges) for i in _page_range(*stream_ranges[sid], size)]
+        + [(BUS_POOL, i) for start, end in snapshot_ranges for i in _page_range(start, end, size)]
     )
+    fetched = [key for key in demand if key not in resident]
+    over = 0 if table.capacity_pages is None else len(resident) + len(fetched) - table.capacity_pages
+    candidates = (key for key in resident if key[0] != BUS_POOL and key not in demand)
+    victims = list(islice(candidates, max(over, 0)))
+    if len(victims) < over:
+        raise CapacityError(f"cannot make {len(demand)} pages resident within capacity {table.capacity_pages}")
+    for key in victims:
+        del resident[key]
+    table.evicted.update(victims)
+    table.evicted.difference_update(fetched)
+    for key in demand:
+        resident.pop(key, None)
+        resident[key] = None
+    return SwapReport(tuple(victims), tuple(fetched), table.t_page * (len(victims) + len(fetched)))
 
 
 def rollback_page_cost(table: PageTable, pool: int, rolled_back_to: int, trigger_position: int) -> int:
     """Drop pages that only hold rolled-back tokens; returns pages dropped.
 
-    A page is dropped when it lies entirely at or past rolled_back_to; the
-    boundary page survives if it still holds committed tokens.  With
-    stride-aligned placement and rollback spans of at most L tokens, at most
-    ceil(L / page_size) pages are dropped.
+    A resident or evicted page is dropped when it lies entirely at or past
+    rolled_back_to; the boundary page survives if it still holds committed
+    tokens.  With stride-aligned placement and rollback spans of at most L
+    tokens, at most ceil(L / page_size) pages are dropped.
     """
     dropped = 0
     for idx in _page_range(rolled_back_to, trigger_position, table.page_size_tokens):
         key = (pool, idx)
-        page = table.pages.get(key)
-        page_start = idx * table.page_size_tokens
-        if page is None:
-            continue
-        if page_start >= rolled_back_to:
-            del table.pages[key]
+        if idx * table.page_size_tokens >= rolled_back_to and (key in table.resident or key in table.evicted):
+            table.resident.pop(key, None)
+            table.evicted.discard(key)
             dropped += 1
     return dropped

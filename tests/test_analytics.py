@@ -41,6 +41,15 @@ def test_cadence_variance_closed_form():
     assert cadence_variance(64, 0.01, 4) == pytest.approx(0.06, rel=1e-12)
 
 
+def test_drift_must_be_finite_and_non_negative():
+    for bad in (-0.01, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="epsilon"):
+            stale_rollback_bound(32, bad)
+        for interval_m in (1, 4):
+            with pytest.raises(ConfigError, match="epsilon"):
+                cadence_variance(32, bad, interval_m)
+
+
 def test_cadence_variance_increases_with_interval():
     vals = [cadence_variance(32, 0.01, m) for m in (1, 2, 4, 8, 16)]
     assert vals == sorted(vals)

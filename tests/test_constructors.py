@@ -38,8 +38,8 @@ def test_constructors_take_only_settings():
         (GateState, (), "tokens_since_note", 0),
         (GateState, (), "gate_window", deque()),
         (GateState, (), "note_change_window", deque()),
-        (PageTable, (), "pages", {}),
-        (PageTable, (), "clock", 0),
+        (PageTable, (), "resident", {}),
+        (PageTable, (), "evicted", set()),
         (PageTable, (), "grid_offset", 16),
         (BalancerState, (1.0, 1.0), "lambda_kl", 0.5),
         (BalancerState, (1.0, 1.0), "weight_history", deque()),

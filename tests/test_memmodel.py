@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdtcoord.errors import CapacityError, ConfigError
 from pdtcoord.memmodel import (
@@ -11,6 +13,7 @@ from pdtcoord.memmodel import (
     MIB,
     MemoryConfig,
     PageTable,
+    SwapReport,
     evict_and_prefetch,
     kv_budget,
     pages_touched,
@@ -158,9 +161,9 @@ def test_least_recently_read_eviction():
     report = evict_and_prefetch(table, stream_ranges={0: (96, 128)})
     assert report.evicted == ((0, 1),)
     assert report.fetched == ((0, 3),)
-    assert table.pages[(0, 0)].state == "resident"
-    assert table.pages[(0, 2)].state == "resident"
-    assert table.resident_count() == 3
+    assert (0, 0) in table.resident
+    assert (0, 2) in table.resident
+    assert len(table.resident) == 3
 
 
 def test_pinned_pages_never_evicted():
@@ -169,10 +172,8 @@ def test_pinned_pages_never_evicted():
     evict_and_prefetch(table, stream_ranges={0: (0, 32)})
     evict_and_prefetch(table, stream_ranges={1: (0, 32)})
     bus_key = (BUS_POOL, 0)
-    assert table.pages[bus_key].state == "resident"
-    assert table.pages[bus_key].pinned
-    evicted = [k for k, p in table.pages.items() if p.state == "evicted"]
-    assert evicted == [(0, 0)]
+    assert bus_key in table.resident
+    assert table.evicted == {(0, 0)}
 
 
 def test_capacity_exhaustion_raises():
@@ -185,6 +186,44 @@ def test_capacity_exhaustion_raises():
         evict_and_prefetch(pinned_full, stream_ranges={0: (0, 32)})
 
 
+def test_overlapping_snapshot_ranges_make_their_one_page_resident():
+    table = PageTable(page_size_tokens=32, capacity_pages=1)
+    report = evict_and_prefetch(table, stream_ranges={}, snapshot_ranges=[(0, 32), (0, 32)])
+    assert report.fetched == ((BUS_POOL, 0),)
+    assert list(table.resident) == [(BUS_POOL, 0)]
+    table = PageTable(page_size_tokens=32, capacity_pages=2)
+    report = evict_and_prefetch(table, stream_ranges={}, snapshot_ranges=[(0, 32), (16, 48)])
+    assert report.fetched == ((BUS_POOL, 0), (BUS_POOL, 1))
+    assert len(table.resident) == 2
+
+
+def test_a_split_stream_and_bus_demand_over_capacity_is_refused():
+    # Two stream pages and one bus page cannot all be resident in two slots;
+    # no page the call itself demands may be evicted to make room.
+    table = PageTable(page_size_tokens=32, capacity_pages=2)
+    with pytest.raises(CapacityError, match="3 pages"):
+        evict_and_prefetch(table, stream_ranges={0: (0, 64)}, snapshot_ranges=[(0, 32)])
+    assert table.resident == {} and table.evicted == set()
+
+
+def test_a_refused_demand_leaves_the_table_unchanged():
+    table = PageTable(page_size_tokens=32, capacity_pages=2)
+    evict_and_prefetch(table, stream_ranges={1: (0, 32)})
+    with pytest.raises(CapacityError):
+        evict_and_prefetch(table, stream_ranges={0: (0, 32)}, snapshot_ranges=[(0, 96)])
+    assert list(table.resident) == [(1, 0)]
+    assert table.evicted == set()
+
+
+def test_a_negative_stream_id_is_refused():
+    # A stream id of BUS_POOL would make a bus-pool page that no snapshot pinned.
+    table = PageTable(page_size_tokens=32)
+    for sid in (BUS_POOL, -2):
+        with pytest.raises(ConfigError, match="stream ids"):
+            evict_and_prefetch(table, stream_ranges={0: (0, 32), sid: (0, 32)})
+        assert table.resident == {} and table.evicted == set()
+
+
 def test_evict_and_prefetch_pins_bus_and_prices_swaps():
     table = PageTable(page_size_tokens=32, t_page=2.0)
     report = evict_and_prefetch(
@@ -195,7 +234,6 @@ def test_evict_and_prefetch_pins_bus_and_prices_swaps():
     assert set(report.fetched) == {(0, 0), (0, 1), (1, 0), (BUS_POOL, 0)}
     assert report.evicted == ()
     assert report.swap_cost == pytest.approx(8.0)
-    assert table.pages[(BUS_POOL, 0)].pinned
     again = evict_and_prefetch(table, stream_ranges={0: (0, 64)})
     assert again.swap_cost == 0.0
 
@@ -205,8 +243,8 @@ def test_rollback_drops_only_fully_rolled_back_pages():
     evict_and_prefetch(table, stream_ranges={0: (0, 64)})
     dropped = rollback_page_cost(table, 0, rolled_back_to=32, trigger_position=64)
     assert dropped == 1
-    assert (0, 0) in table.pages
-    assert (0, 1) not in table.pages
+    assert (0, 0) in table.resident
+    assert (0, 1) not in table.resident
     assert rollback_page_cost(table, 0, 32, 32) == 0
 
 
@@ -217,8 +255,8 @@ def test_rollback_boundary_page_survives_when_misaligned():
     # Page [32, 64) holds committed tokens 32-47, so only [64, 96) drops.
     dropped = rollback_page_cost(table, 0, rolled_back_to=48, trigger_position=80)
     assert dropped == 1
-    assert (0, 1) in table.pages
-    assert (0, 2) not in table.pages
+    assert (0, 1) in table.resident
+    assert (0, 2) not in table.resident
 
 
 def test_aligned_rollback_page_bound():
@@ -232,3 +270,115 @@ def test_aligned_rollback_page_bound():
             evict_and_prefetch(table, stream_ranges={0: (0, start + horizon)})
             dropped = rollback_page_cost(table, 0, start, start + horizon)
             assert dropped <= bound
+
+
+# -- property test against a read-stamp reference table ---------------------
+
+
+class RefTable:
+    """Page residency kept as a read stamp per resident page.
+
+    Each call reads its whole demand at one new stamp; a victim is the
+    unpinned, undemanded resident page with the smallest (stamp, key).
+    """
+
+    def __init__(self, size: int, capacity: int | None, t_page: float):
+        self.size, self.capacity, self.t_page = size, capacity, t_page
+        self.stamp: dict[tuple[int, int], int] = {}
+        self.out: set[tuple[int, int]] = set()
+        self.clock = 0
+
+    def pages(self, pool: int, start: int, end: int) -> list[tuple[int, int]]:
+        return [(pool, i) for i in range(start // self.size, -(-end // self.size))] if end > start else []
+
+    def demand(self, stream_ranges, snapshot_ranges) -> list[tuple[int, int]]:
+        demand: list[tuple[int, int]] = []
+        for sid in sorted(stream_ranges):
+            demand += self.pages(sid, *stream_ranges[sid])
+        for start, end in snapshot_ranges:
+            demand += [k for k in self.pages(BUS_POOL, start, end) if k not in demand]
+        return demand
+
+    def prefetch(self, stream_ranges, snapshot_ranges) -> SwapReport:
+        demand = self.demand(stream_ranges, snapshot_ranges)
+        need = [k for k in demand if k not in self.stamp]
+        victims = sorted(
+            (k for k in self.stamp if k[0] != BUS_POOL and k not in demand),
+            key=lambda k: (self.stamp[k], k),
+        )
+        over = 0 if self.capacity is None else len(self.stamp) + len(need) - self.capacity
+        if len(victims) < over:
+            raise CapacityError("over capacity")
+        victims = victims[: max(over, 0)]
+        for k in victims:
+            del self.stamp[k]
+            self.out.add(k)
+        self.clock += 1
+        for k in demand:
+            self.stamp[k] = self.clock
+            self.out.discard(k)
+        return SwapReport(tuple(victims), tuple(need), self.t_page * (len(victims) + len(need)))
+
+    def rollback(self, pool: int, target: int, trigger: int) -> int:
+        gone = [k for k in set(self.stamp) | self.out if k[0] == pool and target <= k[1] * self.size < trigger]
+        for k in gone:
+            self.stamp.pop(k, None)
+            self.out.discard(k)
+        return len(gone)
+
+
+# Token ranges are drawn on a 32-token page grid and scaled to the drawn page
+# size, so a stream read spans at most two pages and the bus reads stay within
+# pages 0-2 whatever the size: most demands fit in 6 pages, and evictions and
+# refusals both come up often.
+GRID = 32
+
+
+def token_ranges(last_page: int, max_pages: int):
+    return st.tuples(st.integers(0, last_page * GRID), st.integers(0, max_pages * GRID))
+
+
+PAGE_OPS = st.tuples(
+    st.sampled_from(["prefetch", "prefetch", "prefetch", "rollback"]),
+    st.dictionaries(st.integers(0, 2), token_ranges(6, 1), min_size=1, max_size=3),
+    st.lists(token_ranges(1, 1), max_size=3),
+    st.sampled_from([0, 1, 2, BUS_POOL]),
+    token_ranges(3, 4),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ops=st.lists(PAGE_OPS, min_size=4, max_size=16),
+    size=st.integers(8, 32),
+    capacity=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+)
+def test_page_table_matches_a_read_stamp_reference(ops, size, capacity):
+    def tokens(start: int, length: int) -> tuple[int, int]:
+        return start * size // GRID, (start + length) * size // GRID
+
+    table = PageTable(page_size_tokens=size, capacity_pages=capacity, t_page=1.5)
+    ref = RefTable(size, capacity, 1.5)
+    for kind, streams, snapshots, pool, span in ops:
+        before = (list(table.resident), set(table.evicted))
+        if kind == "rollback":
+            target, trigger = tokens(*span)
+            assert rollback_page_cost(table, pool, target, trigger) == ref.rollback(pool, target, trigger)
+        else:
+            stream_ranges = {sid: tokens(*r) for sid, r in streams.items()}
+            snapshot_ranges = [tokens(*r) for r in snapshots]
+            try:
+                want = ref.prefetch(stream_ranges, snapshot_ranges)
+            except CapacityError:
+                with pytest.raises(CapacityError):
+                    evict_and_prefetch(table, stream_ranges, snapshot_ranges)
+                assert (list(table.resident), table.evicted) == before
+                continue
+            assert evict_and_prefetch(table, stream_ranges, snapshot_ranges) == want
+            assert all(k in table.resident for k in ref.demand(stream_ranges, snapshot_ranges))
+        assert set(table.resident) == set(ref.stamp)
+        assert table.evicted == ref.out
+        assert not table.evicted & table.resident.keys()
+        assert all(key[0] != BUS_POOL for key in table.evicted)
+        if capacity is not None:
+            assert len(table.resident) <= capacity
