@@ -41,10 +41,10 @@ def main() -> None:
 
     print("--- warmup after a note event (warmup 16 tokens) ---")
     state = GateState(warmup_tokens=16, flicker_std=10.0)
-    _, gate, _ = gate_controller_step(state, 0.8, new_note_event=True, note_change=0.4)
+    _, (gate,), _ = gate_controller_step(state, 0.8, new_note_event=True, note_change=0.4)
     trail = [gate]
     for _ in range(16):
-        _, gate, _ = gate_controller_step(state, 0.8)
+        _, (gate,), _ = gate_controller_step(state, 0.8)
         trail.append(gate)
     print("  " + " ".join(f"{g:.3f}" for g in trail))
     print("  the gate drops to g_min at the event and re-anneals linearly.\n")
@@ -63,9 +63,9 @@ def main() -> None:
     params = make_params(-4.0)
     lip = estimate_lipschitz_layerwise([params.w_q, params.w_o])
     capped = GateState(warmup_tokens=1, tau_lipschitz=0.5, lipschitz_estimate=lip, flicker_std=10.0)
-    capped, gate, actions = gate_controller_step(capped, 0.8, new_note_event=True, note_change=2.0)
+    capped, (gate,), actions = gate_controller_step(capped, 0.8, new_note_event=True, note_change=2.0)
     for _ in range(4):
-        capped, gate, actions = gate_controller_step(capped, 0.8)
+        capped, (gate,), actions = gate_controller_step(capped, 0.8)
     print(f"  pathway estimate {lip:.3f} above threshold 0.5: "
           f"actions {[a.name for a in actions]}, effective gate {gate:.3f} "
           f"(capped below g_max {capped.g_max})")

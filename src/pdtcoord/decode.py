@@ -227,6 +227,30 @@ def _note_event(state: StreamState, newest: dict[int, int]) -> bool:
     return True
 
 
+def _next_block(state: StreamState, artifact: ReplayArtifact, config: DecodeConfig) -> slice:
+    """The frames a stream decodes in its next stride: up to stride_b from its cursor."""
+    first = state.cursor
+    return slice(first, min(first + config.stride_b, artifact.streams[state.stream_id].length))
+
+
+def _adapt_stride(artifact: ReplayArtifact, config: DecodeConfig, readers: list[StreamState]) -> dict[int, np.ndarray]:
+    """Each reader's adapted block for the stride, from one adapter call.
+
+    The readers are the streams whose adapted states the stride reads.
+    Their blocks are stacked, and each adapter step works row by row, so a
+    stream's slice of the output is what a call on its own block returns.
+    """
+    if not readers:
+        return {}
+    blocks = [artifact.streams[s.stream_id].hidden[_next_block(s, artifact, config)] for s in readers]
+    stacked = apply_adapter(np.concatenate(blocks), artifact.adapter)
+    adapted, start = {}, 0
+    for s, block in zip(readers, blocks):
+        adapted[s.stream_id] = stacked[start : start + len(block)]
+        start += len(block)
+    return adapted
+
+
 def step_stream(
     state: StreamState,
     artifact: ReplayArtifact,
@@ -235,13 +259,17 @@ def step_stream(
     rows: np.ndarray,
     note_event: bool,
     base_gate: float,
+    h_adapted: np.ndarray | None,
 ) -> list[TraceRecord]:
     """Decode one stride of a stream against its frozen sibling rows.
 
-    Takes up to stride_b frames from the stream's cursor.  The gate schedule
-    runs first, token by token; note_event feeds its first step only.  Then
-    the whole block goes through the adapter, one note attention against
-    the sibling rows, one readout into logit biases, and an argmax per row.
+    Takes up to stride_b frames from the stream's cursor.  One gate
+    controller call runs the stride's schedule; note_event feeds its first
+    token only.  h_adapted is the block's adapter output, which run_parallel
+    computes for every stream of the stride in one call; it may be None when
+    nothing reads it, that is when rows is empty and agreement comes from
+    the artifact.  The block then takes one note attention against the
+    sibling rows, one readout into logit biases, and an argmax per row.
     base_gate is the artifact's logistic(gamma), which run_parallel computes
     once; the controller clamps it under its schedule.  A last per-token
     pass logs the tokens, emits events and asks the cadence about each
@@ -249,18 +277,12 @@ def step_stream(
     bus until the caller's barrier.
     """
     frames = artifact.streams[state.stream_id]
-    first = state.cursor
-    n = min(config.stride_b, frames.length - first)
-    block = slice(first, first + n)
+    block = _next_block(state, artifact, config)
+    first, n = block.start, block.stop - block.start
 
-    gates = []
-    for _ in range(n):
-        _, gate, _ = gate_controller_step(state.gate_state, base_gate, note_event)
-        gates.append(gate)
-        note_event = False
+    _, gates, _ = gate_controller_step(state.gate_state, base_gate, note_event, tokens=n)
     gate_col = np.array(gates)[:, None]
 
-    h_adapted = apply_adapter(frames.hidden[block], artifact.adapter)
     residual = None
     if rows.shape[0] > 0 and gate_col.any():
         # A closed gate's row of the residual is 0 * finite = +-0, so it adds
@@ -478,14 +500,22 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     no_rows = np.zeros((0, artifact.d_note))
     lengths = artifact.lengths()
     base_gate = logistic(artifact.snc.gamma)
+    live = config.agreement_mode == "live"
 
     while any(s.cursor < lengths[s.stream_id] for s in states):
         view = None if round_index in config.masked_strides else bus.read_lagged()
-        for s in states:
-            if s.cursor >= lengths[s.stream_id]:
-                continue
+        decoding = [s for s in states if s.cursor < lengths[s.stream_id]]
+        readers = [s for s in decoding if live or (view is not None and any(k != s.stream_id for k in view.newest))]
+        adapted = _adapt_stride(artifact, config, readers)
+        # Sibling rows are stacked one stream at a time, so only one reader's
+        # copy is alive at once.  Each adapted block is popped into its call
+        # and bound to no name here, so the stacked block dies with the stride.
+        for s in decoding:
             rows, newest = (no_rows, {}) if view is None else stack_sibling_rows(view, s.stream_id)
-            events.extend(step_stream(s, artifact, config, round_index, rows, _note_event(s, newest), base_gate))
+            note_event = _note_event(s, newest)
+            events.extend(
+                step_stream(s, artifact, config, round_index, rows, note_event, base_gate, adapted.pop(s.stream_id, None))
+            )
 
         published = False
         for s in states:

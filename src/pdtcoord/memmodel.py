@@ -222,6 +222,9 @@ def evict_and_prefetch(
     """
     if any(sid < 0 for sid in stream_ranges):
         raise ConfigError(f"stream ids must be non-negative; {BUS_POOL} is the bus pool")
+    snapshot_ranges = list(snapshot_ranges)
+    if any(min(r) < 0 for r in [*stream_ranges.values(), *snapshot_ranges]):
+        raise ConfigError("token positions must be non-negative")
     size, resident = table.page_size_tokens, table.resident
     demand = dict.fromkeys(
         [(sid, i) for sid in sorted(stream_ranges) for i in _page_range(*stream_ranges[sid], size)]
@@ -251,6 +254,8 @@ def rollback_page_cost(table: PageTable, pool: int, rolled_back_to: int, trigger
     tokens.  With stride-aligned placement and rollback spans of at most L
     tokens, at most ceil(L / page_size) pages are dropped.
     """
+    if min(rolled_back_to, trigger_position) < 0:
+        raise ConfigError("token positions must be non-negative")
     dropped = 0
     for idx in _page_range(rolled_back_to, trigger_position, table.page_size_tokens):
         key = (pool, idx)

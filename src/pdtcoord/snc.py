@@ -288,8 +288,9 @@ def gate_controller_step(
     current_gate: float,
     new_note_event: bool = False,
     note_change: float | None = None,
-) -> tuple[GateState, float, tuple[GateAction, ...]]:
-    """Advance the gate schedule by one token.
+    tokens: int = 1,
+) -> tuple[GateState, list[float], tuple[GateAction, ...]]:
+    """Advance the gate schedule by `tokens` tokens.
 
     A note event resets the warmup clock (effective gate drops to g_min and
     re-anneals linearly over warmup_tokens, up to the stability cap).  The
@@ -300,32 +301,43 @@ def gate_controller_step(
     note_change, how far the sibling notes moved since the last event, joins
     the window that sets the cap; a negative or NaN one is refused before
     the state changes.
+
+    The event and note_change belong to the first token; the others see no
+    event.  Returns each token's effective gate and every token's actions in
+    order, exactly as `tokens` calls with tokens=1 would.
     """
+    tokens = as_int(tokens, "tokens")
+    if tokens < 1:
+        raise ConfigError(f"tokens must be >= 1, got {tokens}")
     if note_change is not None and not note_change >= 0.0:
         raise ConfigError(f"note_change must be non-negative, got {note_change!r}")
-    if new_note_event:
-        state.tokens_since_note = 0
-        if note_change is not None:
-            state.note_change_window.append(float(note_change))
-    else:
-        state.tokens_since_note += 1
+    if new_note_event and note_change is not None:
+        state.note_change_window.append(float(note_change))
 
+    # An event's clock reads 0 at the first token.  Within the call only a
+    # backoff moves the cap, so it is recomputed there.
+    since = -1 if new_note_event else state.tokens_since_note
+    g_min, warmup, window = state.g_min, state.warmup_tokens, state.gate_window
+    floor = max(float(current_gate), g_min)
     cap = scheduled_gate_cap(state)
-    frac = min(1.0, state.tokens_since_note / state.warmup_tokens)
-    schedule = state.g_min + (cap - state.g_min) * frac
-    effective = min(max(float(current_gate), state.g_min), schedule)
-
+    spectral = state.lipschitz_estimate > state.tau_lipschitz
+    gates: list[float] = []
     actions: list[GateAction] = []
-    window = state.gate_window
-    window.append(effective)
-    # A window of one repeated value has no flicker.  numpy's std of it is not
-    # always 0.0, but it stays within about len(window) * eps for gates in
-    # [0, 1], so skipping it changes no decision for a flicker_std above that.
-    if len(window) == window.maxlen and window.count(effective) != len(window):
-        if float(np.asarray(window).std()) > state.flicker_std:
-            actions.append(GateAction.REDUCE_GATE_MAX)
-            state.g_max = max(state.g_min, state.g_max * BACKOFF_SCALE)
-            window.clear()
-    if state.lipschitz_estimate > state.tau_lipschitz:
-        actions.append(GateAction.APPLY_SPECTRAL_NORM)
-    return state, effective, tuple(actions)
+    for _ in range(tokens):
+        since += 1
+        effective = min(floor, g_min + (cap - g_min) * min(1.0, since / warmup))
+        gates.append(effective)
+        window.append(effective)
+        # A window of one repeated value has no flicker.  numpy's std of it is
+        # not always 0.0, but it stays within about len(window) * eps for gates
+        # in [0, 1], so skipping it changes no decision for a flicker_std above that.
+        if len(window) == window.maxlen and window.count(effective) != len(window):
+            if float(np.asarray(window).std()) > state.flicker_std:
+                actions.append(GateAction.REDUCE_GATE_MAX)
+                state.g_max = max(g_min, state.g_max * BACKOFF_SCALE)
+                window.clear()
+                cap = scheduled_gate_cap(state)
+        if spectral:
+            actions.append(GateAction.APPLY_SPECTRAL_NORM)
+    state.tokens_since_note = since
+    return state, gates, tuple(actions)

@@ -177,7 +177,7 @@ def reference_decode(
                 if config.gate_override is not None:
                     gate = float(config.gate_override)
                 else:
-                    _, gate, _ = gate_controller_step(s.gate, base_gate, event)
+                    _, (gate,), _ = gate_controller_step(s.gate, base_gate, event)
                 event = False
                 logits = frames.logits[frame]
                 if len(sibs) and gate != 0.0:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden_hashes import CASES as GOLDEN_CASES
 
 from pdtcoord import decode
 from pdtcoord.cadence import CadenceConfig
@@ -34,7 +35,7 @@ from pdtcoord.decode import (
 from pdtcoord.errors import ConfigError
 from pdtcoord.notebus import NotesBus, stack_sibling_rows
 from pdtcoord.replay import SynthSpec, synthesize_artifact
-from pdtcoord.snc import GateState
+from pdtcoord.snc import GateState, apply_adapter
 
 
 def small_artifact(seed: int = 5, divergences=((1, 5),)):
@@ -71,7 +72,8 @@ def test_closed_gate_row_of_a_stride_adds_no_bias():
     state = make_stream_states(art, cfg)[0]
     state.gate_state = GateState(g_min=0.0, warmup_tokens=4)
     rows = art.streams[1].note_embeddings[:3]
-    events = step_stream(state, art, cfg, 0, rows, True, art.snc.gate_value())
+    h_adapted = apply_adapter(art.streams[0].hidden[:8], art.adapter)
+    events = step_stream(state, art, cfg, 0, rows, True, art.snc.gate_value(), h_adapted)
     gates = [e.value for e in events if isinstance(e, GateEvent)]
     assert gates[0] == 0.0 and gates[1] > 0.0
     logits = art.streams[0].logits[:8]
@@ -450,6 +452,33 @@ def test_run_parallel_reads_the_bus_once_per_unmasked_stride():
     strides = 1 + max(e.round_index for e in trace.events if isinstance(e, TokenEvent))
     assert strides == 3
     assert reads.call_count == strides - len(cfg.masked_strides)
+
+
+@pytest.mark.parametrize("case_id", ["masked_strides", "live_agreement"])
+def test_a_stride_makes_one_adapter_call_and_one_gate_call_per_stream(case_id):
+    _, build, config, _, _ = next(c for c in GOLDEN_CASES if c[0] == case_id)
+    live = config.agreement_mode == "live"
+    with (
+        mock.patch.object(decode, "apply_adapter", wraps=decode.apply_adapter) as adapter,
+        mock.patch.object(decode, "gate_controller_step", wraps=decode.gate_controller_step) as gate,
+        mock.patch.object(decode, "step_stream", wraps=decode.step_stream) as step,
+    ):
+        trace = run_parallel(build(), config)
+    decoded: dict[tuple[int, int], int] = {}
+    for e in trace.events:
+        if isinstance(e, TokenEvent):
+            decoded[e.round_index, e.stream_id] = decoded.get((e.round_index, e.stream_id), 0) + 1
+    # A stream reads its adapted block in live mode or when it has sibling rows.
+    read_rows: dict[int, int] = {}
+    for c in step.call_args_list:
+        state, round_index, rows = c.args[0], c.args[3], c.args[4]
+        if live or rows.shape[0] > 0:
+            read_rows[round_index] = read_rows.get(round_index, 0) + decoded[round_index, state.stream_id]
+    strides = 1 + max(r for r, _ in decoded)
+    assert 0 < len(read_rows) <= strides and (live or len(read_rows) < strides)
+    assert [c.args[0].shape[0] for c in adapter.call_args_list] == [read_rows[r] for r in sorted(read_rows)]
+    assert step.call_count == len(decoded)
+    assert [c.kwargs["tokens"] for c in gate.call_args_list] == list(decoded.values())
 
 
 @st.composite

@@ -224,6 +224,20 @@ def test_a_negative_stream_id_is_refused():
         assert table.resident == {} and table.evicted == set()
 
 
+def test_a_negative_token_position_is_refused():
+    # Page -1 would hold tokens [-32, 0), which no stream or snapshot has.
+    table = PageTable(page_size_tokens=32)
+    evict_and_prefetch(table, stream_ranges={1: (0, 32)})
+    for streams, snapshots in (({0: (-64, 0)}, [(-40, -8)]), ({0: (-8, 32)}, []), ({0: (0, 32)}, [(-1, 8)])):
+        with pytest.raises(ConfigError, match="token positions"):
+            evict_and_prefetch(table, stream_ranges=streams, snapshot_ranges=snapshots)
+        assert list(table.resident) == [(1, 0)] and table.evicted == set()
+    for target, trigger in ((-32, 32), (-64, -32)):
+        with pytest.raises(ConfigError, match="token positions"):
+            rollback_page_cost(table, 1, target, trigger)
+        assert list(table.resident) == [(1, 0)]
+
+
 def test_evict_and_prefetch_pins_bus_and_prices_swaps():
     table = PageTable(page_size_tokens=32, t_page=2.0)
     report = evict_and_prefetch(

@@ -236,7 +236,7 @@ def test_estimate_lipschitz_upper_bounds_product_norm():
 
 def test_gate_note_event_drops_to_floor():
     gs = GateState()
-    _, eff, actions = gate_controller_step(gs, current_gate=0.9, new_note_event=True)
+    _, (eff,), actions = gate_controller_step(gs, current_gate=0.9, new_note_event=True)
     assert eff == gs.g_min
     assert actions == ()
 
@@ -244,9 +244,9 @@ def test_gate_note_event_drops_to_floor():
 def test_gate_fresh_state_fully_annealed():
     for warmup in (1, 128, 512):
         gs = GateState(warmup_tokens=warmup)
-        _, eff, _ = gate_controller_step(gs, current_gate=0.9)
+        _, (eff,), _ = gate_controller_step(gs, current_gate=0.9)
         assert eff == gs.g_max
-        _, eff_low, _ = gate_controller_step(gs, current_gate=0.01)
+        _, (eff_low,), _ = gate_controller_step(gs, current_gate=0.01)
         assert eff_low == gs.g_min
 
 
@@ -256,7 +256,7 @@ def test_gate_warmup_reaches_cap():
     gate_controller_step(gs, 0.9, new_note_event=True)
     eff = None
     for _ in range(gs.warmup_tokens):
-        _, eff, _ = gate_controller_step(gs, 0.9)
+        _, (eff,), _ = gate_controller_step(gs, 0.9)
     assert eff == gs.g_max
     assert gs.tokens_since_note == gs.warmup_tokens
 
@@ -264,7 +264,7 @@ def test_gate_warmup_reaches_cap():
 def test_gate_warmup_is_linear():
     gs = GateState(flicker_std=10.0)
     gate_controller_step(gs, 0.9, new_note_event=True)
-    _, eff, _ = gate_controller_step(gs, 0.9)
+    _, (eff,), _ = gate_controller_step(gs, 0.9)
     expected = gs.g_min + (gs.g_max - gs.g_min) * (1 / gs.warmup_tokens)
     assert abs(eff - expected) < 1e-12
 
@@ -344,7 +344,7 @@ def test_gate_pinned_at_floor_never_flickers():
     # Even with no flicker tolerance, a gate that never moves backs nothing off.
     gs = GateState(flicker_std=0.0)
     for _ in range(200):
-        _, eff, actions = gate_controller_step(gs, 0.01)
+        _, (eff,), actions = gate_controller_step(gs, 0.01)
         assert eff == gs.g_min
         assert actions == ()
     assert gs.g_max == 0.8
@@ -405,7 +405,7 @@ def _drive_in_lockstep(kwargs: dict, steps) -> list[tuple[GateAction, ...]]:
     ours, oracle = GateState(**kwargs), GateState(**kwargs)
     seen = []
     for gate, event, change in steps:
-        _, eff, actions = gate_controller_step(ours, gate, event, change)
+        _, (eff,), actions = gate_controller_step(ours, gate, event, change)
         _, eff_ref, actions_ref = _oracle_gate_controller_step(oracle, gate, event, change)
         assert (eff.hex(), actions) == (eff_ref.hex(), actions_ref)
         assert _gate_fields(ours) == _gate_fields(oracle)
@@ -484,3 +484,63 @@ def gate_runs(draw):
 def test_gate_step_matches_the_oracle(run):
     kwargs, steps = run
     _drive_in_lockstep(kwargs, steps)
+
+
+def test_gate_refuses_a_count_below_one_before_changing_state():
+    gs = GateState(lipschitz_estimate=10.0)
+    gate_controller_step(gs, 0.9, tokens=3)
+    before = _gate_fields(gs)
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match="tokens"):
+            gate_controller_step(gs, 0.9, new_note_event=True, note_change=0.5, tokens=bad)
+    for bad in (True, 2.5, "2"):
+        with pytest.raises(ConfigError, match="tokens"):
+            gate_controller_step(gs, 0.9, tokens=bad)
+    assert _gate_fields(gs) == before
+
+
+@st.composite
+def gate_chunks(draw):
+    """GateState settings and a list of (current_gate, event, note_change, tokens) calls."""
+    g_max = draw(st.floats(0.0, 1.0))
+    kwargs = dict(
+        g_min=draw(st.floats(0.0, g_max)),
+        g_max=g_max,
+        warmup_tokens=draw(st.integers(1, 96)),
+        flicker_window=draw(st.integers(1, 64)),
+        flicker_std=draw(st.floats(1e-3, 0.5)),
+        lipschitz_estimate=draw(st.just(0.0) | st.floats(0.1, 100.0)),
+    )
+    gates = st.sampled_from(_GATE_LEVELS) | st.floats(0.0, 1.0)
+    changes = st.none() | st.floats(0.0, 5.0)
+    chunks = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            # A ramp: an optional event, then one gate held long enough to re-anneal.
+            chunks.append((draw(gates), draw(st.booleans()), draw(changes), draw(st.integers(1, 160))))
+        else:
+            # Flicker: short calls whose input alternates between two gates.
+            low, high, n = draw(gates), draw(gates), draw(st.integers(1, 4))
+            for i in range(draw(st.integers(2, 24))):
+                chunks.append((high if i % 2 else low, draw(st.booleans()), draw(changes), n))
+    return kwargs, chunks
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=gate_chunks())
+def test_one_call_of_n_tokens_equals_n_calls_of_one(run):
+    kwargs, chunks = run
+    batched, single = GateState(**kwargs), GateState(**kwargs)
+    for gate, event, change, n in chunks:
+        _, gates, actions = gate_controller_step(batched, gate, event, change, tokens=n)
+        expected_gates: list[float] = []
+        expected_actions: list[GateAction] = []
+        for t in range(n):
+            _, one, acted = gate_controller_step(single, gate, event and t == 0, change if t == 0 else None)
+            expected_gates += one
+            expected_actions += acted
+        assert [g.hex() for g in gates] == [g.hex() for g in expected_gates]
+        assert actions == tuple(expected_actions)
+        ours, theirs = _gate_fields(batched), _gate_fields(single)
+        for name in ("tokens_since_note", "g_max", "gate_window", "note_change_window"):
+            assert ours[name] == theirs[name], name
