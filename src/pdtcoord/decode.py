@@ -97,8 +97,10 @@ class DecodeConfig:
 
 # -- events -----------------------------------------------------------------
 #
-# Trace records are named tuples: immutable, cheaper to build than frozen
-# dataclasses, and a decode builds one per token.
+# A trace line's event is a named tuple: immutable and cheap to build.  A
+# decode does not build one per line, though.  It keeps one StrideTokens per
+# (stream, stride) and one BarrierNotes per (stream, barrier), and each of
+# those renders its lines directly and expands to its events on demand.
 
 
 class TokenEvent(NamedTuple):
@@ -156,7 +158,67 @@ class RollbackEvent(NamedTuple):
         )
 
 
-TraceRecord = TokenEvent | GateEvent | NoteEvent | SnapshotEvent | RollbackEvent
+TraceEvent = TokenEvent | GateEvent | NoteEvent | SnapshotEvent | RollbackEvent
+
+
+class StrideTokens(NamedTuple):
+    """One stream's tokens of one stride: a TOKEN line each, and the GATE lines among them.
+
+    Token t sits at position + t and came from frame_index + t.  gates holds
+    an (offset, value) pair for each token whose gate differs from the
+    stream's previous token's; its GATE line follows that token's TOKEN line.
+    """
+
+    round_index: int
+    stream_id: int
+    position: int
+    frame_index: int
+    token_ids: tuple[int, ...]
+    gates: tuple[tuple[int, float], ...]
+
+    def events(self) -> list[TokenEvent | GateEvent]:
+        r, sid, gates = self.round_index, self.stream_id, dict(self.gates)
+        out: list[TokenEvent | GateEvent] = []
+        for t, token in enumerate(self.token_ids):
+            out.append(TokenEvent(r, sid, self.position + t, self.frame_index + t, token))
+            if t in gates:
+                out.append(GateEvent(r, sid, self.position + t, gates[t]))
+        return out
+
+    def lines(self) -> list[str]:
+        head, gates = f"{self.round_index} {self.stream_id}", dict(self.gates)
+        out = []
+        for t, token in enumerate(self.token_ids):
+            position = self.position + t
+            out.append(f"TOKEN {head} {position} {self.frame_index + t} {token}")
+            if t in gates:
+                out.append(f"GATE {head} {position} {gates[t]!r}")
+        return out
+
+
+class BarrierNotes(NamedTuple):
+    """The notes one stream published at one barrier: a NOTE line each.
+
+    A stream's versions count up by one per publish, so note i has version
+    first_version + i.
+    """
+
+    round_index: int
+    stream_id: int
+    positions: tuple[int, ...]
+    first_version: int
+
+    def events(self) -> list[NoteEvent]:
+        return [NoteEvent(self.round_index, self.stream_id, p, self.first_version + i) for i, p in enumerate(self.positions)]
+
+    def lines(self) -> list[str]:
+        head = f"NOTE {self.round_index} {self.stream_id}"
+        return [f"{head} {p} {self.first_version + i}" for i, p in enumerate(self.positions)]
+
+
+# A record stands for one trace line (an event) or for a group of them.
+TraceRecord = StrideTokens | BarrierNotes | TraceEvent
+_GROUPS = (StrideTokens, BarrierNotes)
 
 
 @dataclass
@@ -260,7 +322,7 @@ def step_stream(
     note_event: bool,
     base_gate: float,
     h_adapted: np.ndarray | None,
-) -> list[TraceRecord]:
+) -> StrideTokens:
     """Decode one stride of a stream against its frozen sibling rows.
 
     Takes up to stride_b frames from the stream's cursor.  One gate
@@ -272,9 +334,10 @@ def step_stream(
     sibling rows, one readout into logit biases, and an argmax per row.
     base_gate is the artifact's logistic(gamma), which run_parallel computes
     once; the controller clamps it under its schedule.  A last per-token
-    pass logs the tokens, emits events and asks the cadence about each
+    pass marks where the gate changes and asks the cadence about each
     position.  Emissions are queued in pending_notes; nothing touches the
-    bus until the caller's barrier.
+    bus until the caller's barrier.  Returns the stride's one trace record,
+    which holds its TOKEN and GATE lines.
     """
     frames = artifact.streams[state.stream_id]
     block = _next_block(state, artifact, config)
@@ -313,13 +376,12 @@ def step_stream(
     state.cursor += n
     state.tokens_decoded += n
 
-    events: list[TraceRecord] = []
+    gate_marks = []
     for t in range(n):
-        frame, position, gate = first + t, base + t, gates[t]
+        gate = gates[t]
         state.tokens_since_own_note += 1
-        events.append(TokenEvent(round_index, state.stream_id, position, frame, tokens[t]))
         if state.last_gate_value is None or gate != state.last_gate_value:
-            events.append(GateEvent(round_index, state.stream_id, position, gate))
+            gate_marks.append((t, gate))
             state.last_gate_value = gate
 
         signals = None
@@ -332,13 +394,14 @@ def step_stream(
             )
         emit = next_emission(config.cadence, seed, state.stream_id, decoded + t + 1, signals)
         if emit and present[t]:
+            frame = first + t
             emb = frames.note_embeddings[frame]
             if config.note_noise_scale > 0.0:
                 noise = normal_array(seed, DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note))
                 emb = emb + config.note_noise_scale * noise
-            state.pending_notes.append((emb, position))
+            state.pending_notes.append((emb, base + t))
             state.tokens_since_own_note = 0
-    return events
+    return StrideTokens(round_index, state.stream_id, base, first, tuple(tokens), tuple(gate_marks))
 
 
 def check_and_rollback(
@@ -401,14 +464,18 @@ def check_and_rollback(
 
 @dataclass
 class DecodeTrace:
-    """Complete record of a run: config echo, event log, final bus, summary.
+    """Complete record of a run: config echo, trace records, final bus, summary.
 
-    A trace is not modified after run_parallel returns, so its rendering is
-    built once and shared by trace_hash and write.
+    records holds the body of the trace in line order: StrideTokens and
+    BarrierNotes for the TOKEN, GATE and NOTE lines of a decode, and one
+    event per ROLLBACK and SNAPSHOT line.  A caller may also pass one
+    event per line throughout.  A trace is not modified after run_parallel
+    returns, so its rendering is built once and shared by trace_hash and
+    write.
     """
 
     config_line: str
-    events: list[TraceRecord]
+    records: list[TraceRecord]
     bus_lines: list[str]
     token_logs: tuple[tuple[int, ...], ...]
     committed: tuple[int, ...]
@@ -417,16 +484,32 @@ class DecodeTrace:
 
     def to_lines(self) -> list[str]:
         lines = ["PDTTRACE v1", self.config_line]
-        lines.extend(ev.line() for ev in self.events)
+        for r in self.records:
+            if isinstance(r, _GROUPS):
+                lines.extend(r.lines())
+            else:
+                lines.append(r.line())
         lines.extend(self.bus_lines)
         n_tokens = sum(len(t) for t in self.token_logs)
-        n_rollbacks = sum(1 for e in self.events if isinstance(e, RollbackEvent))
-        n_notes = sum(1 for e in self.events if isinstance(e, NoteEvent))
         lines.append(
             f"SUMMARY streams={len(self.token_logs)} tokens={n_tokens} "
-            f"rollbacks={n_rollbacks} notes={n_notes} forced_commits={self.forced_commits}"
+            f"rollbacks={len(self.rollback_events())} notes={self.note_count()} forced_commits={self.forced_commits}"
         )
         return lines
+
+    @cached_property
+    def events(self) -> list[TraceEvent]:
+        """One event per TOKEN, GATE, NOTE, ROLLBACK and SNAPSHOT line, in line order.
+
+        Expanded from the records on first use; nothing in the package reads it.
+        """
+        events: list[TraceEvent] = []
+        for r in self.records:
+            if isinstance(r, _GROUPS):
+                events.extend(r.events())
+            else:
+                events.append(r)
+        return events
 
     @cached_property
     def _bytes(self) -> bytes:
@@ -441,7 +524,17 @@ class DecodeTrace:
             fh.write(self._bytes)
 
     def rollback_events(self) -> list[RollbackEvent]:
-        return [e for e in self.events if isinstance(e, RollbackEvent)]
+        return [r for r in self.records if isinstance(r, RollbackEvent)]
+
+    def note_count(self) -> int:
+        """The number of NOTE lines, counted from the records."""
+        notes = 0
+        for r in self.records:
+            if isinstance(r, BarrierNotes):
+                notes += len(r.positions)
+            elif isinstance(r, NoteEvent):
+                notes += 1
+        return notes
 
     @cached_property
     def rollback_states(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
@@ -451,12 +544,14 @@ class DecodeTrace:
         """
         logs: list[list[int]] = [[] for _ in self.token_logs]
         states = []
-        for e in self.events:
-            if isinstance(e, TokenEvent):
-                logs[e.stream_id].append(e.token_id)
-            elif isinstance(e, RollbackEvent):
-                del logs[e.stream_id][e.rolled_back_to:]
-                states.append((e.stream_id, e.rolled_back_to, tuple(logs[e.stream_id])))
+        for r in self.records:
+            if isinstance(r, StrideTokens):
+                logs[r.stream_id].extend(r.token_ids)
+            elif isinstance(r, TokenEvent):
+                logs[r.stream_id].append(r.token_id)
+            elif isinstance(r, RollbackEvent):
+                del logs[r.stream_id][r.rolled_back_to:]
+                states.append((r.stream_id, r.rolled_back_to, tuple(logs[r.stream_id])))
         return tuple(states)
 
 
@@ -495,7 +590,7 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
         lag=config.read_delta,
     )
     states = make_stream_states(artifact, config)
-    events: list[TraceRecord] = []
+    records: list[TraceRecord] = []
     round_index = 0
     no_rows = np.zeros((0, artifact.d_note))
     lengths = artifact.lengths()
@@ -513,29 +608,30 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
         for s in decoding:
             rows, newest = (no_rows, {}) if view is None else stack_sibling_rows(view, s.stream_id)
             note_event = _note_event(s, newest)
-            events.extend(
+            records.append(
                 step_stream(s, artifact, config, round_index, rows, note_event, base_gate, adapted.pop(s.stream_id, None))
             )
 
         published = False
         for s in states:
-            for emb, pos in s.pending_notes:
-                events.append(NoteEvent(round_index, s.stream_id, pos, bus.publish(s.stream_id, emb, pos)))
+            if s.pending_notes:
+                versions = [bus.publish(s.stream_id, emb, pos) for emb, pos in s.pending_notes]
+                records.append(BarrierNotes(round_index, s.stream_id, tuple(pos for _, pos in s.pending_notes), versions[0]))
                 published = True
             s.pending_notes.clear()
         for s in states:
             rb = check_and_rollback(s, artifact, config, round_index)
             if rb is not None:
                 bus.tombstone_after(s.stream_id, rb.rolled_back_to)
-                events.append(rb)
+                records.append(rb)
         if published:
             clock = max(s.position for s in states)
-            events.append(SnapshotEvent(round_index, bus.snapshot(), clock))
+            records.append(SnapshotEvent(round_index, bus.snapshot(), clock))
         round_index += 1
 
     return DecodeTrace(
         config_line=_config_line(artifact, config),
-        events=events,
+        records=records,
         bus_lines=bus.dump_lines(),
         token_logs=tuple(tuple(s.token_log) for s in states),
         committed=tuple(s.committed_prefix for s in states),

@@ -37,16 +37,18 @@ def as_vector(a: object, name: str = "array") -> np.ndarray:
     return v
 
 
-def row_softmax(m: Matrix, scale: float = 1.0) -> Matrix:
+def row_softmax(m: Matrix, scale: float = 1.0, out: Matrix | None = None) -> Matrix:
     """Row-wise softmax of scale * m, stabilized by the row maximum.
 
     Rows always sum to 1; a constant row maps to the uniform distribution.
-    Works in place on one scaled copy of m, so a block costs one temporary.
+    The result is built in out, numpy's idiom: out=m scales, exponentiates
+    and normalises m in place and allocates no block; by default it goes to
+    one new array.  Either way the bits are the same.
     """
     m = as_matrix(m, "m")
     if m.shape[1] == 0:
         raise ShapeError("softmax over zero columns is undefined")
-    z = m * float(scale)
+    z = np.multiply(m, float(scale), out=out)
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)

@@ -158,8 +158,8 @@ def attend_notes(h: Matrix, notes: Matrix, params: SncParams) -> Matrix:
         raise ShapeError("attend_notes requires at least one note row")
     with np.errstate(invalid="ignore", over="ignore"):  # row_softmax raises for what these would warn about
         scores = (h @ params.w_qk) @ notes.T
-    attn = row_softmax(scores, scale=1.0 / math.sqrt(params.d_attn))
-    return (attn @ notes) @ params.w_vo
+    row_softmax(scores, scale=1.0 / math.sqrt(params.d_attn), out=scores)  # the block is this call's own
+    return (scores @ notes) @ params.w_vo
 
 
 def snc_attend(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .cadence import CadenceConfig
-from .decode import DecodeConfig, NoteEvent, RollbackEvent, TokenEvent, run_parallel
+from .decode import DecodeConfig, run_parallel
 from .errors import ConfigError
 from .replay import ReplayArtifact
 
@@ -53,8 +53,8 @@ def cadence_sweep(
                         interval_m=m,
                         stride_b=b,
                         tokens=sum(len(t) for t in trace.token_logs),
-                        notes=sum(1 for e in trace.events if isinstance(e, NoteEvent)),
-                        rollbacks=sum(1 for e in trace.events if isinstance(e, RollbackEvent)),
+                        notes=trace.note_count(),
+                        rollbacks=len(trace.rollback_events()),
                         trace_hash=trace.trace_hash(),
                     )
                 )
@@ -91,7 +91,8 @@ def mask_ablation(
     """
     base_cfg = replace(config, record_margins=True, masked_strides=frozenset())
     baseline = run_parallel(artifact, base_cfg)
-    n_rounds = max((e.round_index + 1 for e in baseline.events if isinstance(e, TokenEvent)), default=0)
+    # The records are in round order, and every round decodes a stride.
+    n_rounds = baseline.records[-1].round_index + 1 if baseline.records else 0
     chosen = strides if strides is not None else tuple(range(n_rounds))
     outside = [s for s in chosen if not 0 <= s < n_rounds]
     if outside:
@@ -145,7 +146,7 @@ def noise_stress(
             NoiseStressRow(
                 noise_scale=float(scale),
                 tokens=sum(len(t) for t in trace.token_logs),
-                notes=sum(1 for e in trace.events if isinstance(e, NoteEvent)),
+                notes=trace.note_count(),
                 rollbacks=len(trace.rollback_events()),
                 forced_commits=trace.forced_commits,
                 trace_hash=trace.trace_hash(),

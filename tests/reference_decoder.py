@@ -257,7 +257,7 @@ def reference_decode(
 
     trace = DecodeTrace(
         config_line=_config_line(artifact, config),
-        events=events,
+        records=events,
         bus_lines=bus.dump(),
         token_logs=tuple(tuple(s.log) for s in streams),
         committed=tuple(s.committed for s in streams),

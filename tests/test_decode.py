@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -14,16 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_hashes import CASES as GOLDEN_CASES
 
-from pdtcoord import decode
+from pdtcoord import cli, decode
 from pdtcoord.cadence import CadenceConfig
 from pdtcoord.decode import (
     MAX_RECONSUME_ATTEMPTS,
+    BarrierNotes,
     DecodeConfig,
+    DecodeTrace,
     GateEvent,
     NoteEvent,
     RollbackEvent,
     SnapshotEvent,
     StreamState,
+    StrideTokens,
     TokenEvent,
     _config_line,
     _note_event,
@@ -34,7 +38,7 @@ from pdtcoord.decode import (
 )
 from pdtcoord.errors import ConfigError
 from pdtcoord.notebus import NotesBus, stack_sibling_rows
-from pdtcoord.replay import SynthSpec, synthesize_artifact
+from pdtcoord.replay import SynthSpec, synthesize_artifact, write_artifact
 from pdtcoord.snc import GateState, apply_adapter
 
 
@@ -73,9 +77,9 @@ def test_closed_gate_row_of_a_stride_adds_no_bias():
     state.gate_state = GateState(g_min=0.0, warmup_tokens=4)
     rows = art.streams[1].note_embeddings[:3]
     h_adapted = apply_adapter(art.streams[0].hidden[:8], art.adapter)
-    events = step_stream(state, art, cfg, 0, rows, True, art.snc.gate_value(), h_adapted)
-    gates = [e.value for e in events if isinstance(e, GateEvent)]
-    assert gates[0] == 0.0 and gates[1] > 0.0
+    record = step_stream(state, art, cfg, 0, rows, True, art.snc.gate_value(), h_adapted)
+    offsets, gates = zip(*record.gates)
+    assert offsets[:2] == (0, 1) and gates[0] == 0.0 and gates[1] > 0.0
     logits = art.streams[0].logits[:8]
     raw = np.sort(logits, axis=1)
     raw_margins = raw[:, -1] - raw[:, -2]
@@ -136,17 +140,29 @@ def test_rollback_state_matches_replay_prefix():
         assert trace.token_logs[sid][: len(log)] == log
 
 
+def peak_bytes(spec: SynthSpec) -> tuple[DecodeTrace, int]:
+    """A BASE decode of spec's artifact, and the tracemalloc peak of the memory it allocated.
+
+    A full collection first empties CPython's free lists, so each decode
+    starts from the same allocator state: an object taken from a free list
+    is not an allocation tracemalloc sees, and what an earlier decode left
+    there would otherwise hide part of the next one's peak.
+    """
+    art = synthesize_artifact(spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = run_parallel(art, BASE)
+        return trace, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_rollback_states_are_replayed_from_the_written_records(tmp_path):
     # 4 streams x 2,048 frames with a divergence every 100 frames: 80 rollbacks.
     def decode_traced(divergences):
         spec = SynthSpec(n_streams=4, length=2048, vocab_size=64, d=16, d_note=8, seed=1, planted_divergences=divergences)
-        art = synthesize_artifact(spec)
-        tracemalloc.start()
-        try:
-            trace = run_parallel(art, BASE)
-            return trace, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(spec)
 
     trace, peak = decode_traced(tuple((k, p) for k in range(4) for p in range(50, 2048, 100)))
     _, calm_peak = decode_traced(())
@@ -166,6 +182,78 @@ def test_rollback_states_are_replayed_from_the_written_records(tmp_path):
     assert trace.rollback_states == tuple(replayed)
     # No copy of a token log per rollback: the peak stays near a run without rollbacks.
     assert peak <= 1.1 * calm_peak, (peak, calm_peak)
+
+
+def test_decode_memory_grows_by_a_bounded_amount_per_token():
+    # The trace keeps one record per stream and stride, so a decode 4x as long
+    # costs at most 96 bytes more per extra decoded token; a record per token
+    # cost 183.
+    def decode_traced(length):
+        return peak_bytes(SynthSpec(n_streams=4, length=length, vocab_size=64, d=16, d_note=8, seed=1))
+
+    short, short_peak = decode_traced(2048)
+    long, long_peak = decode_traced(8192)
+    extra = sum(map(len, long.token_logs)) - sum(map(len, short.token_logs))
+    assert extra == 4 * 6144
+    assert (long_peak - short_peak) / extra <= 96, (short_peak, long_peak)
+
+
+def parse_trace_events(path) -> list:
+    """The event of every TOKEN, GATE, NOTE, ROLLBACK and SNAPSHOT line of a written trace, in order."""
+    events = []
+    for line in path.read_text().splitlines():
+        kind, *f = line.split(" ")
+        if kind == "TOKEN":
+            events.append(TokenEvent(*map(int, f)))
+        elif kind == "GATE":
+            events.append(GateEvent(int(f[0]), int(f[1]), int(f[2]), float(f[3])))
+        elif kind == "NOTE":
+            events.append(NoteEvent(*map(int, f)))
+        elif kind == "ROLLBACK":
+            r, sid, trigger, target, low, pages = f
+            events.append(RollbackEvent(int(sid), int(trigger), int(target), float(low), int(pages), int(r)))
+        elif kind == "SNAPSHOT":
+            events.append(SnapshotEvent(*map(int, f)))
+    return events
+
+
+@pytest.mark.parametrize("case_id, build, config", [c[:3] for c in GOLDEN_CASES], ids=[c[0] for c in GOLDEN_CASES])
+def test_events_are_the_written_lines(case_id, build, config, tmp_path):
+    # The written file is the oracle: events expands the records to one event per line.
+    trace = run_parallel(build(), config)
+    path = tmp_path / "run.trace"
+    trace.write(str(path))
+    expected = parse_trace_events(path)
+    assert len(trace.events) == len(expected)
+    for event, parsed in zip(trace.events, expected):
+        assert type(event) is type(parsed)
+        for name in event._fields:
+            assert getattr(event, name) == getattr(parsed, name), (event, parsed)
+
+
+def test_reading_a_trace_builds_no_events(tmp_path, capsys):
+    art = small_artifact()
+    trace = run_parallel(art, BASE)
+    trace.trace_hash()
+    trace.write(str(tmp_path / "run.trace"))
+    assert trace.rollback_states and trace.rollback_events()
+    assert "events" not in vars(trace)
+    # The CLI's replay path reads the same trace.
+    write_artifact(art, str(tmp_path / "a.pdtr"))
+    traces = []
+
+    def kept(*args):
+        traces.append(run_parallel(*args))
+        return traces[-1]
+
+    with mock.patch.object(cli, "run_parallel", kept):
+        argv = ["replay", "--artifact", str(tmp_path / "a.pdtr"), "--stride-b", "8", "--horizon-l", "8"]
+        assert cli.main([*argv, "--out", str(tmp_path / "cli.trace")]) == 0
+    assert f"trace_hash: {trace.trace_hash()}" in capsys.readouterr().out
+    assert (tmp_path / "cli.trace").read_bytes() == (tmp_path / "run.trace").read_bytes()
+    assert "events" not in vars(traces[0])
+    # Built on first use and then kept.
+    assert trace.events is trace.events and "events" in vars(trace)
 
 
 def test_rollback_tombstones_span_notes():
@@ -430,17 +518,23 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
 
 
 @pytest.mark.parametrize(
-    "event",
+    "record",
     [TokenEvent(0, 1, 2, 3, 4), GateEvent(0, 1, 2, 0.5), NoteEvent(0, 1, 2, 3), SnapshotEvent(0, 1, 2),
-     RollbackEvent(1, 9, 8, 0.25, 1, 0)],
-    ids=lambda e: type(e).__name__,
+     RollbackEvent(1, 9, 8, 0.25, 1, 0), StrideTokens(0, 1, 2, 3, (4, 5, 6), ((0, 0.5), (2, 0.25))),
+     BarrierNotes(0, 1, (2, 6), 3)],
+    ids=lambda r: type(r).__name__,
 )
-def test_trace_records_are_immutable(event):
-    line = event.line()
-    for name in event._fields:
+def test_trace_records_are_immutable(record):
+    def lines():
+        return record.lines() if isinstance(record, (StrideTokens, BarrierNotes)) else [record.line()]
+
+    before = lines()
+    for name in record._fields:
         with pytest.raises(AttributeError):
-            setattr(event, name, 7)
-    assert event.line() == line
+            setattr(record, name, 7)
+    assert lines() == before
+    trace = DecodeTrace("CONFIG", [record], [], (), (), 0)
+    assert [e.line() for e in trace.events] == before
 
 
 def test_run_parallel_reads_the_bus_once_per_unmasked_stride():
@@ -540,3 +634,27 @@ def test_commits_are_final_and_rollbacks_stay_within_the_horizon(case):
         for ev in trace.events:
             if isinstance(ev, (TokenEvent, RollbackEvent)) and ev.stream_id == sid and ev.round_index > round_index:
                 assert (ev.position if isinstance(ev, TokenEvent) else ev.rolled_back_to) >= len(prefix)
+
+
+def artifact_arrays(artifact) -> dict[str, np.ndarray]:
+    arrays = {"readout": artifact.readout}
+    for group in ("adapter", "snc", "agreement"):
+        for name, value in vars(getattr(artifact, group)).items():
+            if isinstance(value, np.ndarray):
+                arrays[f"{group}.{name}"] = value
+    for k, frames in enumerate(artifact.streams):
+        arrays.update({f"stream[{k}].{name}": value for name, value in vars(frames).items()})
+    return arrays
+
+
+def test_adaptive_cadence_decode_leaves_a_writable_artifact_unchanged():
+    # The adaptive softmax may read a view of the artifact's logits, so it
+    # must not be built in place; note attention's in-place one owns its block.
+    _, build, config, expected, _ = next(c for c in GOLDEN_CASES if c[0] == "adaptive_cadence")
+    art = build()
+    arrays = artifact_arrays(art)
+    assert all(a.flags.writeable for name, a in arrays.items() if name.startswith("stream["))
+    before = {name: a.tobytes() for name, a in arrays.items()}
+    hashes = [run_parallel(art, config).trace_hash() for _ in range(2)]
+    assert {name: a.tobytes() for name, a in arrays.items()} == before
+    assert hashes == [expected, expected]

@@ -40,6 +40,33 @@ def test_row_softmax_scale():
     assert sharp[0, 1] > 0.999
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 300),
+    scale=st.sampled_from([1e-3, 0.25, 1.0, 1.0 / math.sqrt(3.0), 50.0]),
+    spread=st.sampled_from([1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_row_softmax_in_place_has_the_copying_bits(rows, cols, scale, spread, seed):
+    m = np.random.default_rng(seed).standard_normal((rows, cols)) * spread
+    want = row_softmax(m, scale)
+    block = m.copy()
+    got = row_softmax(block, scale, out=block)
+    assert got is block
+    assert want.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_row_softmax_refuses_non_finite_scores_in_either_form(bad):
+    m = np.ones((3, 4))
+    m[1, 2] = bad
+    for out in (None, m):
+        with pytest.raises(ValueError, match="non-finite"):
+            row_softmax(m, 0.5, out=out)
+        assert np.array_equal(m[1], [1.0, 1.0, bad, 1.0], equal_nan=True)
+
+
 def test_layer_norm_moments():
     m = normal_matrix(3, 9, 5, 6, 32) * 4 + 7
     out = layer_norm(m)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
-from pdtcoord.decode import DecodeConfig, run_parallel
+from pdtcoord.decode import DecodeConfig, DecodeTrace, run_parallel
 from pdtcoord.errors import ConfigError
 from pdtcoord.replay import SynthSpec, synthesize_artifact
 from pdtcoord.sweeps import cadence_sweep, mask_ablation, noise_stress
@@ -90,3 +92,15 @@ def test_noise_stress_validation(artifact):
         noise_stress(artifact, CFG, scales=(-0.1,))
     with pytest.raises(ConfigError):
         noise_stress(artifact, CFG, scales=(float("nan"),))
+
+
+def test_sweeps_build_no_per_line_events(artifact):
+    # Each sweep counts from the trace records; expanding them would rebuild an event per line.
+    def refuse(trace):
+        raise AssertionError("a sweep expanded trace.events")
+
+    live = DecodeConfig(stride_b=8, horizon_l=8, agreement_mode="live")
+    with mock.patch.object(DecodeTrace, "events", property(refuse)):
+        assert cadence_sweep(artifact, CFG, intervals=(2,), strides=(8,))
+        assert noise_stress(artifact, live, scales=(0.0, 0.5))
+        assert mask_ablation(artifact, CFG)
