@@ -27,7 +27,7 @@ from .errors import ConfigError, as_float, as_int
 from .kernels import logistic, row_softmax
 from .memmodel import pages_touched
 from .notebus import BUS_CAPACITY, BUS_RETAIN_K, NotesBus, stack_sibling_rows
-from .replay import ReplayArtifact
+from .replay import ReplayArtifact, overwrite
 from .rng import DOMAIN_NOISE, normal_array
 from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_controller_step
 
@@ -520,8 +520,7 @@ class DecodeTrace:
 
     def write(self, path: str) -> None:
         # Binary mode writes exactly the hashed bytes on every platform.
-        with open(path, "wb") as fh:
-            fh.write(self._bytes)
+        overwrite(path, (self._bytes,))
 
     def rollback_events(self) -> list[RollbackEvent]:
         return [r for r in self.records if isinstance(r, RollbackEvent)]

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -30,6 +32,7 @@ MAGIC = b"PDTR1"
 _MAX_DIM = 1 << 20
 _MAX_LEN = 1 << 24
 _MAX_SEED = (1 << 64) - 1
+_U32, _U64, _F64 = struct.Struct("<I"), struct.Struct("<Q"), struct.Struct("<d")
 
 # The file layout after MAGIC, little-endian: the u32 header fields below
 # with their allowed ranges, the u64 seed, the f64 scalars below, one u32
@@ -296,56 +299,101 @@ def write_artifact(artifact: ReplayArtifact, path: str) -> None:
     ]
     arrays = [(a, "<f8") for a in _WEIGHT_ARRAYS(artifact)]
     arrays += [(getattr(frames, name), dtype) for frames in artifact.streams for name, _, dtype in _FRAMES]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-        for a, dtype in arrays:  # each array's own buffer, so a write copies no array
-            fh.write(np.ascontiguousarray(a, dtype=dtype).data)
+    # Each array's own buffer, so a write copies no array.
+    overwrite(path, [b"".join(parts), *(np.ascontiguousarray(a, dtype=dtype).data for a, dtype in arrays)])
+
+
+def overwrite(path: str, chunks: Iterable[bytes | memoryview]) -> None:
+    """Write chunks to path in order, so that the file holds exactly their bytes.
+
+    An existing file is written over in place and then cut to the new length,
+    not truncated to zero first: on ext4 (auto_da_alloc), a file truncated to
+    zero is flushed when it is closed, which costs several times the write.
+    Only a regular file is cut, so os.devnull, a FIFO or a terminal work too.
+    """
+    with open(path, "wb", opener=_without_truncation) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()  # at the current position, after a flush
+
+
+def _without_truncation(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 class _Reader:
     """Reads an artifact file in order, each array straight into its own aligned, read-only array.
 
-    Not views of one buffer: numpy rounds a matmul of an unaligned view differently.
+    Not views of one buffer: numpy rounds a matmul of an unaligned view
+    differently.  A float array is not scanned here: the constructor that
+    takes it scans it once, and first_non_finite finds what it refused.
     """
 
     def __init__(self, fh: BinaryIO) -> None:
         self.fh = fh
         self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
+        self.floats: list[tuple[int, str, np.ndarray]] = []  # (offset, name, array) of each float array read
+        self.scalar_offsets: dict[str, int] = {}
 
-    def advance(self, n: int, what: str) -> None:
-        if self.off + n > self.size:
-            raise ArtifactFormatError(f"truncated while reading {what}", offset=self.off)
+    def advance(self, n: int, what: str) -> int:
+        """Claim the next n bytes for what, before they are read; returns their offset."""
+        start = self.off
+        if start + n > self.size:
+            raise ArtifactFormatError(f"truncated while reading {what}", offset=start)
         self.off += n
+        return start
+
+    def check_read(self, got: int, n: int, what: str, start: int) -> None:
+        """A read that returned fewer bytes than the file's size promised is a truncation too."""
+        if got != n:
+            raise ArtifactFormatError(f"truncated while reading {what}", offset=start)
 
     def take(self, n: int, what: str) -> bytes:
-        self.advance(n, what)
-        return self.fh.read(n)
+        start = self.advance(n, what)
+        data = self.fh.read(n)
+        self.check_read(len(data), n, what, start)
+        return data
 
     def u32(self, what: str, lo: int, hi: int) -> int:
         """A u32 in [lo, hi]; one out of range is reported at its own offset."""
         start = self.off
-        val = struct.unpack("<I", self.take(4, what))[0]
+        val = _U32.unpack(self.take(4, what))[0]
         if not lo <= val <= hi:
             raise ArtifactFormatError(f"{what}={val} out of range", offset=start)
         return val
 
+    def f64(self, what: str) -> float:
+        """A finite f64 scalar; a non-finite one is reported at its own offset."""
+        start = self.scalar_offsets[what] = self.off
+        val = _F64.unpack(self.take(8, what))[0]
+        if not math.isfinite(val):
+            raise ArtifactFormatError(f"non-finite value in {what}", offset=start)
+        return val
+
     def array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
-        """Finite float64s ("<f8") or 0/1 bytes as bools ("<u1"); a bad entry is reported at its own offset."""
-        start, size = self.off, np.dtype(dtype).itemsize
-        self.advance(size * math.prod(shape), what)  # before the array is allocated
+        """Float64s ("<f8"), unscanned, or 0/1 bytes as bools ("<u1"), a bad one reported at its own offset."""
+        n = np.dtype(dtype).itemsize * math.prod(shape)
+        start = self.advance(n, what)  # before the array is allocated
         arr = np.empty(shape, dtype)
-        self.fh.readinto(arr)
-        if dtype == "<u1":
-            bad = arr > 1
-            problem = f"{what} entries must be 0 or 1"
-        else:
-            bad = ~np.isfinite(arr)
-            problem = f"non-finite value in {what}"
+        self.check_read(self.fh.readinto(arr), n, what, start)
+        arr.setflags(write=False)
+        if dtype == "<f8":
+            self.floats.append((start, what, arr))
+            return arr
+        bad = arr > 1
         if bad.any():
-            raise ArtifactFormatError(problem, offset=start + size * int(bad.argmax()))
-        arr.flags.writeable = False
-        return arr.view(bool) if dtype == "<u1" else arr
+            raise ArtifactFormatError(f"{what} entries must be 0 or 1", offset=start + int(bad.argmax()))
+        return arr.view(bool)
+
+    def first_non_finite(self) -> ArtifactFormatError | None:
+        """The error for the first non-finite entry of the float arrays read so far, in file order, if any."""
+        for start, what, arr in self.floats:
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                return ArtifactFormatError(f"non-finite value in {what}", offset=start + 8 * int(bad.argmax()))
+        return None
 
 
 def read_artifact(path: str) -> ReplayArtifact:
@@ -353,38 +401,51 @@ def read_artifact(path: str) -> ReplayArtifact:
 
     Malformed input raises ArtifactFormatError carrying the byte offset of
     the failure; trailing bytes after the last array are also an error.
+    Each float array is scanned for finiteness once, by the constructor that
+    takes it.  Whatever stops a read, a non-finite entry of an array read
+    before it is reported first, so the error is always the first problem in
+    file order.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh)
-        magic = r.take(len(MAGIC), "magic")
-        if magic != MAGIC:
-            raise ArtifactFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-        head = {name: r.u32(f"header field {name}", lo, hi) for name, lo, hi in _HEADER}
-        seed = struct.unpack("<Q", r.take(8, "seed"))[0]
-        fields: dict[str | None, dict[str, object]] = {owner: {} for owner in (None, *_PARAMS)}
-        scalar_offsets: dict[str, int] = {}
-        for owner, names in _SCALARS.items():
-            for name in names:
-                scalar_offsets[name] = r.off
-                fields[owner][name] = float(r.array((), "<f8", name))
-        lengths = [r.u32(f"length[{k}]", 0, _MAX_LEN) for k in range(head.pop("n_streams"))]
-        weight_shapes, frame_widths = _shapes(tuple(head.values()))
         try:
-            for (owner, name, _), shape in zip(_WEIGHTS, weight_shapes):
-                fields[owner][name] = r.array(shape, "<f8", name)
-            for owner, params in _PARAMS.items():
-                fields[None][owner] = params(**fields[owner])
-            streams = []
-            for k, t in enumerate(lengths):
-                frames = {
-                    name: r.array((t, *widths), dtype, f"stream[{k}].{name}")
-                    for (name, _, dtype), widths in zip(_FRAMES, frame_widths)
-                }
-                streams.append(StreamFrames(**frames))
-        except (ConfigError, ShapeError) as exc:
+            artifact = _parse(r)
+        except (ArtifactFormatError, ConfigError, ShapeError, ValueError) as exc:
+            bad = r.first_non_finite()
+            if bad is not None:
+                raise bad from exc
+            if isinstance(exc, ArtifactFormatError):
+                raise
             # A parameter class's refusal starts with the name of the field it refuses.
-            offset = scalar_offsets.get(str(exc).split(" ", 1)[0], r.off)
+            offset = r.scalar_offsets.get(str(exc).split(" ", 1)[0], r.off)
             raise ArtifactFormatError(f"inconsistent artifact contents: {exc}", offset=offset) from exc
     if r.off != r.size:
         raise ArtifactFormatError(f"{r.size - r.off} trailing bytes after last array", offset=r.off)
+    return artifact
+
+
+def _parse(r: _Reader) -> ReplayArtifact:
+    """The artifact in r's file, read and checked in file order up to its last array."""
+    magic = r.take(len(MAGIC), "magic")
+    if magic != MAGIC:
+        raise ArtifactFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+    head = {name: r.u32(f"header field {name}", lo, hi) for name, lo, hi in _HEADER}
+    seed = _U64.unpack(r.take(8, "seed"))[0]
+    fields: dict[str | None, dict[str, object]] = {owner: {} for owner in (None, *_PARAMS)}
+    for owner, names in _SCALARS.items():
+        for name in names:
+            fields[owner][name] = r.f64(name)
+    lengths = [r.u32(f"length[{k}]", 0, _MAX_LEN) for k in range(head.pop("n_streams"))]
+    weight_shapes, frame_widths = _shapes(tuple(head.values()))
+    for (owner, name, _), shape in zip(_WEIGHTS, weight_shapes):
+        fields[owner][name] = r.array(shape, "<f8", name)
+    for owner, params in _PARAMS.items():
+        fields[None][owner] = params(**fields[owner])
+    streams = []
+    for k, t in enumerate(lengths):
+        frames = {
+            name: r.array((t, *widths), dtype, f"stream[{k}].{name}")
+            for (name, _, dtype), widths in zip(_FRAMES, frame_widths)
+        }
+        streams.append(StreamFrames(**frames))
     return ReplayArtifact(**head, seed=seed, streams=tuple(streams), **fields[None])

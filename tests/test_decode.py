@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -331,10 +332,14 @@ def test_trace_layout_and_file_roundtrip(tmp_path):
     assert "forced_commits=0" in lines[-1]
     assert any(line.startswith("ROLLBACK ") for line in lines)
     path = tmp_path / "run.trace"
+    # Written over a longer file, which is written over in place and then cut.
+    path.write_bytes(b"x" * 10**6)
     trace.write(str(path))
     data = path.read_bytes()
     assert data == "".join(line + "\n" for line in lines).encode()
     assert hashlib.sha256(data).hexdigest() == trace.trace_hash()
+    # Not a regular file, so nothing to cut.
+    trace.write(os.devnull)
 
 
 def test_summary_counts_match_events():

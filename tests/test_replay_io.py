@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -151,9 +153,17 @@ def test_write_is_byte_stable(tmp_path):
     art = synthesize_artifact(SMALL)
     p1, p2 = tmp_path / "a.pdtr", tmp_path / "b.pdtr"
     write_artifact(art, str(p1))
+    # A write over a larger file leaves exactly the artifact's bytes: the file
+    # is written over in place and then cut to length.
+    write_artifact(synthesize_artifact(dataclasses.replace(SMALL, length=240)), str(p2))
+    larger = p2.stat().st_size
     write_artifact(art, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes()[:5] == MAGIC
+    assert p2.stat().st_size < larger
+    assert read_artifact(str(p2)).lengths() == art.lengths()
+    # Not a regular file, so nothing to cut.
+    write_artifact(art, os.devnull)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -188,22 +198,110 @@ def test_trailing_bytes_rejected(tmp_path):
         read_artifact(str(path))
 
 
-def test_nonfinite_payload_rejected(tmp_path):
-    art = synthesize_artifact(SMALL)
-    path = tmp_path / "nan.pdtr"
+def _float_arrays(art):
+    """(name, offset, entries) of each float array in art's file, in file order."""
+    offset = len(MAGIC) + 6 * 4 + 8 + 5 * 8 + 4 * art.n_streams
+    named = [(name, getattr(art if owner is None else getattr(art, owner), name)) for owner, name, _ in _WEIGHTS]
+    named += [(f"stream[{k}].{name}", getattr(frames, name)) for k, frames in enumerate(art.streams) for name, _, _ in _FRAMES]
+    arrays = []
+    for name, arr in named:
+        if arr.dtype == np.float64:
+            arrays.append((name, offset, arr.size))
+        offset += arr.nbytes
+    return arrays
+
+
+def _written(tmp_path, art, name="art.pdtr"):
+    path = tmp_path / name
     write_artifact(art, str(path))
-    clean = path.read_bytes()
-    # The last float of the file, then the five header scalars (ln_eps,
-    # gamma, b_agree, dropout_rate, tau) that follow magic, six u32 and a u64.
+    return path, path.read_bytes()
+
+
+def _with_f64(data, offset, value):
+    damaged = bytearray(data)
+    damaged[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
+    return bytes(damaged)
+
+
+def test_nonfinite_payload_rejected(tmp_path):
+    # The five header scalars (ln_eps, gamma, b_agree, dropout_rate, tau)
+    # that follow magic, six u32 and a u64, then the first, a middle and the
+    # last entry of every float array.
+    art = synthesize_artifact(SMALL)
+    path, clean = _written(tmp_path, art)
+    arrays = _float_arrays(art)
+    assert len(arrays) == len(_WEIGHTS) + 4 * art.n_streams
+    assert arrays[-1][1] + 8 * arrays[-1][2] == len(clean)
     header = len(MAGIC) + 6 * 4 + 8
-    for offset in (len(clean) - 8, *range(header, header + 5 * 8, 8)):
+    entries = [(name, header + 8 * i) for i, name in enumerate(("ln_eps", "gamma", "b_agree", "dropout_rate", "tau"))]
+    entries += [(name, start + 8 * i) for name, start, n in arrays for i in sorted({0, n // 2, n - 1})]
+    for name, offset in entries:
         for bad in (np.nan, np.inf, -np.inf):
-            data = bytearray(clean)
-            data[offset : offset + 8] = np.array([bad], dtype="<f8").tobytes()
-            path.write_bytes(bytes(data))
-            with pytest.raises(ArtifactFormatError, match="non-finite") as err:
+            path.write_bytes(_with_f64(clean, offset, bad))
+            with pytest.raises(ArtifactFormatError, match=re.escape(f"non-finite value in {name} ")) as err:
                 read_artifact(str(path))
             assert err.value.offset == offset
+
+
+def test_a_non_finite_entry_is_reported_ahead_of_a_later_problem(tmp_path):
+    # The first problem in file order is the one reported, as if each array
+    # were scanned as it is read.
+    art = synthesize_artifact(SMALL)
+    path, clean = _written(tmp_path, art)
+    at = {name: start for name, start, _ in _float_arrays(art)}
+    ln_eps = len(MAGIC) + 6 * 4 + 8
+    mask = at["stream[0].note_embeddings"] - art.streams[0].length
+    weights, all_three = ("w_q", "readout"), ("w_q", "readout", "stream[0].agreement")
+    # Each problem, and the arrays read before it: a refused scalar is found when
+    # the parameters are built, after the last weight.
+    problems = [
+        (lambda data: _with_f64(data, ln_eps, -1.0), weights),
+        (lambda data: data[:mask] + b"\x02" + data[mask + 1 :], all_three),
+        (lambda data: data[: at["stream[1].hidden"] + 4], all_three),
+        (lambda data: data + b"\x00" * 8, all_three),
+    ]
+    for damaged, earlier in problems:
+        for name in earlier:
+            path.write_bytes(damaged(_with_f64(clean, at[name] + 8, np.nan)))
+            with pytest.raises(ArtifactFormatError, match=re.escape(f"non-finite value in {name} ")) as err:
+                read_artifact(str(path))
+            assert err.value.offset == at[name] + 8
+
+
+def test_a_read_scans_each_float_array_for_finiteness_once(tmp_path, monkeypatch):
+    art = synthesize_artifact(SMALL)
+    path, _ = _written(tmp_path, art)
+    scanned = []
+    isfinite = np.isfinite
+
+    def counting(a, *args, **kwargs):
+        scanned.append(np.shape(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    read_artifact(str(path))
+    assert len(scanned) == len(_float_arrays(art)), scanned
+
+
+def test_a_read_shorter_than_the_files_size_is_a_truncation(tmp_path, monkeypatch):
+    # fstat overstates the size, as for a file cut while it is read: the short
+    # read itself is refused, at the offset of the field it cut.
+    art = synthesize_artifact(SMALL)
+    path, clean = _written(tmp_path, art)
+    readout = {name: start for name, start, _ in _float_arrays(art)}["readout"]
+    fstat = os.fstat
+
+    def larger(fd):
+        st = fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 4096, *st[7:10]))
+
+    for cut, what, offset in ((len(MAGIC) + 2, "header field vocab_size", len(MAGIC)), (readout + 12, "readout", readout)):
+        path.write_bytes(clean[:cut])
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "fstat", larger)
+            with pytest.raises(ArtifactFormatError, match=re.escape(f"truncated while reading {what} ")) as err:
+                read_artifact(str(path))
+        assert err.value.offset == offset
 
 
 def test_out_of_range_scalar_reported_at_its_offset(tmp_path):
