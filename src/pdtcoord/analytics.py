@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, as_float, as_int
-from .rng import DOMAIN_ERRSIM, uniform_array
+from .rng import DOMAIN_ERRSIM, uniform
 
 
 def stale_rollback_bound(horizon_l: int, epsilon: float) -> float:
@@ -137,11 +137,11 @@ def simulate_clustered_rollback(config: ClusterSimConfig) -> ClusteredSimResult:
     trials = np.arange(config.trials, dtype=np.uint64)[:, None]
     positions = np.arange(l, dtype=np.uint64)[None, :]
 
-    u_ind = uniform_array(config.seed, DOMAIN_ERRSIM, 0, trials, positions)
+    u_ind = uniform(config.seed, DOMAIN_ERRSIM, 0, trials, positions)
     err_ind = u_ind < q
     counts_ind = err_ind.sum(axis=1)
 
-    u_cl = uniform_array(config.seed, DOMAIN_ERRSIM, 1, trials, positions)
+    u_cl = uniform(config.seed, DOMAIN_ERRSIM, 1, trials, positions)
     p01 = config.entry_rate()
     state = u_cl[:, 0] < q
     counts_cl = state.astype(np.int64)

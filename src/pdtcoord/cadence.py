@@ -5,13 +5,17 @@ deterministic (every M tokens), stochastic (Bernoulli 1/M per token,
 geometric inter-arrivals with mean M), and adaptive (the per-token
 probability is modulated by decode-context signals, bounded to
 [M_MIN, M_MAX] times the base rate).  Draws are keyed by (seed, stream,
-position), so any position can be asked in any order.
+position), so any position can be asked in any order, and the first two
+modes answer a run of positions at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal, get_args
+
+import numpy as np
 
 from .errors import ConfigError, as_int
 from .rng import DOMAIN_CADENCE, uniform
@@ -89,3 +93,21 @@ def next_emission(
     if config.mode == "adaptive":
         p = min(1.0, p * modulation_factor(signals or ContextSignals()))
     return uniform(seed, DOMAIN_CADENCE, stream_id, position) < p
+
+
+def emitting_offsets(config: CadenceConfig, seed: int, stream_id: int, position: int, n: int) -> Sequence[int]:
+    """The offsets t in [0, n) at which next_emission says yes for position + t.
+
+    Deterministic mode is range arithmetic, and stochastic mode draws all n
+    positions at once.  Adaptive mode's signals change token by token, so it
+    is asked one position at a time through next_emission.
+    """
+    n = as_int(n, "n")
+    if n < 0:
+        raise ConfigError(f"n must be non-negative, got {n}")
+    if config.mode == "deterministic":
+        return range(-position % config.interval_m, n, config.interval_m)
+    if config.mode == "adaptive":
+        raise ConfigError("adaptive cadence depends on per-token signals; ask next_emission")
+    u = uniform(seed, DOMAIN_CADENCE, stream_id, np.arange(position, position + n))
+    return np.flatnonzero(u < 1.0 / config.interval_m).tolist()

@@ -22,7 +22,7 @@ from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
-from .cadence import CadenceConfig, ContextSignals, next_emission
+from .cadence import CadenceConfig, ContextSignals, emitting_offsets, next_emission
 from .errors import ConfigError, as_float, as_int
 from .kernels import logistic, row_softmax
 from .memmodel import pages_touched
@@ -226,7 +226,10 @@ class StreamState:
     """Mutable decode state of one stream; only the decode loop mutates it.
 
     tokens_decoded counts every decoded token, rolled-back ones included; it
-    numbers the positions the cadence is asked about.
+    numbers the positions the cadence is asked about.  tokens_since_own_note
+    is the note age that adaptive cadence reads; no other mode keeps it.
+    pending_notes holds the rows and positions of the notes the stream's
+    stride queued for the barrier, or None.
     """
 
     stream_id: int
@@ -239,7 +242,7 @@ class StreamState:
     reconsume_attempts: int = 0
     forced_commits: int = 0
     tokens_since_own_note: int = 0
-    pending_notes: list[tuple[np.ndarray, int]] = field(default_factory=list)
+    pending_notes: tuple[np.ndarray | list[np.ndarray], list[int]] | None = None
     seen_versions: dict[int, int] = field(default_factory=dict)
     last_gate_value: float | None = None
     margins: list[float] = field(default_factory=list)
@@ -333,11 +336,13 @@ def step_stream(
     the artifact.  The block then takes one note attention against the
     sibling rows, one readout into logit biases, and an argmax per row.
     base_gate is the artifact's logistic(gamma), which run_parallel computes
-    once; the controller clamps it under its schedule.  A last per-token
-    pass marks where the gate changes and asks the cadence about each
-    position.  Emissions are queued in pending_notes; nothing touches the
-    bus until the caller's barrier.  Returns the stride's one trace record,
-    which holds its TOKEN and GATE lines.
+    once; the controller clamps it under its schedule.  Last, the stride
+    marks where the gate changes and asks the cadence about all of its
+    positions at once (adaptive cadence, whose signals chain token to
+    token, asks one position at a time).  The emitted notes are queued in
+    pending_notes as one block; nothing touches the bus until the caller's
+    barrier.  Returns the stride's one trace record, which holds its TOKEN
+    and GATE lines.
     """
     frames = artifact.streams[state.stream_id]
     block = _next_block(state, artifact, config)
@@ -376,31 +381,36 @@ def step_stream(
     state.cursor += n
     state.tokens_decoded += n
 
+    # A GATE line marks each token whose gate differs from the token before.
     gate_marks = []
-    for t in range(n):
-        gate = gates[t]
-        state.tokens_since_own_note += 1
-        if state.last_gate_value is None or gate != state.last_gate_value:
+    last = state.last_gate_value
+    for t, gate in enumerate(gates):
+        if gate != last:
             gate_marks.append((t, gate))
-            state.last_gate_value = gate
+            last = gate
+    state.last_gate_value = last
 
-        signals = None
-        if config.cadence.mode == "adaptive":
-            signals = ContextSignals(
-                agreement=scores[t],
-                entropy_norm=entropy_norm[t],
-                note_age=state.tokens_since_own_note,
-                gate=gate,
-            )
-        emit = next_emission(config.cadence, seed, state.stream_id, decoded + t + 1, signals)
-        if emit and present[t]:
-            frame = first + t
-            emb = frames.note_embeddings[frame]
-            if config.note_noise_scale > 0.0:
-                noise = normal_array(seed, DOMAIN_NOISE, state.stream_id, frame, np.arange(artifact.d_note))
-                emb = emb + config.note_noise_scale * noise
-            state.pending_notes.append((emb, base + t))
-            state.tokens_since_own_note = 0
+    if config.cadence.mode == "adaptive":
+        emitting, age = [], state.tokens_since_own_note
+        for t in range(n):
+            age += 1
+            signals = ContextSignals(agreement=scores[t], entropy_norm=entropy_norm[t], note_age=age, gate=gates[t])
+            if next_emission(config.cadence, seed, state.stream_id, decoded + t + 1, signals) and present[t]:
+                emitting.append(t)
+                age = 0
+        state.tokens_since_own_note = age
+    else:
+        offsets = emitting_offsets(config.cadence, seed, state.stream_id, decoded + 1, n)
+        emitting = [t for t in offsets if present[t]]
+    if emitting:
+        at = [first + t for t in emitting]
+        if config.note_noise_scale > 0.0:
+            noise = normal_array(seed, DOMAIN_NOISE, state.stream_id, np.array(at)[:, None], np.arange(artifact.d_note))
+            notes = frames.note_embeddings[at] + config.note_noise_scale * noise
+        else:
+            # Row views: publish stacks them at the barrier, so no copy is held while the siblings decode.
+            notes = [frames.note_embeddings[i] for i in at]
+        state.pending_notes = (notes, [base + t for t in emitting])
     return StrideTokens(round_index, state.stream_id, base, first, tuple(tokens), tuple(gate_marks))
 
 
@@ -613,11 +623,12 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
 
         published = False
         for s in states:
-            if s.pending_notes:
-                versions = [bus.publish(s.stream_id, emb, pos) for emb, pos in s.pending_notes]
-                records.append(BarrierNotes(round_index, s.stream_id, tuple(pos for _, pos in s.pending_notes), versions[0]))
+            if s.pending_notes is not None:
+                notes, positions = s.pending_notes
+                version = bus.publish(s.stream_id, notes, positions)
+                records.append(BarrierNotes(round_index, s.stream_id, tuple(positions), version))
                 published = True
-            s.pending_notes.clear()
+                s.pending_notes = None
         for s in states:
             rb = check_and_rollback(s, artifact, config, round_index)
             if rb is not None:

@@ -41,6 +41,8 @@ class CapacityError(PdtError):
 
 def as_int(value: object, name: str) -> int:
     """value as an int; a bool or a non-integer raises ConfigError."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)

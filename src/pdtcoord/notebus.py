@@ -5,9 +5,10 @@ readers see their siblings' notes either live or through the snapshot a
 fixed lag back, a copy of the per-stream dict of (lineage, count) pairs.
 A lineage keeps its notes' embeddings as the rows of one growing array,
 with parallel lists of version, emission position and schema tag, so a
-publish copies one row and appends three values.  A stream's visible
-notes are an ordered log: their emission positions never descend, and a
-publish before the stream's newest visible note is refused.  So a
+publish, one stream's block of notes from a barrier, copies its rows and
+extends three lists.  A stream's visible notes are an ordered log: their
+emission positions never descend, and a publish before the stream's newest
+visible note is refused.  So a
 rollback's tombstone cuts a suffix, found by bisection, and both it and a
 capacity-driven mean-pool compaction of the oldest notes are slices.
 Rolled-back notes are archived, never deleted, so a trace replays
@@ -21,13 +22,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError, as_int
-from .kernels import Matrix, as_vector
+from .kernels import Matrix, as_matrix, as_vector
 
 SCHEMA_NOTE = "note"
 SCHEMA_SUMMARY = "summary"
@@ -59,11 +60,11 @@ class _Lineage:
 
     Note i has embedding rows[i], version versions[i], emission token
     positions[i] (which never descend) and schema tag tags[i].  A publish
-    appends a note; a tombstone or a compaction starts a new lineage.  So the
+    appends notes; a tombstone or a compaction starts a new lineage.  So the
     stream's visible notes, and its notes in every snapshot that shares the
     lineage, are a prefix: a (lineage, count) pair names them.  `rows` keeps
     spare room past the last note, and a full array is replaced by a copy
-    twice its size.  A written row never changes, so every prefix stays valid.
+    twice its size, as often as a block needs.  A written row never changes, so every prefix stays valid.
     """
 
     __slots__ = ("rows", "versions", "positions", "tags")
@@ -78,16 +79,20 @@ class _Lineage:
     def empty(cls, d_note: int) -> _Lineage:
         return cls(np.empty((0, d_note)), [], [], [])
 
-    def append(self, row: np.ndarray, version: int, position: int, tag: str) -> None:
-        n = len(self.versions)
-        if n == self.rows.shape[0]:
-            grown = np.empty((max(2 * n, _MIN_ROWS), self.rows.shape[1]))
-            grown[:n] = self.rows
+    def append(self, rows: Matrix, versions: Iterable[int], positions: list[int], tags: list[str]) -> None:
+        """Append len(positions) notes; a full array doubles until they fit, as one note at a time would."""
+        n, m = len(self.versions), len(positions)
+        size = self.rows.shape[0]
+        if n + m > size:
+            while size < n + m:
+                size = max(2 * size, _MIN_ROWS)
+            grown = np.empty((size, self.rows.shape[1]))
+            grown[:n] = self.rows[:n]
             self.rows = grown
-        self.rows[n] = row
-        self.versions.append(version)
-        self.positions.append(position)
-        self.tags.append(tag)
+        self.rows[n : n + m] = rows
+        self.versions.extend(versions)
+        self.positions.extend(positions)
+        self.tags.extend(tags)
 
     def prefix(self, stop: int) -> _Lineage:
         """The notes before stop over a view of their rows; the view is full, so its first append reallocates."""
@@ -108,9 +113,10 @@ class NotesBus:
     a copy of that dict, which shares the lineages and copies no note or row.
     Every read is at the bus's lag, so the bus keeps only the newest lag
     snapshots, none at lag 0.  Each tombstone archives the suffix it drops
-    as a lineage.  A publish either fits, after compaction if need be, or
-    raises CapacityError having changed nothing; one before its stream's
-    newest visible note raises ConfigError having changed nothing.
+    as a lineage.  Each note of a publish either fits, after compaction if
+    need be, or raises CapacityError, leaving the notes before it published
+    and nothing else changed; a block before its stream's newest visible
+    note raises ConfigError having changed nothing.
     """
 
     def __init__(
@@ -139,19 +145,47 @@ class NotesBus:
 
     # -- publishing ---------------------------------------------------------
 
-    def publish(self, stream_id: int, embedding: np.ndarray, token_pos: int) -> int:
-        """Append a copy of embedding as stream_id's next note; returns its version.
+    def publish(self, stream_id: int, embeddings: np.ndarray, positions: int | Sequence[int]) -> int:
+        """Append copies of stream_id's next notes; returns the first one's version.
 
-        The embedding must be 1-D, finite and d_note wide, and token_pos no
-        earlier than the stream's newest visible note.  A refused publish
-        changes nothing, and a later write to the caller's array reaches
-        nothing the bus serves or dumps.
+        One note is a 1-D embedding and its token position; a barrier's block
+        is (k, d_note) rows and k positions.  The rows must be finite and
+        d_note wide, the id and positions non-negative ints, and the
+        positions must not descend, from the stream's newest visible note
+        on; a block that breaks any of these is refused whole, changing
+        nothing (a descending block may meet a full bus's CapacityError
+        first).  The notes that fit below capacity are appended as one row
+        block.  Each later one is published alone and compacts the bus when
+        it lands at capacity, so compaction and a CapacityError come at the
+        note where one-note publishes would meet them; the notes before a
+        refused one stay published.  A later write to the caller's array
+        reaches nothing the bus serves or dumps.
         """
-        row = as_vector(embedding, "embedding")
-        if stream_id < 0 or token_pos < 0:
+        stream_id = as_int(stream_id, "stream_id")
+        rows = np.asarray(embeddings, dtype=np.float64)
+        if rows.ndim == 1:
+            rows, positions = rows[None, :], (positions,)
+        rows = as_matrix(rows, "embeddings")
+        if not hasattr(positions, "__len__") or len(positions) != rows.shape[0]:
+            raise ShapeError(f"embeddings of shape {rows.shape} need one position per row")
+        positions = [as_int(p, "token_pos") for p in positions]
+        if rows.shape[1] != self.d_note:
+            raise ShapeError(f"note width {rows.shape[1]} != bus width {self.d_note}")
+        if positions != sorted(positions):
+            raise ConfigError(f"stream {stream_id} block positions {positions} descend")
+        if stream_id < 0 or (positions and positions[0] < 0):
             raise ConfigError("stream_id and token_pos must be non-negative")
-        if row.shape[0] != self.d_note:
-            raise ShapeError(f"note width {row.shape[0]} != bus width {self.d_note}")
+        first, k = self._next_version.get(stream_id, 0), len(positions)
+        fit = min(k, max(0, self.capacity - self._count))
+        if fit:
+            self._append(stream_id, rows[:fit], range(first, first + fit), positions[:fit], [SCHEMA_NOTE] * fit)
+            self._next_version[stream_id] = first + fit
+        for i in range(fit, k):
+            self._publish_one(stream_id, rows[i : i + 1], positions[i])
+        return first
+
+    def _publish_one(self, stream_id: int, row: Matrix, position: int) -> None:
+        """Publish one checked note, compacting after it if the bus was at capacity."""
         over = self._count >= self.capacity
         if over:
             # Compacting to 1 leaves min(n, 2) of a stream's n notes; refuse before any change if that is too many.
@@ -161,23 +195,24 @@ class NotesBus:
             if floor > self.capacity:
                 raise CapacityError(f"bus over capacity: compaction leaves {floor} rows > {self.capacity}")
         version = self._next_version.get(stream_id, 0)
-        self._append(stream_id, row, version, token_pos, SCHEMA_NOTE)
+        self._append(stream_id, row, (version,), [position], [SCHEMA_NOTE])
         self._next_version[stream_id] = version + 1
         if over:
             self.compact()
             if self._count > self.capacity:
                 self.compact(retain_k=1)
-        return version
 
-    def _append(self, stream_id: int, row: np.ndarray, version: int, position: int, tag: str) -> None:
+    def _append(
+        self, stream_id: int, rows: Matrix, versions: Iterable[int], positions: list[int], tags: list[str]
+    ) -> None:
         # The visible pair always holds all of its lineage's notes.
         pair = self._visible.get(stream_id)
         lineage = pair[0] if pair else _Lineage.empty(self.d_note)
-        if lineage.positions and position < lineage.positions[-1]:
-            raise ConfigError(f"stream {stream_id} note at {position} precedes its newest at {lineage.positions[-1]}")
-        lineage.append(row, version, position, tag)
+        if lineage.positions and positions[0] < lineage.positions[-1]:
+            raise ConfigError(f"stream {stream_id} note at {positions[0]} precedes its newest at {lineage.positions[-1]}")
+        lineage.append(rows, versions, positions, tags)
         self._visible[stream_id] = (lineage, len(lineage.versions))
-        self._count += 1
+        self._count += len(positions)
 
     def visible_rows(self) -> int:
         return self._count
@@ -269,7 +304,7 @@ class NotesBus:
                 # An archived lineage never grows, so it is kept at its exact size.
                 self._tombstoned.setdefault(sid, []).append(_Lineage(emb[None, :].copy(), [version], [pos], [tag]))
             else:
-                self._append(sid, emb, version, pos, tag)
+                self._append(sid, emb[None, :], (version,), [pos], [tag])
             self._next_version[sid] = max(self._next_version.get(sid, 0), version + 1)
 
     # -- serialization ------------------------------------------------------

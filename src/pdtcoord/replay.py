@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ArtifactFormatError, ConfigError, ShapeError, as_float, as_int
 from .kernels import Matrix, as_matrix, as_vector
-from .rng import DOMAIN_SYNTH, normal_matrix, uniform_array
+from .rng import DOMAIN_SYNTH, normal_matrix, uniform
 from .snc import AdapterParams, AgreementParams, SncParams
 
 MAGIC = b"PDTR1"
@@ -262,9 +262,9 @@ def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
             if name in _FRAME_TAGS
         }
         frames["logits"] *= spec.logit_scale
-        jitter = uniform_array(s, DOMAIN_SYNTH, _TAG_AGREE_JITTER + k, np.arange(t))
+        jitter = uniform(s, DOMAIN_SYNTH, _TAG_AGREE_JITTER + k, np.arange(t))
         agree = BASE_AGREEMENT + 0.04 * (jitter - 0.5)
-        div_jitter = uniform_array(s, DOMAIN_SYNTH, _TAG_DIVERGE_JITTER + k, np.arange(t))
+        div_jitter = uniform(s, DOMAIN_SYNTH, _TAG_DIVERGE_JITTER + k, np.arange(t))
         for sid, pos in planted:
             if sid == k:
                 agree[pos] = DIVERGENCE_AGREEMENT + 0.02 * div_jitter[pos]

@@ -15,6 +15,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# The constants and shifts as numpy scalars, built once: on a stride-sized
+# array a round's time is mostly numpy's per-call cost.
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_ONE, _R11, _R27, _R30, _R31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
 
 # Domain tags keep draws from distinct subsystems statistically independent
 # even when their counter tuples coincide.
@@ -32,6 +36,10 @@ def splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+# The two Box-Muller draws' last counters, 0 and 1, hashed once.
+_SALT0, _SALT1 = np.uint64(splitmix64(0)), np.uint64(splitmix64(1))
+
+
 def counter_hash(seed: int, *counters: int) -> int:
     """Hash a seed and a tuple of counters to a uniform 64-bit value."""
     h = splitmix64(seed & _MASK64)
@@ -45,29 +53,41 @@ def _prefix_hash(seed: int, *counters: int) -> int:
     return counter_hash(seed, *counters)
 
 
-def uniform(seed: int, *counters: int) -> float:
+def uniform(seed: int, *counters: int | np.ndarray) -> float | np.ndarray:
     """Uniform draw in [0, 1) keyed by (seed, counters).
 
-    The hash of seed and all counters but the last is remembered, so a walk
-    along the last counter (cadence draws one per token position) costs two
+    Plain-int counters give one float.  Any numpy integer counter, array or
+    scalar, gives the float64 draws over the counters broadcast together,
+    each equal to the scalar draw at its counters.  The hash of the seed and
+    the leading plain-int counters is remembered, so a walk along the last
+    counter (cadence draws over a stride's token positions) costs two
     splitmix64 rounds a draw.
     """
-    h = _prefix_hash(seed, *counters[:-1])
-    if counters:
-        h = splitmix64(h ^ splitmix64(counters[-1] & _MASK64))
-    return (h >> 11) * 2.0**-53
+    if all(type(c) is int for c in counters):
+        h = _prefix_hash(seed, *counters[:-1])
+        if counters:
+            h = splitmix64(h ^ splitmix64(counters[-1] & _MASK64))
+        return (h >> 11) * 2.0**-53
+    return (counter_hash_array(seed, *counters) >> _R11) * 2.0**-53
+
+
+def _splitmix64_rounds(z: np.ndarray) -> np.ndarray:
+    z = z + _GOLDEN_U64
+    z ^= z >> _R30
+    z *= _MIX1_U64
+    z ^= z >> _R27
+    z *= _MIX2_U64
+    z ^= z >> _R31
+    return z
 
 
 def _splitmix64_u64(z: np.ndarray) -> np.ndarray:
-    # Wraparound modulo 2**64 is the point; silence the scalar overflow warning.
+    # Wraparound modulo 2**64 is the point.  Array arithmetic wraps silently;
+    # numpy scalar arithmetic warns, so only a 0-d input pays for errstate.
+    if z.ndim:
+        return _splitmix64_rounds(z)
     with np.errstate(over="ignore"):
-        z = z + np.uint64(_GOLDEN)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        return z
+        return _splitmix64_rounds(z)
 
 
 def counter_hash_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
@@ -75,23 +95,19 @@ def counter_hash_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
 
     Each counter may be a scalar or a broadcastable integer array; the result
     matches counter_hash element-by-element.  Leading plain-int counters are
-    folded with counter_hash; numpy takes over at the first other counter.
+    folded with the remembered prefix hash; numpy takes over at the first
+    other counter.
     """
     k = 0
     while k < len(counters) and type(counters[k]) is int:
         k += 1
-    h = np.uint64(counter_hash(seed, *counters[:k]))
+    h = np.uint64(_prefix_hash(seed, *counters[:k]))
     for c in counters[k:]:
         carr = np.asarray(c)
         if carr.dtype.kind not in "iu":
             raise TypeError(f"counters must be integers, got dtype {carr.dtype}")
         h = _splitmix64_u64(h ^ _splitmix64_u64(carr.astype(np.uint64)))
     return h
-
-
-def uniform_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
-    """Vectorized uniform in [0, 1); float64 output."""
-    return (counter_hash_array(seed, *counters) >> np.uint64(11)) * 2.0**-53
 
 
 def normal_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
@@ -101,10 +117,10 @@ def normal_array(seed: int, *counters: int | np.ndarray) -> np.ndarray:
     each one splitmix round past the shared prefix.
     """
     h = counter_hash_array(seed, *counters)
-    h1 = _splitmix64_u64(h ^ np.uint64(splitmix64(0)))
-    h2 = _splitmix64_u64(h ^ np.uint64(splitmix64(1)))
-    u1 = ((h1 >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    u2 = (h2 >> np.uint64(11)) * 2.0**-53
+    h1 = _splitmix64_u64(h ^ _SALT0)
+    h2 = _splitmix64_u64(h ^ _SALT1)
+    u1 = ((h1 >> _R11) + _ONE) * 2.0**-53
+    u2 = (h2 >> _R11) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 

@@ -321,6 +321,16 @@ def gate_controller_step(
     floor = max(float(current_gate), g_min)
     cap = scheduled_gate_cap(state)
     spectral = state.lipschitz_estimate > state.tau_lipschitz
+    # Without a backoff the schedule never falls within a call, so when the
+    # first and last tokens' gates agree every token's does (the floor or the
+    # cap is at g_min, or the warmup has run out).  A window that holds only
+    # that gate then never varies, so no token can flicker.
+    first = min(floor, g_min + (cap - g_min) * min(1.0, (since + 1) / warmup))
+    last = min(floor, g_min + (cap - g_min) * min(1.0, (since + tokens) / warmup))
+    if first == last and window.count(first) == len(window):
+        window.extend([first] * min(tokens, window.maxlen))
+        state.tokens_since_note = since + tokens
+        return state, [first] * tokens, (GateAction.APPLY_SPECTRAL_NORM,) * (tokens if spectral else 0)
     gates: list[float] = []
     actions: list[GateAction] = []
     for _ in range(tokens):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdtcoord.cadence import (
     M_MAX,
     CadenceConfig,
     ContextSignals,
+    emitting_offsets,
     modulation_factor,
     next_emission,
 )
@@ -96,3 +99,26 @@ def test_config_validation():
         CadenceConfig(mode="sometimes")
     with pytest.raises(ConfigError):
         CadenceConfig(interval_m=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(("deterministic", "stochastic")),
+    interval_m=st.integers(1, 9),
+    seed=st.integers(-(2**63), 2**64 - 1),
+    stream_id=st.integers(0, 2**40),
+    position=st.integers(-100, 2**40),
+    n=st.integers(0, 70),
+)
+def test_emitting_offsets_are_where_next_emission_says_yes(mode, interval_m, seed, stream_id, position, n):
+    cfg = CadenceConfig(mode=mode, interval_m=interval_m)
+    expected = [t for t in range(n) if next_emission(cfg, seed, stream_id, position + t)]
+    assert list(emitting_offsets(cfg, seed, stream_id, position, n)) == expected
+
+
+def test_emitting_offsets_refuse_adaptive_mode_and_a_bad_count():
+    with pytest.raises(ConfigError, match="adaptive"):
+        emitting_offsets(CadenceConfig(mode="adaptive"), 0, 0, 1, 8)
+    for bad in (-1, 2.0, True):
+        with pytest.raises(ConfigError, match="n must"):
+            emitting_offsets(CadenceConfig(), 0, 0, 1, bad)

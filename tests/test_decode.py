@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_hashes import CASES as GOLDEN_CASES
 
-from pdtcoord import cli, decode
+from pdtcoord import cadence, cli, decode
 from pdtcoord.cadence import CadenceConfig
 from pdtcoord.decode import (
     MAX_RECONSUME_ATTEMPTS,
@@ -578,6 +578,28 @@ def test_a_stride_makes_one_adapter_call_and_one_gate_call_per_stream(case_id):
     assert [c.args[0].shape[0] for c in adapter.call_args_list] == [read_rows[r] for r in sorted(read_rows)]
     assert step.call_count == len(decoded)
     assert [c.kwargs["tokens"] for c in gate.call_args_list] == list(decoded.values())
+
+
+@pytest.mark.parametrize("case_id", ["quick_start", "read_delta_2", "ragged_streams"])
+def test_a_stride_publishes_its_notes_once_and_draws_its_cadence_once(case_id):
+    _, build, config, _, _ = next(c for c in GOLDEN_CASES if c[0] == case_id)
+    with (
+        mock.patch.object(NotesBus, "publish", autospec=True, side_effect=NotesBus.publish) as publish,
+        mock.patch.object(NotesBus, "compact", autospec=True, side_effect=NotesBus.compact) as compact,
+        mock.patch.object(cadence, "uniform", wraps=cadence.uniform) as uniform,
+        mock.patch.object(decode, "next_emission", wraps=decode.next_emission) as next_emission,
+    ):
+        trace = run_parallel(build(), config)
+    assert compact.call_count == 0  # nothing compacts, so no note goes through the one-note path
+    strides = [r for r in trace.records if isinstance(r, StrideTokens)]
+    barriers = [r for r in trace.records if isinstance(r, BarrierNotes)]
+    assert trace.note_count() > len(barriers) > 0
+    # One publish per (stream, barrier) that has notes, of exactly that barrier's notes.
+    assert [(c.args[1], tuple(c.args[3])) for c in publish.call_args_list] == [(b.stream_id, b.positions) for b in barriers]
+    # Stochastic cadence draws each (stream, stride) once; deterministic cadence draws nothing.
+    stochastic = config.cadence.mode == "stochastic"
+    assert uniform.call_count == (len(strides) if stochastic else 0)
+    assert next_emission.call_count == 0
 
 
 @st.composite

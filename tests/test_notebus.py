@@ -15,7 +15,7 @@ from reference_decoder import RefBus, RefNote
 def fill(bus: NotesBus, stream: int, count: int, base: float = 0.0, start: int = 0) -> None:
     """Publish count notes of values base, base + 1, ... at tokens start, start + 4, ..."""
     for i in range(count):
-        bus.publish(stream, np.full(bus.d_note, base + i), token_pos=start + i * 4)
+        bus.publish(stream, np.full(bus.d_note, base + i), start + i * 4)
 
 
 def sibling_rows(bus: NotesBus, reader: int) -> int:
@@ -37,6 +37,62 @@ def test_publish_width_mismatch():
     with pytest.raises(ValueError):
         bus.publish(0, np.array([0.0, np.nan, 0.0]), 0)
     assert bus.publish(0, np.zeros(3), 0) == 0
+
+
+def test_publish_refuses_non_integer_ids_and_positions_before_any_change():
+    bus = NotesBus(d_note=2)
+    fill(bus, 0, 2)
+    lines = bus.dump_lines()
+    row = np.ones(2)
+    for sid, pos in ((1.5, 0), (True, 2.5), (1, 2.5), (1, True), (np.float64(1.0), 4), ("1", 4), (1, [4])):
+        with pytest.raises(ConfigError, match="stream_id|token_pos"):
+            bus.publish(sid, row, pos)
+    for positions in ([8, 9.5], [8, False]):
+        with pytest.raises(ConfigError, match="token_pos"):
+            bus.publish(0, np.ones((2, 2)), positions)
+    assert bus.dump_lines() == lines
+    assert bus.publish(np.int64(1), row, np.int64(3)) == 0
+    assert load_bus_lines(bus.dump_lines()).dump_lines() == bus.dump_lines()
+
+
+def test_a_block_publish_takes_one_position_per_row():
+    bus = NotesBus(d_note=2)
+    for rows, positions in ((np.ones((2, 2)), [4]), (np.ones((2, 2)), 4), (np.ones((1, 2, 2)), [4]), (np.ones((2, 3)), [4, 8])):
+        with pytest.raises(ShapeError):
+            bus.publish(0, rows, positions)
+    with pytest.raises(ValueError, match="non-finite"):
+        bus.publish(0, np.array([[1.0, 2.0], [np.inf, 0.0]]), [4, 8])
+    assert bus.visible_rows() == 0
+    assert bus.publish(0, np.arange(6.0).reshape(3, 2), (0, 4, 4)) == 0
+    assert bus.publish(0, np.zeros((0, 2)), []) == 3  # an empty block changes nothing
+    assert bus.publish(0, np.ones(2), 9) == 3
+    assert [line.split(" ")[2:4] for line in bus.dump_lines()] == [["0", "0"], ["1", "4"], ["2", "4"], ["3", "9"]]
+
+
+def test_a_block_compacts_and_is_refused_at_the_note_one_at_a_time_would():
+    rows = np.array([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+    for capacity, others, refused_at in ((6, (5,), None), (4, (2, 1), 1)):
+        block, single = (NotesBus(d_note=2, capacity=capacity, retain_k=1) for _ in range(2))
+        ref = RefBus(capacity, 1)
+        for sid, count in enumerate(others, start=1):
+            for bus in (block, single):
+                fill(bus, sid, count, base=10 * sid)
+            for i in range(count):
+                ref.publish(sid, np.full(2, 10.0 * sid + i), 4 * i)
+        for i, (row, pos) in enumerate(zip(rows, (0, 4, 8))):
+            if i == refused_at:
+                with pytest.raises(CapacityError):
+                    single.publish(0, row, pos)
+                break
+            assert single.publish(0, row, pos) == ref.publish(0, row, pos) == i
+        if refused_at is None:
+            # The first note fills the bus, the second compacts it to 4 rows, and the third lands below capacity.
+            assert block.publish(0, rows, [0, 4, 8]) == 0 and block.visible_rows() == 5
+        else:
+            # The first note fits; the second would leave 5 rows after compaction, so it and the third are refused.
+            with pytest.raises(CapacityError):
+                block.publish(0, rows, [0, 4, 8])
+        assert block.dump_lines() == single.dump_lines() == ref.dump()
 
 
 def test_live_read_excludes_reader_and_tombstoned():
@@ -364,7 +420,13 @@ def test_bus_config_validation():
 # -- property test against the reference decoder's bus ---------------------
 
 OPS = st.one_of(
-    st.tuples(st.just("publish"), st.integers(0, 3), st.floats(-1e3, 1e3), st.integers(0, 40)),
+    # A block of 1 to 4 notes, whose positions are sorted unless the last field says not to.
+    st.tuples(
+        st.just("publish"),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.floats(-1e3, 1e3), st.integers(0, 40)), min_size=1, max_size=4),
+        st.integers(0, 7).map(lambda x: x == 0),
+    ),
     st.tuples(st.just("tombstone"), st.integers(0, 3), st.integers(0, 40)),
     st.tuples(st.just("compact"), st.integers(1, 3)),
     st.tuples(st.just("snapshot")),
@@ -403,34 +465,49 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
     # Every op goes to one bus per lag and to the reference bus, whose tombstone
     # filters by position: the buses must agree with it on every outcome, dump and view.
     buses = [NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, lag=lag) for lag in range(4)]
+    # The same notes, published one at a time: where that refuses one, a block must stop.
+    one = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k)
     ref = RefBus(capacity, retain_k)
     ref_snapshots: list[list[RefNote]] = [[]]  # the bus starts with an empty snapshot
     for index, op in enumerate(ops):
         if op[0] == "publish":
-            _, sid, value, pos = op
+            _, sid, notes, unsorted = op
+            positions = [pos for _, pos in notes]
+            if not unsorted:
+                positions.sort()
             # The op index makes every embedding distinct, so a summary differs from the row it replaces.
-            emb = np.array([value, index + 0.25 * sid])
+            block = np.array([[value, index + 0.25 * sid + 0.0625 * i] for i, (value, _) in enumerate(notes)])
             live = ref.live.get(sid)
-            descending = bool(live) and pos < live[-1].pos
-            try:
-                versions = {bus.publish(sid, emb, pos) for bus in buses}
-            except (CapacityError, ConfigError) as refused:
-                # A refused publish changes no bus (the dumps below match the
-                # untouched reference); the others refuse it alike.
-                assert descending or isinstance(refused, CapacityError)
-                for bus in buses:
-                    with pytest.raises(type(refused)):
-                        bus.publish(sid, emb, pos)
+            descending = positions != sorted(positions) or (bool(live) and positions[0] < live[-1].pos)
+            if descending:
+                # A descending block is refused whole, alike by every bus; a full bus may refuse it for capacity first.
+                with pytest.raises((ConfigError, CapacityError)) as refused:
+                    buses[0].publish(sid, block, positions)
+                for bus in (*buses[1:], one):
+                    with pytest.raises(refused.type):
+                        bus.publish(sid, block, positions)
             else:
-                assert not descending
-                assert versions == {ref.publish(sid, emb, pos)}
+                accepted: list[int] = []
+                for row, pos in zip(block, positions):
+                    try:
+                        one.publish(sid, row, pos)
+                    except CapacityError:
+                        break
+                    accepted.append(ref.publish(sid, row, pos))
+                if len(accepted) < len(positions):
+                    # The notes before the refused one stay published, as one at a time.
+                    for bus in buses:
+                        with pytest.raises(CapacityError):
+                            bus.publish(sid, block, positions)
+                else:
+                    assert {bus.publish(sid, block, positions) for bus in buses} == {accepted[0]}
         elif op[0] == "tombstone":
             before = len(ref.live.get(op[1], []))
             ref.tombstone(op[1], op[2])
-            assert {bus.tombstone_after(op[1], op[2]) for bus in buses} == {before - len(ref.live[op[1]])}
+            assert {bus.tombstone_after(op[1], op[2]) for bus in (*buses, one)} == {before - len(ref.live[op[1]])}
         elif op[0] == "compact":
             ref.compact(op[1])
-            for bus in buses:
+            for bus in (*buses, one):
                 bus.compact(retain_k=op[1])
         elif op[0] == "snapshot":
             assert len({bus.snapshot() for bus in buses}) == 1
@@ -441,9 +518,11 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
             clone = load_bus_lines(lines, capacity=capacity, retain_k=retain_k, d_note=2)
             assert clone.dump_lines() == lines
             buses = [NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, lag=lag) for lag in range(4)]
-            for bus in buses:
+            one = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k)
+            for bus in (*buses, one):
                 bus._restore(dump_records(lines))
             ref_snapshots = [[]]
+        assert one.dump_lines() == ref.dump()
         for bus in buses:
             assert bus.visible_rows() == len(ref.visible()) <= capacity
             assert bus.dump_lines() == ref.dump()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from pdtcoord.rng import (
     normal_matrix,
     splitmix64,
     uniform,
-    uniform_array,
 )
 
 
@@ -43,9 +43,11 @@ def test_counter_hash_scalar_vector_agree():
 
 def test_uniform_scalar_vector_agree():
     grid = np.arange(50, dtype=np.uint64)
-    vec = uniform_array(7, 3, grid)
+    vec = uniform(7, 3, grid)
     for i in range(50):
         assert vec[i] == uniform(7, 3, i)
+    # A numpy scalar counter takes the array path and gives a 0-d draw of the same value.
+    assert uniform(7, 3, np.int64(4)) == uniform(7, 3, 4)
 
 
 def test_normal_scalar_vector_agree():
@@ -86,7 +88,7 @@ def test_counters_change_output():
 
 
 def test_uniform_bounds_and_moments():
-    u = uniform_array(99, 0, np.arange(200000))
+    u = uniform(99, 0, np.arange(200000))
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.002
@@ -151,7 +153,7 @@ def test_array_draws_equal_their_counter_hash_formulas(case):
     hashes = [counter_hash(seed, *at(i)) for i in idx]
     h = counter_hash_array(seed, *counters)
     assert [int(v) for v in np.ravel(h)] == hashes
-    assert [float(v) for v in np.ravel(uniform_array(seed, *counters))] == [uniform(seed, *at(i)) for i in idx]
+    assert [float(v) for v in np.ravel(uniform(seed, *counters))] == [uniform(seed, *at(i)) for i in idx]
     u1 = np.array([((counter_hash(seed, *at(i), 0) >> 11) + 1) * 2.0**-53 for i in idx])
     u2 = np.array([(counter_hash(seed, *at(i), 1) >> 11) * 2.0**-53 for i in idx])
     expected = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
@@ -163,6 +165,27 @@ def test_all_scalar_draws_are_numpy_scalars():
         h = counter_hash_array(9, *counters)
         assert type(h) is np.uint64 and h.shape == ()
         assert int(h) == counter_hash(9, *counters)
-        for draw in (uniform_array, normal_array):
-            v = draw(9, *counters)
-            assert type(v) is np.float64 and v.shape == ()
+        v = normal_array(9, *counters)
+        assert type(v) is np.float64 and v.shape == ()
+        # Plain-int counters give uniform's one float; a numpy scalar among them gives a numpy scalar.
+        assert type(uniform(9, *counters)) is float
+        u = uniform(9, *counters, np.uint64(7))
+        assert type(u) is np.float64 and u.shape == () and u == uniform(9, *counters, 7)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_array_draws_wrap_without_a_warning(dtype):
+    # Array arithmetic wraps modulo 2**64 silently; only a 0-d draw needs the
+    # overflow warning turned off, and it turns it off for itself alone.
+    top = np.iinfo(dtype).max
+    edges = [0, 1, top - 1, top] if dtype is np.uint64 else [np.iinfo(dtype).min, -1, 0, top]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counters = np.array(edges, dtype=dtype)
+        u = uniform(2**64 - 1, 2**64 - 1, counters)
+        z = normal_array(2**64 - 1, counters, 2**64 - 1)
+        zero_d = uniform(2**64 - 1, 2**64 - 1, counters[-1])
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            np.uint64(2**63) * np.uint64(2)  # errstate was restored
+    assert u.tolist() == [uniform(2**64 - 1, 2**64 - 1, int(c)) for c in edges]
+    assert zero_d == u[-1] and np.isfinite(z).all()

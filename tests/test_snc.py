@@ -544,3 +544,53 @@ def test_one_call_of_n_tokens_equals_n_calls_of_one(run):
         ours, theirs = _gate_fields(batched), _gate_fields(single)
         for name in ("tokens_since_note", "g_max", "gate_window", "note_change_window"):
             assert ours[name] == theirs[name], name
+
+
+@st.composite
+def flat_gate_calls(draw):
+    """GateState settings and (current_gate, event, note_change, tokens) calls that
+    hit each case where a call's gate is flat, and windows holding another gate."""
+    g_max = draw(st.sampled_from(_GATE_LEVELS) | st.floats(0.0, 1.0))
+    pinned = draw(st.booleans())  # g_min == g_max, as a gate override sets it
+    g_min = g_max if pinned else draw(st.sampled_from((0.0, min(0.05, g_max))) | st.floats(0.0, g_max))
+    kwargs = dict(
+        g_min=g_min,
+        g_max=g_max,
+        warmup_tokens=draw(st.integers(1, 40)),
+        flicker_window=draw(st.integers(1, 24)),
+        flicker_std=draw(st.floats(1e-3, 0.3)),
+        lipschitz_estimate=draw(st.just(0.0) | st.floats(0.1, 100.0)),
+    )
+    calls = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("floor", "annealed", "any", "other")))
+        if kind == "floor":  # the input gate is at or below g_min
+            gate = draw(st.floats(0.0, g_min))
+        elif kind == "other":  # a gate unlike the window's, so its window varies
+            gate = draw(st.sampled_from(_GATE_LEVELS))
+        else:
+            gate = draw(st.sampled_from(_GATE_LEVELS) | st.floats(0.0, 1.0))
+        # An annealed call has no event and comes after a warmup's worth of tokens.
+        event = kind != "annealed" and draw(st.booleans())
+        change = draw(st.none() | st.floats(0.0, 5.0)) if event else None
+        if kind == "annealed":
+            calls.append((gate, False, None, kwargs["warmup_tokens"]))
+        calls.append((gate, event, change, draw(st.integers(1, 48))))
+    return kwargs, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=flat_gate_calls())
+def test_multi_token_calls_run_in_lockstep_with_the_oracle(run):
+    kwargs, calls = run
+    ours, oracle = GateState(**kwargs), GateState(**kwargs)
+    for gate, event, change, n in calls:
+        _, gates, actions = gate_controller_step(ours, gate, event, change, tokens=n)
+        expected_gates, expected_actions = [], []
+        for t in range(n):
+            _, one, acted = _oracle_gate_controller_step(oracle, gate, event and t == 0, change if t == 0 else None)
+            expected_gates.append(one)
+            expected_actions += acted
+        assert [g.hex() for g in gates] == [g.hex() for g in expected_gates]
+        assert actions == tuple(expected_actions)
+        assert _gate_fields(ours) == _gate_fields(oracle)
