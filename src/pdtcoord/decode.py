@@ -100,7 +100,8 @@ class DecodeConfig:
 # A trace line's event is a named tuple: immutable and cheap to build.  A
 # decode does not build one per line, though.  It keeps one StrideTokens per
 # (stream, stride) and one BarrierNotes per (stream, barrier), and each of
-# those renders its lines directly and expands to its events on demand.
+# those renders its lines directly and expands to its events on demand.  A
+# ROLLBACK or SNAPSHOT line is its own record and renders itself.
 
 
 class TokenEvent(NamedTuple):
@@ -110,9 +111,6 @@ class TokenEvent(NamedTuple):
     frame_index: int
     token_id: int
 
-    def line(self) -> str:
-        return f"TOKEN {self.round_index} {self.stream_id} {self.position} {self.frame_index} {self.token_id}"
-
 
 class GateEvent(NamedTuple):
     round_index: int
@@ -120,18 +118,12 @@ class GateEvent(NamedTuple):
     position: int
     value: float
 
-    def line(self) -> str:
-        return f"GATE {self.round_index} {self.stream_id} {self.position} {self.value!r}"
-
 
 class NoteEvent(NamedTuple):
     round_index: int
     stream_id: int
     emitted_at_token: int
     version: int
-
-    def line(self) -> str:
-        return f"NOTE {self.round_index} {self.stream_id} {self.emitted_at_token} {self.version}"
 
 
 class SnapshotEvent(NamedTuple):
@@ -216,8 +208,8 @@ class BarrierNotes(NamedTuple):
         return [f"{head} {p} {self.first_version + i}" for i, p in enumerate(self.positions)]
 
 
-# A record stands for one trace line (an event) or for a group of them.
-TraceRecord = StrideTokens | BarrierNotes | TraceEvent
+# A record stands for a group of trace lines or for one ROLLBACK or SNAPSHOT line.
+TraceRecord = StrideTokens | BarrierNotes | RollbackEvent | SnapshotEvent
 _GROUPS = (StrideTokens, BarrierNotes)
 
 
@@ -225,17 +217,19 @@ _GROUPS = (StrideTokens, BarrierNotes)
 class StreamState:
     """Mutable decode state of one stream; only the decode loop mutates it.
 
-    tokens_decoded counts every decoded token, rolled-back ones included; it
-    numbers the positions the cadence is asked about.  tokens_since_own_note
-    is the note age that adaptive cadence reads; no other mode keeps it.
+    position is the length of the stream's token log, whose tokens only the
+    trace records keep.  tokens_decoded counts every decoded token,
+    rolled-back ones included; it numbers the positions the cadence is
+    asked about.  tokens_since_own_note is the note age that adaptive
+    cadence reads; no other mode keeps it.
     pending_notes holds the rows and positions of the notes the stream's
     stride queued for the barrier, or None.
     """
 
     stream_id: int
     gate_state: GateState
+    position: int = 0
     tokens_decoded: int = 0
-    token_log: list[int] = field(default_factory=list)
     min_uncommitted_agreement: float = math.inf
     committed_prefix: int = 0
     cursor: int = 0
@@ -246,10 +240,6 @@ class StreamState:
     seen_versions: dict[int, int] = field(default_factory=dict)
     last_gate_value: float | None = None
     margins: list[float] = field(default_factory=list)
-
-    @property
-    def position(self) -> int:
-        return len(self.token_log)
 
 
 def _effective_tau(artifact: ReplayArtifact, config: DecodeConfig) -> float:
@@ -376,7 +366,7 @@ def step_stream(
     base, decoded = state.position, state.tokens_decoded
     present = frames.note_present[block].tolist()
     seed = _effective_seed(artifact, config)
-    state.token_log.extend(tokens)
+    state.position += n
     state.min_uncommitted_agreement = min(state.min_uncommitted_agreement, *scores)
     state.cursor += n
     state.tokens_decoded += n
@@ -423,10 +413,10 @@ def check_and_rollback(
     """Commit or rewind the uncommitted span at a stride boundary.
 
     If every uncommitted agreement score clears tau the span commits.
-    Otherwise the stream rewinds to its committed prefix: the token log is
-    truncated and (in reconsume mode) the frame cursor steps back so the span
-    is decoded again.  The span's notes were published at the barrier before
-    this runs; run_parallel tombstones them.  After
+    Otherwise the stream rewinds to its committed prefix: its position
+    steps back to it and (in reconsume mode) so does the frame cursor, so
+    the span is decoded again.  The span's notes were published at the
+    barrier before this runs; run_parallel tombstones them.  After
     MAX_RECONSUME_ATTEMPTS failed retries the span force-commits so replays
     cannot live-lock; skip-ahead mode instead leaves the cursor in place and
     continues with fresh frames.
@@ -453,7 +443,7 @@ def check_and_rollback(
 
     trigger = state.position
     target = state.committed_prefix
-    del state.token_log[target:]
+    state.position = target
     del state.margins[target:]
     if config.regen_mode == "reconsume":
         state.cursor -= span
@@ -477,17 +467,17 @@ class DecodeTrace:
     """Complete record of a run: config echo, trace records, final bus, summary.
 
     records holds the body of the trace in line order: StrideTokens and
-    BarrierNotes for the TOKEN, GATE and NOTE lines of a decode, and one
-    event per ROLLBACK and SNAPSHOT line.  A caller may also pass one
-    event per line throughout.  A trace is not modified after run_parallel
-    returns, so its rendering is built once and shared by trace_hash and
-    write.
+    BarrierNotes for the TOKEN, GATE and NOTE lines, and one event per
+    ROLLBACK and SNAPSHOT line.  They are the run's only copy of its tokens:
+    token_logs and rollback_states are replayed from them.  committed holds
+    each stream's committed prefix length.  A trace is not modified after
+    run_parallel returns, so its rendering and its replay are each built
+    once and then shared.
     """
 
     config_line: str
     records: list[TraceRecord]
     bus_lines: list[str]
-    token_logs: tuple[tuple[int, ...], ...]
     committed: tuple[int, ...]
     forced_commits: int
     margins: tuple[tuple[float, ...], ...] = ()
@@ -502,7 +492,7 @@ class DecodeTrace:
         lines.extend(self.bus_lines)
         n_tokens = sum(len(t) for t in self.token_logs)
         lines.append(
-            f"SUMMARY streams={len(self.token_logs)} tokens={n_tokens} "
+            f"SUMMARY streams={len(self.committed)} tokens={n_tokens} "
             f"rollbacks={len(self.rollback_events())} notes={self.note_count()} forced_commits={self.forced_commits}"
         )
         return lines
@@ -523,7 +513,7 @@ class DecodeTrace:
 
     @cached_property
     def _bytes(self) -> bytes:
-        return "".join(line + "\n" for line in self.to_lines()).encode("utf-8")
+        return ("\n".join(self.to_lines()) + "\n").encode("utf-8")
 
     def trace_hash(self) -> str:
         return hashlib.sha256(self._bytes).hexdigest()
@@ -537,31 +527,30 @@ class DecodeTrace:
 
     def note_count(self) -> int:
         """The number of NOTE lines, counted from the records."""
-        notes = 0
-        for r in self.records:
-            if isinstance(r, BarrierNotes):
-                notes += len(r.positions)
-            elif isinstance(r, NoteEvent):
-                notes += 1
-        return notes
+        return sum(len(r.positions) for r in self.records if isinstance(r, BarrierNotes))
 
     @cached_property
-    def rollback_states(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """(stream, target, token log just after the cut) per rollback, replayed from the records.
-
-        A TOKEN appends to its stream's log and a ROLLBACK cuts it to its target.
-        """
-        logs: list[list[int]] = [[] for _ in self.token_logs]
+    def _replay(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple[int, ...]], ...]]:
+        # A stride's tokens extend its stream's log and a ROLLBACK cuts the log to its target.
+        logs: list[list[int]] = [[] for _ in self.committed]
         states = []
         for r in self.records:
             if isinstance(r, StrideTokens):
                 logs[r.stream_id].extend(r.token_ids)
-            elif isinstance(r, TokenEvent):
-                logs[r.stream_id].append(r.token_id)
             elif isinstance(r, RollbackEvent):
                 del logs[r.stream_id][r.rolled_back_to:]
                 states.append((r.stream_id, r.rolled_back_to, tuple(logs[r.stream_id])))
-        return tuple(states)
+        return tuple(map(tuple, logs)), tuple(states)
+
+    @property
+    def token_logs(self) -> tuple[tuple[int, ...], ...]:
+        """Each stream's final token log, replayed from the records."""
+        return self._replay[0]
+
+    @property
+    def rollback_states(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(stream, target, token log just after the cut) per rollback, replayed from the records."""
+        return self._replay[1]
 
 
 def _config_line(artifact: ReplayArtifact, config: DecodeConfig) -> str:
@@ -643,7 +632,6 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
         config_line=_config_line(artifact, config),
         records=records,
         bus_lines=bus.dump_lines(),
-        token_logs=tuple(tuple(s.token_log) for s in states),
         committed=tuple(s.committed_prefix for s in states),
         forced_commits=sum(s.forced_commits for s in states),
         margins=tuple(tuple(s.margins) for s in states),

@@ -154,11 +154,11 @@ class NotesBus:
         positions must not descend, from the stream's newest visible note
         on; a block that breaks any of these is refused whole, changing
         nothing (a descending block may meet a full bus's CapacityError
-        first).  The notes that fit below capacity are appended as one row
-        block.  Each later one is published alone and compacts the bus when
-        it lands at capacity, so compaction and a CapacityError come at the
-        note where one-note publishes would meet them; the notes before a
-        refused one stay published.  A later write to the caller's array
+        first).  Each step appends the largest block that fits below
+        capacity.  A note that arrives at capacity is appended alone and
+        then compacts the bus, so compaction and a CapacityError come at
+        the note where one-note publishes would meet them; the notes before
+        a refused one stay published.  A later write to the caller's array
         reaches nothing the bus serves or dumps.
         """
         stream_id = as_int(stream_id, "stream_id")
@@ -175,32 +175,27 @@ class NotesBus:
             raise ConfigError(f"stream {stream_id} block positions {positions} descend")
         if stream_id < 0 or (positions and positions[0] < 0):
             raise ConfigError("stream_id and token_pos must be non-negative")
-        first, k = self._next_version.get(stream_id, 0), len(positions)
-        fit = min(k, max(0, self.capacity - self._count))
-        if fit:
-            self._append(stream_id, rows[:fit], range(first, first + fit), positions[:fit], [SCHEMA_NOTE] * fit)
-            self._next_version[stream_id] = first + fit
-        for i in range(fit, k):
-            self._publish_one(stream_id, rows[i : i + 1], positions[i])
+        first, i = self._next_version.get(stream_id, 0), 0
+        while i < len(positions):
+            # A note that arrives at capacity goes alone, and compaction follows it.
+            over = self._count >= self.capacity
+            if over:
+                # Compacting to 1 leaves min(n, 2) of a stream's n notes; refuse before any change if that is too many.
+                counts = {sid: count for sid, (_, count) in self._visible.items()}
+                counts[stream_id] = counts.get(stream_id, 0) + 1
+                floor = sum(min(count, 2) for count in counts.values())
+                if floor > self.capacity:
+                    raise CapacityError(f"bus over capacity: compaction leaves {floor} rows > {self.capacity}")
+            n = 1 if over else min(len(positions) - i, self.capacity - self._count)
+            block = slice(i, i + n)
+            self._append(stream_id, rows[block], range(first + i, first + i + n), positions[block], [SCHEMA_NOTE] * n)
+            i += n
+            self._next_version[stream_id] = first + i
+            if over:
+                self.compact()
+                if self._count > self.capacity:
+                    self.compact(retain_k=1)
         return first
-
-    def _publish_one(self, stream_id: int, row: Matrix, position: int) -> None:
-        """Publish one checked note, compacting after it if the bus was at capacity."""
-        over = self._count >= self.capacity
-        if over:
-            # Compacting to 1 leaves min(n, 2) of a stream's n notes; refuse before any change if that is too many.
-            counts = {sid: count for sid, (_, count) in self._visible.items()}
-            counts[stream_id] = counts.get(stream_id, 0) + 1
-            floor = sum(min(count, 2) for count in counts.values())
-            if floor > self.capacity:
-                raise CapacityError(f"bus over capacity: compaction leaves {floor} rows > {self.capacity}")
-        version = self._next_version.get(stream_id, 0)
-        self._append(stream_id, row, (version,), [position], [SCHEMA_NOTE])
-        self._next_version[stream_id] = version + 1
-        if over:
-            self.compact()
-            if self._count > self.capacity:
-                self.compact(retain_k=1)
 
     def _append(
         self, stream_id: int, rows: Matrix, versions: Iterable[int], positions: list[int], tags: list[str]

@@ -1,10 +1,11 @@
 """Sequential per-token reference decoder, an independent oracle for run_parallel.
 
 It is written from the decode contract one token at a time, with its own note
-store and its own adapter, attention, readout and agreement arithmetic.  From
-the package it takes only the leaf policies (gate schedule, cadence, counter
-RNG, page count) and the trace record types, so a fault in the stride loop,
-the notes bus or the batched kernels shows up as a difference.
+store and its own adapter, attention, readout and agreement arithmetic.  It
+writes its own trace lines, so the line formats are stated twice.  From the
+package it takes only the leaf policies (gate schedule, cadence, counter RNG,
+page count) and the CONFIG line, so a fault in the stride loop, the trace
+records, the notes bus or the batched kernels shows up as a difference.
 
 Its arithmetic is per row, so a live-mode score can differ from the batched
 decoder's in the last bits; everything else should match exactly.
@@ -19,17 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from pdtcoord.cadence import ContextSignals, next_emission
-from pdtcoord.decode import (
-    MAX_RECONSUME_ATTEMPTS,
-    DecodeConfig,
-    DecodeTrace,
-    GateEvent,
-    NoteEvent,
-    RollbackEvent,
-    SnapshotEvent,
-    TokenEvent,
-    _config_line,
-)
+from pdtcoord.decode import MAX_RECONSUME_ATTEMPTS, DecodeConfig, _config_line
 from pdtcoord.memmodel import pages_touched
 from pdtcoord.replay import ReplayArtifact
 from pdtcoord.rng import DOMAIN_NOISE, normal_array
@@ -107,6 +98,21 @@ class RefStream:
     last_gate: float | None = None
 
 
+@dataclass(frozen=True)
+class RefRun:
+    """What a reference decode leaves: its trace lines and each stream's final state.
+
+    frames is each stream's final frame log, and rollback_states holds a copy
+    of the rolled-back stream's log at every rollback: (stream, target, log).
+    """
+
+    lines: list[str]
+    token_logs: tuple[tuple[int, ...], ...]
+    frames: tuple[tuple[int, ...], ...]
+    committed: tuple[int, ...]
+    rollback_states: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+
 def _logistic(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
 
@@ -126,14 +132,8 @@ def _attend(h: np.ndarray, notes: np.ndarray, artifact: ReplayArtifact) -> np.nd
     return (weights @ (notes @ p.w_v)) @ p.w_o
 
 
-def reference_decode(
-    artifact: ReplayArtifact, config: DecodeConfig
-) -> tuple[DecodeTrace, tuple[tuple[int, ...], ...], tuple[tuple[int, int, tuple[int, ...]], ...]]:
-    """Decode token by token.
-
-    Returns the trace, each stream's final frame log, and a copy of the
-    rolled-back stream's log at every rollback: (stream, target, log).
-    """
+def reference_decode(artifact: ReplayArtifact, config: DecodeConfig) -> RefRun:
+    """Decode token by token."""
     seed = config.seed if config.seed is not None else artifact.seed
     tau = config.tau if config.tau is not None else artifact.agreement.tau
     base_gate = artifact.snc.gate_value()
@@ -151,8 +151,9 @@ def reference_decode(
     ]
     bus = RefBus(config.bus_capacity, config.bus_retain_k)
     snapshots: list[list[RefNote]] = [[]]
-    events: list = []
+    body: list[str] = []
     rollback_states = []
+    n_rollbacks = n_notes = 0
     r = 0
 
     def unfinished() -> list[RefStream]:
@@ -195,9 +196,9 @@ def reference_decode(
                 s.scores.append(score)
                 s.cursor += 1
                 s.since_note += 1
-                events.append(TokenEvent(r, s.sid, position, frame, token))
+                body.append(f"TOKEN {r} {s.sid} {position} {frame} {token}")
                 if gate != s.last_gate:
-                    events.append(GateEvent(r, s.sid, position, gate))
+                    body.append(f"GATE {r} {s.sid} {position} {gate!r}")
                     s.last_gate = gate
 
                 signals = None
@@ -225,7 +226,8 @@ def reference_decode(
         published = False
         for s in streams:
             for emb, pos in s.pending:
-                events.append(NoteEvent(r, s.sid, pos, bus.publish(s.sid, emb, pos)))
+                body.append(f"NOTE {r} {s.sid} {pos} {bus.publish(s.sid, emb, pos)}")
+                n_notes += 1
                 published = True
             s.pending.clear()
         for s in streams:
@@ -247,20 +249,24 @@ def reference_decode(
                 s.attempts += 1
             bus.tombstone(s.sid, target)
             pages = pages_touched(target, trigger, config.horizon_l)
-            events.append(RollbackEvent(s.sid, trigger, target, low, pages, r))
+            body.append(f"ROLLBACK {r} {s.sid} {trigger} {target} {low!r} {pages}")
+            n_rollbacks += 1
             rollback_states.append((s.sid, target, tuple(s.log)))
         if published:
             clock = max(len(s.log) for s in streams)
             snapshots.append(bus.visible())
-            events.append(SnapshotEvent(r, len(snapshots) - 1, clock))
+            body.append(f"SNAPSHOT {r} {len(snapshots) - 1} {clock}")
         r += 1
 
-    trace = DecodeTrace(
-        config_line=_config_line(artifact, config),
-        records=events,
-        bus_lines=bus.dump(),
-        token_logs=tuple(tuple(s.log) for s in streams),
-        committed=tuple(s.committed for s in streams),
-        forced_commits=sum(s.forced for s in streams),
+    token_logs = tuple(tuple(s.log) for s in streams)
+    summary = (
+        f"SUMMARY streams={len(streams)} tokens={sum(map(len, token_logs))} rollbacks={n_rollbacks} "
+        f"notes={n_notes} forced_commits={sum(s.forced for s in streams)}"
     )
-    return trace, tuple(tuple(s.frames) for s in streams), tuple(rollback_states)
+    return RefRun(
+        lines=["PDTTRACE v1", _config_line(artifact, config), *body, *bus.dump(), summary],
+        token_logs=token_logs,
+        frames=tuple(tuple(s.frames) for s in streams),
+        committed=tuple(s.committed for s in streams),
+        rollback_states=tuple(rollback_states),
+    )

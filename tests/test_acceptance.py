@@ -144,7 +144,7 @@ def test_criterion_4_rollback_state_equivalence():
         mode = "reconsume" if i % 2 else "skip_ahead"
         cfg = DecodeConfig(stride_b=horizon, horizon_l=horizon, regen_mode=mode)
         trace = run_parallel(art, cfg)
-        reference, _, _ = reference_decode(art, cfg)
+        reference = reference_decode(art, cfg)
         for ev in trace.rollback_events():
             total_rollbacks += 1
             max_span = max(max_span, ev.trigger_position - ev.rolled_back_to)

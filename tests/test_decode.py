@@ -85,9 +85,9 @@ def test_closed_gate_row_of_a_stride_adds_no_bias():
     raw = np.sort(logits, axis=1)
     raw_margins = raw[:, -1] - raw[:, -2]
     assert state.margins[0] == raw_margins[0]
-    assert state.token_log[0] == int(np.argmax(logits[0]))
+    assert record.token_ids[0] == int(np.argmax(logits[0]))
     assert not np.array_equal(state.margins[1:], raw_margins[1:])
-    assert state.cursor == 8 and len(state.token_log) == 8
+    assert state.cursor == 8 and state.position == 8 and len(record.token_ids) == 8
 
 
 def test_masked_strides_equal_closed_gate():
@@ -186,9 +186,11 @@ def test_rollback_states_are_replayed_from_the_written_records(tmp_path):
 
 
 def test_decode_memory_grows_by_a_bounded_amount_per_token():
-    # The trace keeps one record per stream and stride, so a decode 4x as long
-    # costs at most 96 bytes more per extra decoded token; a record per token
-    # cost 183.
+    # The trace keeps one record per stream and stride, and its records are the
+    # decode's only copy of the tokens, so a decode 4x as long costs at most
+    # 96 bytes more per extra decoded token.  CPython 3.11 measures 52.7; a
+    # record per token cost 183.  The bound leaves room for other CPython
+    # versions, whose object sizes differ.
     def decode_traced(length):
         return peak_bytes(SynthSpec(n_streams=4, length=length, vocab_size=64, d=16, d_note=8, seed=1))
 
@@ -220,7 +222,9 @@ def parse_trace_events(path) -> list:
 
 @pytest.mark.parametrize("case_id, build, config", [c[:3] for c in GOLDEN_CASES], ids=[c[0] for c in GOLDEN_CASES])
 def test_events_are_the_written_lines(case_id, build, config, tmp_path):
-    # The written file is the oracle: events expands the records to one event per line.
+    # The written file is the oracle: events expands the records to one event
+    # per line, and the token logs and rollback states are what its TOKEN and
+    # ROLLBACK lines replay to.
     trace = run_parallel(build(), config)
     path = tmp_path / "run.trace"
     trace.write(str(path))
@@ -230,6 +234,17 @@ def test_events_are_the_written_lines(case_id, build, config, tmp_path):
         assert type(event) is type(parsed)
         for name in event._fields:
             assert getattr(event, name) == getattr(parsed, name), (event, parsed)
+    logs: list[list[int]] = [[] for _ in trace.committed]
+    states = []
+    for e in expected:
+        if isinstance(e, TokenEvent):
+            assert e.position == len(logs[e.stream_id])
+            logs[e.stream_id].append(e.token_id)
+        elif isinstance(e, RollbackEvent):
+            del logs[e.stream_id][e.rolled_back_to:]
+            states.append((e.stream_id, e.rolled_back_to, tuple(logs[e.stream_id])))
+    assert trace.token_logs == tuple(map(tuple, logs))
+    assert trace.rollback_states == tuple(states)
 
 
 def test_reading_a_trace_builds_no_events(tmp_path, capsys):
@@ -467,7 +482,7 @@ def test_oversized_span_rejected_at_check():
     state = StreamState(
         stream_id=0,
         gate_state=GateState(),
-        token_log=[0] * 40,
+        position=40,
         min_uncommitted_agreement=0.9,
     )
     with pytest.raises(ConfigError, match="span"):
@@ -530,16 +545,17 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
     ids=lambda r: type(r).__name__,
 )
 def test_trace_records_are_immutable(record):
-    def lines():
-        return record.lines() if isinstance(record, (StrideTokens, BarrierNotes)) else [record.line()]
-
-    before = lines()
+    before = tuple(record)
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, 7)
-    assert lines() == before
-    trace = DecodeTrace("CONFIG", [record], [], (), (), 0)
-    assert [e.line() for e in trace.events] == before
+    assert tuple(record) == before
+    if not isinstance(record, (StrideTokens, BarrierNotes, RollbackEvent, SnapshotEvent)):
+        return  # an event type that DecodeTrace.events expands into, and no record
+    grouped = isinstance(record, (StrideTokens, BarrierNotes))
+    trace = DecodeTrace("CONFIG", [record], [], (0, 0), 0)
+    assert trace.to_lines()[2:-1] == (record.lines() if grouped else [record.line()])
+    assert trace.events == (record.events() if grouped else [record])
 
 
 def test_run_parallel_reads_the_bus_once_per_unmasked_stride():
@@ -590,7 +606,7 @@ def test_a_stride_publishes_its_notes_once_and_draws_its_cadence_once(case_id):
         mock.patch.object(decode, "next_emission", wraps=decode.next_emission) as next_emission,
     ):
         trace = run_parallel(build(), config)
-    assert compact.call_count == 0  # nothing compacts, so no note goes through the one-note path
+    assert compact.call_count == 0  # nothing compacts, so each publish appends its notes as one block
     strides = [r for r in trace.records if isinstance(r, StrideTokens)]
     barriers = [r for r in trace.records if isinstance(r, BarrierNotes)]
     assert trace.note_count() > len(barriers) > 0
@@ -633,18 +649,32 @@ def planted_runs(draw) -> tuple[SynthSpec, DecodeConfig]:
     return spec, config
 
 
+def replayed_log(trace: DecodeTrace, sid: int, last_round: int) -> tuple[int, ...]:
+    """Stream sid's token log after round last_round, replayed from the trace's records."""
+    log: list[int] = []
+    for r in trace.records:
+        if r.round_index > last_round:
+            break
+        if isinstance(r, StrideTokens) and r.stream_id == sid:
+            assert r.position == len(log)
+            log.extend(r.token_ids)
+        elif isinstance(r, RollbackEvent) and r.stream_id == sid:
+            del log[r.rolled_back_to:]
+    return tuple(log)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=planted_runs())
 def test_commits_are_final_and_rollbacks_stay_within_the_horizon(case):
     spec, cfg = case
-    # Each barrier's committed prefix, as check_and_rollback leaves it.
-    commits: list[tuple[int, int, tuple[int, ...]]] = []
+    # Each barrier's committed prefix length, as check_and_rollback leaves it.
+    commits: list[tuple[int, int, int]] = []
 
     def watched(state, artifact, config, round_index):
         rollback = check_and_rollback(state, artifact, config, round_index)
         # Every barrier commits or rolls back the whole span.
         assert state.committed_prefix == state.position
-        commits.append((round_index, state.stream_id, tuple(state.token_log[: state.committed_prefix])))
+        commits.append((round_index, state.stream_id, state.committed_prefix))
         return rollback
 
     with mock.patch.object(decode, "check_and_rollback", watched):
@@ -656,7 +686,10 @@ def test_commits_are_final_and_rollbacks_stay_within_the_horizon(case):
         assert len(log) == target and trace.token_logs[sid][:target] == log
     for sid, log in enumerate(trace.token_logs):
         assert trace.committed[sid] <= len(log)
-    for round_index, sid, prefix in commits:
+    for round_index, sid, committed in commits:
+        # The prefix is the stream's log replayed from the records up to this barrier.
+        prefix = replayed_log(trace, sid, round_index)
+        assert len(prefix) == committed
         assert trace.token_logs[sid][: len(prefix)] == prefix
         for ev in trace.events:
             if isinstance(ev, (TokenEvent, RollbackEvent)) and ev.stream_id == sid and ev.round_index > round_index:
