@@ -26,7 +26,7 @@ from .cadence import CadenceConfig, ContextSignals, emitting_offsets, next_emiss
 from .errors import ConfigError, as_float, as_int
 from .kernels import logistic, row_softmax
 from .memmodel import pages_touched
-from .notebus import BUS_CAPACITY, BUS_RETAIN_K, NotesBus, stack_sibling_rows
+from .notebus import BUS_CAPACITY, BUS_RETAIN_K, BusView, NotesBus, stack_sibling_rows
 from .replay import ReplayArtifact, overwrite
 from .rng import DOMAIN_NOISE, normal_array
 from .snc import GateState, agreement_score, apply_adapter, attend_notes, gate_controller_step
@@ -222,8 +222,6 @@ class StreamState:
     rolled-back ones included; it numbers the positions the cadence is
     asked about.  tokens_since_own_note is the note age that adaptive
     cadence reads; no other mode keeps it.
-    pending_notes holds the rows and positions of the notes the stream's
-    stride queued for the barrier, or None.
     """
 
     stream_id: int
@@ -236,7 +234,6 @@ class StreamState:
     reconsume_attempts: int = 0
     forced_commits: int = 0
     tokens_since_own_note: int = 0
-    pending_notes: tuple[np.ndarray | list[np.ndarray], list[int]] | None = None
     seen_versions: dict[int, int] = field(default_factory=dict)
     last_gate_value: float | None = None
     margins: list[float] = field(default_factory=list)
@@ -315,7 +312,7 @@ def step_stream(
     note_event: bool,
     base_gate: float,
     h_adapted: np.ndarray | None,
-) -> StrideTokens:
+) -> tuple[StrideTokens, tuple[np.ndarray | list[np.ndarray], list[int]] | None]:
     """Decode one stride of a stream against its frozen sibling rows.
 
     Takes up to stride_b frames from the stream's cursor.  One gate
@@ -329,10 +326,10 @@ def step_stream(
     once; the controller clamps it under its schedule.  Last, the stride
     marks where the gate changes and asks the cadence about all of its
     positions at once (adaptive cadence, whose signals chain token to
-    token, asks one position at a time).  The emitted notes are queued in
-    pending_notes as one block; nothing touches the bus until the caller's
-    barrier.  Returns the stride's one trace record, which holds its TOKEN
-    and GATE lines.
+    token, asks one position at a time).  Nothing touches the bus here.
+    Returns the stride's one trace record, which holds its TOKEN and GATE
+    lines, and the notes it emitted for the caller's barrier: their rows
+    and positions, or None when it emitted none.
     """
     frames = artifact.streams[state.stream_id]
     block = _next_block(state, artifact, config)
@@ -392,16 +389,17 @@ def step_stream(
     else:
         offsets = emitting_offsets(config.cadence, seed, state.stream_id, decoded + 1, n)
         emitting = [t for t in offsets if present[t]]
+    notes = None
     if emitting:
         at = [first + t for t in emitting]
         if config.note_noise_scale > 0.0:
             noise = normal_array(seed, DOMAIN_NOISE, state.stream_id, np.array(at)[:, None], np.arange(artifact.d_note))
-            notes = frames.note_embeddings[at] + config.note_noise_scale * noise
+            rows = frames.note_embeddings[at] + config.note_noise_scale * noise
         else:
             # Row views: publish stacks them at the barrier, so no copy is held while the siblings decode.
-            notes = [frames.note_embeddings[i] for i in at]
-        state.pending_notes = (notes, [base + t for t in emitting])
-    return StrideTokens(round_index, state.stream_id, base, first, tuple(tokens), tuple(gate_marks))
+            rows = [frames.note_embeddings[i] for i in at]
+        notes = (rows, [base + t for t in emitting])
+    return StrideTokens(round_index, state.stream_id, base, first, tuple(tokens), tuple(gate_marks)), notes
 
 
 def check_and_rollback(
@@ -590,40 +588,39 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
     states = make_stream_states(artifact, config)
     records: list[TraceRecord] = []
     round_index = 0
-    no_rows = np.zeros((0, artifact.d_note))
+    masked_view = BusView(artifact.d_note, {}, {})
     lengths = artifact.lengths()
     base_gate = logistic(artifact.snc.gamma)
     live = config.agreement_mode == "live"
 
     while any(s.cursor < lengths[s.stream_id] for s in states):
-        view = None if round_index in config.masked_strides else bus.read_lagged()
+        view = masked_view if round_index in config.masked_strides else bus.read_lagged()
         decoding = [s for s in states if s.cursor < lengths[s.stream_id]]
-        readers = [s for s in decoding if live or (view is not None and any(k != s.stream_id for k in view.newest))]
+        readers = [s for s in decoding if live or any(k != s.stream_id for k in view.newest)]
         adapted = _adapt_stride(artifact, config, readers)
         # Sibling rows are stacked one stream at a time, so only one reader's
         # copy is alive at once.  Each adapted block is popped into its call
         # and bound to no name here, so the stacked block dies with the stride.
+        queued = []
         for s in decoding:
-            rows, newest = (no_rows, {}) if view is None else stack_sibling_rows(view, s.stream_id)
+            rows, newest = stack_sibling_rows(view, s.stream_id)
             note_event = _note_event(s, newest)
-            records.append(
-                step_stream(s, artifact, config, round_index, rows, note_event, base_gate, adapted.pop(s.stream_id, None))
+            record, notes = step_stream(
+                s, artifact, config, round_index, rows, note_event, base_gate, adapted.pop(s.stream_id, None)
             )
+            records.append(record)
+            if notes is not None:
+                queued.append((s.stream_id, notes))
 
-        published = False
-        for s in states:
-            if s.pending_notes is not None:
-                notes, positions = s.pending_notes
-                version = bus.publish(s.stream_id, notes, positions)
-                records.append(BarrierNotes(round_index, s.stream_id, tuple(positions), version))
-                published = True
-                s.pending_notes = None
+        for sid, (notes, positions) in queued:
+            version = bus.publish(sid, notes, positions)
+            records.append(BarrierNotes(round_index, sid, tuple(positions), version))
         for s in states:
             rb = check_and_rollback(s, artifact, config, round_index)
             if rb is not None:
                 bus.tombstone_after(s.stream_id, rb.rolled_back_to)
                 records.append(rb)
-        if published:
+        if queued:
             clock = max(s.position for s in states)
             records.append(SnapshotEvent(round_index, bus.snapshot(), clock))
         round_index += 1

@@ -13,9 +13,9 @@ rollback's tombstone cuts a suffix, found by bisection, and both it and a
 capacity-driven mean-pool compaction of the oldest notes are slices.
 Rolled-back notes are archived, never deleted, so a trace replays
 identically.  A publish that compaction could not fit is refused with the
-bus unchanged.  A read lays each stream's prefix of rows out in
-(stream id, version) order, and each reader of the stride takes its
-siblings' rows out of that one table.
+bus unchanged.  A read serves each stream's prefix of its lineage's rows
+as a read-only view, copying no row, and each reader of the stride stacks
+its siblings' views in stream-id order.
 """
 
 from __future__ import annotations
@@ -46,13 +46,14 @@ BusRecord = tuple[int, int, int, str, bool, np.ndarray]
 
 @dataclass(frozen=True)
 class BusView:
-    """The notes one read serves, in bus order: their stacked rows (read-only),
-    each stream's newest version among them, and each stream's [start, stop)
-    span of rows."""
+    """The notes one read serves: the note width, each stream's rows in
+    version order (a read-only view of its lineage, keyed in stream-id
+    order; only streams with notes appear), and each stream's newest
+    version among them."""
 
-    rows: Matrix
+    d_note: int
+    blocks: dict[int, Matrix]
     newest: dict[int, int]
-    spans: dict[int, tuple[int, int]]
 
 
 class _Lineage:
@@ -221,29 +222,27 @@ class NotesBus:
         return self._snapshot_version
 
     def read_lagged(self) -> BusView:
-        """The notes a read at the bus's lag serves, stacked once for every reader.
+        """The notes a read at the bus's lag serves, once for every reader.
 
         Lag 0 is a live view of the current visible notes; lag L >= 1 reads
         the snapshot L emission rounds back (the initial empty snapshot
-        while fewer than L have been taken).  The table concatenates each
-        stream's prefix of its lineage's rows, restacking no note.
-        stack_sibling_rows takes one reader's siblings out of it.
+        while fewer than L have been taken).  Each stream's block is a
+        read-only view of its lineage prefix, and copies no row: a written
+        row never changes, a tombstone's kept prefix reallocates on its
+        first append and a compaction writes into a copy, so the view
+        serves the same rows for as long as the caller keeps it.
         """
         by_stream = self._snapshots[0] if self.lag else self._visible
-        blocks: list[Matrix] = []
-        spans: dict[int, tuple[int, int]] = {}
+        blocks: dict[int, Matrix] = {}
         newest: dict[int, int] = {}
-        start = 0
         for sid in sorted(by_stream):
             lineage, count = by_stream[sid]
             if count:
-                blocks.append(lineage.rows[:count])
-                spans[sid] = (start, start + count)
+                block = lineage.rows[:count]
+                block.setflags(write=False)
+                blocks[sid] = block
                 newest[sid] = lineage.versions[count - 1]
-                start += count
-        rows = np.concatenate(blocks) if blocks else np.zeros((0, self.d_note))
-        rows.setflags(write=False)
-        return BusView(rows, newest, spans)
+        return BusView(self.d_note, blocks, newest)
 
     # -- rollback and compaction --------------------------------------------
 
@@ -326,19 +325,16 @@ class NotesBus:
 
 
 def stack_sibling_rows(view: BusView, reader: int) -> tuple[Matrix, dict[int, int]]:
-    """The reader's sibling rows in bus order, and each sibling's newest version.
+    """The reader's sibling rows in stream-id order, and each sibling's newest version.
 
-    The reader's own rows are one span of the table, so its siblings are the
-    rows around it: a read-only slice of the table when the span is at one
-    end (or absent), else a copy of the two slices.
+    A lone sibling's block is handed over as it is, read-only; several are
+    stacked into one new array.
     """
-    start, stop = view.spans.get(reader, (0, 0))
-    if start == 0:
-        rows = view.rows[stop:]
-    elif stop == view.rows.shape[0]:
-        rows = view.rows[:start]
+    blocks = [block for sid, block in view.blocks.items() if sid != reader]
+    if len(blocks) == 1:
+        rows = blocks[0]
     else:
-        rows = np.concatenate((view.rows[:start], view.rows[stop:]))
+        rows = np.concatenate(blocks) if blocks else np.zeros((0, view.d_note))
     return rows, {sid: v for sid, v in view.newest.items() if sid != reader}
 
 

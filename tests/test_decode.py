@@ -78,7 +78,7 @@ def test_closed_gate_row_of_a_stride_adds_no_bias():
     state.gate_state = GateState(g_min=0.0, warmup_tokens=4)
     rows = art.streams[1].note_embeddings[:3]
     h_adapted = apply_adapter(art.streams[0].hidden[:8], art.adapter)
-    record = step_stream(state, art, cfg, 0, rows, True, art.snc.gate_value(), h_adapted)
+    record, _ = step_stream(state, art, cfg, 0, rows, True, art.snc.gate_value(), h_adapted)
     offsets, gates = zip(*record.gates)
     assert offsets[:2] == (0, 1) and gates[0] == 0.0 and gates[1] > 0.0
     logits = art.streams[0].logits[:8]

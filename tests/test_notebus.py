@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdtcoord.errors import CapacityError, ConfigError, ShapeError
-from pdtcoord.notebus import SCHEMA_SUMMARY, BusRecord, NotesBus, load_bus_lines, stack_sibling_rows
+from pdtcoord.notebus import SCHEMA_SUMMARY, BusRecord, BusView, NotesBus, load_bus_lines, stack_sibling_rows
 from reference_decoder import RefBus, RefNote
 
 
@@ -20,6 +22,11 @@ def fill(bus: NotesBus, stream: int, count: int, base: float = 0.0, start: int =
 
 def sibling_rows(bus: NotesBus, reader: int) -> int:
     return stack_sibling_rows(bus.read_lagged(), reader)[0].shape[0]
+
+
+def served(view: BusView) -> np.ndarray:
+    """Every row a read serves, its streams' blocks stacked in stream-id order."""
+    return np.concatenate([*view.blocks.values(), np.zeros((0, view.d_note))])
 
 
 def test_publish_assigns_per_stream_versions():
@@ -147,7 +154,7 @@ def test_stack_sibling_rows_order():
     bus.publish(0, np.full(2, 1.0), 0)
     bus.publish(0, np.full(2, 2.0), 4)
     view = bus.read_lagged()
-    assert view.spans == {0: (0, 2), 2: (2, 3)}
+    assert list(view.blocks) == [0, 2] and [len(block) for block in view.blocks.values()] == [2, 1]
     rows, newest = stack_sibling_rows(view, 5)
     assert newest == {0: 1, 2: 0}
     assert rows[0, 0] == 1.0 and rows[2, 0] == 9.0
@@ -217,15 +224,24 @@ def test_views_are_read_only():
         bus.snapshot()
         fill(bus, 1, 1, base=20, start=8)
         view = bus.read_lagged()
-        with pytest.raises(ValueError, match="read-only"):
-            view.rows[0, 0] = 99.0
+        for block in view.blocks.values():
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 99.0
         for reader in range(4):
-            rows, _ = stack_sibling_rows(view, reader)
-            if reader != 1:  # the first, last and absent readers get a slice of the table
-                with pytest.raises(ValueError, match="read-only"):
-                    rows[0, 0] = 99.0
-        # Nothing a reader did reached the rows the bus keeps per stream.
-        assert bus.read_lagged().rows[:, 0].tolist() == want
+            rows, _ = stack_sibling_rows(view, reader)  # two or three siblings, stacked into a new array
+            rows[0, 0] = 99.0
+        # Nothing a reader did reached the rows the bus serves or keeps per stream.
+        assert served(view)[:, 0].tolist() == served(bus.read_lagged())[:, 0].tolist() == want
+        # A lone sibling's block is handed over as it is, still read-only.
+        pair = NotesBus(d_note=2, lag=lag)
+        fill(pair, 0, 1)
+        fill(pair, 1, 2, base=10)
+        pair.snapshot()
+        view = pair.read_lagged()
+        rows, _ = stack_sibling_rows(view, 0)
+        assert rows is view.blocks[1] and np.shares_memory(rows, pair._visible[1][0].rows)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 99.0
 
 
 def test_a_tombstone_or_compaction_restacks_its_stream():
@@ -233,14 +249,14 @@ def test_a_tombstone_or_compaction_restacks_its_stream():
     for value, pos in ((1.0, 0), (2.0, 10), (3.0, 30)):
         bus.publish(0, np.full(2, value), pos)
     bus.publish(1, np.full(2, 9.0), 0)
-    assert bus.read_lagged().rows[:, 0].tolist() == [1, 2, 3, 9]
+    assert served(bus.read_lagged())[:, 0].tolist() == [1, 2, 3, 9]
     assert bus.tombstone_after(0, token_pos=20) == 1  # the newest note
     with pytest.raises(ConfigError, match="precedes"):
         bus.publish(0, np.full(2, 5.0), 5)  # before the newest visible note, at 10
     bus.publish(0, np.full(2, 4.0), 12)
-    assert bus.read_lagged().rows[:, 0].tolist() == [1, 2, 4, 9]
+    assert served(bus.read_lagged())[:, 0].tolist() == [1, 2, 4, 9]
     assert bus.compact(retain_k=1) == 1
-    assert bus.read_lagged().rows[:, 0].tolist() == [1.5, 4, 9]
+    assert served(bus.read_lagged())[:, 0].tolist() == [1.5, 4, 9]
 
 
 def test_a_descending_publish_is_refused_and_changes_nothing():
@@ -249,12 +265,12 @@ def test_a_descending_publish_is_refused_and_changes_nothing():
         fill(bus, 0, 3)  # tokens 0, 4, 8
         bus.publish(1, np.ones(2), 20)
         bus.snapshot()
-        lines, rows = bus.dump_lines(), bus.read_lagged().rows.tolist()
+        lines, rows = bus.dump_lines(), served(bus.read_lagged()).tolist()
         for sid, pos in ((0, 7), (0, 0), (1, 19)):
             with pytest.raises(ConfigError, match="precedes"):
                 bus.publish(sid, np.full(2, -1.0), pos)
         assert bus.dump_lines() == lines and bus.visible_rows() == 4
-        assert bus.read_lagged().rows.tolist() == rows
+        assert served(bus.read_lagged()).tolist() == rows
         # The refused notes spent no version, and an equal position is accepted.
         assert (bus.publish(0, np.full(2, 3.0), 8), bus.publish(1, np.ones(2), 20)) == (3, 1)
         # A tombstone moves the newest visible note back, and with it the bound.
@@ -282,7 +298,7 @@ def test_a_tombstone_archives_exactly_the_dropped_rows():
     assert bus.tombstone_after(0, token_pos=99) == 0 and len(bus._tombstoned[0]) == 1
     assert bus.tombstone_after(0, token_pos=4) == 2
     assert [a.rows[:, 0].tolist() for a in bus._tombstoned[0]] == [[3, 4], [1, 2]]
-    assert bus.read_lagged().rows.tolist() == [[0.0, 0.0]]
+    assert served(bus.read_lagged()).tolist() == [[0.0, 0.0]]
 
 
 def test_a_lagged_view_outlives_a_tombstone_and_a_publish_into_the_shared_prefix():
@@ -292,9 +308,9 @@ def test_a_lagged_view_outlives_a_tombstone_and_a_publish_into_the_shared_prefix
     # The kept prefix shares the rows the snapshot serves; a publish must not write them.
     assert bus.tombstone_after(1, token_pos=8) == 2
     fill(bus, 1, 3, base=-10, start=8)
-    assert bus.read_lagged().rows[:, 0].tolist() == [0, 1, 2, 3]
+    assert served(bus.read_lagged())[:, 0].tolist() == [0, 1, 2, 3]
     bus.snapshot()
-    assert bus.read_lagged().rows[:, 0].tolist() == [0, 1, -10, -9, -8]
+    assert served(bus.read_lagged())[:, 0].tolist() == [0, 1, -10, -9, -8]
 
 
 def test_lagged_reads_outlive_a_reallocation_of_the_live_rows():
@@ -322,9 +338,9 @@ def test_a_compaction_leaves_the_rows_an_older_snapshot_serves():
     bus.snapshot()
     assert bus.compact(retain_k=1) == 1
     assert bus.tombstone_after(1, token_pos=0) == 2  # the summary and the newest note
-    assert bus.read_lagged().rows[:, 0].tolist() == [0, 1, 2, 3]
+    assert served(bus.read_lagged())[:, 0].tolist() == [0, 1, 2, 3]
     bus.snapshot()
-    assert bus.read_lagged().rows.shape[0] == 0
+    assert served(bus.read_lagged()).shape[0] == 0
 
 
 def test_publish_copies_the_callers_array():
@@ -338,8 +354,8 @@ def test_publish_copies_the_callers_array():
     for bus in (live, lagged):
         bus.publish(0, emb, 4)
     emb[:] = -7.0
-    assert live.read_lagged().rows.tolist() == [[1.0, 2.0], [9.0, 9.0]]
-    assert lagged.read_lagged().rows.tolist() == [[1.0, 2.0]]
+    assert served(live.read_lagged()).tolist() == [[1.0, 2.0], [9.0, 9.0]]
+    assert served(lagged.read_lagged()).tolist() == [[1.0, 2.0]]
     assert live.dump_lines()[0] == first[0] and live.dump_lines()[1].endswith(" live 9.0,9.0")
     assert lagged.dump_lines() == live.dump_lines()
 
@@ -444,8 +460,8 @@ def dump_records(lines: list[str]) -> list[BusRecord]:
     return out
 
 
-def assert_view_matches(bus: NotesBus, notes: list[RefNote]) -> None:
-    """Every reader's view of bus serves the siblings among notes, in bus order."""
+def assert_view_matches(bus: NotesBus, notes: list[RefNote]) -> BusView:
+    """Every reader's view of bus serves the siblings among notes, in bus order; returns the view."""
     view = bus.read_lagged()
     for reader in range(5):
         rows, newest = stack_sibling_rows(view, reader)
@@ -455,6 +471,7 @@ def assert_view_matches(bus: NotesBus, notes: list[RefNote]) -> None:
         assert np.array_equal(rows, np.array([n.emb for n in want]).reshape(-1, 2))
     # A bus keeps only the snapshots its one lag reaches: none at lag 0.
     assert len(bus._snapshots) <= bus.lag
+    return view
 
 
 # Unbounded below, a drawn list averages about five ops, too few to snapshot a
@@ -469,6 +486,9 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
     one = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k)
     ref = RefBus(capacity, retain_k)
     ref_snapshots: list[list[RefNote]] = [[]]  # the bus starts with an empty snapshot
+    # Every block every read served, and a copy of their bytes: a view serves the same rows for as long as it is kept.
+    kept: list[np.ndarray] = []
+    kept_bytes = b""
     for index, op in enumerate(ops):
         if op[0] == "publish":
             _, sid, notes, unsorted = op
@@ -527,7 +547,27 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
             assert bus.visible_rows() == len(ref.visible()) <= capacity
             assert bus.dump_lines() == ref.dump()
             lagged = ref.visible() if bus.lag == 0 else ref_snapshots[max(0, len(ref_snapshots) - bus.lag)]
-            assert_view_matches(bus, lagged)
+            view = assert_view_matches(bus, lagged)
+            kept.extend(view.blocks.values())
+            kept_bytes += served(view).tobytes()
+        assert not any(block.flags.writeable for block in kept)
+        assert np.concatenate([*kept, np.zeros((0, 2))]).tobytes() == kept_bytes
+
+
+def test_a_read_copies_no_note_row():
+    for lag in (0, 1):
+        bus = NotesBus(d_note=16, capacity=4096, lag=lag)
+        for sid in range(8):
+            bus.publish(sid, np.full((250, 16), float(sid)), range(250))
+        bus.snapshot()
+        tracemalloc.start()
+        try:
+            view = bus.read_lagged()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Stacking the 2,000 rows would take 256,000 bytes.
+        assert sum(len(block) for block in view.blocks.values()) == 2000 and peak < 16 * 1024
 
 
 def test_empty_dump_loads_with_its_note_width():
