@@ -73,8 +73,9 @@ class DecodeConfig:
                 object.__setattr__(self, name, check(getattr(self, name), name))
         masked = frozenset(as_int(s, "masked_strides entry") for s in self.masked_strides)
         object.__setattr__(self, "masked_strides", masked)
-        if self.stride_b < 1:
-            raise ConfigError("stride_b must be >= 1")
+        for name in ("stride_b", "bus_capacity", "bus_retain_k", "warmup_tokens"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.horizon_l < self.stride_b:
             raise ConfigError("horizon_l must be >= stride_b so commits bound uncommitted spans")
         if self.tau is not None and not 0.0 < self.tau < 1.0:
@@ -95,13 +96,13 @@ class DecodeConfig:
             object.__setattr__(self, "gate_override", 0.0)
 
 
-# -- events -----------------------------------------------------------------
+# -- records ----------------------------------------------------------------
 #
-# A trace line's event is a named tuple: immutable and cheap to build.  A
-# decode does not build one per line, though.  It keeps one StrideTokens per
-# (stream, stride) and one BarrierNotes per (stream, barrier), and each of
-# those renders its lines directly and expands to its events on demand.  A
-# ROLLBACK or SNAPSHOT line is its own record and renders itself.
+# A decode keeps the body of its trace as records, immutable named tuples
+# that each render their own lines: one StrideTokens per (stream, stride),
+# one BarrierNotes per (stream, barrier), and a RollbackEvent or
+# SnapshotEvent per ROLLBACK or SNAPSHOT line.  TokenEvent is no record:
+# DecodeTrace.events builds one per TOKEN line for the benchmark's counts.
 
 
 class TokenEvent(NamedTuple):
@@ -112,27 +113,13 @@ class TokenEvent(NamedTuple):
     token_id: int
 
 
-class GateEvent(NamedTuple):
-    round_index: int
-    stream_id: int
-    position: int
-    value: float
-
-
-class NoteEvent(NamedTuple):
-    round_index: int
-    stream_id: int
-    emitted_at_token: int
-    version: int
-
-
 class SnapshotEvent(NamedTuple):
     round_index: int
     snapshot_version: int
     created_at_token: int
 
-    def line(self) -> str:
-        return f"SNAPSHOT {self.round_index} {self.snapshot_version} {self.created_at_token}"
+    def lines(self) -> list[str]:
+        return [f"SNAPSHOT {self.round_index} {self.snapshot_version} {self.created_at_token}"]
 
 
 class RollbackEvent(NamedTuple):
@@ -143,14 +130,11 @@ class RollbackEvent(NamedTuple):
     pages_dropped: int
     round_index: int
 
-    def line(self) -> str:
-        return (
+    def lines(self) -> list[str]:
+        return [
             f"ROLLBACK {self.round_index} {self.stream_id} {self.trigger_position} "
             f"{self.rolled_back_to} {self.min_agreement!r} {self.pages_dropped}"
-        )
-
-
-TraceEvent = TokenEvent | GateEvent | NoteEvent | SnapshotEvent | RollbackEvent
+        ]
 
 
 class StrideTokens(NamedTuple):
@@ -167,15 +151,6 @@ class StrideTokens(NamedTuple):
     frame_index: int
     token_ids: tuple[int, ...]
     gates: tuple[tuple[int, float], ...]
-
-    def events(self) -> list[TokenEvent | GateEvent]:
-        r, sid, gates = self.round_index, self.stream_id, dict(self.gates)
-        out: list[TokenEvent | GateEvent] = []
-        for t, token in enumerate(self.token_ids):
-            out.append(TokenEvent(r, sid, self.position + t, self.frame_index + t, token))
-            if t in gates:
-                out.append(GateEvent(r, sid, self.position + t, gates[t]))
-        return out
 
     def lines(self) -> list[str]:
         head, gates = f"{self.round_index} {self.stream_id}", dict(self.gates)
@@ -200,17 +175,12 @@ class BarrierNotes(NamedTuple):
     positions: tuple[int, ...]
     first_version: int
 
-    def events(self) -> list[NoteEvent]:
-        return [NoteEvent(self.round_index, self.stream_id, p, self.first_version + i) for i, p in enumerate(self.positions)]
-
     def lines(self) -> list[str]:
         head = f"NOTE {self.round_index} {self.stream_id}"
         return [f"{head} {p} {self.first_version + i}" for i, p in enumerate(self.positions)]
 
 
-# A record stands for a group of trace lines or for one ROLLBACK or SNAPSHOT line.
 TraceRecord = StrideTokens | BarrierNotes | RollbackEvent | SnapshotEvent
-_GROUPS = (StrideTokens, BarrierNotes)
 
 
 @dataclass
@@ -465,7 +435,7 @@ class DecodeTrace:
     """Complete record of a run: config echo, trace records, final bus, summary.
 
     records holds the body of the trace in line order: StrideTokens and
-    BarrierNotes for the TOKEN, GATE and NOTE lines, and one event per
+    BarrierNotes for the TOKEN, GATE and NOTE lines, and one record per
     ROLLBACK and SNAPSHOT line.  They are the run's only copy of its tokens:
     token_logs and rollback_states are replayed from them.  committed holds
     each stream's committed prefix length.  A trace is not modified after
@@ -483,10 +453,7 @@ class DecodeTrace:
     def to_lines(self) -> list[str]:
         lines = ["PDTTRACE v1", self.config_line]
         for r in self.records:
-            if isinstance(r, _GROUPS):
-                lines.extend(r.lines())
-            else:
-                lines.append(r.line())
+            lines.extend(r.lines())
         lines.extend(self.bus_lines)
         n_tokens = sum(len(t) for t in self.token_logs)
         lines.append(
@@ -496,16 +463,17 @@ class DecodeTrace:
         return lines
 
     @cached_property
-    def events(self) -> list[TraceEvent]:
-        """One event per TOKEN, GATE, NOTE, ROLLBACK and SNAPSHOT line, in line order.
+    def events(self) -> list[TokenEvent | RollbackEvent]:
+        """One TokenEvent per TOKEN line and one RollbackEvent per ROLLBACK line, in line order.
 
-        Expanded from the records on first use; nothing in the package reads it.
+        Built from the records on first use, for the benchmark's counts; nothing in the package reads it.
         """
-        events: list[TraceEvent] = []
+        events: list[TokenEvent | RollbackEvent] = []
         for r in self.records:
-            if isinstance(r, _GROUPS):
-                events.extend(r.events())
-            else:
+            if isinstance(r, StrideTokens):
+                for t, token in enumerate(r.token_ids):
+                    events.append(TokenEvent(r.round_index, r.stream_id, r.position + t, r.frame_index + t, token))
+            elif isinstance(r, RollbackEvent):
                 events.append(r)
         return events
 

@@ -38,7 +38,7 @@ _U32, _U64, _F64 = struct.Struct("<I"), struct.Struct("<Q"), struct.Struct("<d")
 # with their allowed ranges, the u64 seed, the f64 scalars below, one u32
 # length per stream in [0, _MAX_LEN], the weights below, then each stream's
 # frame arrays below.  write_artifact and read_artifact both walk these
-# lists, and the writer checks the reader's ranges before it writes.
+# lists, and ReplayArtifact checks the reader's ranges when it is built.
 # synthesize_artifact draws weight i of _WEIGHTS (1-based) under tag i.
 _HEADER = (
     ("vocab_size", 2, _MAX_DIM),
@@ -138,11 +138,12 @@ class StreamFrames:
 class ReplayArtifact:
     """A frozen backbone's recorded frames plus the coordination weights.
 
-    The header widths and the seed are stored as int.  Every weight and
-    every frame array must have the shape that _WEIGHTS and _FRAMES give in
-    header widths, so every artifact that constructs can be written and
-    read back.  vocab_size must be at least 2: adaptive cadence divides by
-    log(vocab_size).
+    The header widths and the seed are stored as int.  Every header field
+    (the stream count too), stream length and the seed must lie in the
+    format's range, and every weight and frame array must have the shape
+    that _WEIGHTS and _FRAMES give in header widths, so every artifact that
+    constructs can be written and read back.  vocab_size's floor of 2 is
+    also what adaptive cadence needs: it divides by log(vocab_size).
     """
 
     vocab_size: int
@@ -160,8 +161,10 @@ class ReplayArtifact:
     def __post_init__(self) -> None:
         for name in (*_WIDTHS, "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size={self.vocab_size} must be >= 2")
+        limits = [(name, getattr(self, name), lo, hi) for name, lo, hi in _HEADER]
+        limits += [(f"length[{k}]", f.length, 0, _MAX_LEN) for k, f in enumerate(self.streams)]
+        limits.append(("seed", self.seed, 0, _MAX_SEED))
+        _check_ranges(limits)
         object.__setattr__(self, "readout", as_matrix(self.readout, "readout"))
         weight_shapes, frame_widths = _shapes(_HEADER_WIDTHS(self))
         for (_, name, dims), arr, want in zip(_WEIGHTS, _WEIGHT_ARRAYS(self), weight_shapes):
@@ -279,16 +282,11 @@ def synthesize_artifact(spec: SynthSpec) -> ReplayArtifact:
 def write_artifact(artifact: ReplayArtifact, path: str) -> None:
     """Serialize an artifact to its binary file form.
 
-    A header field, stream length or seed outside the format's range raises
-    ConfigError before the file is opened, so nothing is written and every
-    file written here reads back.
+    ReplayArtifact refuses at construction every value outside the format's
+    ranges, so every file written here reads back.
     """
     header = [getattr(artifact, name) for name, _, _ in _HEADER]
     lengths = artifact.lengths()
-    limits = [(name, val, lo, hi) for (name, lo, hi), val in zip(_HEADER, header)]
-    limits += [(f"length[{k}]", t, 0, _MAX_LEN) for k, t in enumerate(lengths)]
-    limits.append(("seed", artifact.seed, 0, _MAX_SEED))
-    _check_ranges(limits)
     scalars = [getattr(getattr(artifact, owner), name) for owner, names in _SCALARS.items() for name in names]
     parts = [
         MAGIC,

@@ -83,6 +83,11 @@ REFUSALS = [
     (_run_balancer, {"update_interval": True}),
     (DecodeConfig, {"cadence": "deterministic"}),
     (DecodeConfig, {"masked_strides": 3}),
+    # Refused at construction, not first by the bus or the gate inside run_parallel.
+    (DecodeConfig, {"bus_capacity": 0}),
+    (DecodeConfig, {"bus_retain_k": 0}),
+    (DecodeConfig, {"warmup_tokens": 0}),
+    (DecodeConfig, {"bus_capacity": -3}),
 ]
 
 

@@ -23,8 +23,6 @@ from pdtcoord.decode import (
     BarrierNotes,
     DecodeConfig,
     DecodeTrace,
-    GateEvent,
-    NoteEvent,
     RollbackEvent,
     SnapshotEvent,
     StreamState,
@@ -202,29 +200,23 @@ def test_decode_memory_grows_by_a_bounded_amount_per_token():
 
 
 def parse_trace_events(path) -> list:
-    """The event of every TOKEN, GATE, NOTE, ROLLBACK and SNAPSHOT line of a written trace, in order."""
+    """The event of every TOKEN and ROLLBACK line of a written trace, in order."""
     events = []
     for line in path.read_text().splitlines():
         kind, *f = line.split(" ")
         if kind == "TOKEN":
             events.append(TokenEvent(*map(int, f)))
-        elif kind == "GATE":
-            events.append(GateEvent(int(f[0]), int(f[1]), int(f[2]), float(f[3])))
-        elif kind == "NOTE":
-            events.append(NoteEvent(*map(int, f)))
         elif kind == "ROLLBACK":
             r, sid, trigger, target, low, pages = f
             events.append(RollbackEvent(int(sid), int(trigger), int(target), float(low), int(pages), int(r)))
-        elif kind == "SNAPSHOT":
-            events.append(SnapshotEvent(*map(int, f)))
     return events
 
 
 @pytest.mark.parametrize("case_id, build, config", [c[:3] for c in GOLDEN_CASES], ids=[c[0] for c in GOLDEN_CASES])
 def test_events_are_the_written_lines(case_id, build, config, tmp_path):
-    # The written file is the oracle: events expands the records to one event
-    # per line, and the token logs and rollback states are what its TOKEN and
-    # ROLLBACK lines replay to.
+    # The written file is the oracle: events holds one event per TOKEN and
+    # ROLLBACK line, and the token logs and rollback states are what those
+    # lines replay to.
     trace = run_parallel(build(), config)
     path = tmp_path / "run.trace"
     trace.write(str(path))
@@ -293,32 +285,37 @@ def test_events_grouped_by_stream_within_round():
     assert order == sorted(order)
 
 
+def gate_values(trace: DecodeTrace) -> list[float]:
+    """The value of every GATE line, read from the StrideTokens records."""
+    return [value for r in trace.records if isinstance(r, StrideTokens) for _, value in r.gates]
+
+
 def test_gate_override_emits_single_gate_event_per_stream():
     art = small_artifact(divergences=())
     trace = run_parallel(art, DecodeConfig(stride_b=8, horizon_l=8, gate_override=0.3))
-    gates = [e for e in trace.events if isinstance(e, GateEvent)]
+    gates = gate_values(trace)
     assert len(gates) == art.n_streams
-    assert all(e.value == 0.3 for e in gates)
+    assert all(value == 0.3 for value in gates)
 
 
 def test_controller_gate_values_stay_in_band():
     art = small_artifact(divergences=())
     cfg = DecodeConfig(stride_b=8, horizon_l=8, cadence=CadenceConfig(interval_m=4))
     trace = run_parallel(art, cfg)
-    gates = [e for e in trace.events if isinstance(e, GateEvent)]
+    gates = gate_values(trace)
     assert gates
-    for ev in gates:
-        assert GateState.g_min <= ev.value <= GateState.g_max
+    for value in gates:
+        assert GateState.g_min <= value <= GateState.g_max
 
 
 def test_deterministic_cadence_gates_note_positions():
     art = small_artifact(divergences=())
     cfg = DecodeConfig(stride_b=8, horizon_l=8, cadence=CadenceConfig(interval_m=4))
     trace = run_parallel(art, cfg)
-    notes = [e for e in trace.events if isinstance(e, NoteEvent)]
-    assert notes
-    for ev in notes:
-        assert (ev.emitted_at_token + 1) % 4 == 0
+    positions = [p for r in trace.records if isinstance(r, BarrierNotes) for p in r.positions]
+    assert positions
+    for p in positions:
+        assert (p + 1) % 4 == 0
 
 
 def test_live_agreement_mode_is_deterministic():
@@ -539,9 +536,8 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
 
 @pytest.mark.parametrize(
     "record",
-    [TokenEvent(0, 1, 2, 3, 4), GateEvent(0, 1, 2, 0.5), NoteEvent(0, 1, 2, 3), SnapshotEvent(0, 1, 2),
-     RollbackEvent(1, 9, 8, 0.25, 1, 0), StrideTokens(0, 1, 2, 3, (4, 5, 6), ((0, 0.5), (2, 0.25))),
-     BarrierNotes(0, 1, (2, 6), 3)],
+    [TokenEvent(0, 1, 2, 3, 4), SnapshotEvent(0, 1, 2), RollbackEvent(1, 9, 8, 0.25, 1, 0),
+     StrideTokens(0, 1, 2, 3, (4, 5, 6), ((0, 0.5), (2, 0.25))), BarrierNotes(0, 1, (2, 6), 3)],
     ids=lambda r: type(r).__name__,
 )
 def test_trace_records_are_immutable(record):
@@ -550,12 +546,15 @@ def test_trace_records_are_immutable(record):
         with pytest.raises(AttributeError):
             setattr(record, name, 7)
     assert tuple(record) == before
-    if not isinstance(record, (StrideTokens, BarrierNotes, RollbackEvent, SnapshotEvent)):
-        return  # an event type that DecodeTrace.events expands into, and no record
-    grouped = isinstance(record, (StrideTokens, BarrierNotes))
+    if isinstance(record, TokenEvent):
+        return  # DecodeTrace.events builds these from a StrideTokens; it is no record
     trace = DecodeTrace("CONFIG", [record], [], (0, 0), 0)
-    assert trace.to_lines()[2:-1] == (record.lines() if grouped else [record.line()])
-    assert trace.events == (record.events() if grouped else [record])
+    assert trace.to_lines()[2:-1] == record.lines()
+    if isinstance(record, StrideTokens):
+        expected = [TokenEvent(0, 1, 2 + t, 3 + t, token) for t, token in enumerate(record.token_ids)]
+    else:
+        expected = [record] if isinstance(record, RollbackEvent) else []
+    assert trace.events == expected
 
 
 def test_run_parallel_reads_the_bus_once_per_unmasked_stride():

@@ -27,7 +27,7 @@ from pdtcoord.replay import (
     synthesize_artifact,
     write_artifact,
 )
-from test_golden_hashes import CASES
+from test_golden_hashes import CASES, truncated
 
 SMALL = SynthSpec(n_streams=2, length=24, vocab_size=11, d=8, d_note=4, seed=13)
 # About 1 KB on disk, so a fuzzer reaches every field.
@@ -124,6 +124,23 @@ def test_synth_spec_refuses_what_the_format_cannot_hold(field, value):
     # Refused when the spec is built, before anything is synthesized.
     with pytest.raises(ConfigError, match=f"{field}={value}"):
         SynthSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    ("field", "change"),
+    [
+        ("seed", lambda art: {"seed": -1}),
+        ("seed", lambda art: {"seed": 2**64}),
+        ("n_streams", lambda art: {"streams": (truncated(art.streams[0], 0),) * 4097}),
+        ("n_streams", lambda art: {"streams": ()}),
+    ],
+    ids=["seed=-1", "seed=2**64", "4097 streams", "no streams"],
+)
+def test_an_artifact_the_format_cannot_hold_is_refused_when_built(field, change):
+    # Every artifact that constructs can be written, so none of these gets as far as write_artifact.
+    art = synthesize_artifact(TINY)
+    with pytest.raises(ConfigError, match=f"{field}="):
+        dataclasses.replace(art, **change(art))
 
 
 def test_binary_roundtrip_is_exact(tmp_path):
