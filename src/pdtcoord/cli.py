@@ -6,8 +6,11 @@ memcalc (KV budget arithmetic from a JSON config), sweep (cadence, mask
 ablation, or noise stress grids as CSV), and balance (feed a gradient log
 through the loss balancer).
 
-A command without --seed uses its per-command default.  Exit codes: 0
-success, 2 invalid input or configuration, 1 runtime failure.
+Each synth, replay and clustered-sim flag stores under the name of the field
+it sets: on SynthSpec, DecodeConfig or its CadenceConfig, or ClusterSimConfig.
+A flag left out keeps that field's dataclass default, so every default is
+written once, and a command without --seed uses its per-command default.
+Exit codes: 0 success, 2 invalid input or configuration, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .memmodel import KIB, MIB, MemoryConfig, kv_budget, pressure_check
 from .replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
 from .sweeps import cadence_sweep, mask_ablation, noise_stress
 
-_VALIDATION_ERRORS = (ConfigError, ShapeError, ArtifactFormatError, ValueError, KeyError)
+_VALIDATION_ERRORS = (ConfigError, ShapeError, ArtifactFormatError, ValueError)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -65,46 +68,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pdtcoord")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="write a deterministic synthetic replay artifact")
+    # A flag left out of these three is absent from the namespace (see _given).
+    unset = argparse.SUPPRESS
+    p_synth = sub.add_parser("synth", help="write a deterministic synthetic replay artifact", argument_default=unset)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--streams", type=int, default=SynthSpec.n_streams)
-    p_synth.add_argument("--length", type=int, default=SynthSpec.length)
-    p_synth.add_argument("--vocab", type=int, default=SynthSpec.vocab_size)
-    p_synth.add_argument("--d", type=int, default=SynthSpec.d)
-    p_synth.add_argument("--d-note", type=int, default=SynthSpec.d_note)
-    p_synth.add_argument("--gamma", type=float, default=SynthSpec.gamma)
-    p_synth.add_argument("--tau", type=float, default=SynthSpec.tau)
-    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p_synth.add_argument("--streams", dest="n_streams", metavar="STREAMS", type=int)
+    p_synth.add_argument("--length", type=int)
+    p_synth.add_argument("--vocab", dest="vocab_size", metavar="VOCAB", type=int)
+    p_synth.add_argument("--d", type=int)
+    p_synth.add_argument("--d-note", type=int)
+    p_synth.add_argument("--gamma", type=float)
+    p_synth.add_argument("--tau", type=float)
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument(
         "--plant",
+        dest="planted_divergences",
         type=_plant,
         action="append",
-        default=[],
         metavar="STREAM:POS",
         help="force the agreement score below tau at this frame (repeatable)",
     )
 
-    p_replay = sub.add_parser("replay", help="decode an artifact and report the trace")
+    p_replay = sub.add_parser("replay", help="decode an artifact and report the trace", argument_default=unset)
     p_replay.add_argument("--artifact", required=True)
     p_replay.add_argument("--out", default=None, help="write the full trace to this path")
-    p_replay.add_argument("--stride-b", type=int, default=DecodeConfig.stride_b)
-    p_replay.add_argument("--horizon-l", type=int, default=DecodeConfig.horizon_l)
-    p_replay.add_argument("--tau", type=float, default=DecodeConfig.tau)
-    p_replay.add_argument("--read-delta", type=int, default=DecodeConfig.read_delta)
-    p_replay.add_argument("--cadence-mode", choices=get_args(CadenceMode), default=CadenceConfig.mode)
-    p_replay.add_argument("--interval-m", type=int, default=CadenceConfig.interval_m)
-    p_replay.add_argument("--gate-override", type=float, default=DecodeConfig.gate_override)
-    p_replay.add_argument("--regen-mode", choices=get_args(RegenMode), default=DecodeConfig.regen_mode)
-    p_replay.add_argument("--agreement-mode", choices=get_args(AgreementMode), default=DecodeConfig.agreement_mode)
-    p_replay.add_argument("--noise-scale", type=float, default=DecodeConfig.note_noise_scale)
-    p_replay.add_argument("--seed", type=int, default=DecodeConfig.seed)
+    p_replay.add_argument("--stride-b", type=int)
+    p_replay.add_argument("--horizon-l", type=int)
+    p_replay.add_argument("--tau", type=float)
+    p_replay.add_argument("--read-delta", type=int)
+    p_replay.add_argument("--cadence-mode", dest="mode", choices=get_args(CadenceMode))
+    p_replay.add_argument("--interval-m", type=int)
+    p_replay.add_argument("--gate-override", type=float)
+    p_replay.add_argument("--regen-mode", choices=get_args(RegenMode))
+    p_replay.add_argument("--agreement-mode", choices=get_args(AgreementMode))
+    p_replay.add_argument("--noise-scale", dest="note_noise_scale", metavar="NOISE_SCALE", type=float)
+    p_replay.add_argument("--seed", type=int)
 
-    p_sim = sub.add_parser("clustered-sim", help="stride failure statistics for bursty errors")
-    p_sim.add_argument("--L", "--horizon-l", dest="horizon_l", type=int, default=ClusterSimConfig.horizon_l)
-    p_sim.add_argument("--rho", type=float, default=ClusterSimConfig.rho_c)
-    p_sim.add_argument("--q-token", "--q_token", dest="q_token", type=float, default=ClusterSimConfig.q_token)
-    p_sim.add_argument("--trials", type=int, default=ClusterSimConfig.trials)
-    p_sim.add_argument("--seed", type=int, default=ClusterSimConfig.seed)
+    p_sim = sub.add_parser("clustered-sim", help="stride failure statistics for bursty errors", argument_default=unset)
+    p_sim.add_argument("--L", "--horizon-l", dest="horizon_l", type=int)
+    p_sim.add_argument("--rho", dest="rho_c", metavar="RHO", type=float)
+    p_sim.add_argument("--q-token", "--q_token", type=float)
+    p_sim.add_argument("--trials", type=int)
+    p_sim.add_argument("--seed", type=int)
 
     p_mem = sub.add_parser("memcalc", help="exact KV budget from a JSON config")
     p_mem.add_argument("--config", required=True, help="JSON file whose keys mirror MemoryConfig fields")
@@ -126,18 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(args: argparse.Namespace, cls: type) -> dict[str, object]:
+    """The flags given on the command line that set a field of the dataclass cls."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec(
-        n_streams=args.streams,
-        length=args.length,
-        vocab_size=args.vocab,
-        d=args.d,
-        d_note=args.d_note,
-        gamma=args.gamma,
-        tau=args.tau,
-        seed=args.seed,
-        planted_divergences=tuple(args.plant),
-    )
+    spec = SynthSpec(**_given(args, SynthSpec))
     artifact = synthesize_artifact(spec)
     write_artifact(artifact, args.out)
     print(f"wrote {args.out}: streams={artifact.n_streams} length={spec.length} "
@@ -146,18 +146,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _decode_config(args: argparse.Namespace) -> DecodeConfig:
-    return DecodeConfig(
-        stride_b=args.stride_b,
-        horizon_l=args.horizon_l,
-        tau=args.tau,
-        read_delta=args.read_delta,
-        cadence=CadenceConfig(mode=args.cadence_mode, interval_m=args.interval_m),
-        gate_override=args.gate_override,
-        agreement_mode=args.agreement_mode,
-        regen_mode=args.regen_mode,
-        note_noise_scale=args.noise_scale,
-        seed=args.seed,
-    )
+    return DecodeConfig(cadence=CadenceConfig(**_given(args, CadenceConfig)), **_given(args, DecodeConfig))
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -173,13 +162,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_clustered_sim(args: argparse.Namespace) -> int:
-    config = ClusterSimConfig(
-        horizon_l=args.horizon_l,
-        rho_c=args.rho,
-        q_token=args.q_token,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    config = ClusterSimConfig(**_given(args, ClusterSimConfig))
     print(format_sim_transcript(simulate_clustered_rollback(config)))
     return 0
 

@@ -117,7 +117,9 @@ class NotesBus:
     as a lineage.  Each note of a publish either fits, after compaction if
     need be, or raises CapacityError, leaving the notes before it published
     and nothing else changed; a block before its stream's newest visible
-    note raises ConfigError having changed nothing.
+    note raises ConfigError having changed nothing.  Compacting to 1 leaves
+    at most 2 rows per stream, so a capacity of at least twice the number of
+    streams never refuses a publish.
     """
 
     def __init__(

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 
 import pytest
 
+from pdtcoord import cli
 from pdtcoord.analytics import ClusterSimConfig, format_sim_transcript, simulate_clustered_rollback
-from pdtcoord.cli import main
+from pdtcoord.cadence import CadenceConfig
+from pdtcoord.cli import build_parser, main
 from pdtcoord.decode import DecodeConfig, run_parallel
 from pdtcoord.memmodel import MIB, MemoryConfig
 from pdtcoord.replay import SynthSpec, read_artifact, synthesize_artifact, write_artifact
@@ -118,10 +121,96 @@ def test_replay_round_trip(artifact_path, tmp_path, capsys):
     assert lines[-1].startswith("SUMMARY ")
 
 
-def test_replay_defaults_are_decode_config_defaults(artifact_path, capsys):
-    assert main(["replay", "--artifact", str(artifact_path)]) == 0
-    expected = run_parallel(read_artifact(artifact_path), DecodeConfig()).trace_hash()
-    assert capsys.readouterr().out.splitlines()[-1] == f"trace_hash: {expected}"
+# Per command: the function handed the config it builds, that config's class,
+# and the flags that take no config field.
+BUILDERS = {
+    "synth": ("synthesize_artifact", SynthSpec, ["--out", "unused.pdtr"]),
+    "replay": ("run_parallel", DecodeConfig, ["--artifact", "unused.pdtr"]),
+    "clustered-sim": ("simulate_clustered_rollback", ClusterSimConfig, []),
+}
+# For every field flag: one non-default value as typed, and as the field holds it.
+FLAG_VALUES = {
+    "synth": {
+        "n_streams": ("2", 2),
+        "length": ("24", 24),
+        "vocab_size": ("11", 11),
+        "d": ("8", 8),
+        "d_note": ("4", 4),
+        "gamma": ("-3.5", -3.5),
+        "tau": ("0.45", 0.45),
+        "seed": ("7", 7),
+        "planted_divergences": ("1:5", ((1, 5),)),
+    },
+    "replay": {
+        "stride_b": ("8", 8),
+        "horizon_l": ("64", 64),
+        "tau": ("0.3", 0.3),
+        "read_delta": ("1", 1),
+        "mode": ("stochastic", "stochastic"),
+        "interval_m": ("7", 7),
+        "gate_override": ("0.5", 0.5),
+        "regen_mode": ("reconsume", "reconsume"),
+        "agreement_mode": ("live", "live"),
+        "note_noise_scale": ("0.5", 0.5),
+        "seed": ("99", 99),
+    },
+    "clustered-sim": {
+        "horizon_l": ("16", 16),
+        "rho_c": ("0.25", 0.25),
+        "q_token": ("0.01", 0.01),
+        "trials": ("500", 500),
+        "seed": ("3", 3),
+    },
+}
+CADENCE_FIELDS = {f.name for f in dataclasses.fields(CadenceConfig)}
+
+
+class Built(Exception):
+    """Carries a command's config out of main before anything uses it."""
+
+
+def built_config(monkeypatch, command, flags):
+    def capture(*args):
+        raise Built(args[-1])
+
+    builder, _, required = BUILDERS[command]
+    monkeypatch.setattr(cli, "read_artifact", lambda path: None)
+    monkeypatch.setattr(cli, builder, capture)
+    with pytest.raises(Built) as built:
+        main([command, *required, *flags])
+    return built.value.args[0]
+
+
+def with_field(config, name, value):
+    # replay's cadence flags set fields of DecodeConfig.cadence.
+    if isinstance(config, DecodeConfig) and name in CADENCE_FIELDS:
+        return dataclasses.replace(config, cadence=dataclasses.replace(config.cadence, **{name: value}))
+    return dataclasses.replace(config, **{name: value})
+
+
+@pytest.mark.parametrize("command", list(BUILDERS))
+def test_every_flag_sets_the_config_field_it_names(monkeypatch, command):
+    default = built_config(monkeypatch, command, [])
+    assert default == BUILDERS[command][1]()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [a for a in sub.choices[command]._actions if a.dest not in ("help", "out", "artifact")]
+    # A new flag needs a value here, so where it lands is checked too.
+    assert sorted(a.dest for a in options) == sorted(FLAG_VALUES[command])
+    for action in options:
+        text, value = FLAG_VALUES[command][action.dest]
+        expected = with_field(default, action.dest, value)
+        assert expected != default, action.dest
+        assert built_config(monkeypatch, command, [action.option_strings[0], text]) == expected, action.dest
+
+
+def test_an_internal_key_error_is_not_reported_as_bad_input(monkeypatch):
+    # No flag or file can raise KeyError, so one is a fault to surface, not exit 2.
+    def broken(config):
+        raise KeyError("horizon_l")
+
+    monkeypatch.setattr(cli, "simulate_clustered_rollback", broken)
+    with pytest.raises(KeyError):
+        main(["clustered-sim"])
 
 
 def test_replay_missing_artifact_is_runtime_error(tmp_path, capsys):

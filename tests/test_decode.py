@@ -695,6 +695,24 @@ def test_commits_are_final_and_rollbacks_stay_within_the_horizon(case):
                 assert (ev.position if isinstance(ev, TokenEvent) else ev.rolled_back_to) >= len(prefix)
 
 
+def test_an_artifact_of_more_streams_than_half_the_bus_decodes_at_default_capacity():
+    # 1,281 streams each keep a note on the default 2,560-row bus, under 2 rows per stream.
+    spec = SynthSpec(n_streams=1281, length=3, vocab_size=2, d=4, d_note=1)
+    config = DecodeConfig(stride_b=3, horizon_l=3, cadence=CadenceConfig(interval_m=2))
+    trace = run_parallel(synthesize_artifact(spec), config)
+    assert config.bus_capacity < 2 * spec.n_streams
+    assert trace.note_count() == spec.n_streams
+    assert trace.committed == (3,) * spec.n_streams
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted_runs(), retain_k=st.integers(1, 3))
+def test_a_bus_of_twice_the_streams_never_refuses_a_publish(case, retain_k):
+    spec, cfg = case
+    cfg = dataclasses.replace(cfg, bus_capacity=2 * spec.n_streams, bus_retain_k=retain_k)
+    run_parallel(synthesize_artifact(spec), cfg)
+
+
 def artifact_arrays(artifact) -> dict[str, np.ndarray]:
     arrays = {"readout": artifact.readout}
     for group in ("adapter", "snc", "agreement"):
