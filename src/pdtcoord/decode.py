@@ -3,7 +3,7 @@
 Streams consume replay-artifact frames in lockstep strides of B tokens.  Inside
 a stride each stream sees a view of its siblings' notes frozen at the top of
 the stride, so the order in which streams decode cannot leak into the trace.
-At the stride barrier published notes enter the bus, each stream's
+At the stride barrier the round's notes enter the bus as one batch, each stream's
 uncommitted span is committed or rolled back based on its minimum agreement
 score, and a new bus snapshot is recorded.
 
@@ -578,11 +578,12 @@ def run_parallel(artifact: ReplayArtifact, config: DecodeConfig | None = None) -
             )
             records.append(record)
             if notes is not None:
-                queued.append((s.stream_id, notes))
+                queued.append((s.stream_id, *notes))
 
-        for sid, (notes, positions) in queued:
-            version = bus.publish(sid, notes, positions)
-            records.append(BarrierNotes(round_index, sid, tuple(positions), version))
+        # The barrier's notes arrive together: one publish, and at most one compaction.
+        if queued:
+            for (sid, _, positions), version in zip(queued, bus.publish(queued)):
+                records.append(BarrierNotes(round_index, sid, tuple(positions), version))
         for s in states:
             rb = check_and_rollback(s, artifact, config, round_index)
             if rb is not None:

@@ -4,18 +4,18 @@ Streams publish fixed-width note embeddings into one lineage per stream;
 readers see their siblings' notes either live or through the snapshot a
 fixed lag back, a copy of the per-stream dict of (lineage, count) pairs.
 A lineage keeps its notes' embeddings as the rows of one growing array,
-with parallel lists of version, emission position and schema tag, so a
-publish, one stream's block of notes from a barrier, copies its rows and
-extends three lists.  A stream's visible notes are an ordered log: their
-emission positions never descend, and a publish before the stream's newest
-visible note is refused.  So a
-rollback's tombstone cuts a suffix, found by bisection, and both it and a
-capacity-driven mean-pool compaction of the oldest notes are slices.
+with parallel lists of version, emission position and schema tag.  A
+publish takes a barrier's notes as one batch, a block per stream: it copies
+each block's rows, extends three lists, and compacts at most once.  A
+stream's visible notes are an ordered log: their emission positions never
+descend, and a block before the stream's newest visible note is refused.
+So a rollback's tombstone cuts a suffix, found by bisection, and both it and
+a capacity-driven mean-pool compaction of the oldest notes are slices.
 Rolled-back notes are archived, never deleted, so a trace replays
-identically.  A publish that compaction could not fit is refused with the
-bus unchanged.  A read serves each stream's prefix of its lineage's rows
-as a read-only view, copying no row, and each reader of the stride stacks
-its siblings' views in stream-id order.
+identically.  A refused publish leaves the bus unchanged.  A read serves
+each stream's prefix of its lineage's rows as a read-only view, copying no
+row, and each reader of the stride stacks its siblings' views in stream-id
+order.
 """
 
 from __future__ import annotations
@@ -114,12 +114,10 @@ class NotesBus:
     a copy of that dict, which shares the lineages and copies no note or row.
     Every read is at the bus's lag, so the bus keeps only the newest lag
     snapshots, none at lag 0.  Each tombstone archives the suffix it drops
-    as a lineage.  Each note of a publish either fits, after compaction if
-    need be, or raises CapacityError, leaving the notes before it published
-    and nothing else changed; a block before its stream's newest visible
-    note raises ConfigError having changed nothing.  Compacting to 1 leaves
-    at most 2 rows per stream, so a capacity of at least twice the number of
-    streams never refuses a publish.
+    as a lineage.  A publish, a barrier's blocks of notes, either fits,
+    after one compaction if need be, or is refused with nothing changed.
+    Compacting to 1 leaves at most 2 rows per stream, so a capacity of at
+    least twice the number of streams never refuses a publish for capacity.
     """
 
     def __init__(
@@ -148,66 +146,65 @@ class NotesBus:
 
     # -- publishing ---------------------------------------------------------
 
-    def publish(self, stream_id: int, embeddings: np.ndarray, positions: int | Sequence[int]) -> int:
-        """Append copies of stream_id's next notes; returns the first one's version.
+    def publish(self, blocks: Iterable[tuple[int, Matrix | Sequence[np.ndarray], Sequence[int]]]) -> list[int]:
+        """Append copies of a barrier's notes; returns each block's first version.
 
-        One note is a 1-D embedding and its token position; a barrier's block
-        is (k, d_note) rows and k positions.  The rows must be finite and
-        d_note wide, the id and positions non-negative ints, and the
-        positions must not descend, from the stream's newest visible note
-        on; a block that breaks any of these is refused whole, changing
-        nothing (a descending block may meet a full bus's CapacityError
-        first).  Each step appends the largest block that fits below
-        capacity.  A note that arrives at capacity is appended alone and
-        then compacts the bus, so compaction and a CapacityError come at
-        the note where one-note publishes would meet them; the notes before
-        a refused one stay published.  A later write to the caller's array
-        reaches nothing the bus serves or dumps.
+        A block is one stream's (stream_id, rows, positions): k finite rows
+        d_note wide and k non-negative int positions that do not descend,
+        from the stream's newest visible note on; a stream has one block at
+        most.  A batch that breaks a rule, or whose floor (the rows that
+        compacting to 1 leaves, min(n, 2) per stream of n notes after it) is
+        over capacity, is refused whole before any change.  Otherwise every
+        block is appended, then a bus over capacity compacts once: to
+        retain_k and, if still over, to 1.  The blocks' order changes nothing,
+        and a later write to the caller's arrays reaches nothing on the bus.
         """
-        stream_id = as_int(stream_id, "stream_id")
-        rows = np.asarray(embeddings, dtype=np.float64)
-        if rows.ndim == 1:
-            rows, positions = rows[None, :], (positions,)
-        rows = as_matrix(rows, "embeddings")
-        if not hasattr(positions, "__len__") or len(positions) != rows.shape[0]:
-            raise ShapeError(f"embeddings of shape {rows.shape} need one position per row")
-        positions = [as_int(p, "token_pos") for p in positions]
-        if rows.shape[1] != self.d_note:
-            raise ShapeError(f"note width {rows.shape[1]} != bus width {self.d_note}")
-        if positions != sorted(positions):
-            raise ConfigError(f"stream {stream_id} block positions {positions} descend")
-        if stream_id < 0 or (positions and positions[0] < 0):
-            raise ConfigError("stream_id and token_pos must be non-negative")
-        first, i = self._next_version.get(stream_id, 0), 0
-        while i < len(positions):
-            # A note that arrives at capacity goes alone, and compaction follows it.
-            over = self._count >= self.capacity
-            if over:
-                # Compacting to 1 leaves min(n, 2) of a stream's n notes; refuse before any change if that is too many.
-                counts = {sid: count for sid, (_, count) in self._visible.items()}
-                counts[stream_id] = counts.get(stream_id, 0) + 1
-                floor = sum(min(count, 2) for count in counts.values())
-                if floor > self.capacity:
-                    raise CapacityError(f"bus over capacity: compaction leaves {floor} rows > {self.capacity}")
-            n = 1 if over else min(len(positions) - i, self.capacity - self._count)
-            block = slice(i, i + n)
-            self._append(stream_id, rows[block], range(first + i, first + i + n), positions[block], [SCHEMA_NOTE] * n)
-            i += n
-            self._next_version[stream_id] = first + i
-            if over:
-                self.compact()
-                if self._count > self.capacity:
-                    self.compact(retain_k=1)
-        return first
+        batch: dict[int, tuple[Matrix, list[int]]] = {}
+        for stream_id, embeddings, positions in blocks:
+            stream_id, rows = as_int(stream_id, "stream_id"), as_matrix(embeddings, "embeddings")
+            if not hasattr(positions, "__len__") or len(positions) != rows.shape[0]:
+                raise ShapeError(f"embeddings of shape {rows.shape} need one position per row")
+            positions = [as_int(p, "token_pos") for p in positions]
+            if rows.shape[1] != self.d_note:
+                raise ShapeError(f"note width {rows.shape[1]} != bus width {self.d_note}")
+            if positions != sorted(positions):
+                raise ConfigError(f"stream {stream_id} block positions {positions} descend")
+            if stream_id < 0 or (positions and positions[0] < 0):
+                raise ConfigError("stream_id and token_pos must be non-negative")
+            if stream_id in batch:
+                raise ConfigError(f"stream {stream_id} has two blocks in one publish")
+            if positions:
+                self._check_order(stream_id, positions[0])
+            batch[stream_id] = rows, positions
+        # The floor is at most the rows after the batch, so it need only be counted when those are over capacity.
+        if self._count + sum(len(positions) for _, positions in batch.values()) > self.capacity:
+            counts = {sid: count for sid, (_, count) in self._visible.items()}
+            for sid, (_, positions) in batch.items():
+                counts[sid] = counts.get(sid, 0) + len(positions)
+            if (floor := sum(min(count, 2) for count in counts.values())) > self.capacity:
+                raise CapacityError(f"bus over capacity: compaction leaves {floor} rows > {self.capacity}")
+        firsts = []
+        for sid, (rows, positions) in batch.items():
+            first, n = self._next_version.get(sid, 0), len(positions)
+            self._append(sid, rows, range(first, first + n), positions, [SCHEMA_NOTE] * n)
+            self._next_version[sid] = first + n
+            firsts.append(first)
+        for keep in (self.retain_k, 1):
+            if self._count > self.capacity:
+                self.compact(retain_k=keep)
+        return firsts
+
+    def _check_order(self, stream_id: int, position: int) -> None:
+        """Refuse a note before stream_id's newest visible one (its visible pair holds all of its lineage's notes)."""
+        pair = self._visible.get(stream_id)
+        if pair and pair[0].positions and position < pair[0].positions[-1]:
+            raise ConfigError(f"stream {stream_id} note at {position} precedes its newest at {pair[0].positions[-1]}")
 
     def _append(
         self, stream_id: int, rows: Matrix, versions: Iterable[int], positions: list[int], tags: list[str]
     ) -> None:
-        # The visible pair always holds all of its lineage's notes.
         pair = self._visible.get(stream_id)
         lineage = pair[0] if pair else _Lineage.empty(self.d_note)
-        if lineage.positions and positions[0] < lineage.positions[-1]:
-            raise ConfigError(f"stream {stream_id} note at {positions[0]} precedes its newest at {lineage.positions[-1]}")
         lineage.append(rows, versions, positions, tags)
         self._visible[stream_id] = (lineage, len(lineage.versions))
         self._count += len(positions)
@@ -300,6 +297,7 @@ class NotesBus:
                 # An archived lineage never grows, so it is kept at its exact size.
                 self._tombstoned.setdefault(sid, []).append(_Lineage(emb[None, :].copy(), [version], [pos], [tag]))
             else:
+                self._check_order(sid, pos)
                 self._append(sid, emb[None, :], (version,), [pos], [tag])
             self._next_version[sid] = max(self._next_version.get(sid, 0), version + 1)
 

@@ -21,6 +21,7 @@ from scipy.special import erf
 
 from pdtcoord.cadence import ContextSignals, next_emission
 from pdtcoord.decode import MAX_RECONSUME_ATTEMPTS, DecodeConfig, _config_line
+from pdtcoord.errors import CapacityError
 from pdtcoord.memmodel import pages_touched
 from pdtcoord.replay import ReplayArtifact
 from pdtcoord.rng import DOMAIN_NOISE, normal_array
@@ -37,7 +38,14 @@ class RefNote:
 
 
 class RefBus:
-    """Live notes per stream in version order, tombstones, and mean-pool compaction."""
+    """Live notes per stream in version order, tombstones, and mean-pool compaction.
+
+    A barrier's notes are published together: if compacting every stream to
+    one summary and its newest note would still leave more notes than
+    capacity, the whole barrier is refused; otherwise all of them go in and
+    then the bus compacts, to retain_k notes a stream and, if that is not
+    enough, to 1.
+    """
 
     def __init__(self, capacity: int, retain_k: int) -> None:
         self.capacity, self.retain_k = capacity, retain_k
@@ -48,15 +56,23 @@ class RefBus:
     def visible(self) -> list[RefNote]:
         return [n for sid in sorted(self.live) for n in self.live[sid]]
 
-    def publish(self, stream: int, emb: np.ndarray, pos: int) -> int:
-        version = self.versions.get(stream, 0)
-        self.versions[stream] = version + 1
-        self.live.setdefault(stream, []).append(RefNote(stream, version, np.array(emb), pos))
+    def publish(self, notes: list[tuple[int, np.ndarray, int]]) -> list[int]:
+        """Publish a barrier's (stream, embedding, position) notes; returns each one's version."""
+        after = {sid: len(live) for sid, live in self.live.items()}
+        for stream, _, _ in notes:
+            after[stream] = after.get(stream, 0) + 1
+        if sum(min(n, 2) for n in after.values()) > self.capacity:
+            raise CapacityError("a barrier's notes do not fit even compacted to one summary per stream")
+        versions = []
+        for stream, emb, pos in notes:
+            versions.append(self.versions.get(stream, 0))
+            self.versions[stream] = versions[-1] + 1
+            self.live.setdefault(stream, []).append(RefNote(stream, versions[-1], np.array(emb), pos))
         for keep in (self.retain_k, 1):
             if len(self.visible()) > self.capacity:
                 self.compact(keep)
         assert len(self.visible()) <= self.capacity
-        return version
+        return versions
 
     def compact(self, keep: int) -> None:
         for sid, notes in self.live.items():
@@ -223,12 +239,11 @@ def reference_decode(artifact: ReplayArtifact, config: DecodeConfig) -> RefRun:
                     s.pending.append((emb, position))
                     s.since_note = 0
 
-        published = False
+        barrier = [(s.sid, emb, pos) for s in streams for emb, pos in s.pending]
+        for (sid, _, pos), version in zip(barrier, bus.publish(barrier)):
+            body.append(f"NOTE {r} {sid} {pos} {version}")
+        n_notes += len(barrier)
         for s in streams:
-            for emb, pos in s.pending:
-                body.append(f"NOTE {r} {s.sid} {pos} {bus.publish(s.sid, emb, pos)}")
-                n_notes += 1
-                published = True
             s.pending.clear()
         for s in streams:
             span = len(s.log) - s.committed
@@ -252,7 +267,7 @@ def reference_decode(artifact: ReplayArtifact, config: DecodeConfig) -> RefRun:
             body.append(f"ROLLBACK {r} {s.sid} {trigger} {target} {low!r} {pages}")
             n_rollbacks += 1
             rollback_states.append((s.sid, target, tuple(s.log)))
-        if published:
+        if barrier:
             clock = max(len(s.log) for s in streams)
             snapshots.append(bus.visible())
             body.append(f"SNAPSHOT {r} {len(snapshots) - 1} {clock}")

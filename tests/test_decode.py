@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_hashes import CASES as GOLDEN_CASES
+from test_notebus import put
 
 from pdtcoord import cadence, cli, decode
 from pdtcoord.cadence import CadenceConfig
@@ -515,12 +516,12 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
     def event() -> bool:
         return _note_event(state, stack_sibling_rows(bus.read_lagged(), 0)[1])
 
-    bus.publish(1, np.ones(2), 0)
+    put(bus, 1, np.ones(2), 0)
     assert event() and state.seen_versions == {1: 0}
     assert not event()  # the same view again
-    bus.publish(1, np.full(2, 2.0), 4)
+    put(bus, 1, np.full(2, 2.0), 4)
     for i in range(3):
-        bus.publish(2, np.full(2, float(i)), 4 * i)
+        put(bus, 2, np.full(2, float(i)), 4 * i)
     assert event() and state.seen_versions == {1: 1, 2: 2}
     bus.tombstone_after(1, 4)
     assert not event() and state.seen_versions == {1: 1, 2: 2}
@@ -528,9 +529,9 @@ def test_note_event_fires_only_on_unseen_sibling_versions():
     assert bus.compact(retain_k=1) == 1
     assert not event() and state.seen_versions == {1: 1, 2: 2}
     # Stream 1 publishes again after its tombstone, as version 2.
-    bus.publish(1, np.full(2, 3.0), 4)
+    put(bus, 1, np.full(2, 3.0), 4)
     assert event() and state.seen_versions == {1: 2, 2: 2}
-    bus.publish(0, np.full(2, 4.0), 8)  # the reader's own note
+    put(bus, 0, np.full(2, 4.0), 8)  # the reader's own note
     assert not event() and state.seen_versions == {1: 2, 2: 2}
 
 
@@ -605,12 +606,16 @@ def test_a_stride_publishes_its_notes_once_and_draws_its_cadence_once(case_id):
         mock.patch.object(decode, "next_emission", wraps=decode.next_emission) as next_emission,
     ):
         trace = run_parallel(build(), config)
-    assert compact.call_count == 0  # nothing compacts, so each publish appends its notes as one block
+    assert compact.call_count == 0  # these buses never fill
     strides = [r for r in trace.records if isinstance(r, StrideTokens)]
     barriers = [r for r in trace.records if isinstance(r, BarrierNotes)]
     assert trace.note_count() > len(barriers) > 0
-    # One publish per (stream, barrier) that has notes, of exactly that barrier's notes.
-    assert [(c.args[1], tuple(c.args[3])) for c in publish.call_args_list] == [(b.stream_id, b.positions) for b in barriers]
+    # One publish per barrier that has notes, with one block per stream of exactly that stream's notes there.
+    published: dict[int, list] = {}
+    for b in barriers:
+        published.setdefault(b.round_index, []).append((b.stream_id, b.positions))
+    assert len(published) < len(barriers)
+    assert [[(sid, tuple(p)) for sid, _, p in c.args[1]] for c in publish.call_args_list] == list(published.values())
     # Stochastic cadence draws each (stream, stride) once; deterministic cadence draws nothing.
     stochastic = config.cadence.mode == "stochastic"
     assert uniform.call_count == (len(strides) if stochastic else 0)

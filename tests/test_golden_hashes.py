@@ -13,20 +13,23 @@ differs from a per-row one by about 1e-16, which reaches only the printed
 min_agreement digits.  Folding w_k into the query and w_v w_o into the output
 of note attention moved the full hash of reconsume_live_stochastic for the
 same reason: 9 ROLLBACK lines differ, each in its min_agreement digits, by at
-most 5.1e-16 relative, and every other line is unchanged.
+most 5.1e-16 relative, and every other line is unchanged.  Publishing each
+barrier's notes as one batch, compacted at most once, moved both hashes of
+the three cases whose bus compacts (compaction, wide_bus, narrow_notes):
+which notes are mean-pooled no longer depends on stream ids, and 2, 38 and
+15 final tokens changed, with every rollback and committed count as before.
 
 wide_bus is the one case at bus width: 8 streams of 256 frames read each
 other's notes through a 512-row bus, so each reader attends over hundreds of
-rows, and a closed gate changes 78 of the 1,984 tokens in its final logs.
-Its hashes were taken from the decoder before the fold.
+rows, and a closed gate changes 83 of the 1,984 tokens in its final logs.
 
 narrow_notes is the one case whose note width is not half the stream width
 (d=24, d_note=4, so the attention is 12 wide): scaling the scores by
 1/sqrt(d_note) instead of 1/sqrt(d_attn) moves both of its hashes.  It reads
-its latest snapshot (read_delta=1) of a 14-row bus that compacts several
-times a barrier and tombstones the notes of three rollbacks, so it drives
-each stream's stacked rows through snapshots, compaction and tombstones.  Its
-hashes were taken from the decoder before the bus stacked rows per stream.
+its latest snapshot (read_delta=1) of a 14-row bus that compacts at every
+one of its 9 barriers and tombstones the notes of three rollbacks, so it
+drives each stream's stacked rows through snapshots, compaction and
+tombstones.
 """
 
 from __future__ import annotations
@@ -159,8 +162,8 @@ CASES = [
      "b3063cf39e3d6cb4eeb3de3aeb350e2c6a1efb6b523e047cf50cab1d03d81004"),
     ("compaction", wide,
      replace(B8, bus_capacity=12, bus_retain_k=2, cadence=CadenceConfig(interval_m=1)),
-     "b6b6478c15a1143660fe78a21c2523a75d8dfc9bff4651bfd2391c0ea4f1003e",
-     "a33b33a1f7b0c0daf3796f9c8ba20bc7bc6fd0a82e0bb597d7a94474cc5ca875"),
+     "9062bd83ad5f721a1ffd18c526b222f4e558c6470d07a5db7063920159066386",
+     "3b3e05a709998718e028765d354339b200be187c8b52fa1ff6ddda968d38b81b"),
     ("gate_override", wide, replace(B8, gate_override=0.35),
      "425740a7806a084b3f6b49e3a8415e9a002a3d1d2552bde16fbfe7c52511a149",
      "ded84282659dbba1cd3fc00351715c50ba256dff1c22839fce759ae1c30446d7"),
@@ -177,13 +180,13 @@ CASES = [
      "7e75d4295599d14bd6aa2ba4273b3230e4668c4c97d95ce1ff8aee08cb0404cb"),
     ("wide_bus", wide_bus,
      DecodeConfig(stride_b=32, horizon_l=32, cadence=CadenceConfig(interval_m=1), bus_capacity=512),
-     "e712a9ca8592102b9940fd4f4afbd4a62f2938543e0ff9afea18f45e6ea05ff8",
-     "9d588e6c0096cc327ec604fdf662bf5ce377eebea00b61efde85c935c28f9486"),
+     "e716ca2c34b2f028db8a080b0c33b32a45ca8f7848d94b5e82676785dbb966de",
+     "97e890d67ebf6bbb7e1466aa0e6cfe0997577c60933198d7f13d808fcb1f45f9"),
     ("narrow_notes", narrow_notes,
      DecodeConfig(stride_b=8, horizon_l=8, read_delta=1, bus_capacity=14, bus_retain_k=2,
                   cadence=CadenceConfig(interval_m=2), warmup_tokens=4),
-     "15a20f5df2aee4f7a73fa0d9d6eb82ede93b8e95eeecf172512d7664eb8a65f5",
-     "e64b95b5cf89d07a5e8e4dbb6eafe867cdf2eb2c16c8d31be32044a4d06ce9f7"),
+     "fcdf534342d9cd26bbd37878f4a86ed7a031d48f39bc32620589baa0c660314b",
+     "3948df235a6b8ca41be2d587f28c2c343990a9fa6aa296ec487718738a907fec"),
 ]
 
 

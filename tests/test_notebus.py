@@ -14,10 +14,15 @@ from pdtcoord.notebus import SCHEMA_SUMMARY, BusRecord, BusView, NotesBus, load_
 from reference_decoder import RefBus, RefNote
 
 
+def put(bus: NotesBus, stream: int, row: np.ndarray, pos: int) -> int:
+    """Publish one note as a barrier of its own; returns its version."""
+    return bus.publish([(stream, [row], [pos])])[0]
+
+
 def fill(bus: NotesBus, stream: int, count: int, base: float = 0.0, start: int = 0) -> None:
-    """Publish count notes of values base, base + 1, ... at tokens start, start + 4, ..."""
+    """Publish count notes of values base, base + 1, ... at tokens start, start + 4, ..., one barrier each."""
     for i in range(count):
-        bus.publish(stream, np.full(bus.d_note, base + i), start + i * 4)
+        put(bus, stream, np.full(bus.d_note, base + i), start + i * 4)
 
 
 def sibling_rows(bus: NotesBus, reader: int) -> int:
@@ -31,19 +36,22 @@ def served(view: BusView) -> np.ndarray:
 
 def test_publish_assigns_per_stream_versions():
     bus = NotesBus(d_note=2)
-    versions = [bus.publish(0, np.zeros(2), 0), bus.publish(0, np.ones(2), 4), bus.publish(1, np.ones(2), 4)]
+    versions = [put(bus, 0, np.zeros(2), 0), put(bus, 0, np.ones(2), 4), put(bus, 1, np.ones(2), 4)]
     assert versions == [0, 1, 0]
+    # A batch returns each block's first version, in block order.
+    assert bus.publish([(2, np.ones((1, 2)), [0]), (0, np.ones((2, 2)), [4, 8])]) == [0, 2]
+    assert bus.publish([]) == []
 
 
 def test_publish_width_mismatch():
     bus = NotesBus(d_note=3)
     with pytest.raises(ShapeError):
-        bus.publish(0, np.zeros(4), 0)
-    with pytest.raises(ShapeError):
-        bus.publish(0, np.zeros((1, 3)), 0)
+        put(bus, 0, np.zeros(4), 0)
+    with pytest.raises(ShapeError):  # a block is 2-D: a lone note is one row
+        bus.publish([(0, np.zeros(3), [0])])
     with pytest.raises(ValueError):
-        bus.publish(0, np.array([0.0, np.nan, 0.0]), 0)
-    assert bus.publish(0, np.zeros(3), 0) == 0
+        put(bus, 0, np.array([0.0, np.nan, 0.0]), 0)
+    assert put(bus, 0, np.zeros(3), 0) == 0
 
 
 def test_publish_refuses_non_integer_ids_and_positions_before_any_change():
@@ -53,12 +61,12 @@ def test_publish_refuses_non_integer_ids_and_positions_before_any_change():
     row = np.ones(2)
     for sid, pos in ((1.5, 0), (True, 2.5), (1, 2.5), (1, True), (np.float64(1.0), 4), ("1", 4), (1, [4])):
         with pytest.raises(ConfigError, match="stream_id|token_pos"):
-            bus.publish(sid, row, pos)
+            put(bus, sid, row, pos)
     for positions in ([8, 9.5], [8, False]):
         with pytest.raises(ConfigError, match="token_pos"):
-            bus.publish(0, np.ones((2, 2)), positions)
+            bus.publish([(0, np.ones((2, 2)), positions)])
     assert bus.dump_lines() == lines
-    assert bus.publish(np.int64(1), row, np.int64(3)) == 0
+    assert put(bus, np.int64(1), row, np.int64(3)) == 0
     assert load_bus_lines(bus.dump_lines()).dump_lines() == bus.dump_lines()
 
 
@@ -66,40 +74,57 @@ def test_a_block_publish_takes_one_position_per_row():
     bus = NotesBus(d_note=2)
     for rows, positions in ((np.ones((2, 2)), [4]), (np.ones((2, 2)), 4), (np.ones((1, 2, 2)), [4]), (np.ones((2, 3)), [4, 8])):
         with pytest.raises(ShapeError):
-            bus.publish(0, rows, positions)
+            bus.publish([(0, rows, positions)])
     with pytest.raises(ValueError, match="non-finite"):
-        bus.publish(0, np.array([[1.0, 2.0], [np.inf, 0.0]]), [4, 8])
+        bus.publish([(0, np.array([[1.0, 2.0], [np.inf, 0.0]]), [4, 8])])
     assert bus.visible_rows() == 0
-    assert bus.publish(0, np.arange(6.0).reshape(3, 2), (0, 4, 4)) == 0
-    assert bus.publish(0, np.zeros((0, 2)), []) == 3  # an empty block changes nothing
-    assert bus.publish(0, np.ones(2), 9) == 3
+    assert bus.publish([(0, np.arange(6.0).reshape(3, 2), (0, 4, 4))]) == [0]
+    assert bus.publish([(0, np.zeros((0, 2)), [])]) == [3]  # an empty block changes nothing
+    assert put(bus, 0, np.ones(2), 9) == 3
     assert [line.split(" ")[2:4] for line in bus.dump_lines()] == [["0", "0"], ["1", "4"], ["2", "4"], ["3", "9"]]
 
 
-def test_a_block_compacts_and_is_refused_at_the_note_one_at_a_time_would():
-    rows = np.array([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
-    for capacity, others, refused_at in ((6, (5,), None), (4, (2, 1), 1)):
-        block, single = (NotesBus(d_note=2, capacity=capacity, retain_k=1) for _ in range(2))
-        ref = RefBus(capacity, 1)
-        for sid, count in enumerate(others, start=1):
-            for bus in (block, single):
-                fill(bus, sid, count, base=10 * sid)
-            for i in range(count):
-                ref.publish(sid, np.full(2, 10.0 * sid + i), 4 * i)
-        for i, (row, pos) in enumerate(zip(rows, (0, 4, 8))):
-            if i == refused_at:
-                with pytest.raises(CapacityError):
-                    single.publish(0, row, pos)
-                break
-            assert single.publish(0, row, pos) == ref.publish(0, row, pos) == i
-        if refused_at is None:
-            # The first note fills the bus, the second compacts it to 4 rows, and the third lands below capacity.
-            assert block.publish(0, rows, [0, 4, 8]) == 0 and block.visible_rows() == 5
-        else:
-            # The first note fits; the second would leave 5 rows after compaction, so it and the third are refused.
-            with pytest.raises(CapacityError):
-                block.publish(0, rows, [0, 4, 8])
-        assert block.dump_lines() == single.dump_lines() == ref.dump()
+def test_a_barrier_is_appended_whole_then_compacted_once_in_any_block_order():
+    # Streams 0 and 1 each publish 4 notes, of values 0..3 and 10..13.
+    blocks = [(sid, np.repeat(np.arange(4.0)[:, None] + 10 * sid, 2, axis=1), [0, 4, 8, 12]) for sid in (0, 1)]
+    dumps = []
+    for order in (blocks, blocks[::-1]):
+        bus = NotesBus(d_note=2, capacity=5, retain_k=2)
+        assert bus.publish(order) == [0, 0]
+        # 8 notes compact to retain_k = 2 (6 rows, still over 5), then to 1: a summary and the newest note each.
+        assert served(bus.read_lagged())[:, 0].tolist() == [1.25, 3, 11.25, 13]
+        dumps.append(bus.dump_lines())
+    ref = RefBus(5, 2)
+    ref.publish([(sid, row, pos) for sid, rows, positions in blocks for row, pos in zip(rows, positions)])
+    assert dumps[0] == dumps[1] == ref.dump()
+
+
+def test_a_batch_over_the_floor_changes_nothing_even_where_a_block_alone_fits():
+    bus, alone = (NotesBus(d_note=2, capacity=4, retain_k=1) for _ in range(2))
+    for b in (bus, alone):
+        fill(b, 1, 2)
+        fill(b, 2, 1, base=5)
+    lines, rows = bus.dump_lines(), served(bus.read_lagged()).tolist()
+    # Stream 3's block alone leaves a floor of 2 + 1 + 1 = 4 rows; with stream 0's note the floor is 5.
+    assert alone.publish([(3, np.ones((1, 2)), [0])]) == [0] and alone.visible_rows() == 4
+    with pytest.raises(CapacityError, match="5 rows > 4"):
+        bus.publish([(3, np.ones((1, 2)), [0]), (0, np.ones((1, 2)), [0])])
+    assert bus.dump_lines() == lines and bus.visible_rows() == 3
+    assert served(bus.read_lagged()).tolist() == rows
+    # No version was spent.
+    assert bus.publish([(3, np.ones((1, 2)), [0]), (1, np.ones((1, 2)), [8])]) == [0, 2]
+
+
+def test_a_batch_that_names_a_stream_twice_or_goes_back_is_refused_whole():
+    bus = NotesBus(d_note=2)
+    fill(bus, 0, 2)  # tokens 0, 4
+    lines = bus.dump_lines()
+    good = (1, np.ones((1, 2)), [0])
+    for bad, match in (((1, np.ones((1, 2)), [4]), "two blocks"), ((0, np.ones((1, 2)), [3]), "precedes")):
+        with pytest.raises(ConfigError, match=match):
+            bus.publish([good, bad])
+        assert bus.dump_lines() == lines and bus.visible_rows() == 2
+    assert bus.publish([good, (0, np.ones((1, 2)), [4])]) == [0, 2]
 
 
 def test_live_read_excludes_reader_and_tombstoned():
@@ -150,9 +175,9 @@ def test_tombstone_is_token_position_threshold():
 
 def test_stack_sibling_rows_order():
     bus = NotesBus(d_note=2)
-    bus.publish(2, np.full(2, 9.0), 0)
-    bus.publish(0, np.full(2, 1.0), 0)
-    bus.publish(0, np.full(2, 2.0), 4)
+    put(bus, 2, np.full(2, 9.0), 0)
+    put(bus, 0, np.full(2, 1.0), 0)
+    put(bus, 0, np.full(2, 2.0), 4)
     view = bus.read_lagged()
     assert list(view.blocks) == [0, 2] and [len(block) for block in view.blocks.values()] == [2, 1]
     rows, newest = stack_sibling_rows(view, 5)
@@ -200,7 +225,7 @@ def test_capacity_triggers_compaction_then_error():
     fill(tiny, 0, 3)
     assert tiny.visible_rows() == 2
     with pytest.raises(CapacityError):
-        tiny.publish(1, np.zeros(2), 0)
+        put(tiny, 1, np.zeros(2), 0)
 
 
 def test_refused_publish_changes_nothing():
@@ -208,11 +233,11 @@ def test_refused_publish_changes_nothing():
     fill(bus, 0, 3)
     lines = bus.dump_lines()
     with pytest.raises(CapacityError):
-        bus.publish(1, np.ones(2), 12)
+        put(bus, 1, np.ones(2), 12)
     assert bus.dump_lines() == lines and bus.visible_rows() == 2
     # The refused note spent no version: stream 1 still starts at 0.
     bus.tombstone_after(0, token_pos=0)
-    assert bus.publish(1, np.ones(2), 12) == 0
+    assert put(bus, 1, np.ones(2), 12) == 0
 
 
 def test_views_are_read_only():
@@ -247,13 +272,13 @@ def test_views_are_read_only():
 def test_a_tombstone_or_compaction_restacks_its_stream():
     bus = NotesBus(d_note=2)
     for value, pos in ((1.0, 0), (2.0, 10), (3.0, 30)):
-        bus.publish(0, np.full(2, value), pos)
-    bus.publish(1, np.full(2, 9.0), 0)
+        put(bus, 0, np.full(2, value), pos)
+    put(bus, 1, np.full(2, 9.0), 0)
     assert served(bus.read_lagged())[:, 0].tolist() == [1, 2, 3, 9]
     assert bus.tombstone_after(0, token_pos=20) == 1  # the newest note
     with pytest.raises(ConfigError, match="precedes"):
-        bus.publish(0, np.full(2, 5.0), 5)  # before the newest visible note, at 10
-    bus.publish(0, np.full(2, 4.0), 12)
+        put(bus, 0, np.full(2, 5.0), 5)  # before the newest visible note, at 10
+    put(bus, 0, np.full(2, 4.0), 12)
     assert served(bus.read_lagged())[:, 0].tolist() == [1, 2, 4, 9]
     assert bus.compact(retain_k=1) == 1
     assert served(bus.read_lagged())[:, 0].tolist() == [1.5, 4, 9]
@@ -263,19 +288,19 @@ def test_a_descending_publish_is_refused_and_changes_nothing():
     for lag in (0, 1):
         bus = NotesBus(d_note=2, lag=lag)
         fill(bus, 0, 3)  # tokens 0, 4, 8
-        bus.publish(1, np.ones(2), 20)
+        put(bus, 1, np.ones(2), 20)
         bus.snapshot()
         lines, rows = bus.dump_lines(), served(bus.read_lagged()).tolist()
         for sid, pos in ((0, 7), (0, 0), (1, 19)):
             with pytest.raises(ConfigError, match="precedes"):
-                bus.publish(sid, np.full(2, -1.0), pos)
+                put(bus, sid, np.full(2, -1.0), pos)
         assert bus.dump_lines() == lines and bus.visible_rows() == 4
         assert served(bus.read_lagged()).tolist() == rows
         # The refused notes spent no version, and an equal position is accepted.
-        assert (bus.publish(0, np.full(2, 3.0), 8), bus.publish(1, np.ones(2), 20)) == (3, 1)
+        assert (put(bus, 0, np.full(2, 3.0), 8), put(bus, 1, np.ones(2), 20)) == (3, 1)
         # A tombstone moves the newest visible note back, and with it the bound.
         assert bus.tombstone_after(0, token_pos=4) == 3
-        assert bus.publish(0, np.full(2, 4.0), 5) == 4
+        assert put(bus, 0, np.full(2, 4.0), 5) == 4
 
 
 def test_a_refused_descending_publish_over_capacity_changes_nothing():
@@ -283,9 +308,9 @@ def test_a_refused_descending_publish_over_capacity_changes_nothing():
     fill(bus, 0, 3)  # tokens 0, 4, 8: the next publish compacts
     lines = bus.dump_lines()
     with pytest.raises(ConfigError, match="precedes"):
-        bus.publish(0, np.ones(2), 6)
+        put(bus, 0, np.ones(2), 6)
     assert bus.dump_lines() == lines and bus.visible_rows() == 3
-    assert bus.publish(0, np.ones(2), 12) == 3 and bus.visible_rows() == 2
+    assert put(bus, 0, np.ones(2), 12) == 3 and bus.visible_rows() == 2
 
 
 def test_a_tombstone_archives_exactly_the_dropped_rows():
@@ -320,7 +345,7 @@ def test_lagged_reads_outlive_a_reallocation_of_the_live_rows():
         bus = NotesBus(d_note=2, lag=lag)
         arrays: list[np.ndarray] = []
         for j in range(100):
-            bus.publish(1, np.array([j, -j]), 4 * j)
+            put(bus, 1, np.array([j, -j]), 4 * j)
             live_rows = bus._visible[1][0].rows
             if not arrays or live_rows is not arrays[-1]:
                 arrays.append(live_rows)
@@ -347,12 +372,12 @@ def test_publish_copies_the_callers_array():
     live, lagged = NotesBus(d_note=2), NotesBus(d_note=2, lag=1)
     emb = np.array([1.0, 2.0])
     for bus in (live, lagged):
-        bus.publish(0, emb, 0)
+        put(bus, 0, emb, 0)
         bus.snapshot()
     first = live.dump_lines()
     emb[:] = 9.0
     for bus in (live, lagged):
-        bus.publish(0, emb, 4)
+        put(bus, 0, emb, 4)
     emb[:] = -7.0
     assert served(live.read_lagged()).tolist() == [[1.0, 2.0], [9.0, 9.0]]
     assert served(lagged.read_lagged()).tolist() == [[1.0, 2.0]]
@@ -362,9 +387,9 @@ def test_publish_copies_the_callers_array():
 
 def test_dump_ordering_and_roundtrip():
     bus = NotesBus(d_note=2)
-    bus.publish(1, np.array([1.5, -2.25]), 4)
-    bus.publish(0, np.array([0.1, 0.2]), 0)
-    bus.publish(0, np.array([0.3, 0.4]), 8)
+    put(bus, 1, np.array([1.5, -2.25]), 4)
+    put(bus, 0, np.array([0.1, 0.2]), 0)
+    put(bus, 0, np.array([0.3, 0.4]), 8)
     bus.tombstone_after(0, token_pos=8)
     lines = bus.dump_lines()
     ids = [tuple(line.split()[1:3]) for line in lines]
@@ -376,7 +401,7 @@ def test_dump_ordering_and_roundtrip():
 def test_a_loaded_tombstoned_note_keeps_only_its_own_row():
     bus = NotesBus(d_note=2)
     for pos in range(3):
-        bus.publish(0, np.array([pos, -pos], dtype=float), pos)
+        put(bus, 0, np.array([pos, -pos], dtype=float), pos)
     bus.tombstone_after(0, token_pos=1)
     lines = bus.dump_lines()
     clone = load_bus_lines(lines)
@@ -389,7 +414,7 @@ def test_load_refuses_live_notes_of_a_stream_that_descend():
     fill(bus, 0, 3)  # tokens 0, 4, 8
     fill(bus, 1, 2, start=6)  # tokens 6, 10
     assert bus.tombstone_after(1, token_pos=10) == 1
-    bus.publish(1, np.ones(2), 7)  # below the tombstoned note at 10, which is allowed
+    put(bus, 1, np.ones(2), 7)  # below the tombstoned note at 10, which is allowed
     lines = bus.dump_lines()
     assert load_bus_lines(lines).dump_lines() == lines
     swapped = [line.replace("BUSNOTE 0 1 4 ", "BUSNOTE 0 1 9 ") for line in lines]
@@ -399,7 +424,7 @@ def test_load_refuses_live_notes_of_a_stream_that_descend():
 
 def test_load_checks_each_lines_fields():
     bus = NotesBus(d_note=2)
-    bus.publish(3, np.array([1.0, 2.0]), 5)
+    put(bus, 3, np.array([1.0, 2.0]), 5)
     (line,) = bus.dump_lines()
     assert line == "BUSNOTE 3 0 5 note live 1.0,2.0"
     # Each bad line follows the good one, which sets the bus's width.
@@ -435,12 +460,17 @@ def test_bus_config_validation():
 
 # -- property test against the reference decoder's bus ---------------------
 
+# One stream's block of 1 to 4 notes, whose positions are sorted unless the last field says not to.
+BLOCK = st.tuples(
+    st.integers(0, 3),
+    st.lists(st.tuples(st.floats(-1e3, 1e3), st.integers(0, 40)), min_size=1, max_size=4),
+    st.integers(0, 7).map(lambda x: x == 0),
+)
 OPS = st.one_of(
-    # A block of 1 to 4 notes, whose positions are sorted unless the last field says not to.
+    # A barrier of 1 to 3 blocks of distinct streams, which the last field says to end with its first stream again.
     st.tuples(
         st.just("publish"),
-        st.integers(0, 3),
-        st.lists(st.tuples(st.floats(-1e3, 1e3), st.integers(0, 40)), min_size=1, max_size=4),
+        st.lists(BLOCK, min_size=1, max_size=3, unique_by=lambda block: block[0]),
         st.integers(0, 7).map(lambda x: x == 0),
     ),
     st.tuples(st.just("tombstone"), st.integers(0, 3), st.integers(0, 40)),
@@ -482,8 +512,6 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
     # Every op goes to one bus per lag and to the reference bus, whose tombstone
     # filters by position: the buses must agree with it on every outcome, dump and view.
     buses = [NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, lag=lag) for lag in range(4)]
-    # The same notes, published one at a time: where that refuses one, a block must stop.
-    one = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k)
     ref = RefBus(capacity, retain_k)
     ref_snapshots: list[list[RefNote]] = [[]]  # the bus starts with an empty snapshot
     # Every block every read served, and a copy of their bytes: a view serves the same rows for as long as it is kept.
@@ -491,43 +519,40 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
     kept_bytes = b""
     for index, op in enumerate(ops):
         if op[0] == "publish":
-            _, sid, notes, unsorted = op
-            positions = [pos for _, pos in notes]
-            if not unsorted:
-                positions.sort()
-            # The op index makes every embedding distinct, so a summary differs from the row it replaces.
-            block = np.array([[value, index + 0.25 * sid + 0.0625 * i] for i, (value, _) in enumerate(notes)])
-            live = ref.live.get(sid)
-            descending = positions != sorted(positions) or (bool(live) and positions[0] < live[-1].pos)
-            if descending:
-                # A descending block is refused whole, alike by every bus; a full bus may refuse it for capacity first.
-                with pytest.raises((ConfigError, CapacityError)) as refused:
-                    buses[0].publish(sid, block, positions)
-                for bus in (*buses[1:], one):
-                    with pytest.raises(refused.type):
-                        bus.publish(sid, block, positions)
+            _, drawn, twice = op
+            blocks, notes, starts, refused = [], [], [], twice
+            for sid, drawn_notes, unsorted in drawn + drawn[:1] * twice:
+                positions = [pos for _, pos in drawn_notes]
+                if not unsorted:
+                    positions.sort()
+                # The op index makes every embedding distinct, so a summary differs from the row it replaces.
+                rows = np.array([[value, index + 0.25 * sid + 0.0625 * i] for i, (value, _) in enumerate(drawn_notes)])
+                live = ref.live.get(sid)
+                refused |= positions != sorted(positions) or (bool(live) and positions[0] < live[-1].pos)
+                blocks.append((sid, rows, positions))
+                starts.append(len(notes))
+                notes += [(sid, row, pos) for row, pos in zip(rows, positions)]
+            if refused:
+                # A barrier that repeats a stream or holds a descending block is refused whole, before any capacity check.
+                for bus in buses:
+                    with pytest.raises(ConfigError):
+                        bus.publish(blocks)
             else:
-                accepted: list[int] = []
-                for row, pos in zip(block, positions):
-                    try:
-                        one.publish(sid, row, pos)
-                    except CapacityError:
-                        break
-                    accepted.append(ref.publish(sid, row, pos))
-                if len(accepted) < len(positions):
-                    # The notes before the refused one stay published, as one at a time.
+                try:
+                    versions = ref.publish(notes)
+                except CapacityError:
                     for bus in buses:
                         with pytest.raises(CapacityError):
-                            bus.publish(sid, block, positions)
+                            bus.publish(blocks)
                 else:
-                    assert {bus.publish(sid, block, positions) for bus in buses} == {accepted[0]}
+                    assert all(bus.publish(blocks) == [versions[i] for i in starts] for bus in buses)
         elif op[0] == "tombstone":
             before = len(ref.live.get(op[1], []))
             ref.tombstone(op[1], op[2])
-            assert {bus.tombstone_after(op[1], op[2]) for bus in (*buses, one)} == {before - len(ref.live[op[1]])}
+            assert {bus.tombstone_after(op[1], op[2]) for bus in buses} == {before - len(ref.live[op[1]])}
         elif op[0] == "compact":
             ref.compact(op[1])
-            for bus in (*buses, one):
+            for bus in buses:
                 bus.compact(retain_k=op[1])
         elif op[0] == "snapshot":
             assert len({bus.snapshot() for bus in buses}) == 1
@@ -538,11 +563,9 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
             clone = load_bus_lines(lines, capacity=capacity, retain_k=retain_k, d_note=2)
             assert clone.dump_lines() == lines
             buses = [NotesBus(d_note=2, capacity=capacity, retain_k=retain_k, lag=lag) for lag in range(4)]
-            one = NotesBus(d_note=2, capacity=capacity, retain_k=retain_k)
-            for bus in (*buses, one):
+            for bus in buses:
                 bus._restore(dump_records(lines))
             ref_snapshots = [[]]
-        assert one.dump_lines() == ref.dump()
         for bus in buses:
             assert bus.visible_rows() == len(ref.visible()) <= capacity
             assert bus.dump_lines() == ref.dump()
@@ -557,8 +580,7 @@ def test_views_match_dump_through_any_op_sequence(ops, capacity, retain_k):
 def test_a_read_copies_no_note_row():
     for lag in (0, 1):
         bus = NotesBus(d_note=16, capacity=4096, lag=lag)
-        for sid in range(8):
-            bus.publish(sid, np.full((250, 16), float(sid)), range(250))
+        bus.publish([(sid, np.full((250, 16), float(sid)), range(250)) for sid in range(8)])
         bus.snapshot()
         tracemalloc.start()
         try:
@@ -577,14 +599,14 @@ def test_empty_dump_loads_with_its_note_width():
     assert clone.d_note == 3 and clone.visible_rows() == 0
     with pytest.raises(ValueError):
         load_bus_lines([])
-    bus.publish(0, np.zeros(3), 0)
+    put(bus, 0, np.zeros(3), 0)
     with pytest.raises(ShapeError):
         load_bus_lines(bus.dump_lines(), d_note=2)
 
 
 def test_load_refuses_unknown_status():
     bus = NotesBus(d_note=2)
-    bus.publish(0, np.array([1.0, 2.0]), 0)
+    put(bus, 0, np.array([1.0, 2.0]), 0)
     (line,) = bus.dump_lines()
     with pytest.raises(ValueError, match="status"):
         load_bus_lines([line.replace(" live ", " bogus ")])
@@ -592,8 +614,8 @@ def test_load_refuses_unknown_status():
 
 def test_load_refuses_repeated_key():
     bus = NotesBus(d_note=2)
-    bus.publish(0, np.array([1.0, 2.0]), 0)
-    bus.publish(0, np.array([3.0, 4.0]), 4)
+    put(bus, 0, np.array([1.0, 2.0]), 0)
+    put(bus, 0, np.array([3.0, 4.0]), 4)
     bus.tombstone_after(0, token_pos=4)
     live, tombstoned = bus.dump_lines()
     with pytest.raises(ValueError, match="repeated"):

@@ -6,8 +6,9 @@ public constructors.  This test imports it read-only and decodes seed 1's
 first four tiny_batch jobs, the 18 sweep_grid points, in the order that
 perfbench's cadence_sweep reference decodes them, and the long_bus run, the
 one workload that fills its 2,560-row bus and compacts.  The hashes were
-taken from the decoder before the bus stacked rows per stream; they are the
-ones the BENCH_*.json runs of seed 1 record.
+taken from the decoder before the bus stacked rows per stream.  long_bus's
+moved when each barrier's notes began to be published as one batch,
+compacted at most once: 6 of its 16,320 final tokens changed.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ SWEEP_GRID_SEED_1 = [
     "6baf0af32db2d4d63da5789fa02b3bd77e1bf613ebb991a36e2eca92603defa1",
 ]
 
-LONG_BUS_SEED_1 = "3c5011e50271be81bbb6e8ecb54a944f0a73310ed82c0573abe39fc91b2e01f9"
+LONG_BUS_SEED_1 = "6a04b1091dc26794d5c9d8decae286e59167f59043421b065e03edde80e25daf"
 
 
 @pytest.mark.parametrize("job", range(len(TINY_BATCH_SEED_1)))
