@@ -39,7 +39,7 @@ def main() -> None:
         print(
             f"  rollback: stream {ev.stream_id} at position {ev.trigger_position} "
             f"back to {ev.rolled_back_to} (min agreement {ev.min_agreement:.3f}, "
-            f"{ev.pages_dropped} page dropped)"
+            f"{ev.pages_touched} page touched)"
         )
     print(f"  trace hash {trace.trace_hash()[:16]}...\n")
 

@@ -123,17 +123,19 @@ class SnapshotEvent(NamedTuple):
 
 
 class RollbackEvent(NamedTuple):
+    """One ROLLBACK line; pages_touched counts the horizon_l-token pages the rolled-back span overlaps."""
+
     stream_id: int
     trigger_position: int
     rolled_back_to: int
     min_agreement: float
-    pages_dropped: int
+    pages_touched: int
     round_index: int
 
     def lines(self) -> list[str]:
         return [
             f"ROLLBACK {self.round_index} {self.stream_id} {self.trigger_position} "
-            f"{self.rolled_back_to} {self.min_agreement!r} {self.pages_dropped}"
+            f"{self.rolled_back_to} {self.min_agreement!r} {self.pages_touched}"
         ]
 
 
@@ -422,7 +424,7 @@ def check_and_rollback(
         trigger_position=trigger,
         rolled_back_to=target,
         min_agreement=min_score,
-        pages_dropped=pages,
+        pages_touched=pages,
         round_index=round_index,
     )
 
@@ -451,7 +453,7 @@ class DecodeTrace:
     margins: tuple[tuple[float, ...], ...] = ()
 
     def to_lines(self) -> list[str]:
-        lines = ["PDTTRACE v1", self.config_line]
+        lines = ["PDTTRACE v2", self.config_line]
         for r in self.records:
             lines.extend(r.lines())
         lines.extend(self.bus_lines)
@@ -533,6 +535,10 @@ def _config_line(artifact: ReplayArtifact, config: DecodeConfig) -> str:
         ("regen_mode", config.regen_mode),
         ("seed", _effective_seed(artifact, config)),
         ("noise", repr(config.note_noise_scale)),
+        ("masked_strides", ",".join(map(str, sorted(config.masked_strides))) or "none"),
+        ("bus_capacity", config.bus_capacity),
+        ("bus_retain_k", config.bus_retain_k),
+        ("warmup_tokens", config.warmup_tokens),
     ]
     return "CONFIG " + " ".join(f"{k}={v}" for k, v in fields)
 

@@ -20,6 +20,7 @@ order.
 
 from __future__ import annotations
 
+from base64 import b64decode, b64encode
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -306,18 +307,20 @@ class NotesBus:
     def dump_lines(self) -> list[str]:
         """Canonical text dump: one line per note, ordered (stream_id, version).
 
-        Tombstoned notes are included with a tombstone marker.  The notes
-        are rendered one lineage at a time, so only one lineage's floats
-        are Python objects at once.
+        Tombstoned notes are included with a tombstone marker.  Each
+        embedding is written as padded base64 of its little-endian float64
+        bytes, exact and with no Python float built: one lineage's rows
+        become bytes at once, and each line encodes its row's slice.
         """
         # A visible pair and an archive each hold all of their lineage's notes.
         blocks = [(sid, lineage, "live") for sid, (lineage, _) in self._visible.items()]
         blocks += [(sid, archived, "tombstoned") for sid, archive in self._tombstoned.items() for archived in archive]
+        width = 8 * self.d_note
         records: list[tuple[int, int, str, str]] = []
         for sid, lineage, status in blocks:
-            rows = lineage.rows[: len(lineage.versions)]
-            for row, version, pos, tag in zip(rows.tolist(), lineage.versions, lineage.positions, lineage.tags):
-                vals = ",".join(map(repr, row))
+            raw = lineage.rows[: len(lineage.versions)].astype("<f8", copy=False).tobytes()
+            for i, (version, pos, tag) in enumerate(zip(lineage.versions, lineage.positions, lineage.tags)):
+                vals = b64encode(raw[i * width : (i + 1) * width]).decode("ascii")
                 records.append((sid, version, status, f"BUSNOTE {sid} {version} {pos} {tag} {status} {vals}"))
         # (stream, version, status) keys are unique and "live" sorts first, so the lines never decide the order.
         records.sort()
@@ -338,6 +341,24 @@ def stack_sibling_rows(view: BusView, reader: int) -> tuple[Matrix, dict[int, in
     return rows, {sid: v for sid, v in view.newest.items() if sid != reader}
 
 
+def _parse_embedding(field: str) -> np.ndarray | list[float]:
+    """A dump line's embedding, from either form a dump has written.
+
+    A field that is canonical base64 of 8k bytes, k >= 1, is trace v2's
+    little-endian float64 row.  Any other field is v1's comma-separated
+    repr floats, and float() refuses it if it is not.  No v1 field is
+    canonical base64: it holds a comma or a ".", or is one exponent-form
+    float, whose length is never a multiple of 4 (nor is "inf" or "nan").
+    """
+    try:
+        raw = b64decode(field, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raw = b""
+    if raw and len(raw) % 8 == 0 and b64encode(raw).decode("ascii") == field:
+        return np.frombuffer(raw, dtype="<f8")
+    return [float(x) for x in field.split(",")]
+
+
 def _parse_bus_line(line: str) -> BusRecord:
     """The record of one dump line, its ids, tag and embedding checked."""
     parts = line.split(" ")
@@ -345,7 +366,7 @@ def _parse_bus_line(line: str) -> BusRecord:
         raise ValueError(f"malformed bus line: {line!r}")
     if parts[5] not in ("live", "tombstoned"):
         raise ValueError(f"unknown note status {parts[5]!r} in bus line: {line!r}")
-    emb = as_vector([float(x) for x in parts[6].split(",")], "embedding")
+    emb = as_vector(_parse_embedding(parts[6]), "embedding")
     sid, version, pos = int(parts[1]), int(parts[2]), int(parts[3])
     if sid < 0 or version < 0 or pos < 0:
         raise ConfigError("stream_id, version and emitted_at_token must be non-negative")
@@ -362,13 +383,15 @@ def load_bus_lines(
 ) -> NotesBus:
     """Rebuild a NotesBus from dump_lines output (inverse of dump_lines).
 
-    A dump carries no snapshots, so the bus has lag 0.  It carries
-    its note width only in its notes, so the dump of a bus that never had
-    one loads only when d_note is given.  When both are known they must
-    agree.  A line with an unknown status or a repeated (stream, version)
-    raises ValueError, a negative id or an unknown schema tag ConfigError,
-    live notes of one stream whose positions descend ConfigError, and more
-    live notes than capacity CapacityError.
+    It also reads a trace v1 dump, whose embeddings are repr floats.  A
+    dump carries no snapshots, so the bus has lag 0.  It carries its note
+    width only in its notes, so the dump of a bus that never had one loads
+    only when d_note is given.  When both are known they must agree.  A
+    line with an unknown status, an embedding in neither form or a
+    non-finite one, or a repeated (stream, version) raises ValueError, an
+    embedding of another width ShapeError, a negative id or an unknown
+    schema tag ConfigError, live notes of one stream whose positions
+    descend ConfigError, and more live notes than capacity CapacityError.
     """
     records = [_parse_bus_line(line) for line in map(str.strip, lines) if line]
     if not records and d_note is None:

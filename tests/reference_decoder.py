@@ -13,7 +13,9 @@ decoder's in the last bits; everything else should match exactly.
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,9 +91,10 @@ class RefBus:
     def dump(self) -> list[str]:
         records = [(n, "live") for n in self.visible()] + [(n, "tombstoned") for n in self.dead]
         records.sort(key=lambda r: (r[0].stream, r[0].version, r[1] == "tombstoned"))
+        # Each embedding is base64 of its little-endian float64 bytes, packed one float at a time.
         return [
             f"BUSNOTE {n.stream} {n.version} {n.pos} {n.schema} {status} "
-            + ",".join(repr(float(x)) for x in n.emb)
+            + base64.b64encode(struct.pack(f"<{len(n.emb)}d", *map(float, n.emb))).decode("ascii")
             for n, status in records
         ]
 
@@ -279,7 +282,7 @@ def reference_decode(artifact: ReplayArtifact, config: DecodeConfig) -> RefRun:
         f"notes={n_notes} forced_commits={sum(s.forced for s in streams)}"
     )
     return RefRun(
-        lines=["PDTTRACE v1", _config_line(artifact, config), *body, *bus.dump(), summary],
+        lines=["PDTTRACE v2", _config_line(artifact, config), *body, *bus.dump(), summary],
         token_logs=token_logs,
         frames=tuple(tuple(s.frames) for s in streams),
         committed=tuple(s.committed for s in streams),

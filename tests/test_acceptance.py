@@ -309,7 +309,7 @@ def test_criterion_9_page_aligned_rollback():
         trace = run_parallel(art, DecodeConfig(stride_b=horizon, horizon_l=horizon))
         for ev in trace.rollback_events():
             trace_events += 1
-            if ev.pages_dropped > 1:
+            if ev.pages_touched > 1:
                 trace_over += 1
     ok = scenario_over == 0 and trace_over == 0 and trace_events > 0
     report(

@@ -117,7 +117,7 @@ def test_replay_round_trip(artifact_path, tmp_path, capsys):
     assert "stream 0: committed" in out
     assert "trace_hash: " in out
     lines = trace_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "PDTTRACE v1"
+    assert lines[0] == "PDTTRACE v2"
     assert lines[-1].startswith("SUMMARY ")
 
 

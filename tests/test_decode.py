@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_hashes import CASES as GOLDEN_CASES
+from test_golden_hashes import V2_PINS, v1_lines
 from test_notebus import put
 
 from pdtcoord import cadence, cli, decode
@@ -339,7 +340,7 @@ def test_trace_layout_and_file_roundtrip(tmp_path):
     art = small_artifact()
     trace = run_parallel(art, BASE)
     lines = trace.to_lines()
-    assert lines[0] == "PDTTRACE v1"
+    assert lines[0] == "PDTTRACE v2"
     assert lines[1].startswith("CONFIG ")
     assert lines[-1].startswith("SUMMARY streams=3 ")
     assert "forced_commits=0" in lines[-1]
@@ -366,9 +367,9 @@ def test_summary_counts_match_events():
 
 
 # Settings that change decoding but not the CONFIG line: two runs that differ
-# only in one of them write the same trace header.  A CONFIG line that records
-# the full config empties this set.
-NOT_ON_CONFIG_LINE = {"masked_strides", "bus_capacity", "bus_retain_k", "warmup_tokens"}
+# only in one of them write the same trace header.  Trace v1 left out
+# masked_strides, bus_capacity, bus_retain_k and warmup_tokens; v2 writes them.
+NOT_ON_CONFIG_LINE: set[str] = set()
 # One valid non-default value for every DecodeConfig and CadenceConfig field.
 ALTERNATIVES = {
     "stride_b": 16,
@@ -407,6 +408,19 @@ def test_every_setting_is_on_the_config_line_or_listed():
             config = DecodeConfig(**{name: value})
         recorded = _config_line(art, config) != base
         assert recorded != (name in NOT_ON_CONFIG_LINE), name
+
+
+def test_a_masked_run_no_longer_writes_the_unmasked_trace():
+    # On the quick start the gate sits at its floor, so masking strides 1, 3
+    # and 4 decodes the same tokens; trace v1 wrote the same bytes for both.
+    _, build, config, _, _ = next(c for c in GOLDEN_CASES if c[0] == "quick_start")
+    art = build()
+    plain = run_parallel(art, config).to_lines()
+    masked = run_parallel(art, dataclasses.replace(config, masked_strides=frozenset({4, 1, 3}))).to_lines()
+    assert v1_lines(masked) == v1_lines(plain)
+    assert [i for i, (a, b) in enumerate(zip(plain, masked)) if a != b] == [1] and len(plain) == len(masked)
+    assert " masked_strides=none " in plain[1] and " masked_strides=1,3,4 " in masked[1]
+    assert plain[1].endswith(" bus_capacity=2560 bus_retain_k=8 warmup_tokens=128")
 
 
 def test_config_validation():
@@ -732,7 +746,8 @@ def artifact_arrays(artifact) -> dict[str, np.ndarray]:
 def test_adaptive_cadence_decode_leaves_a_writable_artifact_unchanged():
     # The adaptive softmax may read a view of the artifact's logits, so it
     # must not be built in place; note attention's in-place one owns its block.
-    _, build, config, expected, _ = next(c for c in GOLDEN_CASES if c[0] == "adaptive_cadence")
+    _, build, config, _, _ = next(c for c in GOLDEN_CASES if c[0] == "adaptive_cadence")
+    expected = V2_PINS["adaptive_cadence"][0]
     art = build()
     arrays = artifact_arrays(art)
     assert all(a.flags.writeable for name, a in arrays.items() if name.startswith("stream["))

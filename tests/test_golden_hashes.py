@@ -18,6 +18,10 @@ barrier's notes as one batch, compacted at most once, moved both hashes of
 the three cases whose bus compacts (compaction, wide_bus, narrow_notes):
 which notes are mean-pooled no longer depends on stream ids, and 2, 38 and
 15 final tokens changed, with every rollback and committed count as before.
+Trace v2 moved every hash once: it writes each BUSNOTE embedding as base64
+of its float64 bytes and adds four CONFIG fields.  The v1 pins stay as they
+were, and each test checks them against its own decode's lines rewritten in
+v1 form (v1_lines), beside the v2 pins.
 
 wide_bus is the one case at bus width: 8 streams of 256 frames read each
 other's notes through a 512-row bus, so each reader attends over hundreds of
@@ -34,13 +38,15 @@ tombstones.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import struct
 from dataclasses import replace
 
 import pytest
 
 from pdtcoord.cadence import CadenceConfig
-from pdtcoord.decode import DecodeConfig, DecodeTrace, run_parallel
+from pdtcoord.decode import DecodeConfig, run_parallel
 from pdtcoord.replay import (
     ReplayArtifact,
     StreamFrames,
@@ -133,7 +139,7 @@ B8 = DecodeConfig(stride_b=8, horizon_l=8)
 STOCHASTIC = CadenceConfig(mode="stochastic", interval_m=3)
 ADAPTIVE = CadenceConfig(mode="adaptive", interval_m=4)
 
-# (case id, artifact builder, config, pinned trace hash, pinned rounded hash)
+# (case id, artifact builder, config, pinned trace v1 hash, pinned rounded v1 hash)
 CASES = [
     ("quick_start", quick_start, B8,
      "5918fb7e9a31bbeaab35912d497d77b82d8462c3c4848b1f9decc77caa2dd626",
@@ -190,27 +196,126 @@ CASES = [
 ]
 
 
-def rounded_trace_hash(trace: DecodeTrace) -> str:
-    """SHA-256 of the trace lines with min_agreement written as .12g."""
-    digest = hashlib.sha256()
-    for line in trace.to_lines():
+# The trace v2 (full, rounded) hashes of each case.  The pins in CASES are
+# of trace v1, which v1_lines rebuilds from the same decode.
+V2_PINS = {
+    "quick_start": (
+        "52a29600a050e7d1125af503e999f1381adc17939d4142f1de03e6195e2a248b",
+        "32a4a2583c365ead826cd1e8828743ce17c8fa6b27486b22ef56efc6f05824b9",
+    ),
+    "live_agreement": (
+        "f2b01a8157b92ee22ab9c5930b2c58153c4c4c92851ab31bd587850db4d84e21",
+        "55c8a53b8e69e480354ba6e5a82966c0eeed017131de61cf54bb9c3142761119",
+    ),
+    "reconsume": (
+        "e11f6e4beaad4f408a295b588d5a3857bffa6531bc05f8f280dfb1c2b5b55630",
+        "bb684641270610745f6459f188f96c97c78318eb898877ae56f59d23961fb567",
+    ),
+    "reconsume_live_stochastic": (
+        "5614c8b04c2228a10dd648a38e1af6d318398993013f5f407b3f4857726988d5",
+        "4597ee840cc74d7a55dd012b67832f76fdfdfe223ff008519987e6d5a2534f27",
+    ),
+    "adaptive_cadence": (
+        "322283a0cefad96702b3ce265c5c9cbee6b4ef68b9b47f62bb54b38c07531ad1",
+        "b7a5083ed4018c0882942f1813000b7a85bb31b246c02ae2cb61361feebef67e",
+    ),
+    "read_delta_2": (
+        "ddb65c1a9b8ec8be61ebc6142ba0a630ea0830219edd874c46b6d1b5eecc2cdb",
+        "b2c08cd6530d9302c1f7ef60f80cf9115e8a0e04e756d5f339c0a56c7da43dd8",
+    ),
+    "masked_strides": (
+        "8b1cab9d366c81ec84bf6c17a36e0e9732777282f03a071694c3ba639a32dc22",
+        "4de6149ae1cbd239aef48630c5b24109838d6fa4cfc6e15a9f09afa919673325",
+    ),
+    "note_noise": (
+        "476d529542cddbd2f6c45424a10d9bca388dadea592c60b6039a41f14fba4dd8",
+        "9b921a745766411a5c607ba8ba710fd62a42753c266d21663240fda230736fac",
+    ),
+    "compaction": (
+        "3287bd08257cbc04f64b804acb55f8eea60a7246e1a25c72c130853cb5244c29",
+        "475ad36b36f7a3eadfada58ccbd75630eeae1bc0007995ce0294f46708db80ad",
+    ),
+    "gate_override": (
+        "d1da948c362d0296b02fb7605fdd3459d5202f46307fd6f28f7d2ce2b1afee90",
+        "419c7c3b6c291eac29348143e315ab290228188d6c8e40bc36bf4a62f0c11c7a",
+    ),
+    "ragged_streams": (
+        "ef51286b0443fdcbddf583eadce88d6f72953d3a95b222979291d2d4714df45a",
+        "df226a8e22fd101bcee6209a44dad18d80ad9c7c7658e0cb171953e418b774ec",
+    ),
+    "ragged_reconsume": (
+        "50340caa9d97ec7ce16591e70125855066970932be92d273690c2aec2b612366",
+        "a1afccaf568e30872bd870fbb2a2dbb354bc2b83a1d83843bf9b18cb25930f85",
+    ),
+    "long_stride_seeded": (
+        "7d3c1044f7d01812de1fc799b360fa261a144f6dc3d3156205d82a82b90eb035",
+        "e1172df8c357c5d8fd4b2058b137c11398c251d001eab0d06e6f491536117f9e",
+    ),
+    "wide_bus": (
+        "a5cd8043e2f4f1f98aa241c2773537df1b4f0ca275edac8103ffb8a7f828a761",
+        "c34ad3af49094a7c17c4f1e127b24139c85f831e25266ea7f470c8c65553fd29",
+    ),
+    "narrow_notes": (
+        "fdc01716d108d79bf886b3eb07b77a5f015de2c68ad112416c76cbec27dc3641",
+        "ed10081c2f8331d2c013da68117e01d1b61cbc9da0069904804f56dc0f933199",
+    ),
+}
+
+# The CONFIG fields that trace v2 added, which v1 did not write.
+V2_CONFIG_FIELDS = ("masked_strides", "bus_capacity", "bus_retain_k", "warmup_tokens")
+
+
+def v1_lines(lines: list[str]) -> list[str]:
+    """A v2 trace's lines as trace v1 wrote them.
+
+    The header says v1, the CONFIG line drops the fields v2 added, and each
+    BUSNOTE embedding, base64 of little-endian float64 bytes in v2, is
+    unpacked with struct and written as v1's comma-separated repr floats.
+    Every other line is the same in both versions.
+    """
+    out = []
+    for line in lines:
+        if line == "PDTTRACE v2":
+            line = "PDTTRACE v1"
+        elif line.startswith("CONFIG "):
+            line = " ".join(f for f in line.split(" ") if f.split("=")[0] not in V2_CONFIG_FIELDS)
+        elif line.startswith("BUSNOTE "):
+            head, field = line.rsplit(" ", 1)
+            raw = base64.b64decode(field, validate=True)
+            line = f"{head} " + ",".join(map(repr, struct.unpack(f"<{len(raw) // 8}d", raw)))
+        out.append(line)
+    return out
+
+
+def lines_hash(lines: list[str]) -> str:
+    """SHA-256 of the lines as a trace file holds them."""
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8")).hexdigest()
+
+
+def rounded_lines(lines: list[str]) -> list[str]:
+    """The lines with each ROLLBACK's min_agreement written as .12g."""
+    out = []
+    for line in lines:
         if line.startswith("ROLLBACK "):
             fields = line.split(" ")
             fields[5] = format(float(fields[5]), ".12g")
             line = " ".join(fields)
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+        out.append(line)
+    return out
 
 
 @pytest.mark.parametrize("case_id, build, config, expected, _", CASES, ids=[c[0] for c in CASES])
 def test_golden_trace_hash(case_id, build, config, expected, _):
-    assert run_parallel(build(), config).trace_hash() == expected
+    trace = run_parallel(build(), config)
+    assert trace.trace_hash() == V2_PINS[case_id][0]
+    assert lines_hash(v1_lines(trace.to_lines())) == expected
 
 
 @pytest.mark.parametrize("case_id, build, config, _, expected", CASES, ids=[c[0] for c in CASES])
 def test_golden_rounded_trace_hash(case_id, build, config, _, expected):
-    assert rounded_trace_hash(run_parallel(build(), config)) == expected
+    lines = rounded_lines(run_parallel(build(), config).to_lines())
+    assert lines_hash(lines) == V2_PINS[case_id][1]
+    assert lines_hash(v1_lines(lines)) == expected
 
 
 def test_zero_length_stream_survives_artifact_round_trip(tmp_path):
@@ -218,5 +323,5 @@ def test_zero_length_stream_survives_artifact_round_trip(tmp_path):
     write_artifact(ragged(), path)
     artifact = read_artifact(path)
     assert artifact.lengths() == (56, 19, 0)
-    _, _, config, expected, _ = next(c for c in CASES if c[0] == "ragged_streams")
-    assert run_parallel(artifact, config).trace_hash() == expected
+    config = next(c[2] for c in CASES if c[0] == "ragged_streams")
+    assert run_parallel(artifact, config).trace_hash() == V2_PINS["ragged_streams"][0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import struct
 import tracemalloc
 
 import numpy as np
@@ -381,7 +383,8 @@ def test_publish_copies_the_callers_array():
     emb[:] = -7.0
     assert served(live.read_lagged()).tolist() == [[1.0, 2.0], [9.0, 9.0]]
     assert served(lagged.read_lagged()).tolist() == [[1.0, 2.0]]
-    assert live.dump_lines()[0] == first[0] and live.dump_lines()[1].endswith(" live 9.0,9.0")
+    # AAAAAAAAIkAAAAAAAAAiQA== is 9.0, 9.0 as little-endian float64 bytes, in base64.
+    assert live.dump_lines()[0] == first[0] and live.dump_lines()[1].endswith(" live AAAAAAAAIkAAAAAAAAAiQA==")
     assert lagged.dump_lines() == live.dump_lines()
 
 
@@ -426,8 +429,10 @@ def test_load_checks_each_lines_fields():
     bus = NotesBus(d_note=2)
     put(bus, 3, np.array([1.0, 2.0]), 5)
     (line,) = bus.dump_lines()
-    assert line == "BUSNOTE 3 0 5 note live 1.0,2.0"
-    # Each bad line follows the good one, which sets the bus's width.
+    # The embedding is 1.0, 2.0 as little-endian float64 bytes, in base64.
+    assert line == "BUSNOTE 3 0 5 note live AAAAAAAA8D8AAAAAAAAAQA=="
+    # Each bad line follows the good one, which sets the bus's width.  The
+    # v1 lines write their floats with repr, the v2 ones in base64.
     for bad, error in (
         ("BUSNOTE -3 1 5 note live 1.0,2.0", ConfigError),
         ("BUSNOTE 3 -1 5 note live 1.0,2.0", ConfigError),
@@ -437,10 +442,69 @@ def test_load_checks_each_lines_fields():
         ("BUSNOTE 3 1 5 note live 1.0,inf", ValueError),
         ("BUSNOTE 3 1 5 note live 1.0,2.0,3.0", ShapeError),
         ("BUSNOTE 3 1 5 note live", ValueError),
+        ("BUSNOTE 3 1 5 note live AAAAAAAA8D8AAAAAAAAAQA*=", ValueError),  # outside the alphabet
+        ("BUSNOTE 3 1 5 note live AAAAAAAA8D8AAAAAAAAAQA=", ValueError),  # one pad short
+        ("BUSNOTE 3 1 5 note live AAAAAAAA8D8AAAAAAAAAQA", ValueError),  # unpadded
+        ("BUSNOTE 3 1 5 note live AAAAAAAA8D8AAAAAAAAAQB==", ValueError),  # not canonical: stray low bits
+        ("BUSNOTE 3 1 5 note live AAAAAAAA8D8AAAAA", ValueError),  # 12 bytes, no whole float64s
+        ("BUSNOTE 3 1 5 note live AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA", ShapeError),  # 1.0, 2.0, 3.0
+        ("BUSNOTE 3 1 5 note live AAAAAAAA8D8AAAAAAAD4fw==", ValueError),  # 1.0, nan
+        ("BUSNOTE 3 1 5 note live AAAAAAAA8D8AAAAAAADwfw==", ValueError),  # 1.0, inf
     ):
         with pytest.raises(error):
             load_bus_lines([line, bad])
     assert load_bus_lines([line, "BUSNOTE 3 1 5 summary tombstoned 1.0,2.0"]).visible_rows() == 1
+
+
+def test_a_v2_dump_round_trips_every_bit():
+    edge = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.5e-310, 1 / 3], [1e16, -1e-05, -(2.0**-1074)]])
+    bus = NotesBus(d_note=3)
+    bus.publish([(0, edge, [0, 4, 8]), (1, edge[::-1], [1, 2, 3])])
+    bus.tombstone_after(1, token_pos=2)
+    lines = bus.dump_lines()
+    dumped = b"".join(record[5].tobytes() for record in dump_records(lines))
+    assert dumped == np.concatenate([edge, edge[::-1]]).tobytes()
+    clone = load_bus_lines(lines)
+    assert clone.dump_lines() == lines
+    assert served(clone.read_lagged()).tobytes() == served(bus.read_lagged()).tobytes()
+
+
+def v1_dump(lines: list[str]) -> list[str]:
+    """A dump's lines with each embedding written as trace v1 did, comma-separated repr floats."""
+    out = []
+    for sid, version, pos, tag, tombstoned, emb in dump_records(lines):
+        status = "tombstoned" if tombstoned else "live"
+        out.append(f"BUSNOTE {sid} {version} {pos} {tag} {status} " + ",".join(map(repr, emb.tolist())))
+    return out
+
+
+def test_a_v1_dump_loads_to_the_same_bus():
+    bus = NotesBus(d_note=2, capacity=6, retain_k=2)
+    for i in range(5):
+        put(bus, i % 2, np.array([i / 7, -(10.0**i)]), 4 * i)
+    bus.tombstone_after(0, token_pos=16)
+    lines = bus.dump_lines()
+    assert load_bus_lines(v1_dump(lines), capacity=6, retain_k=2).dump_lines() == lines
+    # One-float v1 fields, which hold neither a comma nor (in exponent form) a ".".
+    one_float = ["BUSNOTE 0 0 3 note live 0.5", "BUSNOTE 0 1 7 note live 1e+16", "BUSNOTE 1 0 2 summary live -1e-05"]
+    clone = load_bus_lines(one_float)
+    assert served(clone.read_lagged()).tolist() == [[0.5], [1e16], [-1e-05]]
+    assert [line.split(" ")[6] for line in clone.dump_lines()] == ["AAAAAAAA4D8=", "AIDgN3nDQUM=", "8WjjiLX45L4="]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROWS = st.integers(1, 3).flatmap(lambda d: st.lists(st.lists(FINITE, min_size=d, max_size=d), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=ROWS)
+def test_every_repr_float_field_loads_as_v1_and_every_row_round_trips(rows):
+    # A v1 field is never canonical base64, so it is never read as v2.
+    lines = [f"BUSNOTE 0 {v} {v} note live " + ",".join(map(repr, row)) for v, row in enumerate(rows)]
+    clone = load_bus_lines(lines, d_note=len(rows[0]))
+    assert served(clone.read_lagged()).tobytes() == np.array(rows).tobytes()
+    assert v1_dump(clone.dump_lines()) == lines
+    assert load_bus_lines(clone.dump_lines()).dump_lines() == clone.dump_lines()
 
 
 def test_bus_config_validation():
@@ -485,7 +549,8 @@ def dump_records(lines: list[str]) -> list[BusRecord]:
     out = []
     for line in lines:
         _, sid, version, pos, tag, status, vals = line.split(" ")
-        emb = np.array([float(x) for x in vals.split(",")])
+        raw = base64.b64decode(vals, validate=True)
+        emb = np.array(struct.unpack(f"<{len(raw) // 8}d", raw))
         out.append((int(sid), int(version), int(pos), tag, status == "tombstoned", emb))
     return out
 

@@ -8,7 +8,9 @@ perfbench's cadence_sweep reference decodes them, and the long_bus run, the
 one workload that fills its 2,560-row bus and compacts.  The hashes were
 taken from the decoder before the bus stacked rows per stream.  long_bus's
 moved when each barrier's notes began to be published as one batch,
-compacted at most once: 6 of its 16,320 final tokens changed.
+compacted at most once: 6 of its 16,320 final tokens changed.  Trace v2
+moved every hash; the v1 pins are checked against each decode's lines
+rewritten in v1 form, beside the v2 pins.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from test_golden_hashes import lines_hash, v1_lines
 
 from pdtcoord.cadence import CadenceConfig
 from pdtcoord.decode import run_parallel
@@ -58,11 +61,46 @@ SWEEP_GRID_SEED_1 = [
 
 LONG_BUS_SEED_1 = "6a04b1091dc26794d5c9d8decae286e59167f59043421b065e03edde80e25daf"
 
+# The same decodes' trace v2 hashes.
+TINY_BATCH_SEED_1_V2 = [
+    "47f8e6ee75a2b7b14b37eaa4149e9da5966079cedb8ad3b46c8e058acf473255",
+    "8701de732e7dbbdc135211bc56f9f645f4e0537eb2c0e8c8539f1498cb9967d6",
+    "a2fd342fec368a1f723395c8ec9e7fd8d9f9711f7294081c8005f6d88f9d3e62",
+    "1cc6eced3c7570637833cc727ba6d887f50087a3d643a8a6492fa5a139fcc605",
+]
+SWEEP_GRID_SEED_1_V2 = [
+    "fe737dc94f71debc88b42b715843a784073dd6ee0ad5fd40b065169a8a5cbf0c",
+    "4d72a85de30eaa02262299446a62a360112bbe6b878dc3539ccd0cb339fe199d",
+    "c2b4bee94dce0c9dd80318116b6e4b00f534ed71257812164b741cb1c061b758",
+    "c1fbd223a0983397775201b2e6ee59e9ac6eab753add508a2b159180ef8454f9",
+    "43741022755a50e476755bd22fdf899ad4bfde7121de9a9f31b7b5db2a220141",
+    "2c5b9be34af20ada2c8d71b62f8cd4c7a029e3237bbb3c0ae9581304a08f57b4",
+    "80bc7e9dded4377e69148da5e13515c262305a96164926bbddd2f8e3420af5d9",
+    "2a39cf33048d44dc710d39baf2627897a219e8781832a69a4c1b8fab3eeea906",
+    "0056d79aba9ed5675b042471cea58f7893892d9cd63bad275791bb72ff0c474c",
+    "dd14e0b136ea11437a56a03ef5e839cca4d50a7b705b12116cf9ca9655a69020",
+    "7bca9e58dc9dff746a7a581cd55ac4e078d79c3f0fa1bedc4b62a0a13503d23a",
+    "fdc036d6a898a55d2cad4cc89c3f3bbe08c0ffdf26b4e42515a2bd5611a705fc",
+    "11ff5994600c67676202f8923ccfd99fb1719d5327026e368c1e803e3ef8c544",
+    "7af8eb51083a0585ee7abac468b8bc7902e82d93e1ba377ea819b6fe19d63e22",
+    "3242e1958f2e4b76532955f69630835828d9cbfbf7fa36d51ebbb1f36c7e8543",
+    "657857a2b4dc70f80a288c16b677c5958802a9aa81de370ee3d942c2fe859593",
+    "96a8dd23ae904ec76dfa95d890763251e3cbc22007218139e8351d9c6017425c",
+    "8d3e5e80dc1ac4504cfc1932ea0a9101e4f6a79781c167b633f8840cf237e100",
+]
+LONG_BUS_SEED_1_V2 = "50a2068fedf2e6c6f9d939e3ddcc6288a28eb4f15274541fb12830c054ea0494"
+
+
+def v1_hash(trace) -> str:
+    return lines_hash(v1_lines(trace.to_lines()))
+
 
 @pytest.mark.parametrize("job", range(len(TINY_BATCH_SEED_1)))
 def test_tiny_batch_trace_hashes(job):
     built = workloads.WORKLOADS["tiny_batch"].build(1)[job]
-    assert run_parallel(built.artifact, built.config).trace_hash() == TINY_BATCH_SEED_1[job]
+    trace = run_parallel(built.artifact, built.config)
+    assert trace.trace_hash() == TINY_BATCH_SEED_1_V2[job]
+    assert v1_hash(trace) == TINY_BATCH_SEED_1[job]
 
 
 def test_sweep_grid_trace_hashes():
@@ -78,11 +116,14 @@ def test_sweep_grid_trace_hashes():
         for m in workloads.SWEEP_GRID["intervals"]
         for b in workloads.SWEEP_GRID["strides"]
     ]
-    assert [run_parallel(job.artifact, config).trace_hash() for config in grid] == SWEEP_GRID_SEED_1
+    traces = [run_parallel(job.artifact, config) for config in grid]
+    assert [trace.trace_hash() for trace in traces] == SWEEP_GRID_SEED_1_V2
+    assert [v1_hash(trace) for trace in traces] == SWEEP_GRID_SEED_1
 
 
 def test_long_bus_trace_hash():
     (job,) = workloads.WORKLOADS["long_bus"].build(1)
     trace = run_parallel(job.artifact, job.config)
     assert sum(line.split()[4] == "summary" for line in trace.bus_lines) > 0
-    assert trace.trace_hash() == LONG_BUS_SEED_1
+    assert trace.trace_hash() == LONG_BUS_SEED_1_V2
+    assert v1_hash(trace) == LONG_BUS_SEED_1
